@@ -235,9 +235,25 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
     """
     a = as_matrix(m)
     q, r = np.linalg.qr(a, mode="reduced")
+    flip = _diag_signs(r)
+    return q * flip, r * flip[:, None]
+
+
+def _diag_signs(r: np.ndarray) -> np.ndarray:
+    """Row signs that make the diagonal of a LAPACK R factor nonnegative."""
     flip = np.sign(np.diag(r))
     flip[flip == 0.0] = 1.0
-    return q * flip, r * flip[:, None]
+    return flip
+
+
+def r_factor(m) -> np.ndarray:
+    """R of the economy QR, nonnegative diagonal, without forming Q.
+
+    One LAPACK ``geqrf``; the result is exactly the R of :func:`thin_qr`.
+    Shape ``(min(rows, cols), cols)``.
+    """
+    r = np.linalg.qr(as_matrix(m), mode="r")
+    return r * _diag_signs(r)[:, None]
 
 
 def stable_partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
@@ -245,17 +261,21 @@ def stable_partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
 
     Equivalent to :func:`partial_qr` up to rotations of the trailing block;
     R11 and R12 agree to roundoff thanks to the shared sign convention.
+    With ``want_q=False`` only R is computed.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    q, r = thin_qr(a)
+    if want_q:
+        q, r = thin_qr(a)
+    else:
+        q, r = None, r_factor(a)
     mr = r.shape[0]
     r22 = np.zeros((rows - k, cols - k))
     r22[: mr - k, :] = r[k:, k:]
     return PartialQR(
-        q=q if want_q else None,
+        q=q,
         r11=r[:k, :k].copy(),
         r12=r[:k, k:].copy(),
         r22=r22,

@@ -1,9 +1,11 @@
 """Randomized strong rank-revealing QR.
 
 The pivoting decisions are made on a small sketch: build a sketching
-operator, run the deterministic strong RRQR on ``op @ M`` (rank or
-tolerance driven), then apply the resulting column permutation to ``M`` and
-finish with a single unpivoted partial QR.  Because single-swap volume
+operator, reduce ``op @ M`` to its triangular factor, run the deterministic
+strong RRQR on that triangle (rank or tolerance driven; it makes the same
+decisions as on the sketch itself), then apply the resulting column
+permutation to ``M`` and finish with a single unpivoted partial QR that
+forms Q only when asked for.  Because single-swap volume
 ratios are nearly preserved by the sketch, the factorization of ``M``
 inherits the rank-revealing guarantees with the threshold inflated from
 ``f`` to ``f_tilde = sqrt((1+eps)/(1-eps)) * f``.
@@ -22,6 +24,7 @@ from .dense_core import (
     PartialQR,
     _range_basis,
     as_matrix,
+    r_factor,
     singular_values,
     stable_partial_qr,
     thin_qr,
@@ -46,6 +49,12 @@ class RandSrrqrResult:
     ``distortion`` is the exact measured distortion over the numerical
     range of M when the column count makes that affordable, otherwise the
     configured target; ``distortion_is_measured`` records which.
+
+    ``sketch_result`` is the strong RRQR of the sketch's R factor when the
+    sketch has more rows than columns, so ``sketch_result.state.r`` and
+    ``sketch_result.factorization.r22`` have ``n`` rows, not ``d``; its
+    permutation, rank, ``rho`` and pivoting quantities are those of the
+    sketch.
     """
 
     factorization: PartialQR
@@ -100,6 +109,27 @@ def _prepare(m, kind: str):
     a = as_matrix(m)
     padded = pad_rows_pow2(a) if kind == "srht" else a
     return a, padded
+
+
+def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrResult:
+    """Sketch, then run the strong RRQR on the sketch's triangular factor.
+
+    Column norms, ``inv(R11)``, ``R12`` and the ``R22`` column norms of the
+    sketch under any permutation are fixed by the R factor of the permuted
+    sketch, and an orthogonal transform on the left leaves them unchanged;
+    so a tall ``d x n`` sketch is first reduced to its ``n x n`` R factor
+    (one ``geqrf``), on which the pivoting makes the same decisions at a
+    fraction of the cost.  A sketch with ``d <= n`` is used as it is.
+    """
+    t0 = time.perf_counter()
+    msk = apply(op, padded)
+    timings["sketch"] = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    if msk.shape[0] > msk.shape[1]:
+        msk = r_factor(msk)
+    sk_res = srrqr(msk, config, want_q=False)
+    timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
+    return sk_res
 
 
 def _distortion(op, padded, cols: int, epsilon: float):
@@ -170,12 +200,8 @@ def rand_srrqr_rank(
         raise ValueError(f"sketch size d={d} exceeds padded row count {rows_sk}")
     timings: dict = {}
     op = SketchOperator(kind=kind, d=d, m=rows_sk, seed=seed)
-    t0 = time.perf_counter()
-    msk = apply(op, padded)
-    timings["sketch"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    sk_res = srrqr(msk, SrrqrConfig(f=f, mode=TargetRank(k)), want_q=False)
-    timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
+    config = SrrqrConfig(f=f, mode=TargetRank(k))
+    sk_res = _pivot_on_sketch(op, padded, config, timings)
     return _finish(a, padded, op, sk_res, f, epsilon, seed, kind, want_q, timings)
 
 
@@ -207,12 +233,8 @@ def rand_srrqr_tol(
         raise ValueError(f"sketch size d={d} exceeds padded row count {rows_sk}")
     timings: dict = {}
     op = SketchOperator(kind=kind, d=d, m=rows_sk, seed=seed)
-    t0 = time.perf_counter()
-    msk = apply(op, padded)
-    timings["sketch"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    sk_res = srrqr(msk, SrrqrConfig(f=f, mode=Tolerance(tau)), want_q=False)
-    timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
+    config = SrrqrConfig(f=f, mode=Tolerance(tau))
+    sk_res = _pivot_on_sketch(op, padded, config, timings)
     if sk_res.k == 0:
         raise ValueError("tolerance exceeds every sketched column norm")
     return _finish(a, padded, op, sk_res, f, epsilon, seed, kind, want_q, timings)

@@ -42,21 +42,24 @@ def fwht(x) -> np.ndarray:
 
     Uses the Sylvester ordering, so ``fwht(fwht(v)) == m * v``.  Accepts a
     vector or a matrix (transformed column by column); the length along
-    axis 0 must be a power of two.
+    axis 0 must be a power of two.  The butterflies run in place on one
+    row-major working copy, so the input is never modified.
     """
     arr = np.asarray(x, dtype=np.float64)
     vec = arr.ndim == 1
-    y = arr.reshape(-1, 1).copy() if vec else arr.copy()
-    if y.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise ValueError("fwht expects a vector or a matrix")
+    # row-major, so each butterfly half below is a reshape view of y
+    y = np.array(arr.reshape(-1, 1) if vec else arr, order="C")
     m, n = y.shape
     if m < 1 or (m & (m - 1)) != 0:
         raise ValueError(f"length {m} is not a power of two")
     h = 1
     while h < m:
         z = y.reshape(m // (2 * h), 2, h, n)
-        y = np.concatenate((z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]), axis=1)
-        y = y.reshape(m, n)
+        t = z[:, 0].copy()
+        z[:, 0] += z[:, 1]
+        np.subtract(t, z[:, 1], out=z[:, 1])
         h *= 2
     return y[:, 0] if vec else y
 
@@ -218,8 +221,8 @@ def ose_dim(
             raw = math.ceil(
                 constant
                 * epsilon**-2
-                * (n + math.log(max(m - delta, 2.0)))
-                * math.log(max(n - delta, 2.0))
+                * (n + math.log(m / delta))
+                * math.log(n / delta)
             )
         else:
             raise ValueError(f"no theory sizing for kind {kind!r}")

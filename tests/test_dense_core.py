@@ -22,8 +22,10 @@ from spectra_rrqr import (
     save_matrix_text,
     singular_values,
     stable_partial_qr,
+    thin_qr,
     volume,
 )
+from spectra_rrqr.dense_core import r_factor
 
 
 def rng(seed=0):
@@ -153,6 +155,23 @@ class TestPartialQR:
         assert np.allclose(
             np.linalg.norm(own.r22, axis=0), np.linalg.norm(fast.r22, axis=0)
         )
+
+    @pytest.mark.parametrize("shape", [(40, 7), (7, 7), (5, 9)])
+    def test_r_factor_is_thin_qr_r(self, shape):
+        m = rng(8).standard_normal(shape)
+        r = r_factor(m)
+        assert np.array_equal(r, thin_qr(m)[1])
+        assert r.shape == (min(shape), shape[1])
+        assert np.all(np.diag(r) >= 0.0)
+
+    def test_stable_path_r_only(self):
+        m = rng(9).standard_normal((30, 8))
+        with_q = stable_partial_qr(m, 5)
+        r_only = stable_partial_qr(m, 5, want_q=False)
+        assert r_only.q is None
+        assert np.array_equal(r_only.r11, with_q.r11)
+        assert np.array_equal(r_only.r12, with_q.r12)
+        assert np.array_equal(r_only.r22, with_q.r22)
 
     def test_interlacing_any_permutation(self):
         # leading-block singular values never exceed the matrix's; trailing

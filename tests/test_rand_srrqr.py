@@ -8,6 +8,7 @@ from spectra_rrqr import (
     SketchOperator,
     SrrqrConfig,
     TargetRank,
+    Tolerance,
     apply,
     export_json,
     export_record,
@@ -22,8 +23,9 @@ from spectra_rrqr import (
     singular_values,
     srrqr,
 )
-from spectra_rrqr import MatrixSpec, HC
+from spectra_rrqr import MatrixSpec, HC, Stewart
 from spectra_rrqr.bench import exhaustive_det_ratios
+from spectra_rrqr.dense_core import r_factor
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
 
 
@@ -117,6 +119,42 @@ class TestRankMode:
         m[0, 0], m[1, 1] = 3.0, 2.0
         with pytest.raises(SingularMatrixError, match="step 3"):
             rand_srrqr_rank(m, f=2.0, k=3, d=16, seed=0)
+
+
+class TestSketchReduction:
+    """Pivoting on the sketch's R factor makes the sketch's own decisions."""
+
+    @pytest.mark.parametrize("mode", [TargetRank(20), Tolerance(0.03)])
+    def test_triangle_keeps_every_decision(self, mode):
+        sk = generate(MatrixSpec(Stewart(m=256, n=48), seed=0))
+        config = SrrqrConfig(f=1.1, mode=mode)
+        tall = srrqr(sk, config, want_q=False)
+        tri = srrqr(r_factor(sk), config, want_q=False)
+        assert tri.state.r.shape == (48, 48)
+        assert tall.swap_count > 0 and 0 < tall.k < 48
+        assert tri.k == tall.k
+        assert tri.swap_count == tall.swap_count
+        assert np.array_equal(
+            tri.factorization.perm.forward, tall.factorization.perm.forward
+        )
+        assert tri.rho == pytest.approx(tall.rho, rel=1e-10)
+
+    def test_tall_sketch_is_reduced(self):
+        m = rng(3).standard_normal((64, 12))
+        res = rand_srrqr_rank(m, f=2.0, k=5, d=48, seed=7)
+        assert res.sketch_result.state.r.shape == (12, 12)
+
+    def test_wide_sketch_passes_through(self):
+        m = rng(3).standard_normal((64, 12))
+        res = rand_srrqr_rank(m, f=2.0, k=5, d=8, seed=7)
+        op = SketchOperator(kind="srht", d=8, m=64, seed=7)
+        msk = apply(op, pad_rows_pow2(m))
+        again = srrqr(msk, SrrqrConfig(f=2.0, mode=TargetRank(5)), want_q=False)
+        assert res.sketch_result.state.r.shape == (8, 12)
+        assert np.array_equal(res.sketch_result.state.r, again.state.r)
+        assert np.array_equal(
+            res.factorization.perm.forward, again.factorization.perm.forward
+        )
 
 
 class TestToleranceMode:

@@ -57,6 +57,37 @@ class TestFwht:
         with pytest.raises(ValueError, match="power of two"):
             fwht(np.ones(6))
 
+    @staticmethod
+    def _concatenate_oracle(x):
+        # out-of-place butterfly: a new array per level
+        arr = np.asarray(x, dtype=np.float64)
+        vec = arr.ndim == 1
+        y = arr.reshape(-1, 1).copy() if vec else arr.copy()
+        m, n = y.shape
+        h = 1
+        while h < m:
+            z = y.reshape(m // (2 * h), 2, h, n)
+            y = np.concatenate((z[:, 0] + z[:, 1], z[:, 0] - z[:, 1]), axis=1)
+            y = y.reshape(m, n)
+            h *= 2
+        return y[:, 0] if vec else y
+
+    @pytest.mark.parametrize("log_m", range(13))
+    def test_bitwise_equal_to_concatenate_butterfly(self, log_m):
+        m = 2**log_m
+        g = rng(log_m)
+        inputs = [
+            g.standard_normal(m),
+            np.ascontiguousarray(g.standard_normal((m, 3))),
+            np.asfortranarray(g.standard_normal((m, 5))),
+        ]
+        for x in inputs:
+            before = x.copy()
+            out = fwht(x)
+            assert out.shape == x.shape
+            assert np.array_equal(out, self._concatenate_oracle(x))
+            assert np.array_equal(x, before)
+
 
 class TestPadding:
     def test_next_pow2(self):
@@ -225,6 +256,10 @@ class TestOseDim:
             ose_dim(0.5, 0.1, 20, 4096, kind="srht", policy="theory", constant=2.0)
             >= s
         )
+
+    def test_theory_srht_value(self):
+        # 0.5**-2 * (20 + log(4096 / 0.1)) * log(20 / 0.1) = 648.9
+        assert ose_dim(0.5, 0.1, 20, 4096, kind="srht", policy="theory") == 649
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError, match="policy"):
