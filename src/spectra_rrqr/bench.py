@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import testmat
-from .dense_core import as_matrix, partial_qr, singular_values, thin_qr
+from .dense_core import as_matrix, partial_qr, r_factor, singular_values
 from .rand_srrqr import (
     export_record,
     qlp_values,
@@ -656,7 +656,7 @@ def run_volume_decay(
     sk = apply(op, base)
     rows = []
     for n in n_values:
-        _, r = thin_qr(sk[:, :n])
+        r = r_factor(sk[:, :n])
         diag = np.abs(np.diag(r))
         with np.errstate(divide="ignore"):
             logv = float(np.sum(np.log(diag)))

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgemqrt, dgeqrt
 
 
 class SingularMatrixError(ValueError):
@@ -227,14 +228,34 @@ def partial_qr(m, k: int, *, full_q: bool = True, want_q: bool = True) -> Partia
     )
 
 
+# panel width of the blocked Householder QR; dgeqrt factors each panel
+# recursively and updates the trailing columns with BLAS-3
+_QRT_BLOCK = 64
+
+
+def _geqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``dgeqrt`` of ``a`` (not overwritten): R and reflectors, T."""
+    f, t, info = dgeqrt(min(_QRT_BLOCK, *a.shape), a)
+    if info:
+        raise ValueError(f"dgeqrt failed with info={info}")
+    return f, t
+
+
 def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
     """Economy QR with nonnegative R diagonal via the LAPACK Householder path.
 
     Returns (Q, R) with Q of shape (rows, min(rows, cols)).  Used where the
-    per-step pivoting machinery is not needed and speed matters.
+    per-step pivoting machinery is not needed and speed matters.  Q is the
+    blocked reflector product applied to the leading identity columns
+    (``dgemqrt``).
     """
     a = as_matrix(m)
-    q, r = np.linalg.qr(a, mode="reduced")
+    k = min(a.shape)
+    f, t = _geqrt(a)
+    q, info = dgemqrt(f[:, :k], t, np.eye(a.shape[0], k, order="F"), overwrite_c=1)
+    if info:
+        raise ValueError(f"dgemqrt failed with info={info}")
+    r = np.triu(f[:k])
     flip = _diag_signs(r)
     return q * flip, r * flip[:, None]
 
@@ -249,10 +270,12 @@ def _diag_signs(r: np.ndarray) -> np.ndarray:
 def r_factor(m) -> np.ndarray:
     """R of the economy QR, nonnegative diagonal, without forming Q.
 
-    One LAPACK ``geqrf``; the result is exactly the R of :func:`thin_qr`.
-    Shape ``(min(rows, cols), cols)``.
+    One LAPACK ``dgeqrt`` (recursive panels, BLAS-3 trailing updates); the
+    result is exactly the R of :func:`thin_qr`.  Shape
+    ``(min(rows, cols), cols)``.
     """
-    r = np.linalg.qr(as_matrix(m), mode="r")
+    a = as_matrix(m)
+    r = np.triu(_geqrt(a)[0][: min(a.shape)])
     return r * _diag_signs(r)[:, None]
 
 

@@ -27,7 +27,6 @@ from .dense_core import (
     r_factor,
     singular_values,
     stable_partial_qr,
-    thin_qr,
 )
 from .sketch import SketchOperator, apply, embedding_distortion, ose_dim, pad_rows_pow2
 from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
@@ -118,8 +117,9 @@ def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrRes
     sketch under any permutation are fixed by the R factor of the permuted
     sketch, and an orthogonal transform on the left leaves them unchanged;
     so a tall ``d x n`` sketch is first reduced to its ``n x n`` R factor
-    (one ``geqrf``), on which the pivoting makes the same decisions at a
-    fraction of the cost.  A sketch with ``d <= n`` is used as it is.
+    (one blocked ``dgeqrt``, :func:`r_factor`), on which the pivoting makes
+    the same decisions at a fraction of the cost.  A sketch with ``d <= n``
+    is used as it is.
     """
     t0 = time.perf_counter()
     msk = apply(op, padded)
@@ -189,10 +189,10 @@ def rand_srrqr_rank(
     n = a.shape[1]
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"k={k} out of range for a {a.shape[0]}x{n} matrix")
+    if sizing not in ("range", "kplus1"):
+        raise ValueError(f"unknown sizing policy {sizing!r}")
     if d is None:
         subspace = n if sizing == "range" else k + 1
-        if sizing not in ("range", "kplus1"):
-            raise ValueError(f"unknown sizing policy {sizing!r}")
         d = ose_dim(epsilon, 0.1, subspace, rows_sk, kind)
     if d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
@@ -288,7 +288,7 @@ def qlp_values(res) -> QlpResult:
     if fact.k < 1:
         raise ValueError("factorization has an empty leading block")
     top = np.hstack([fact.r11, fact.r12])
-    _, t = thin_qr(top.T)
+    t = r_factor(top.T)
     l_values = np.abs(np.diag(t))
     r_values = np.abs(np.diag(fact.r11))
     return QlpResult(

@@ -6,6 +6,10 @@ kinds are fully determined by ``(kind, d, m, seed)``: the SRHT re-derives
 its sign flips and row samples from the seed, and the Gaussian entries are
 generated counter-based from (seed, entry index) so the operator never
 needs dense storage and blocked application reproduces the same matrix.
+
+The SRHT is applied as two matrix products through the Kronecker structure
+``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
+sampled rows; :func:`fwht` is the same transform as a butterfly.
 """
 from __future__ import annotations
 
@@ -14,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dense_core import as_matrix, singular_values
 
@@ -128,11 +133,40 @@ class SketchOperator:
         return cls(kind=rec["kind"], d=rec["d"], m=rec["m"], seed=rec["seed"])
 
 
+def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
+    """The sampled rows of ``H_m (signs * a) / sqrt(d)``, as two GEMMs.
+
+    With ``m = p q`` and row index ``i = i_p q + i_q``, ``H_m = H_p (x) H_q``
+    gives ``H_m[i, j] = H_p[i_p, j_p] H_q[i_q, j_q]``.  The row-block index
+    is contracted against ``H_p`` for every row (one batched product on
+    the row-major view ``(n, p, q)``); the within-block index is then
+    contracted only against the rows of ``H_q`` the samples need, one
+    product per sampled row block.
+    """
+    n = a.shape[1]
+    # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
+    # larger factor of the split goes to stage 2: q = p or q = 2p
+    q = 1 << (op.m.bit_length() // 2)
+    p = op.m // q
+    x = (a.T * op.signs).reshape(n, p, q)
+    z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64), x)
+    block, within = np.divmod(op.sample_idx, q)
+    # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
+    # unnormalized transform
+    h_rows = scipy.linalg.hadamard(q)[within] * (1.0 / math.sqrt(op.d))
+    out = np.empty((op.d, n))
+    for b in np.unique(block):
+        rows = np.flatnonzero(block == b)
+        out[rows] = h_rows[rows] @ z[:, b, :].T
+    return out
+
+
 def apply(op: SketchOperator, m) -> np.ndarray:
     """Compute the sketch ``op @ m`` without materializing the operator.
 
-    The SRHT path is sign flips, a fast transform per column, then row
-    sampling; the Gaussian path streams blocks of counter-generated entries.
+    The SRHT path flips signs and computes only the ``d`` sampled rows of
+    the Hadamard transform, as two matrix products (see :func:`_srht_rows`);
+    the Gaussian path streams blocks of counter-generated entries.
     """
     a = as_matrix(m)
     if a.shape[0] != op.m:
@@ -140,10 +174,7 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     if op.kind == "identity":
         return a.copy()
     if op.kind == "srht":
-        t = fwht(op.signs[:, None] * a)
-        # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
-        # unnormalized transform
-        return t[op.sample_idx, :] * (op.scale / math.sqrt(op.m))
+        return _srht_rows(op, a)
     out = np.zeros((op.d, a.shape[1]))
     block = max(1, 4_000_000 // op.d)
     for j0 in range(0, op.m, block):

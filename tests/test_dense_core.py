@@ -164,6 +164,26 @@ class TestPartialQR:
         assert r.shape == (min(shape), shape[1])
         assert np.all(np.diag(r) >= 0.0)
 
+    # tall, square, wide, single row, single column, several dgeqrt panels
+    @pytest.mark.parametrize(
+        "shape", [(40, 7), (7, 7), (5, 9), (1, 6), (6, 1), (1, 1), (300, 150), (90, 200)]
+    )
+    def test_blocked_qr_against_numpy(self, shape):
+        m = np.asfortranarray(rng(shape[0] * 7 + shape[1]).standard_normal(shape))
+        before = m.copy()
+        q, r = thin_qr(m)
+        k = min(shape)
+        assert q.shape == (shape[0], k) and r.shape == (k, shape[1])
+        assert np.max(np.abs(q.T @ q - np.eye(k))) <= 1e-13
+        assert np.linalg.norm(q @ r - m) <= 1e-13 * np.linalg.norm(m)
+        ref = np.linalg.qr(m, mode="r")
+        ref *= np.where(np.diag(ref) < 0.0, -1.0, 1.0)[:, None]
+        assert np.linalg.norm(r - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.all(np.diag(r) >= 0.0)
+        assert np.max(np.abs(np.tril(r, -1))) == 0.0
+        assert np.array_equal(r_factor(m), r)
+        assert np.array_equal(m, before)
+
     def test_stable_path_r_only(self):
         m = rng(9).standard_normal((30, 8))
         with_q = stable_partial_qr(m, 5)

@@ -98,6 +98,8 @@ class TestRankMode:
         assert r2.d <= r1.d
         with pytest.raises(ValueError, match="sizing"):
             rand_srrqr_rank(m, f=2.0, k=3, seed=0, sizing="bogus")
+        with pytest.raises(ValueError, match="sizing"):
+            rand_srrqr_rank(m, 2.0, 5, d=48, sizing="bogus")
 
     def test_distortion_measured_at_desk_scale(self):
         m = rng(8).standard_normal((64, 12))

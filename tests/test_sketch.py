@@ -197,6 +197,67 @@ class TestApply:
         assert float(np.max(devs)) < 0.6
 
 
+class TestSrhtKronecker:
+    """The two-GEMM SRHT against the dense operator and the butterfly.
+
+    Every power of two from 1 to 4096 is covered, so both Kronecker splits
+    of ``H_m`` occur (``p == q`` for even log2(m), ``q == 2p`` for odd).
+    The tolerance is fixed from the float64 unit roundoff with room for
+    the summation depth: 1e-13 times the largest reference entry.
+    """
+
+    RTOL = 1e-13
+
+    @staticmethod
+    def _dense(op, x):
+        # rows of the Sylvester matrix in blocks, so m=4096 stays small
+        h = scipy.linalg.hadamard(op.m, dtype=np.int8)
+        out = np.empty((op.d, x.shape[1]))
+        for r0 in range(0, op.d, 512):
+            rows = h[op.sample_idx[r0 : r0 + 512]] * op.signs
+            out[r0 : r0 + 512] = rows @ x / math.sqrt(op.d)
+        return out
+
+    @staticmethod
+    def _butterfly(op, x):
+        # butterfly over all m rows, then sample
+        t = fwht(op.signs[:, None] * x)
+        return t[op.sample_idx, :] * (op.scale / math.sqrt(op.m))
+
+    def _check(self, op, x):
+        before = x.copy()
+        got = apply(op, x)
+        assert got.shape == (op.d, x.shape[1])
+        assert np.array_equal(x, before)
+        for ref in (self._dense(op, x), self._butterfly(op, x)):
+            assert np.max(np.abs(got - ref)) <= self.RTOL * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("log_m", range(13))
+    def test_against_dense_and_butterfly(self, log_m):
+        m = 2**log_m
+        g = rng(100 + log_m)
+        for d in sorted({1, max(1, m // 3), m}):
+            op = SketchOperator("srht", d=d, m=m, seed=log_m * 17 + d)
+            for x in (
+                g.standard_normal((m, 1)),
+                np.asfortranarray(g.standard_normal((m, 5))),
+                np.ascontiguousarray(g.standard_normal((m, 4))),
+            ):
+                self._check(op, x)
+
+    @pytest.mark.parametrize("m", [2, 8, 64, 2048])
+    def test_repeated_samples(self, m):
+        g = rng(m)
+        op = SketchOperator("srht", d=m, m=m, seed=5)
+        # every sampled row twice, in shuffled order
+        op.sample_idx = g.permutation(np.repeat(g.permutation(m)[: m // 2], 2))
+        assert np.unique(op.sample_idx).size < m
+        self._check(op, np.asfortranarray(g.standard_normal((m, 3))))
+        single = SketchOperator("srht", d=m, m=m, seed=6)
+        single.sample_idx = np.zeros(m, dtype=np.intp)
+        self._check(single, g.standard_normal((m, 2)))
+
+
 class TestDistortion:
     def test_identity_stub_is_exact(self):
         op = SketchOperator("identity", d=16, m=16, seed=0)
