@@ -141,15 +141,21 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     is contracted against ``H_p`` for every row (one batched product on
     the row-major view ``(n, p, q)``); the within-block index is then
     contracted only against the rows of ``H_q`` the samples need, one
-    product per sampled row block.
+    product per sampled row block.  Row blocks past the last nonzero one
+    (the zero padding of :func:`pad_rows_pow2`) add nothing to the first
+    product, so it contracts only the leading blocks.
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
     # larger factor of the split goes to stage 2: q = p or q = 2p
     q = 1 << (op.m.bit_length() // 2)
     p = op.m // q
-    x = (a.T * op.signs).reshape(n, p, q)
-    z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64), x)
+    live = p
+    while live and not a[(live - 1) * q : live * q].any():
+        live -= 1
+    rows = live * q
+    x = (a[:rows].T * op.signs[:rows]).reshape(n, live, q)
+    z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64)[:, :live], x)
     block, within = np.divmod(op.sample_idx, q)
     # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
     # unnormalized transform

@@ -16,6 +16,17 @@ updates on interchanges, with exact recomputation whenever a downdate loses
 more than half its magnitude); ``update_mode="recompute"`` rebuilds them
 from scratch after every structural change and is cross-validated against
 the incremental path in the tests.
+
+Growth defers the Householder updates of the trailing block over a panel of
+up to ``_PANEL`` steps, as LAPACK's xLAQPS does (Quintana-Orti, Sun &
+Bischof, SISC 1998).  Each step brings only the pivot column and the pivot
+row up to date and records its reflector ``v`` with ``F = tau A^T v``; one
+GEMM applies the whole panel when it is full and before anything that reads
+the trailing block as a whole (interchanges, ``copy``, recomputation, and
+the end of :func:`srrqr` and :func:`srrqr_state`).  Pivots, interchanges
+and the stopping test are still decided after every step, from the same
+quantities; only the order of floating-point operations changes, so a
+decision can move only where rounding already settles it (exact ties).
 """
 from __future__ import annotations
 
@@ -24,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .dense_core import (
     PartialQR,
@@ -37,6 +49,8 @@ from .dense_core import (
 )
 
 _UNDERFLOW_FLOOR = 1e-300
+# growth steps whose trailing-block updates are deferred and applied together
+_PANEL = 32
 
 
 @dataclass(frozen=True)
@@ -78,7 +92,18 @@ class SrrqrState:
     ``r`` is the m-by-n factor with its leading ``k`` columns triangularized
     (nonnegative diagonal); ``q`` accumulates the orthogonal transforms when
     requested.  ``omega``, ``gamma`` and ``a`` are the maintained quantities
-    described in the module docstring.
+    described in the module docstring; they are always current.
+
+    Growth steps may leave up to ``_PANEL`` Householder updates pending:
+    reflectors ``V`` (one column each) and ``F = tau A^T v`` (one column per
+    reflector, one row per column of ``r``).  While updates are pending,
+    rows ``>= k`` of the trailing columns of ``r`` are stale, and their true
+    value is ``r[k:, k:] - V[k:] F[k:].T``; the rows above ``k`` (the pivot
+    rows, ``R11`` and ``R12``) and the leading columns are final.  Trailing
+    column swaps swap the matching rows of ``F``.  :meth:`_flush` applies
+    the pending updates; it runs when the panel is full and before
+    interchanges, :meth:`copy` and :meth:`recomputed`, so every state
+    returned to a caller has a fully updated ``r``.
     """
 
     r: np.ndarray
@@ -90,12 +115,22 @@ class SrrqrState:
     swap_count: int = 0
     update_mode: str = "incremental"
     q: np.ndarray | None = None
+    # pending panel: reflectors (V) and F = tau * A^T v columns, see above
+    _v: np.ndarray = field(init=False, repr=False)
+    _f: np.ndarray = field(init=False, repr=False)
+    _pending: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self):
+        rows, cols = self.r.shape
+        self._v = np.empty((rows, _PANEL), order="F")
+        self._f = np.empty((cols, _PANEL), order="F")
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.r.shape
 
     def copy(self) -> "SrrqrState":
+        self._flush()
         return SrrqrState(
             r=self.r.copy(),
             perm=self.perm.copy(),
@@ -112,6 +147,7 @@ class SrrqrState:
 
     def recomputed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fresh (omega, gamma, a) from the current factor."""
+        self._flush()
         k, n = self.k, self.r.shape[1]
         r11 = self.r[:k, :k]
         omega = inverse_row_norms(r11) if k else np.zeros(0)
@@ -155,21 +191,38 @@ class SrrqrState:
         if j == 0:
             return
         self.r[:, [k, k + j]] = self.r[:, [k + j, k]]
+        p = self._pending
+        self._f[[k, k + j], :p] = self._f[[k + j, k], :p]
         self.gamma[[0, j]] = self.gamma[[j, 0]]
         if self.a.size:
             self.a[:, [0, j]] = self.a[:, [j, 0]]
 
     def _advance(self) -> None:
-        """Triangularize the column at position k and grow the leading block."""
+        """Triangularize the column at position k and grow the leading block.
+
+        The reflector's update of the trailing block is deferred: it joins
+        the pending panel, and only the next pivot column, pivot row k and
+        the ``F`` column are brought up to date (see the class docstring).
+        """
         k = self.k
         r = self.r
+        t = self._pending
+        vp, fp = self._v[:, :t], self._f[:, :t]
+        if t:
+            r[k:, k] -= vp[k:] @ fp[k]
         u = self.a[:, 0].copy() if k else np.zeros(0)
         v, tau, beta = _reflector(r[k:, k])
-        _apply_reflector_left(r[k:, k + 1 :], v, tau)
+        self._v[k:, t] = v
+        # F column: tau * (true trailing block)^T v, from the stale block
+        self._f[k + 1 :, t] = tau * (v @ r[k:, k + 1 :])
+        if t:
+            self._f[k + 1 :, t] -= fp[k + 1 :] @ (tau * (v @ vp[k:]))
+        self._pending = t + 1
         if self.q is not None and tau != 0.0:
             self.q[:, k:] -= np.outer(tau * (self.q[:, k:] @ v), v)
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
+        r[k, k + 1 :] -= self._f[k + 1 :, : t + 1] @ self._v[k, : t + 1]
         self._flip_row(k)
         diag = r[k, k]
         if diag <= 0.0:
@@ -183,13 +236,30 @@ class SrrqrState:
         self.omega = np.concatenate(
             [np.sqrt(self.omega**2 + (u / diag) ** 2), [1.0 / diag]]
         )
-        self.a = np.vstack([self.a[:, 1:] - np.outer(u, c2) / diag, c2[None, :] / diag])
+        a_new = np.empty((k + 1, c2.size))
+        a_new[k] = c2 / diag
+        if k and c2.size:
+            a_new[:k] = self.a[:, 1:]
+            # a_new[:k].T is F-contiguous, so dger updates it in place
+            scipy.linalg.blas.dger(-1.0 / diag, c2, u, a=a_new[:k].T, overwrite_a=1)
+        self.a = a_new
         g2 = old_tail**2 - c2**2
         bad = g2 < 0.5 * old_tail**2
         if np.any(bad):
             cols = self.k + np.nonzero(bad)[0]
-            g2[bad] = np.sum(r[self.k :, cols] ** 2, axis=0)
+            p = self._pending
+            fresh = r[self.k :, cols] - self._v[self.k :, :p] @ self._f[cols, :p].T
+            g2[bad] = np.sum(fresh**2, axis=0)
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
+        if self._pending == _PANEL:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Apply the pending reflectors to the trailing block (one GEMM)."""
+        p, k = self._pending, self.k
+        if p:
+            self.r[k:, k:] -= self._v[k:, :p] @ self._f[k:, :p].T
+            self._pending = 0
 
     def _givens_rows(self, t: int, x: float, y: float, col_start: int) -> None:
         """Rotate rows t and t+1 so the pair (x, y) maps to (hypot, 0).
@@ -330,6 +400,7 @@ class SrrqrState:
             raise IndexError(f"leading index i={i} out of range for k={k}")
         if not (0 <= j < n - k):
             raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
+        self._flush()
         self._rotate_to_boundary(i)
         self._swap_trailing(j)
         self._swap_boundary()
@@ -360,6 +431,7 @@ def srrqr_state(m, k: int, *, update_mode: str = "incremental") -> SrrqrState:
     )
     for _ in range(k):
         state._advance()
+    state._flush()
     state.swap_count = 0
     return state
 
@@ -493,9 +565,7 @@ def srrqr(
             hits = np.argwhere(det_ratio_matrix(state) > f_swap)
             if hits.size == 0:
                 break
-            if state.swap_count >= 10.0 * max(state.k, 1) * math.log(
-                max(cols, 2)
-            ) / math.log(f):
+            if state.swap_count >= 20 * swap_budget(max(state.k, 1), cols, f):
                 raise RuntimeError(
                     f"interchange budget exhausted at k={state.k} after "
                     f"{state.swap_count} swaps; threshold f={f} appears to "
@@ -507,6 +577,7 @@ def srrqr(
             if on_swap is not None:
                 on_swap(state.k, i, j, ratio)
 
+    state._flush()
     k = state.k
     fact = PartialQR(
         q=state.q,

@@ -245,6 +245,27 @@ class TestSrhtKronecker:
             ):
                 self._check(op, x)
 
+    @pytest.mark.parametrize("log_m", [0, 1, 3, 6, 9, 12])
+    def test_zero_padded_rows(self, log_m):
+        # nonzero rows end inside a row block, on a block boundary, or at
+        # the very end; the first product skips only the all-zero tail
+        m = 2**log_m
+        q = 1 << (m.bit_length() // 2)
+        g = rng(300 + log_m)
+        op = SketchOperator("srht", d=max(1, m // 3), m=m, seed=log_m)
+        for rows in sorted({1, q, q + 1, m // 2 + 1, m - q, m - q + 1, m - 1, m}):
+            if not 1 <= rows <= m:
+                continue
+            x = np.zeros((m, 3))
+            x[:rows] = g.standard_normal((rows, 3))
+            self._check(op, x)
+            self._check(op, np.asfortranarray(x))
+        lone = np.zeros((m, 2))
+        lone[0, 0] = lone[-1, 1] = 1.0
+        self._check(op, lone)
+        # all zero: the reference is zero, so _check demands exact zeros
+        self._check(op, np.zeros((m, 4)))
+
     @pytest.mark.parametrize("m", [2, 8, 64, 2048])
     def test_repeated_samples(self, m):
         g = rng(m)

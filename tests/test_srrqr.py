@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from spectra_rrqr import (
+    DevilsStairs,
+    HC,
     Kahan,
     MatrixSpec,
+    PermutationSeq,
     SingularMatrixError,
     SrrqrConfig,
+    SrrqrState,
+    Stewart,
     TargetRank,
     Tolerance,
+    column_norms,
     det_ratio,
     det_ratio_matrix,
     generate,
@@ -24,6 +30,7 @@ from spectra_rrqr import (
     swap_budget,
 )
 from spectra_rrqr.bench import exhaustive_det_ratios
+from spectra_rrqr.srrqr import _PANEL
 
 
 def rng(seed=0):
@@ -296,6 +303,187 @@ class TestSrrqr:
         res = srrqr(m, SrrqrConfig(f=2.0, mode=Tolerance(1e-14)), want_q=False)
         assert res.k == 4
         assert res.rho == 0.0 or res.rho <= 2.0
+
+
+def _growing_state(m) -> SrrqrState:
+    """Fresh state of ``m`` that grows through ``_advance`` with no forced flush."""
+    a = np.asarray(m, dtype=float)
+    return SrrqrState(
+        r=a.copy(),
+        perm=PermutationSeq.identity(a.shape[1]),
+        k=0,
+        omega=np.zeros(0),
+        gamma=column_norms(a),
+        a=np.zeros((0, a.shape[1])),
+        q=np.eye(a.shape[0]),
+    )
+
+
+def _true_trailing(st: SrrqrState) -> np.ndarray:
+    """Trailing block with the pending updates applied; ``st`` is not touched."""
+    k, p = st.k, st._pending
+    return st.r[k:, k:] - st._v[k:, :p] @ st._f[k:, :p].T
+
+
+def _same_decisions(a, b):
+    assert a.k == b.k
+    assert a.swap_count == b.swap_count
+    assert np.array_equal(a.factorization.perm.forward, b.factorization.perm.forward)
+
+
+class TestDeferredGrowth:
+    """Growth with the trailing-block updates deferred over a panel."""
+
+    def test_crosses_panel_boundaries(self):
+        m = rng(20).standard_normal((150, 110))
+        k = 3 * _PANEL + 4
+        cfg = SrrqrConfig(f=1.5, mode=TargetRank(k))
+        res = srrqr(m, cfg)
+        oracle = srrqr(m, cfg, update_mode="recompute")
+        _same_decisions(res, oracle)
+        assert res.state._pending == 0
+        assert np.allclose(res.state.r, oracle.state.r, atol=1e-11)
+        assert res.factorization.reconstruction_error(m) <= 1e-12
+        q = res.factorization.q
+        assert np.max(np.abs(q.T @ q - np.eye(150))) <= 1e-12
+        assert max(res.state.consistency_errors().values()) <= 1e-8
+
+    def test_mid_panel_invariant(self):
+        m = rng(21).standard_normal((90, 80))
+        st = _growing_state(m)
+        for step in range(1, 2 * _PANEL + 6):
+            st._advance()
+            assert st._pending == step % _PANEL
+            ref = srrqr_state(m, step, update_mode="recompute")
+            # pivot rows and leading columns are final, the rest is stale
+            assert np.allclose(st.r[:step], ref.r[:step], atol=1e-12)
+            assert np.allclose(_true_trailing(st), ref.r[step:, step:], atol=1e-12)
+            assert np.allclose(st.gamma, ref.gamma, rtol=1e-10, atol=1e-14)
+            assert np.allclose(st.a, ref.a, rtol=1e-10, atol=1e-12)
+            assert np.allclose(st.omega, ref.omega, rtol=1e-10)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_interchange_fires_mid_panel(self, seed, monkeypatch):
+        m = generate(MatrixSpec(Stewart(m=256, n=96, q=0.8), seed=seed))
+        cfg = SrrqrConfig(f=1.1, mode=Tolerance(1e-10))
+        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        pending = []
+        core = SrrqrState._interchange_core
+
+        def spy(state, i, j):
+            pending.append(state._pending)
+            core(state, i, j)
+
+        monkeypatch.setattr(SrrqrState, "_interchange_core", spy)
+        res = srrqr(m, cfg, want_q=False)
+        assert res.swap_count > 0
+        assert any(p > 0 for p in pending)
+        _same_decisions(res, oracle)
+        assert abs(res.rho - oracle.rho) <= 1e-8 * oracle.rho
+        assert max(res.state.consistency_errors().values()) <= 1e-8
+
+    def test_bad_downdate_recomputed_while_pending(self):
+        # on the flat stairs a column loses more than half its norm at every
+        # stair edge, so the downdate falls back to recomputation
+        m = generate(MatrixSpec(DevilsStairs(m=200, n=120, stair_len=25), seed=1))
+        st = _growing_state(m)
+        recomputed_with_pending = 0
+        for _ in range(100):
+            j = int(np.argmax(st.gamma))
+            st._swap_trailing(j)
+            st.perm.swap(st.k, st.k + j)
+            before = st._pending
+            old_tail = st.gamma[1:].copy()
+            st._advance()
+            c2 = st.r[st.k - 1, st.k :]
+            if before and np.any(old_tail**2 - c2**2 < 0.5 * old_tail**2):
+                recomputed_with_pending += 1
+            norms = np.linalg.norm(_true_trailing(st), axis=0)
+            assert np.allclose(st.gamma, norms, rtol=1e-10, atol=1e-14 * norms.max())
+        assert recomputed_with_pending > 0
+        assert st._pending > 0
+        assert max(st.copy().consistency_errors().values()) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "shape,mode",
+        [
+            ((30, 30), TargetRank(30)),
+            ((40, 25), Tolerance(1e-14)),
+            ((20, 35), Tolerance(1e-14)),
+            ((70, 70), TargetRank(70)),
+            ((6, 1), TargetRank(1)),
+        ],
+    )
+    def test_last_step_with_empty_trailing_block(self, shape, mode):
+        m = rng(22).standard_normal(shape)
+        cfg = SrrqrConfig(f=2.0, mode=mode)
+        res = srrqr(m, cfg)
+        oracle = srrqr(m, cfg, update_mode="recompute")
+        _same_decisions(res, oracle)
+        assert res.k == min(shape)
+        assert res.factorization.reconstruction_error(m) <= 1e-12
+        st = srrqr_state(m, min(shape))
+        assert st.a.shape == (min(shape), shape[1] - min(shape))
+
+    def test_returned_states_are_flushed(self):
+        m = rng(23).standard_normal((60, 50))
+        k = _PANEL + 7
+        st = srrqr_state(m, k)
+        ref = srrqr_state(m, k, update_mode="recompute")
+        assert st._pending == 0
+        assert np.allclose(st.r, ref.r, atol=1e-12)
+        assert max(st.consistency_errors().values()) <= 1e-10
+
+        grown = _growing_state(m)
+        for _ in range(k):
+            grown._advance()
+        assert grown._pending == 7
+        true = _true_trailing(grown).copy()
+        dup = grown.copy()
+        for state in (grown, dup):
+            assert state._pending == 0
+            assert np.allclose(state.r[k:, k:], true, atol=1e-13)
+            assert np.allclose(state.r, ref.r, atol=1e-12)
+
+        grown = _growing_state(m)
+        for _ in range(k):
+            grown._advance()
+        assert max(grown.consistency_errors().values()) <= 1e-10
+        assert grown._pending == 0
+
+        for i, j in [(3, 5), (k - 1, 0), (0, 50 - k - 1)]:
+            grown = _growing_state(m)
+            for _ in range(k):
+                grown._advance()
+            out = interchange(grown, i, j)
+            want = interchange(ref, i, j)
+            assert np.allclose(out.r, want.r, atol=1e-11)
+            assert max(out.consistency_errors().values()) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "spec,f,mode",
+        [
+            (DevilsStairs(m=200, n=120, stair_len=25), 2.0, Tolerance(1e-10)),
+            (DevilsStairs(m=160, n=100, stair_len=20), 1.1, TargetRank(70)),
+            # 1e-10 is itself an HC singular value, so tau sits off the grid
+            (HC(m=200, n=120), 2.0, Tolerance(3e-10)),
+            (HC(m=150, n=90), 2.0, TargetRank(60)),
+            (Kahan(n=100, s=0.99), 1.02, TargetRank(99)),
+            (Kahan(n=32, s=0.92), 1.02, TargetRank(31)),
+            (Stewart(m=200, n=100, q=0.8), 1.1, Tolerance(1e-10)),
+            (Stewart(m=300, n=120, q=0.85), 1.1, TargetRank(90)),
+        ],
+    )
+    def test_decisions_match_recompute(self, spec, f, mode):
+        m = generate(MatrixSpec(spec, seed=3))
+        cfg = SrrqrConfig(f=f, mode=mode)
+        res = srrqr(m, cfg, want_q=False)
+        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        _same_decisions(res, oracle)
+        assert np.allclose(res.state.r, oracle.state.r, atol=1e-12)
+        # rho reads inv(R11), whose condition reaches 1e9 on the stairs, so
+        # it carries that multiple of the roundoff in R
+        assert abs(res.rho - oracle.rho) <= 1e-6 * max(oracle.rho, 1.0)
 
 
 class TestQrcp:
