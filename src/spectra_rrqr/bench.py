@@ -2,15 +2,15 @@
 
 Everything here is importable so the test suite can exercise the bench
 logic without spawning subprocesses.  Seeds fan out across a thread pool
-capped by the ``SPECTRA_RRQR_THREADS`` environment variable; records are
-returned in seed order regardless of completion order.
+with one thread per available CPU, capped by the ``SPECTRA_RRQR_THREADS``
+environment variable (:func:`.sketch.worker_count`); records are returned
+in seed order regardless of completion order.
 """
 from __future__ import annotations
 
 import csv
 import io
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,7 +26,7 @@ from .rand_srrqr import (
     rand_srrqr_tol,
     ratio_report,
 )
-from .sketch import SketchOperator, apply, pad_rows_pow2
+from .sketch import SketchOperator, apply, pad_rows_pow2, worker_count
 from .srrqr import SrrqrConfig, TargetRank, Tolerance, qrcp, srrqr
 from .testmat import MatrixSpec, generate
 
@@ -46,15 +46,6 @@ CSV_COLUMNS = [
 VOLUME_CSV_COLUMNS = ["n", "volume", "log_volume"]
 
 ALGOS = ("srrqr", "rand-rank", "rand-tau", "qrcp")
-
-
-def worker_count(n_jobs: int) -> int:
-    env = os.environ.get("SPECTRA_RRQR_THREADS", "")
-    if env.strip():
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
-    return max(1, min(n_jobs, cap))
 
 
 def resolve_matrix(text: str, seed: int = 0) -> tuple[str, np.ndarray]:

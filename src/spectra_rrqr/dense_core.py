@@ -233,9 +233,13 @@ def partial_qr(m, k: int, *, full_q: bool = True, want_q: bool = True) -> Partia
 _QRT_BLOCK = 64
 
 
-def _geqrt(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK ``dgeqrt`` of ``a`` (not overwritten): R and reflectors, T."""
-    f, t, info = dgeqrt(min(_QRT_BLOCK, *a.shape), a)
+def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK ``dgeqrt`` of ``a``: R and reflectors, T.
+
+    ``a`` is overwritten only with ``overwrite`` and only when it is
+    F-ordered float64; otherwise LAPACK works on a copy.
+    """
+    f, t, info = dgeqrt(min(_QRT_BLOCK, *a.shape), a, overwrite_a=overwrite)
     if info:
         raise ValueError(f"dgeqrt failed with info={info}")
     return f, t
@@ -249,9 +253,12 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
     blocked reflector product applied to the leading identity columns
     (``dgemqrt``).
     """
-    a = as_matrix(m)
+    return _thin_qr(as_matrix(m))
+
+
+def _thin_qr(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     k = min(a.shape)
-    f, t = _geqrt(a)
+    f, t = _geqrt(a, overwrite)
     q, info = dgemqrt(f[:, :k], t, np.eye(a.shape[0], k, order="F"), overwrite_c=1)
     if info:
         raise ValueError(f"dgemqrt failed with info={info}")
@@ -274,8 +281,11 @@ def r_factor(m) -> np.ndarray:
     result is exactly the R of :func:`thin_qr`.  Shape
     ``(min(rows, cols), cols)``.
     """
-    a = as_matrix(m)
-    r = np.triu(_geqrt(a)[0][: min(a.shape)])
+    return _r_factor(as_matrix(m))
+
+
+def _r_factor(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
+    r = np.triu(_geqrt(a, overwrite)[0][: min(a.shape)])
     return r * _diag_signs(r)[:, None]
 
 
@@ -286,14 +296,19 @@ def stable_partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
     R11 and R12 agree to roundoff thanks to the shared sign convention.
     With ``want_q=False`` only R is computed.
     """
-    a = as_matrix(m)
+    return _stable_partial_qr(as_matrix(m), k, want_q=want_q)
+
+
+def _stable_partial_qr(
+    a: np.ndarray, k: int, *, want_q: bool = True, overwrite: bool = False
+) -> PartialQR:
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
     if want_q:
-        q, r = thin_qr(a)
+        q, r = _thin_qr(a, overwrite)
     else:
-        q, r = None, r_factor(a)
+        q, r = None, _r_factor(a, overwrite)
     mr = r.shape[0]
     r22 = np.zeros((rows - k, cols - k))
     r22[: mr - k, :] = r[k:, k:]

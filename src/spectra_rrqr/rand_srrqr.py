@@ -22,14 +22,22 @@ import scipy.linalg
 
 from .dense_core import (
     PartialQR,
+    _r_factor,
     _range_basis,
     as_matrix,
     r_factor,
     singular_values,
-    stable_partial_qr,
 )
-from .sketch import SketchOperator, apply, embedding_distortion, ose_dim, pad_rows_pow2
+from .sketch import SketchOperator, embedding_distortion, ose_dim
 from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
+
+# A randomized call validates its input once, in _prepare; the stages run
+# on that array and on copies of it, so they are bound to the unchecked
+# kernels behind the public functions of the same names (looked up here at
+# call time, which lets a tracer wrap each stage).
+from .dense_core import _stable_partial_qr as stable_partial_qr
+from .sketch import _apply as apply
+from .sketch import _pad_rows_pow2 as pad_rows_pow2
 
 _MEASURE_LIMIT = 64
 
@@ -126,7 +134,8 @@ def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrRes
     timings["sketch"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     if msk.shape[0] > msk.shape[1]:
-        msk = r_factor(msk)
+        # srrqr validates the R it gets, which is non-finite if the sketch is
+        msk = _r_factor(msk)
     sk_res = srrqr(msk, config, want_q=False)
     timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
     return sk_res
@@ -144,7 +153,8 @@ def _finish(
     k = min(sk_res.k, *a.shape)
     perm = sk_res.factorization.perm.copy()
     t0 = time.perf_counter()
-    fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q)
+    # the permuted copy is F-ordered and ours, so the QR runs in place on it
+    fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q, overwrite=True)
     fact.perm = perm
     timings["final_qr"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()

@@ -7,6 +7,17 @@ its sign flips and row samples from the seed, and the Gaussian entries are
 generated counter-based from (seed, entry index) so the operator never
 needs dense storage and blocked application reproduces the same matrix.
 
+The Gaussian operator is applied one block of columns at a time, each
+block one matrix product into the result.  Its columns are generated in
+chunks of at most ``_CHUNK`` on a lazily created thread pool (Philox, the
+ufuncs and the product all release the GIL), the next block filling a
+second buffer while the caller multiplies the current one.  The pool has
+one worker per CPU available to the process, capped by the
+``SPECTRA_RRQR_THREADS`` environment variable; with a cap of 1 the chunks
+run in the caller and no thread is started.  Counter-based generation
+makes the operator bitwise independent of the chunking and of the number
+of workers.
+
 The SRHT is applied as two matrix products through the Kronecker structure
 ``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
 sampled rows; :func:`fwht` is the same transform as a butterfly.
@@ -15,6 +26,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +37,57 @@ import scipy.linalg
 from .dense_core import as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
+
+# Gaussian operator entries per matrix product (the block is
+# _BLOCK_ENTRIES // d columns) and operator columns per generation chunk;
+# a chunk bounds each worker's scratch to 3 d doubles per column
+_BLOCK_ENTRIES = 4_000_000
+_CHUNK = 256
+
+
+def worker_count(n_jobs: int) -> int:
+    """Threads for ``n_jobs`` independent jobs.
+
+    The number of CPUs available to the process, capped by the
+    ``SPECTRA_RRQR_THREADS`` environment variable and by ``n_jobs``.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cap = len(os.sched_getaffinity(0))
+    else:
+        cap = os.cpu_count() or 1
+    env = os.environ.get("SPECTRA_RRQR_THREADS", "")
+    if env.strip():
+        cap = min(cap, max(1, int(env)))
+    return max(1, min(n_jobs, cap))
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _sketch_pool(workers: int) -> ThreadPoolExecutor:
+    """The shared generation pool, grown to at least ``workers`` threads.
+
+    A replaced pool is dropped, not shut down: a caller still holding it
+    keeps it alive, and its idle threads exit once it is collected.
+    """
+    global _pool, _pool_workers
+    with _pool_lock:
+        if _pool_workers < workers:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="spectra-sketch")
+            _pool_workers = workers
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads
+    global _pool, _pool_workers, _pool_lock
+    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def next_pow2(n: int) -> int:
@@ -33,7 +98,11 @@ def next_pow2(n: int) -> int:
 
 def pad_rows_pow2(m) -> np.ndarray:
     """Zero-pad below so the row count becomes a power of two."""
-    a = as_matrix(m)
+    return _pad_rows_pow2(as_matrix(m))
+
+
+def _pad_rows_pow2(a: np.ndarray) -> np.ndarray:
+    """:func:`pad_rows_pow2` on an already validated F-ordered matrix."""
     target = next_pow2(a.shape[0])
     if target == a.shape[0]:
         return a
@@ -86,6 +155,85 @@ def _gaussian_block(seed: int, d: int, j0: int, j1: int) -> np.ndarray:
     u1, u2 = u[0::2], u[1::2]
     z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
     return z.reshape((d, j1 - j0), order="F")
+
+
+def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
+    """Write operator columns ``[c0, c1)`` into ``buf[:, c0 - j0 : c1 - j0]``.
+
+    ``buf`` is F-ordered with ``d`` rows, so each chunk is one contiguous
+    run that the transform fills in place.  The arithmetic is that of
+    :func:`_gaussian_block`, operation for operation, with ``log1p`` and
+    ``cos`` on contiguous operands as there, so the entries are bitwise
+    the same.
+    """
+    flat = buf.reshape(-1, order="F")
+    most = d * max(c1 - c0 for c0, c1 in chunks)
+    u, arg = np.empty(2 * most), np.empty(most)
+    for c0, c1 in chunks:
+        bg = np.random.Philox(key=seed)
+        words = 2 * d * c0
+        bg.advance(words // 4)
+        if words % 4:
+            bg.random_raw(words % 4)
+        size = d * (c1 - c0)
+        # Generator.random draws (next 64-bit word >> 11) * 2**-53 in place
+        np.random.Generator(bg).random(out=u[: 2 * size])
+        z = flat[d * (c0 - j0) : d * (c1 - j0)]
+        np.negative(u[0 : 2 * size : 2], out=z)
+        np.log1p(z, out=z)
+        np.multiply(z, -2.0, out=z)
+        np.sqrt(z, out=z)
+        np.multiply(u[1 : 2 * size : 2], 2.0 * np.pi, out=arg[:size])
+        np.cos(arg[:size], out=arg[:size])
+        np.multiply(z, arg[:size], out=z)
+
+
+def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
+    """``op @ a`` for a Gaussian operator: one GEMM per block of columns.
+
+    Blocks of ``_BLOCK_ENTRIES // d`` operator columns are accumulated into
+    the result in order, the same partition and order as
+    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``.  The block's chunks are
+    spread over ``workers`` tasks; with more than one worker, block ``b + 1``
+    is generated into the second buffer while the caller multiplies block
+    ``b``.
+    """
+    d, m = op.d, op.m
+    width = min(m, max(1, _BLOCK_ENTRIES // d))
+    blocks = [(j0, min(m, j0 + width)) for j0 in range(0, m, width)]
+    workers = worker_count(-(-width // _CHUNK))
+    bufs = [np.empty((d, width), order="F") for _ in range(min(workers, 2))]
+
+    def chunks(b):
+        j0, j1 = blocks[b]
+        return [(c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK)]
+
+    def submit(b):
+        if b == len(blocks):
+            return []
+        pool, cs = _sketch_pool(workers), chunks(b)
+        args = (bufs[b % 2], op.seed, d, blocks[b][0])
+        tasks = min(workers, len(cs))
+        return [pool.submit(_fill_gaussian, *args, cs[t::tasks]) for t in range(tasks)]
+
+    out = np.zeros((d, a.shape[1]))
+    pending = submit(0) if workers > 1 else []
+    try:
+        for b, (j0, j1) in enumerate(blocks):
+            buf = bufs[b % len(bufs)]
+            if workers == 1:
+                _fill_gaussian(buf, op.seed, d, j0, chunks(b))
+            else:
+                for fut in pending:
+                    fut.result()
+                pending = submit(b + 1)
+            out += buf[:, : j1 - j0] @ a[j0:j1, :]
+    finally:
+        # on error, no task may still write into the buffers
+        for fut in pending:
+            fut.cancel()
+        wait(pending)
+    return out / math.sqrt(d)
 
 
 @dataclass
@@ -171,22 +319,25 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     """Compute the sketch ``op @ m`` without materializing the operator.
 
     The SRHT path flips signs and computes only the ``d`` sampled rows of
-    the Hadamard transform, as two matrix products (see :func:`_srht_rows`);
-    the Gaussian path streams blocks of counter-generated entries.
+    the Hadamard transform, as two matrix products (see :func:`_srht_rows`).
+    The Gaussian path multiplies blocks of counter-generated operator
+    columns into the result, generating them in chunks of at most
+    ``_CHUNK`` columns on one worker thread per available CPU, capped by
+    ``SPECTRA_RRQR_THREADS`` (see :func:`_gaussian_rows`); the result is
+    bitwise the same for every worker count.
     """
-    a = as_matrix(m)
+    return _apply(op, as_matrix(m))
+
+
+def _apply(op: SketchOperator, a: np.ndarray) -> np.ndarray:
+    """:func:`apply` on an already validated F-ordered float64 matrix."""
     if a.shape[0] != op.m:
         raise ValueError(f"matrix has {a.shape[0]} rows, operator expects {op.m}")
     if op.kind == "identity":
         return a.copy()
     if op.kind == "srht":
         return _srht_rows(op, a)
-    out = np.zeros((op.d, a.shape[1]))
-    block = max(1, 4_000_000 // op.d)
-    for j0 in range(0, op.m, block):
-        j1 = min(op.m, j0 + block)
-        out += _gaussian_block(op.seed, op.d, j0, j1) @ a[j0:j1, :]
-    return out / math.sqrt(op.d)
+    return _gaussian_rows(op, a)
 
 
 def materialize(op: SketchOperator) -> np.ndarray:

@@ -85,6 +85,13 @@ class SrrqrConfig:
             raise TypeError("mode must be TargetRank or Tolerance")
 
 
+def _swap_columns(x: np.ndarray, i: int, j: int) -> None:
+    """Swap columns i and j of ``x`` in place through a one-column buffer."""
+    t = x[:, i].copy()
+    x[:, i] = x[:, j]
+    x[:, j] = t
+
+
 @dataclass
 class SrrqrState:
     """Working state of the pivoted factorization.
@@ -190,12 +197,12 @@ class SrrqrState:
         k = self.k
         if j == 0:
             return
-        self.r[:, [k, k + j]] = self.r[:, [k + j, k]]
-        p = self._pending
-        self._f[[k, k + j], :p] = self._f[[k + j, k], :p]
-        self.gamma[[0, j]] = self.gamma[[j, 0]]
+        _swap_columns(self.r, k, k + j)
+        _swap_columns(self._f[:, : self._pending].T, k, k + j)
+        g = self.gamma
+        g[0], g[j] = g[j], g[0]
         if self.a.size:
-            self.a[:, [0, j]] = self.a[:, [j, 0]]
+            _swap_columns(self.a, 0, j)
 
     def _advance(self) -> None:
         """Triangularize the column at position k and grow the leading block.
@@ -466,9 +473,9 @@ def rho_hat(state: SrrqrState) -> float:
     """max(max |a|, max omega_i gamma_j); bounds :func:`rho` within sqrt(2)."""
     if state.omega.size == 0 or state.gamma.size == 0:
         return 0.0
-    return float(
-        max(np.max(np.abs(state.a)), np.max(state.omega) * np.max(state.gamma))
-    )
+    a = state.a
+    # max(a.max(), -a.min()) is max |a| exactly, without an |a| temporary
+    return float(max(a.max(), -a.min(), np.max(state.omega) * np.max(state.gamma)))
 
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:

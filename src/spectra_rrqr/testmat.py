@@ -23,9 +23,13 @@ class Kahan:
 
     ``s`` grades the rows (``c = sqrt(1 - s^2)`` fills the strict upper
     triangle with ``-c`` before grading); ``pad_to_m`` appends zero rows,
-    e.g. up to a power of two.  ``diag_perturb`` scales the tiny graded
-    diagonal perturbation that keeps the no-swap property stable in
-    floating point.
+    e.g. up to a power of two.  ``diag_perturb`` scales a tiny graded
+    diagonal perturbation that makes the pivot order strict.  It does not
+    make that order robust in floating point for every size: with
+    s <= 0.95 and n >= 48, a relative perturbation of the input near the
+    unit roundoff changes the pivot order of greedy QRCP and of strong
+    RRQR late in the order (positions 36-76 at n = 64-96), so tests that
+    need a rounding-proof order use s = 0.99 or small n.
     """
 
     n: int

@@ -185,9 +185,11 @@ class TestPartialQR:
         assert np.array_equal(m, before)
 
     def test_stable_path_r_only(self):
-        m = rng(9).standard_normal((30, 8))
+        m = np.asfortranarray(rng(9).standard_normal((30, 8)))
+        before = m.copy()
         with_q = stable_partial_qr(m, 5)
         r_only = stable_partial_qr(m, 5, want_q=False)
+        assert np.array_equal(m, before)
         assert r_only.q is None
         assert np.array_equal(r_only.r11, with_q.r11)
         assert np.array_equal(r_only.r12, with_q.r12)

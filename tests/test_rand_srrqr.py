@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -23,10 +24,14 @@ from spectra_rrqr import (
     singular_values,
     srrqr,
 )
-from spectra_rrqr import MatrixSpec, HC, Stewart
+from spectra_rrqr import MatrixSpec, HC, Stewart, stable_partial_qr, thin_qr
+from spectra_rrqr import dense_core, rand_srrqr, sketch
 from spectra_rrqr.bench import exhaustive_det_ratios
 from spectra_rrqr.dense_core import r_factor
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
+
+# the package exports the function srrqr under the module's name
+srrqr_module = importlib.import_module("spectra_rrqr.srrqr")
 
 
 def rng(seed=0):
@@ -157,6 +162,77 @@ class TestSketchReduction:
         assert np.array_equal(
             res.factorization.perm.forward, again.factorization.perm.forward
         )
+
+
+class TestValidatedOnce:
+    """A randomized call scans its input for non-finite entries once.
+
+    70 columns is above the distortion measurement limit, so the only
+    arrays of the input's (or the padded) row count are the pipeline's own.
+    """
+
+    ROWS, COLS = 300, 70
+
+    def _pipeline(self, call, kind):
+        a = np.asfortranarray(rng(11).standard_normal((self.ROWS, self.COLS)))
+        if call == "tol":
+            return a, rand_srrqr_tol(a, 2.0, 1e-8, seed=4, kind=kind, want_q=False)
+        return a, rand_srrqr_rank(a, 2.0, 30, seed=4, kind=kind, want_q=True)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    def test_input_scanned_once(self, monkeypatch, kind, call):
+        seen = []
+        real = dense_core.as_matrix
+
+        def spy(data, **kw):
+            out = real(data, **kw)
+            seen.append(out.shape)
+            return out
+
+        for mod in (dense_core, sketch, rand_srrqr, srrqr_module):
+            monkeypatch.setattr(mod, "as_matrix", spy)
+        self._pipeline(call, kind)
+        full = [s for s in seen if s[0] in (self.ROWS, 512) and s[1] == self.COLS]
+        assert full == [(self.ROWS, self.COLS)]
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    def test_same_as_public_stages(self, kind, call):
+        # the unchecked, in-place stages give bitwise what the public
+        # functions give on the same data
+        a, res = self._pipeline(call, kind)
+        before = a.copy()
+        padded = pad_rows_pow2(a) if kind == "srht" else a
+        op = SketchOperator(kind=kind, d=res.d, m=padded.shape[0], seed=4)
+        mode = Tolerance(1e-8) if call == "tol" else TargetRank(30)
+        sk = srrqr(r_factor(apply(op, padded)), SrrqrConfig(f=2.0, mode=mode), want_q=False)
+        perm = sk.factorization.perm.forward
+        assert np.array_equal(res.factorization.perm.forward, perm)
+        assert res.sketch_result.swap_count == sk.swap_count
+        fact = stable_partial_qr(a[:, perm], res.k, want_q=call == "rank")
+        for name in ("r11", "r12", "r22"):
+            assert np.array_equal(getattr(res.factorization, name), getattr(fact, name))
+        if call == "rank":
+            assert np.array_equal(res.factorization.q, fact.q)
+        assert np.array_equal(a, before)
+
+    def test_public_functions_keep_their_checks(self):
+        bad = np.ones((16, 3))
+        bad[5, 1] = np.nan
+        op = SketchOperator(kind="gaussian", d=4, m=16, seed=0)
+        for call in (
+            lambda: apply(op, bad),
+            lambda: pad_rows_pow2(bad),
+            lambda: stable_partial_qr(bad, 2),
+            lambda: stable_partial_qr(bad, 2, want_q=False),
+            lambda: r_factor(bad),
+            lambda: thin_qr(bad),
+            lambda: rand_srrqr_tol(bad, 2.0, 1e-8),
+            lambda: rand_srrqr_rank(bad, 2.0, 2, kind="gaussian"),
+        ):
+            with pytest.raises(ValueError, match="non-finite"):
+                call()
 
 
 class TestToleranceMode:

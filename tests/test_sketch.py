@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +28,8 @@ from spectra_rrqr import (
     pad_rows_pow2,
     singular_values,
 )
+import spectra_rrqr.sketch as sk
+from spectra_rrqr import bench
 from spectra_rrqr.sketch import _gaussian_block
 
 
@@ -277,6 +285,182 @@ class TestSrhtKronecker:
         single = SketchOperator("srht", d=m, m=m, seed=6)
         single.sample_idx = np.zeros(m, dtype=np.intp)
         self._check(single, g.standard_normal((m, 2)))
+
+
+class TestGaussianChunks:
+    """The chunked, threaded Gaussian path against the block oracle.
+
+    The oracle is ``sum_b _gaussian_block(b) @ M[b] / sqrt(d)`` over the
+    GEMM blocks of ``_BLOCK_ENTRIES // d`` columns, accumulated in block
+    order; the arithmetic is unchanged, so equality is bitwise.  Most cases
+    shrink the block and chunk sizes so their boundaries fall at small m.
+    """
+
+    @staticmethod
+    def _oracle(op, x):
+        # column-major, as apply's input validation makes it
+        x = np.asfortranarray(x, dtype=np.float64)
+        out = np.zeros((op.d, x.shape[1]))
+        block = max(1, sk._BLOCK_ENTRIES // op.d)
+        for j0 in range(0, op.m, block):
+            j1 = min(op.m, j0 + block)
+            out += _gaussian_block(op.seed, op.d, j0, j1) @ x[j0:j1, :]
+        return out / math.sqrt(op.d)
+
+    @pytest.fixture
+    def cap(self, request, monkeypatch):
+        # the cap, not the host's CPU count, sets the worker count here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", str(request.param))
+        return request.param
+
+    @pytest.fixture
+    def small_blocks(self, monkeypatch):
+        # 7 rows: blocks of 30 columns, chunks of 4
+        monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
+        monkeypatch.setattr(sk, "_CHUNK", 4)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize(
+        # below, at and across chunk (4) and block (30) boundaries
+        "m", [7, 8, 9, 12, 29, 30, 31, 33, 60, 61, 97],
+    )
+    def test_matches_block_oracle(self, cap, small_blocks, m):
+        g = rng(m)
+        for n in (1, 3):
+            op = SketchOperator("gaussian", d=7, m=m, seed=m * 31 + n)
+            x = np.asfortranarray(g.standard_normal((m, n)))
+            assert np.array_equal(apply(op, x), self._oracle(op, x))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
+    def test_single_row_operator(self, cap, monkeypatch):
+        # d=1: one entry per column, block and chunk sizes 1000 and 256
+        monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 1000)
+        g = rng(2)
+        for m in (1, 255, 256, 257, 999, 1000, 1001, 2600):
+            op = SketchOperator("gaussian", d=1, m=m, seed=m)
+            x = g.standard_normal((m, 2))
+            assert np.array_equal(apply(op, x), self._oracle(op, x))
+
+    @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
+    def test_default_partition(self, cap):
+        # the shipped sizes: blocks of 2000 columns at d=2000, so m=4100
+        # has two full blocks, a partial one and a partial last chunk
+        g = rng(3)
+        op = SketchOperator("gaussian", d=2000, m=4100, seed=9)
+        x = np.asfortranarray(g.standard_normal((4100, 2)))
+        assert np.array_equal(apply(op, x), self._oracle(op, x))
+
+    @pytest.mark.parametrize("cap", [1, 3], indirect=True)
+    def test_memory_order_and_no_mutation(self, cap, small_blocks):
+        g = rng(4)
+        op = SketchOperator("gaussian", d=7, m=65, seed=4)
+        f_in = np.asfortranarray(g.standard_normal((65, 5)))
+        c_in = np.ascontiguousarray(f_in)
+        ref = self._oracle(op, f_in)
+        for x in (f_in, c_in, [list(row) for row in f_in]):
+            before = np.array(x, copy=True)
+            assert np.array_equal(apply(op, x), ref)
+            assert np.array_equal(np.asarray(x), before)
+
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    def test_concurrent_callers(self, cap, small_blocks):
+        g = rng(5)
+        cases = []
+        for i in range(8):
+            op = SketchOperator("gaussian", d=7, m=90 + 7 * i, seed=i)
+            x = g.standard_normal((op.m, 3))
+            cases.append((op, x, self._oracle(op, x)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futs = [callers.submit(apply, op, x) for op, x, _ in cases * 4]
+                got = [f.result(timeout=120) for f in futs]
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, _, ref), out in zip(cases * 4, got):
+            assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("cap", [1, 2], indirect=True)
+    def test_worker_error_reaches_caller(self, cap, small_blocks, monkeypatch):
+        real = sk._fill_gaussian
+
+        def failing(buf, seed, d, j0, chunks):
+            if any(c0 <= 40 < c1 for c0, c1 in chunks):
+                raise FloatingPointError("chunk 40 failed")
+            real(buf, seed, d, j0, chunks)
+
+        monkeypatch.setattr(sk, "_fill_gaussian", failing)
+        op = SketchOperator("gaussian", d=7, m=97, seed=1)
+        with pytest.raises(FloatingPointError, match="chunk 40"):
+            apply(op, np.ones((97, 2)))
+        monkeypatch.setattr(sk, "_fill_gaussian", real)
+        x = np.ones((97, 2))
+        assert np.array_equal(apply(op, x), self._oracle(op, x))
+
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    def test_pool_threads_are_started(self, cap, small_blocks):
+        # positive control for the thread checks below
+        op = SketchOperator("gaussian", d=7, m=97, seed=1)
+        apply(op, np.ones((97, 2)))
+        assert any(t.name.startswith("spectra-sketch") for t in threading.enumerate())
+
+    def test_import_and_cap_of_one_start_no_thread(self):
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "import spectra_rrqr as s\n"
+            "print(threading.active_count())\n"
+            "op = s.SketchOperator('gaussian', 50, 3000, 1)\n"
+            "s.apply(op, np.ones((3000, 2)))\n"
+            "print(threading.active_count(), s.sketch._pool is None)\n"
+        )
+        src = Path(sk.__file__).resolve().parents[1]
+        env = dict(os.environ, SPECTRA_RRQR_THREADS="1", PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "1", "True"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    def test_forked_child_gets_a_fresh_pool(self, cap, small_blocks):
+        import multiprocessing
+
+        op = SketchOperator("gaussian", d=7, m=97, seed=3)
+        x = np.ones((97, 2))
+        apply(op, x)  # the parent's pool now has threads
+        assert sk._pool is not None
+        ref = self._oracle(op, x)
+
+        def child():
+            os._exit(0 if np.array_equal(apply(op, x), ref) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child hung on the inherited pool")
+        assert proc.exitcode == 0
+
+
+class TestWorkerCount:
+    def test_cpus_capped_by_env(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        monkeypatch.delenv("SPECTRA_RRQR_THREADS", raising=False)
+        assert sk.worker_count(10) == 4
+        assert sk.worker_count(3) == 3
+        assert sk.worker_count(0) == 1
+        for env, want in (("1", 1), ("2", 2), ("16", 4), ("0", 1), (" ", 4)):
+            monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
+            assert sk.worker_count(10) == want
+
+    def test_one_helper(self):
+        assert bench.worker_count is sk.worker_count
 
 
 class TestDistortion:

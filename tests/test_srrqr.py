@@ -111,6 +111,15 @@ class TestRho:
             assert rh <= r * (1 + 1e-12)
             assert r <= math.sqrt(2.0) * rh * (1 + 1e-12)
 
+    def test_rho_hat_formula(self):
+        # the largest coupling entry in magnitude is negative here
+        st = srrqr_state(np.array([[1.0, -5.0], [0.0, 0.1]]), 1)
+        assert rho_hat(st) == 5.0
+        for seed in range(10):
+            st = srrqr_state(rng(seed).standard_normal((9, 7)), 3)
+            ref = max(np.max(np.abs(st.a)), np.max(st.omega) * np.max(st.gamma))
+            assert rho_hat(st) == ref
+
     def test_full_depth_is_zero(self):
         st = srrqr_state(rng(3).standard_normal((6, 4)), 4)
         assert rho(st) == 0.0
