@@ -15,6 +15,7 @@ import json
 import sys
 
 from .bench import (
+    ALGOS,
     RunConfig,
     records_to_csv_rows,
     resolve_matrix,
@@ -78,19 +79,13 @@ def main(argv=None) -> int:
             + (" and report singular-value ratios" if name == "ratios" else ""),
         )
         _add_common(p)
-        p.add_argument(
-            "--algo",
-            choices=["srrqr", "rand-rank", "rand-tau", "qrcp"],
-            required=True,
-        )
+        p.add_argument("--algo", choices=ALGOS, required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("verify", help="run the bound checklist; exit 1 on violation")
     _add_common(p)
-    p.add_argument(
-        "--algo", choices=["srrqr", "rand-rank", "rand-tau", "qrcp"], required=True
-    )
+    p.add_argument("--algo", choices=ALGOS, required=True)
 
     p = sub.add_parser("volume-decay", help="sketched-volume decay experiment")
     p.add_argument("--m", type=int, default=8192)

@@ -96,10 +96,11 @@ class PermutationSeq:
 class PartialQR:
     """k-step QR factorization ``M @ P = Q @ [[R11, R12], [0, R22]]``.
 
-    ``r11`` is k-by-k upper-triangular with nonnegative diagonal, ``r22`` is
-    the dense (m-k)-by-(n-k) trailing block.  ``q`` holds either the full
-    m-by-m orthogonal factor, a thin slice of its leading columns, or None
-    when the caller skipped materializing it.
+    ``r11`` is k-by-k upper-triangular with nonnegative diagonal.  ``r22``
+    holds the leading rows of the (m-k)-by-(n-k) trailing block, the rest
+    being zero: the LAPACK paths keep min(m, n)-k rows.  ``rows`` is m.
+    ``q`` holds either the full m-by-m orthogonal factor, a thin slice of
+    its leading columns, or None when the caller skipped materializing it.
     """
 
     q: np.ndarray | None
@@ -108,14 +109,17 @@ class PartialQR:
     r22: np.ndarray
     perm: PermutationSeq
     k: int
+    rows: int
+
+    @classmethod
+    def from_r(cls, q, r: np.ndarray, k: int, perm: PermutationSeq, rows: int):
+        """Blocks of ``r``, triangular in its first k columns; ``rows`` is m."""
+        r11, r12, r22 = r[:k, :k].copy(), r[:k, k:].copy(), r[k:, k:].copy()
+        return cls(q, r11, r12, r22, perm, k, rows)
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.k + self.r22.shape[0], self.k + self.r12.shape[1])
-
-    @property
-    def full_q(self) -> bool:
-        return self.q is not None and self.q.shape[1] == self.q.shape[0]
+        return (self.rows, self.k + self.r12.shape[1])
 
     def r_matrix(self) -> np.ndarray:
         """Assemble the full m-by-n upper-trapezoidal factor."""
@@ -123,7 +127,7 @@ class PartialQR:
         r = np.zeros((m, n))
         r[: self.k, : self.k] = self.r11
         r[: self.k, self.k :] = self.r12
-        r[self.k :, self.k :] = self.r22
+        r[self.k : self.k + self.r22.shape[0], self.k :] = self.r22
         return r
 
     def reconstruction_error(self, m) -> float:
@@ -218,14 +222,7 @@ def partial_qr(m, k: int, *, full_q: bool = True, want_q: bool = True) -> Partia
         for t, v, tau in reversed(reflectors):
             _apply_reflector_left(q[t:, :], v, tau)
         q[:, :k] *= signs
-    return PartialQR(
-        q=q,
-        r11=r[:k, :k].copy(),
-        r12=r[:k, k:].copy(),
-        r22=r[k:, k:].copy(),
-        perm=PermutationSeq.identity(cols),
-        k=k,
-    )
+    return PartialQR.from_r(q, r, k, PermutationSeq.identity(cols), rows)
 
 
 # panel width of the blocked Householder QR; dgeqrt factors each panel
@@ -256,15 +253,19 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
     return _thin_qr(as_matrix(m))
 
 
-def _thin_qr(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _thin_qr(
+    a: np.ndarray, overwrite: bool = False, full_q: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     k = min(a.shape)
     f, t = _geqrt(a, overwrite)
-    q, info = dgemqrt(f[:, :k], t, np.eye(a.shape[0], k, order="F"), overwrite_c=1)
+    qc = a.shape[0] if full_q else k
+    q, info = dgemqrt(f[:, :k], t, np.eye(a.shape[0], qc, order="F"), overwrite_c=1)
     if info:
         raise ValueError(f"dgemqrt failed with info={info}")
     r = np.triu(f[:k])
     flip = _diag_signs(r)
-    return q * flip, r * flip[:, None]
+    q[:, :k] *= flip
+    return q, r * flip[:, None]
 
 
 def _diag_signs(r: np.ndarray) -> np.ndarray:
@@ -296,30 +297,31 @@ def stable_partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
     R11 and R12 agree to roundoff thanks to the shared sign convention.
     With ``want_q=False`` only R is computed.
     """
-    return _stable_partial_qr(as_matrix(m), k, want_q=want_q)
-
-
-def _stable_partial_qr(
-    a: np.ndarray, k: int, *, want_q: bool = True, overwrite: bool = False
-) -> PartialQR:
+    a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
+    return _stable_partial_qr(a, k, want_q=want_q)
+
+
+def _stable_partial_qr(
+    a: np.ndarray,
+    k: int,
+    *,
+    want_q: bool = True,
+    full_q: bool = False,
+    overwrite: bool = False,
+) -> PartialQR:
+    """:func:`stable_partial_qr` of a validated matrix; ``k`` may be 0.
+
+    ``full_q`` forms all m columns of Q instead of the leading min(m, n).
+    """
+    rows, cols = a.shape
     if want_q:
-        q, r = _thin_qr(a, overwrite)
+        q, r = _thin_qr(a, overwrite, full_q)
     else:
         q, r = None, _r_factor(a, overwrite)
-    mr = r.shape[0]
-    r22 = np.zeros((rows - k, cols - k))
-    r22[: mr - k, :] = r[k:, k:]
-    return PartialQR(
-        q=q,
-        r11=r[:k, :k].copy(),
-        r12=r[:k, k:].copy(),
-        r22=r22,
-        perm=PermutationSeq.identity(cols),
-        k=k,
-    )
+    return PartialQR.from_r(q, r, k, PermutationSeq.identity(cols), rows)
 
 
 def singular_values(m) -> np.ndarray:
@@ -374,25 +376,19 @@ def log_volume(m) -> float:
     return float(np.sum(np.log(d)))
 
 
-def _range_basis(m, *, rel_tol: float = 1e-14) -> np.ndarray:
-    """Orthonormal basis of the numerical range via pivoted QR.
+def _range_basis(m) -> np.ndarray:
+    """Orthonormal basis of the numerical range via pivoted QR (``dgeqp3``).
 
-    Columns whose pivot falls below ``rel_tol`` times the Frobenius norm are
-    treated as dependent.
+    Columns whose pivot falls below 1e-14 times the Frobenius norm are
+    treated as dependent.  The first pivot is the largest column norm, at
+    least the Frobenius norm over sqrt(n), so the rank is at least 1.
     """
-    from .srrqr import qrcp  # deferred: the pivoted module builds on this one
-
     a = as_matrix(m)
     scale = np.linalg.norm(a)
     if scale == 0.0:
         raise ValueError("matrix of zeros has no range basis")
-    kmax = min(a.shape)
-    fact = qrcp(a, kmax, want_q=False)
-    d = np.abs(np.diag(fact.r11))
-    rank = int(np.sum(d > rel_tol * scale))
-    if rank == 0:
-        raise ValueError("matrix is numerically zero")
-    return partial_qr(fact.perm.apply_cols(a), rank, full_q=False).q
+    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+    return q[:, : int(np.sum(np.abs(np.diag(r)) > 1e-14 * scale))]
 
 
 def ls_residual(a, b) -> float:

@@ -27,6 +27,10 @@ the end of :func:`srrqr` and :func:`srrqr_state`).  Pivots, interchanges
 and the stopping test are still decided after every step, from the same
 quantities; only the order of floating-point operations changes, so a
 decision can move only where rounding already settles it (exact ties).
+
+The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
+after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
+``dgemqrt`` on the m-by-m identity).  :func:`qrcp` is LAPACK's ``dgeqp3``.
 """
 from __future__ import annotations
 
@@ -42,7 +46,9 @@ from .dense_core import (
     PermutationSeq,
     SingularMatrixError,
     _apply_reflector_left,
+    _diag_signs,
     _reflector,
+    _stable_partial_qr,
     as_matrix,
     column_norms,
     inverse_row_norms,
@@ -97,9 +103,9 @@ class SrrqrState:
     """Working state of the pivoted factorization.
 
     ``r`` is the m-by-n factor with its leading ``k`` columns triangularized
-    (nonnegative diagonal); ``q`` accumulates the orthogonal transforms when
-    requested.  ``omega``, ``gamma`` and ``a`` are the maintained quantities
-    described in the module docstring; they are always current.
+    (nonnegative diagonal); the orthogonal transforms are not kept.
+    ``omega``, ``gamma`` and ``a`` are the maintained quantities described
+    in the module docstring; they are always current.
 
     Growth steps may leave up to ``_PANEL`` Householder updates pending:
     reflectors ``V`` (one column each) and ``F = tau A^T v`` (one column per
@@ -121,7 +127,6 @@ class SrrqrState:
     a: np.ndarray
     swap_count: int = 0
     update_mode: str = "incremental"
-    q: np.ndarray | None = None
     # pending panel: reflectors (V) and F = tau * A^T v columns, see above
     _v: np.ndarray = field(init=False, repr=False)
     _f: np.ndarray = field(init=False, repr=False)
@@ -147,7 +152,6 @@ class SrrqrState:
             a=self.a.copy(),
             swap_count=self.swap_count,
             update_mode=self.update_mode,
-            q=None if self.q is None else self.q.copy(),
         )
 
     # -- consistency -----------------------------------------------------
@@ -189,8 +193,6 @@ class SrrqrState:
     def _flip_row(self, t: int) -> None:
         if self.r[t, t] < 0.0:
             self.r[t, t:] *= -1.0
-            if self.q is not None:
-                self.q[:, t] *= -1.0
 
     def _swap_trailing(self, j: int) -> None:
         """Swap trailing columns 0 and j (positions k and k+j); no perm entry."""
@@ -225,8 +227,6 @@ class SrrqrState:
         if t:
             self._f[k + 1 :, t] -= fp[k + 1 :] @ (tau * (v @ vp[k:]))
         self._pending = t + 1
-        if self.q is not None and tau != 0.0:
-            self.q[:, k:] -= np.outer(tau * (self.q[:, k:] @ v), v)
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
         r[k, k + 1 :] -= self._f[k + 1 :, : t + 1] @ self._v[k, : t + 1]
@@ -283,10 +283,6 @@ class SrrqrState:
         bot = -s * r[t, col_start:] + c * r[t + 1, col_start:]
         r[t, col_start:] = top
         r[t + 1, col_start:] = bot
-        if self.q is not None:
-            qt = c * self.q[:, t] + s * self.q[:, t + 1]
-            self.q[:, t + 1] = -s * self.q[:, t] + c * self.q[:, t + 1]
-            self.q[:, t] = qt
 
     def _rotate_to_boundary(self, i: int) -> None:
         """Cyclically move leading column i to position k-1 and retriangularize.
@@ -347,8 +343,6 @@ class SrrqrState:
         r[:, [km1, k]] = r[:, [k, km1]]
         v, tau, beta_bar = _reflector(r[km1:, km1])
         _apply_reflector_left(r[km1:, km1 + 1 :], v, tau)
-        if self.q is not None and tau != 0.0:
-            self.q[:, km1:] -= np.outer(tau * (self.q[:, km1:] @ v), v)
         r[km1, km1] = beta_bar
         r[k:, km1] = 0.0
         self._flip_row(km1)
@@ -418,24 +412,28 @@ class SrrqrState:
             self._recompute()
 
 
+def _fresh_state(a: np.ndarray, update_mode: str) -> SrrqrState:
+    """State of ``a`` before its first pivot (k = 0, identity permutation)."""
+    if update_mode not in ("incremental", "recompute"):
+        raise ValueError(f"unknown update_mode {update_mode!r}")
+    return SrrqrState(
+        r=a.copy(),
+        perm=PermutationSeq.identity(a.shape[1]),
+        k=0,
+        omega=np.zeros(0),
+        gamma=column_norms(a),
+        a=np.zeros((0, a.shape[1])),
+        update_mode=update_mode,
+    )
+
+
 def srrqr_state(m, k: int, *, update_mode: str = "incremental") -> SrrqrState:
     """State of the unpivoted k-step factorization of ``m`` (identity permutation)."""
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    if update_mode not in ("incremental", "recompute"):
-        raise ValueError(f"unknown update_mode {update_mode!r}")
-    state = SrrqrState(
-        r=a.copy(),
-        perm=PermutationSeq.identity(cols),
-        k=0,
-        omega=np.zeros(0),
-        gamma=column_norms(a),
-        a=np.zeros((0, cols)),
-        update_mode=update_mode,
-        q=np.eye(rows),
-    )
+    state = _fresh_state(a, update_mode)
     for _ in range(k):
         state._advance()
     state._flush()
@@ -519,6 +517,11 @@ def srrqr(
 
     ``on_swap(k, i, j, ratio)`` is invoked after every interchange; handy
     for monitoring the volume growth.
+
+    With ``want_q`` the factorization, full m-by-m Q included, is one LAPACK
+    QR of ``M P``: R11 and R12 match the state's to roundoff, and ``r22``
+    has min(m, n)-k rows.  Without it ``q`` is None and the blocks are the
+    state's own.
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -531,19 +534,8 @@ def srrqr(
         raise ValueError(
             f"target rank {config.mode.k} exceeds min(rows, cols) = {mr}"
         )
-    if update_mode not in ("incremental", "recompute"):
-        raise ValueError(f"unknown update_mode {update_mode!r}")
 
-    state = SrrqrState(
-        r=a.copy(),
-        perm=PermutationSeq.identity(cols),
-        k=0,
-        omega=np.zeros(0),
-        gamma=column_norms(a),
-        a=np.zeros((0, cols)),
-        update_mode=update_mode,
-        q=np.eye(rows) if want_q else None,
-    )
+    state = _fresh_state(a, update_mode)
     f_swap = f * (1.0 + 1e-12)
     early_exit = f / math.sqrt(2.0)
 
@@ -586,14 +578,14 @@ def srrqr(
 
     state._flush()
     k = state.k
-    fact = PartialQR(
-        q=state.q,
-        r11=state.r[:k, :k].copy(),
-        r12=state.r[:k, k:].copy(),
-        r22=state.r[k:, k:].copy(),
-        perm=state.perm.copy(),
-        k=k,
-    )
+    if want_q:
+        # the state carries no Q: factor M P once, with LAPACK, for Q and R
+        fact = _stable_partial_qr(
+            state.perm.apply_cols(a), k, full_q=True, overwrite=True
+        )
+        fact.perm = state.perm.copy()
+    else:
+        fact = PartialQR.from_r(None, state.r, k, state.perm.copy(), rows)
     return SrrqrResult(
         factorization=fact,
         k=k,
@@ -607,46 +599,31 @@ def srrqr(
 def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
     """Classical column-pivoted QR truncated after k steps.
 
-    Greedy max-norm pivoting with downdated trailing norms (recomputed
-    exactly whenever a downdate loses more than half its magnitude); the
-    R diagonal comes out nonnegative and nonincreasing.
+    One LAPACK ``dgeqp3`` (Quintana-Orti, Sun & Bischof, SISC 1998), greedy
+    max-norm pivoting run to the end: the permutation beyond position k is
+    LAPACK's.  The R diagonal is made nonnegative and comes out
+    nonincreasing; ``q`` is the full m-by-m factor when wanted.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    r = a.copy()
+    if want_q:
+        q, r, piv = scipy.linalg.qr(a, pivoting=True, check_finite=False)
+    else:
+        q = None
+        r, piv = scipy.linalg.qr(a, mode="r", pivoting=True, check_finite=False)
+    r = r[: min(rows, cols)]
+    flip = _diag_signs(r)
+    r *= flip[:, None]
+    if q is not None:
+        q[:, : flip.size] *= flip
+    # LAPACK's pivot order as transpositions, so replay() reproduces it
     perm = PermutationSeq.identity(cols)
-    gamma = column_norms(a)
-    q = np.eye(rows) if want_q else None
-    for t in range(k):
-        jmax = t + int(np.argmax(gamma[t:]))
-        if jmax != t:
-            r[:, [t, jmax]] = r[:, [jmax, t]]
-            gamma[[t, jmax]] = gamma[[jmax, t]]
-            perm.swap(t, jmax)
-        v, tau, beta = _reflector(r[t:, t])
-        _apply_reflector_left(r[t:, t + 1 :], v, tau)
-        if q is not None and tau != 0.0:
-            q[:, t:] -= np.outer(tau * (q[:, t:] @ v), v)
-        r[t, t] = beta
-        r[t + 1 :, t] = 0.0
-        if r[t, t] < 0.0:
-            r[t, t:] *= -1.0
-            if q is not None:
-                q[:, t] *= -1.0
-        c2 = r[t, t + 1 :]
-        g2 = gamma[t + 1 :] ** 2 - c2**2
-        bad = g2 < 0.5 * gamma[t + 1 :] ** 2
-        if np.any(bad):
-            cols_bad = t + 1 + np.nonzero(bad)[0]
-            g2[bad] = np.sum(r[t + 1 :, cols_bad] ** 2, axis=0)
-        gamma[t + 1 :] = np.sqrt(np.maximum(g2, 0.0))
-    return PartialQR(
-        q=q,
-        r11=r[:k, :k].copy(),
-        r12=r[:k, k:].copy(),
-        r22=r[k:, k:].copy(),
-        perm=perm,
-        k=k,
-    )
+    where = np.arange(cols)  # where[c]: current position of column c
+    for t, c in enumerate(piv):
+        p = where[c]
+        if p != t:
+            where[perm.forward[t]], where[c] = p, t
+            perm.swap(t, p)
+    return PartialQR.from_r(q, r, k, perm, rows)

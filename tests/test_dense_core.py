@@ -25,7 +25,7 @@ from spectra_rrqr import (
     thin_qr,
     volume,
 )
-from spectra_rrqr.dense_core import r_factor
+from spectra_rrqr.dense_core import _range_basis, _stable_partial_qr, r_factor
 
 
 def rng(seed=0):
@@ -195,6 +195,26 @@ class TestPartialQR:
         assert np.array_equal(r_only.r12, with_q.r12)
         assert np.array_equal(r_only.r22, with_q.r22)
 
+    @pytest.mark.parametrize("shape,k", [((30, 8), 3), ((8, 8), 5), ((5, 9), 2)])
+    def test_stable_path_trims_r22(self, shape, k):
+        # r22 keeps the min(m, n)-k rows that can be nonzero; the rest are
+        # zero, and shape, R and the residual read as if they were stored
+        m = rng(shape[0] + k).standard_normal(shape)
+        rows, cols = shape
+        fact = stable_partial_qr(m, k)
+        assert fact.r22.shape == (min(shape) - k, cols - k)
+        assert fact.shape == shape
+        r = fact.r_matrix()
+        assert r.shape == shape
+        assert np.array_equal(r[k : min(shape), k:], fact.r22)
+        assert not np.any(r[min(shape) :])
+        assert fact.reconstruction_error(m) <= 1e-12
+        full = _stable_partial_qr(as_matrix(m), k, full_q=True)
+        assert full.q.shape == (rows, rows)
+        assert np.max(np.abs(full.q.T @ full.q - np.eye(rows))) <= 1e-12
+        assert np.array_equal(full.r22, fact.r22)
+        assert full.reconstruction_error(m) <= 1e-12
+
     def test_interlacing_any_permutation(self):
         # leading-block singular values never exceed the matrix's; trailing
         # ones never fall below the shifted spectrum
@@ -346,6 +366,24 @@ class TestLsResidual:
             ls_residual(np.eye(3), np.ones(4))
 
 
+class TestRangeBasis:
+    @pytest.mark.parametrize(
+        "rows,cols,rank", [(20, 7, 3), (20, 6, 6), (6, 6, 6), (5, 9, 5), (9, 12, 4)]
+    )
+    def test_projector_matches_svd(self, rows, cols, rank):
+        g = rng(rows * cols + rank)
+        a = g.standard_normal((rows, rank)) @ g.standard_normal((rank, cols))
+        basis = _range_basis(a)
+        assert basis.shape == (rows, rank)
+        assert np.max(np.abs(basis.T @ basis - np.eye(rank))) <= 1e-12
+        u = np.linalg.svd(a)[0][:, :rank]
+        assert np.linalg.norm(basis @ basis.T - u @ u.T) <= 1e-12
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match="no range basis"):
+            _range_basis(np.zeros((4, 3)))
+
+
 class TestAngles:
     def test_same_vector(self):
         assert cos_angle([1.0, 0.0], [1.0, 0.0]) == 1.0
@@ -415,5 +453,5 @@ class TestFileFormats:
             load_matrix_text(path)
 
     def test_qrcp_import_cycle(self):
-        # ls_residual reaches into the pivoted module lazily; ensure usable
+        # the pivoted module builds on dense_core; importing both stays usable
         assert qrcp(np.eye(2), 1).k == 1

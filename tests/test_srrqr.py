@@ -324,7 +324,6 @@ def _growing_state(m) -> SrrqrState:
         omega=np.zeros(0),
         gamma=column_norms(a),
         a=np.zeros((0, a.shape[1])),
-        q=np.eye(a.shape[0]),
     )
 
 
@@ -495,7 +494,87 @@ class TestDeferredGrowth:
         assert abs(res.rho - oracle.rho) <= 1e-6 * max(oracle.rho, 1.0)
 
 
+def _want_q_case(name):
+    """Matrix and config of one with/without-Q comparison."""
+    random_cases = {
+        "tall": ((40, 12), TargetRank(6)),
+        "square": ((10, 10), TargetRank(7)),
+        "wide": ((5, 9), Tolerance(1e-14)),
+        "below-tau": ((7, 4), Tolerance(1e3)),  # every column under tau: k = 0
+    }
+    if name in random_cases:
+        shape, mode = random_cases[name]
+        return rng(30).standard_normal(shape), SrrqrConfig(f=1.5, mode=mode)
+    seed = int(name.split("-")[1])
+    m = generate(MatrixSpec(Stewart(m=256, n=96, q=0.8), seed=seed))
+    return m, SrrqrConfig(f=1.1, mode=TargetRank(60))
+
+
+class TestWantQ:
+    """``want_q`` adds one LAPACK QR of ``M P`` after the last decision."""
+
+    @pytest.mark.parametrize(
+        "name", ["tall", "square", "wide", "below-tau", "stewart-0", "stewart-1"]
+    )
+    def test_same_factorization_with_and_without_q(self, name):
+        m, cfg = _want_q_case(name)
+        with_q = srrqr(m, cfg)
+        without = srrqr(m, cfg, want_q=False)
+        _same_decisions(with_q, without)
+        assert with_q.rho == without.rho
+        if name.startswith("stewart"):
+            assert with_q.swap_count > 0
+        a, b = with_q.factorization, without.factorization
+        assert b.q is None
+        assert a.shape == b.shape == m.shape
+        for block in ("r11", "r12"):
+            x, y = getattr(a, block), getattr(b, block)
+            assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+        ga = np.linalg.norm(a.r22, axis=0)
+        gb = np.linalg.norm(b.r22, axis=0)
+        assert np.max(np.abs(ga - gb), initial=0.0) <= 1e-12 * np.max(gb, initial=0.0)
+        rows = m.shape[0]
+        assert a.q.shape == (rows, rows)
+        assert np.max(np.abs(a.q.T @ a.q - np.eye(rows))) <= 1e-12
+        assert a.reconstruction_error(m) <= 1e-12
+
+
+def _greedy_pivots(m, k):
+    """Brute-force greedy pivoting: each step takes the column with the
+    largest residual norm after projecting out the columns already taken.
+    Returns the pivots and those norms; fails on a fixture with a near tie.
+    """
+    chosen, norms = [], []
+    resid = m
+    for _ in range(k):
+        g = np.linalg.norm(resid, axis=0)
+        g[chosen] = -1.0
+        first, second = np.sort(g)[::-1][:2]
+        assert first - second > 1e-6 * first, "fixture has a near tie"
+        chosen.append(int(np.argmax(g)))
+        norms.append(first)
+        q = np.linalg.qr(m[:, chosen])[0]
+        resid = m - q @ (q.T @ m)
+    return chosen, np.array(norms)
+
+
 class TestQrcp:
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 12), (6, 10)])
+    def test_greedy_oracle(self, shape):
+        # graded column scales keep the greedy choice clear of ties
+        g = rng(shape[0] * 13 + shape[1])
+        scales = np.logspace(0, -3, shape[1])[g.permutation(shape[1])]
+        m = g.standard_normal(shape) * scales
+        k = min(shape)
+        pivots, norms = _greedy_pivots(m, k)
+        fact = qrcp(m, k, want_q=False)
+        assert fact.perm.forward[:k].tolist() == pivots
+        assert np.array_equal(fact.perm.replay(), fact.perm.forward)
+        d = np.diag(fact.r11)
+        assert np.allclose(d, norms, rtol=1e-10)
+        assert np.all(d >= 0.0)
+        assert np.all(np.diff(d) <= 1e-14 * d[0])
+
     def test_diagonal_pivot_order(self):
         fact = qrcp(np.diag([1.0, 2.0, 3.0]), 3)
         assert fact.perm.forward.tolist() == [2, 1, 0]
