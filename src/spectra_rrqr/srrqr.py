@@ -28,6 +28,13 @@ and the stopping test are still decided after every step, from the same
 quantities; only the order of floating-point operations changes, so a
 decision can move only where rounding already settles it (exact ties).
 
+Omega, gamma and ``a`` do not change under an orthogonal transform of rows
+``>= k``.  So on a tall input, just before its first interchange,
+:func:`srrqr` replaces those rows of the trailing block by the block's
+(n-k)-by-(n-k) R factor; every later step then works on n rows instead of
+m.  Runs without interchanges, and inputs with no more rows than columns,
+are never compressed.
+
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
 ``dgemqrt`` on the m-by-m identity).  :func:`qrcp` is LAPACK's ``dgeqp3``.
@@ -40,13 +47,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+from scipy.linalg.lapack import dgeqp3
 
 from .dense_core import (
     PartialQR,
     PermutationSeq,
     SingularMatrixError,
-    _apply_reflector_left,
     _diag_signs,
+    _r_factor,
     _reflector,
     _stable_partial_qr,
     as_matrix,
@@ -103,7 +111,9 @@ class SrrqrState:
     """Working state of the pivoted factorization.
 
     ``r`` is the m-by-n factor with its leading ``k`` columns triangularized
-    (nonnegative diagonal); the orthogonal transforms are not kept.
+    (nonnegative diagonal); the orthogonal transforms are not kept.  Once
+    :meth:`_compress` has run (in :func:`srrqr`, at the first interchange of
+    a tall input) ``r`` has n rows, and its trailing block n-k.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
     in the module docstring; they are always current.
 
@@ -133,6 +143,8 @@ class SrrqrState:
     _pending: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
+        # row-major, so blocks of whole rows are BLAS-contiguous (``dger``)
+        self.r = np.ascontiguousarray(self.r, dtype=np.float64)
         rows, cols = self.r.shape
         self._v = np.empty((rows, _PANEL), order="F")
         self._f = np.empty((cols, _PANEL), order="F")
@@ -189,6 +201,25 @@ class SrrqrState:
         self.omega, self.gamma, self.a = self.recomputed()
 
     # -- structural operations -------------------------------------------
+
+    def _compress(self) -> None:
+        """Replace the trailing rows of a tall ``r`` by their n-row R factor.
+
+        ``omega``, ``gamma`` and ``a`` do not change under an orthogonal
+        transform of rows ``>= k``, so rows ``k:`` of the trailing columns
+        can be swapped for the (n-k)-by-(n-k) R factor of that block (one
+        blocked ``dgeqrt``); ``r`` then has n rows.  A no-op, pending
+        updates included, when ``r`` has no more rows than columns.
+        """
+        rows, cols = self.r.shape
+        if rows <= cols:
+            return
+        self._flush()
+        k = self.k
+        r = self.r[:cols].copy()
+        r[k:, k:] = _r_factor(self.r[k:, k:])
+        self.r = r
+        self._v = np.empty((cols, _PANEL), order="F")
 
     def _flip_row(self, t: int) -> None:
         if self.r[t, t] < 0.0:
@@ -342,7 +373,11 @@ class SrrqrState:
             w_bar = a1[:km1] + w * a1[km1]
         r[:, [km1, k]] = r[:, [k, km1]]
         v, tau, beta_bar = _reflector(r[km1:, km1])
-        _apply_reflector_left(r[km1:, km1 + 1 :], v, tau)
+        if tau:
+            # rows k-1 onward, in place (their transpose is F-contiguous);
+            # the columns left of k-1 are zero there and stay zero
+            tail = r[km1:]
+            scipy.linalg.blas.dger(-tau, v @ tail, v, a=tail.T, overwrite_a=1)
         r[km1, km1] = beta_bar
         r[k:, km1] = 0.0
         self._flip_row(km1)
@@ -366,15 +401,16 @@ class SrrqrState:
             omega_new[:km1] = np.sqrt(np.maximum(o2, 0.0))
         self.omega = omega_new
         # coupling block: rank-two update driven by the old and new row k-1
-        a_new = np.empty_like(self.a)
+        a_new = np.empty(self.a.shape)
         a_new[km1, :] = new_rowk / beta_bar
         if km1:
-            a_new[:km1, 0] = w - w_bar * a_new[km1, 0]
-            a_new[:km1, 1:] = (
-                self.a[:km1, 1:]
-                + np.outer(w, self.a[km1, 1:])
-                - np.outer(w_bar, a_new[km1, 1:])
-            )
+            # a_new[:km1].T is F-contiguous, so dger updates it in place;
+            # column 0 is then set from its own closed form
+            lead = a_new[:km1]
+            lead[...] = self.a[:km1]
+            scipy.linalg.blas.dger(1.0, self.a[km1], w, a=lead.T, overwrite_a=1)
+            scipy.linalg.blas.dger(-1.0, a_new[km1], w_bar, a=lead.T, overwrite_a=1)
+            lead[:, 0] = w - w_bar * a_new[km1, 0]
         self.a = a_new
         # trailing norms: the reflector moved mass between row k-1 and R22
         gamma_new = self.gamma.copy()
@@ -521,7 +557,9 @@ def srrqr(
     With ``want_q`` the factorization, full m-by-m Q included, is one LAPACK
     QR of ``M P``: R11 and R12 match the state's to roundoff, and ``r22``
     has min(m, n)-k rows.  Without it ``q`` is None and the blocks are the
-    state's own.
+    state's own: ``r22`` has n-k rows after an interchange on a tall input
+    (the state was compressed), m-k otherwise; ``shape`` is (m, n) either
+    way.
     """
     a = as_matrix(m)
     rows, cols = a.shape
@@ -561,8 +599,10 @@ def srrqr(
         while state.gamma.size:
             if rho_hat(state) <= early_exit:
                 break
-            hits = np.argwhere(det_ratio_matrix(state) > f_swap)
-            if hits.size == 0:
+            hit = det_ratio_matrix(state) > f_swap
+            # first hit in row-major order; argmax stops at the first True
+            first = int(np.argmax(hit))
+            if not hit.flat[first]:
                 break
             if state.swap_count >= 20 * swap_budget(max(state.k, 1), cols, f):
                 raise RuntimeError(
@@ -570,8 +610,10 @@ def srrqr(
                     f"{state.swap_count} swaps; threshold f={f} appears to "
                     "livelock in floating point"
                 )
-            i, j = int(hits[0, 0]), int(hits[0, 1])
+            i, j = divmod(first, hit.shape[1])
             ratio = det_ratio(state, i, j)
+            # a tall state drops to n rows here, at its first interchange
+            state._compress()
             state._interchange_core(i, j)
             if on_swap is not None:
                 on_swap(state.k, i, j, ratio)
@@ -610,10 +652,17 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
     if want_q:
         q, r, piv = scipy.linalg.qr(a, pivoting=True, check_finite=False)
+        r = r[: min(rows, cols)]
     else:
-        q = None
-        r, piv = scipy.linalg.qr(a, mode="r", pivoting=True, check_finite=False)
-    r = r[: min(rows, cols)]
+        # one working copy and R of min(m, n) rows; the optimal lwork keeps
+        # LAPACK on the blocked path that scipy.linalg.qr takes
+        q, work = None, np.array(a, order="F")
+        lwork = int(dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+        work, piv, _, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
+        if info:
+            raise ValueError(f"dgeqp3 failed with info={info}")
+        r = np.triu(work[: min(rows, cols)])
+        piv -= 1  # LAPACK's pivots are 1-based
     flip = _diag_signs(r)
     r *= flip[:, None]
     if q is not None:

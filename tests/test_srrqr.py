@@ -539,6 +539,98 @@ class TestWantQ:
         assert a.reconstruction_error(m) <= 1e-12
 
 
+def _tall_stewart(seed):
+    return generate(MatrixSpec(Stewart(m=512, n=64, q=0.8), seed=seed))
+
+
+class TestCompression:
+    """At its first interchange ``srrqr`` cuts a tall state down to n rows."""
+
+    @pytest.mark.parametrize("mode", [TargetRank(40), Tolerance(1e-10)])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_compressed_run_matches_recompute(self, seed, mode):
+        m = _tall_stewart(seed)
+        rows, cols = m.shape
+        cfg = SrrqrConfig(f=1.1, mode=mode)
+        res = srrqr(m, cfg, want_q=False)
+        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        assert res.swap_count > 0
+        assert res.state.r.shape == (cols, cols)
+        assert res.state._v.shape[0] == cols
+        _same_decisions(res, oracle)
+        assert max(res.state.consistency_errors().values()) <= 1e-8
+        with_q = srrqr(m, cfg)
+        _same_decisions(res, with_q)
+        fact = res.factorization
+        assert fact.shape == (rows, cols)
+        assert fact.r22.shape == (cols - res.k, cols - res.k)
+        gw = np.linalg.norm(with_q.factorization.r22, axis=0)
+        g = np.linalg.norm(fact.r22, axis=0)
+        assert np.max(np.abs(g - gw), initial=0.0) <= 1e-12 * np.max(gw, initial=0.0)
+
+    def test_no_swap_keeps_all_rows(self):
+        m = generate(MatrixSpec(HC(m=200, n=40), seed=0))
+        res = srrqr(m, SrrqrConfig(f=1.1, mode=Tolerance(1e-10)), want_q=False)
+        assert res.swap_count == 0
+        assert res.state.r.shape == m.shape
+        assert res.factorization.r22.shape == (m.shape[0] - res.k, m.shape[1] - res.k)
+
+    def test_public_interchange_keeps_all_rows(self):
+        m = _tall_stewart(0)
+        st = srrqr_state(m, 20)
+        out = interchange(st, 3, 5)
+        assert out.r.shape == m.shape
+        assert st.r.shape == m.shape
+
+    def test_compress_preserves_state(self):
+        m = _tall_stewart(1)
+        st = srrqr_state(m, 20)
+        before = st.copy()
+        st._compress()
+        assert st.r.shape == (64, 64)
+        assert np.array_equal(st.r[:20], before.r[:20, :])
+        assert np.allclose(
+            np.linalg.norm(st.r[20:, 20:], axis=0), before.gamma, rtol=1e-12
+        )
+        assert max(st.consistency_errors().values()) <= 1e-10
+        # decisions after compressing match those on the full-height state
+        for i, j in [(3, 5), (19, 0), (0, 43)]:
+            assert np.isclose(det_ratio(st, i, j), det_ratio(before, i, j), rtol=1e-12)
+            st._interchange_core(i, j)
+            before._interchange_core(i, j)
+        assert np.allclose(st.r[:20], before.r[:20], atol=1e-12)
+        assert np.allclose(st.gamma, before.gamma, rtol=1e-10)
+        assert np.allclose(st.a, before.a, rtol=1e-10, atol=1e-12)
+
+    def test_compress_is_a_noop_without_extra_rows(self):
+        m = rng(31).standard_normal((30, 30))
+        st = _growing_state(m)
+        for _ in range(5):
+            st._advance()
+        r = st.r
+        st._compress()
+        assert st.r is r
+        assert st._pending == 5
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_first_hit_in_row_major_order(self, seed, monkeypatch):
+        m = _tall_stewart(seed)
+        f = 1.1
+        picks = []
+        core = SrrqrState._interchange_core
+
+        def spy(state, i, j):
+            hits = np.argwhere(det_ratio_matrix(state) > f * (1.0 + 1e-12))
+            picks.append(((i, j), tuple(int(x) for x in hits[0])))
+            core(state, i, j)
+
+        monkeypatch.setattr(SrrqrState, "_interchange_core", spy)
+        res = srrqr(m, SrrqrConfig(f=f, mode=Tolerance(1e-10)), want_q=False)
+        assert len(picks) == res.swap_count > 0
+        for got, first in picks:
+            assert got == first
+
+
 def _greedy_pivots(m, k):
     """Brute-force greedy pivoting: each step takes the column with the
     largest residual norm after projecting out the columns already taken.
@@ -574,6 +666,21 @@ class TestQrcp:
         assert np.allclose(d, norms, rtol=1e-10)
         assert np.all(d >= 0.0)
         assert np.all(np.diff(d) <= 1e-14 * d[0])
+
+    @pytest.mark.parametrize("shape", [(600, 200), (200, 200), (90, 300), (40, 12)])
+    def test_r_only_is_bitwise_the_full_factor(self, shape):
+        # 200 columns take dgeqp3's blocked path, which needs the optimal lwork
+        tall = Stewart(m=max(shape), n=min(shape), q=0.9)
+        m = generate(MatrixSpec(tall, seed=4))
+        if shape[0] < shape[1]:
+            m = m.T
+        full = qrcp(m, min(shape) // 2)
+        r_only = qrcp(m, min(shape) // 2, want_q=False)
+        assert r_only.q is None
+        assert r_only.shape == full.shape == shape
+        assert np.array_equal(r_only.perm.forward, full.perm.forward)
+        for block in ("r11", "r12", "r22"):
+            assert np.array_equal(getattr(r_only, block), getattr(full, block))
 
     def test_diagonal_pivot_order(self):
         fact = qrcp(np.diag([1.0, 2.0, 3.0]), 3)
