@@ -1,8 +1,11 @@
 """Experiment drivers behind the command-line harness.
 
 Everything here is importable so the test suite can exercise the bench
-logic without spawning subprocesses.  Seeds fan out across a thread pool
-with one thread per available CPU, capped by the ``SPECTRA_RRQR_THREADS``
+logic without spawning subprocesses.  :func:`_factor` is the one place that
+maps an algorithm name to its call; the factor records (one key set,
+:data:`RECORD_KEYS`, for all four algorithms) and the bound checklist of
+``verify`` are both built from its result.  Seeds fan out across a thread
+pool with one thread per available CPU, capped by the ``SPECTRA_RRQR_THREADS``
 environment variable (:func:`.sketch.worker_count`); records are returned
 in seed order regardless of completion order.
 """
@@ -18,16 +21,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import testmat
-from .dense_core import as_matrix, partial_qr, r_factor, singular_values
+from .dense_core import PartialQR, as_matrix, partial_qr, r_factor, singular_values
 from .rand_srrqr import (
+    RandSrrqrResult,
     export_record,
     qlp_values,
     rand_srrqr_rank,
     rand_srrqr_tol,
     ratio_report,
+    record_ratios,
 )
 from .sketch import SketchOperator, apply, pad_rows_pow2, worker_count
-from .srrqr import SrrqrConfig, TargetRank, Tolerance, qrcp, srrqr
+from .srrqr import (
+    SrrqrConfig,
+    SrrqrResult,
+    TargetRank,
+    Tolerance,
+    det_ratio_matrix,
+    qrcp,
+    srrqr,
+)
 from .testmat import MatrixSpec, generate
 
 CSV_COLUMNS = [
@@ -46,6 +59,29 @@ CSV_COLUMNS = [
 VOLUME_CSV_COLUMNS = ["n", "volume", "log_volume"]
 
 ALGOS = ("srrqr", "rand-rank", "rand-tau", "qrcp")
+
+# the keys of every factor record, for all four algorithms; a key that does
+# not apply is null: kind, d, epsilon_*, f_tilde, l_values and r_values for
+# srrqr and qrcp, rho for all but srrqr, swap_count for qrcp, and ratios,
+# bound, l_values and r_values unless the ratios were asked for
+RECORD_KEYS = (
+    "algo",
+    "k",
+    "seed",
+    "kind",
+    "d",
+    "f",
+    "epsilon_measured",
+    "epsilon_nominal",
+    "f_tilde",
+    "rho",
+    "swap_count",
+    "ratios",
+    "bound",
+    "l_values",
+    "r_values",
+    "timings_ms",
+)
 
 
 def resolve_matrix(text: str, seed: int = 0) -> tuple[str, np.ndarray]:
@@ -152,179 +188,109 @@ def exhaustive_det_ratios(mp, k: int) -> np.ndarray:
     return out
 
 
-def _total_ms(timings: dict) -> float:
-    return float(sum(timings.values()))
-
-
-def _one_factor_run(cfg: RunConfig, mat: np.ndarray, seed: int) -> dict:
-    if cfg.algo == "rand-rank":
-        t0 = time.perf_counter()
+def _factor(
+    mat: np.ndarray, cfg: RunConfig, seed: int
+) -> tuple[PartialQR | SrrqrResult | RandSrrqrResult, float]:
+    """The one dispatch: run ``cfg.algo`` without forming Q; result and ms."""
+    t0 = time.perf_counter()
+    if cfg.algo == "srrqr":
+        mode = TargetRank(cfg.k) if cfg.k is not None else Tolerance(cfg.tau)
+        res = srrqr(mat, SrrqrConfig(f=cfg.f, mode=mode), want_q=False)
+    elif cfg.algo == "qrcp":
+        res = qrcp(mat, cfg.k, want_q=False)
+    elif cfg.algo == "rand-rank":
         res = rand_srrqr_rank(
             mat, f=cfg.f, k=cfg.k, d=cfg.d, seed=seed, kind=cfg.kind, want_q=False
         )
-        res.timings_ms["total"] = (time.perf_counter() - t0) * 1e3
-    elif cfg.algo == "rand-tau":
-        t0 = time.perf_counter()
+    else:
         res = rand_srrqr_tol(
             mat, f=cfg.f, tau=cfg.tau, d=cfg.d, seed=seed, kind=cfg.kind, want_q=False
         )
-        res.timings_ms["total"] = (time.perf_counter() - t0) * 1e3
-    elif cfg.algo == "srrqr":
-        mode = TargetRank(cfg.k) if cfg.k is not None else Tolerance(cfg.tau)
-        t0 = time.perf_counter()
-        det = srrqr(mat, SrrqrConfig(f=cfg.f, mode=mode), want_q=False)
-        ms = (time.perf_counter() - t0) * 1e3
-        rec = {
-            "algo": "srrqr",
-            "k": det.k,
-            "seed": seed,
-            "kind": None,
-            "d": None,
-            "f": cfg.f,
-            "epsilon_measured": None,
-            "rho": det.rho,
-            "swap_count": det.swap_count,
-            "ratios": None,
-            "bound": None,
-            "timings_ms": {"total": round(ms, 3)},
-        }
-        if cfg.with_ratios:
-            rep = ratio_report(mat, det)
-            rec["ratios"] = {
-                "leading": [float(x) for x in rep.leading_ratios],
-                "trailing": [
-                    None if math.isnan(x) else float(x) for x in rep.trailing_ratios
-                ],
-                "a_max": rep.a_max,
-            }
-            rec["bound"] = rep.bound
-        return rec
-    else:  # qrcp
-        t0 = time.perf_counter()
-        fact = qrcp(mat, cfg.k, want_q=False)
-        ms = (time.perf_counter() - t0) * 1e3
-        rec = {
-            "algo": "qrcp",
-            "k": fact.k,
-            "seed": seed,
-            "kind": None,
-            "d": None,
-            "f": cfg.f,
-            "epsilon_measured": None,
-            "swap_count": None,
-            "ratios": None,
-            "bound": None,
-            "timings_ms": {"total": round(ms, 3)},
-        }
-        if cfg.with_ratios:
-            rep = ratio_report(mat, fact, threshold=cfg.f)
-            rec["ratios"] = {
-                "leading": [float(x) for x in rep.leading_ratios],
-                "trailing": [
-                    None if math.isnan(x) else float(x) for x in rep.trailing_ratios
-                ],
-                "a_max": rep.a_max,
-            }
-            rec["bound"] = rep.bound
-        return rec
-    report = ratio_report(mat, res) if cfg.with_ratios else None
-    qlp = qlp_values(res) if cfg.with_ratios else None
-    rec = export_record(res, report, qlp)
-    rec["algo"] = cfg.algo
+    return res, (time.perf_counter() - t0) * 1e3
+
+
+def _record(mat: np.ndarray, cfg: RunConfig, seed: int) -> dict:
+    """One factor record; ``timings_ms["total"]`` is the call's wall time."""
+    res, ms = _factor(mat, cfg, seed)
+    randomized = isinstance(res, RandSrrqrResult)
+    report = None
+    if cfg.with_ratios:
+        report = ratio_report(mat, res, threshold=res.f_tilde if randomized else cfg.f)
+    rec = dict.fromkeys(RECORD_KEYS)
+    if randomized:
+        qlp = qlp_values(res) if report is not None else None
+        rec.update(export_record(res, report, qlp))
+    else:
+        rec.update(k=res.k, f=cfg.f, **record_ratios(report))
+        if isinstance(res, SrrqrResult):
+            rec.update(rho=res.rho, swap_count=res.swap_count)
+    timings = rec["timings_ms"] or {}
+    rec.update(algo=cfg.algo, seed=seed, timings_ms={**timings, "total": round(ms, 3)})
     return rec
+
+
+def _per_seed(cfg: RunConfig, run) -> list:
+    """``run(mat, cfg, seed)`` for each seed of ``cfg`` on a thread pool."""
+    _, mat = resolve_matrix(cfg.matrix, cfg.matrix_seed)
+    with ThreadPoolExecutor(max_workers=worker_count(len(cfg.seeds))) as pool:
+        return list(pool.map(lambda s: run(mat, cfg, s), cfg.seeds))
 
 
 def run_factor(cfg: RunConfig) -> list[dict]:
     """Run the configured factorization once per seed (thread fan-out)."""
-    _, mat = resolve_matrix(cfg.matrix, cfg.matrix_seed)
-    with ThreadPoolExecutor(max_workers=worker_count(len(cfg.seeds))) as pool:
-        return list(pool.map(lambda s: _one_factor_run(cfg, mat, s), cfg.seeds))
+    return _per_seed(cfg, _record)
+
+
+def _csv_row(rec: dict, experiment: str, ratio, i_or_j="", bound="") -> dict:
+    return {
+        "experiment": experiment,
+        "seed": rec.get("seed"),
+        "k": rec.get("k"),
+        "i_or_j": i_or_j,
+        "ratio": ratio,
+        "bound": bound,
+        "kind": rec.get("kind"),
+        "d": rec.get("d"),
+        "f": rec.get("f"),
+        "epsilon": rec.get("epsilon_measured"),
+    }
 
 
 def records_to_csv_rows(records: list[dict]) -> list[dict]:
     """Flatten factor records into the fixed long-format CSV schema."""
     rows = []
     for rec in records:
-        meta = {
-            "seed": rec.get("seed"),
-            "k": rec.get("k"),
-            "kind": rec.get("kind"),
-            "d": rec.get("d"),
-            "f": rec.get("f"),
-            "epsilon": rec.get("epsilon_measured"),
-        }
-        rows.append(
-            {
-                "experiment": "rank",
-                "i_or_j": "",
-                "ratio": rec.get("k"),
-                "bound": "",
-                **meta,
-            }
-        )
-        rows.append(
-            {
-                "experiment": "swap_count",
-                "i_or_j": "",
-                "ratio": rec.get("swap_count"),
-                "bound": "",
-                **meta,
-            }
-        )
-        rows.append(
-            {
-                "experiment": "time_total_ms",
-                "i_or_j": "",
-                "ratio": rec.get("timings_ms", {}).get("total"),
-                "bound": "",
-                **meta,
-            }
-        )
+        rows.append(_csv_row(rec, "rank", rec.get("k")))
+        rows.append(_csv_row(rec, "swap_count", rec.get("swap_count")))
+        total = rec.get("timings_ms", {}).get("total")
+        rows.append(_csv_row(rec, "time_total_ms", total))
         ratios = rec.get("ratios")
         if ratios:
+            bound = rec.get("bound")
             for i, val in enumerate(ratios["leading"]):
-                rows.append(
-                    {
-                        "experiment": "leading_ratio",
-                        "i_or_j": i + 1,
-                        "ratio": val,
-                        "bound": rec.get("bound"),
-                        **meta,
-                    }
-                )
+                rows.append(_csv_row(rec, "leading_ratio", val, i + 1, bound))
             for j, val in enumerate(ratios["trailing"]):
-                rows.append(
-                    {
-                        "experiment": "trailing_ratio",
-                        "i_or_j": j + 1,
-                        "ratio": "" if val is None else val,
-                        "bound": rec.get("bound"),
-                        **meta,
-                    }
-                )
-            rows.append(
-                {
-                    "experiment": "coupling_max",
-                    "i_or_j": "",
-                    "ratio": ratios["a_max"],
-                    "bound": "",
-                    **meta,
-                }
-            )
+                val = "" if val is None else val
+                rows.append(_csv_row(rec, "trailing_ratio", val, j + 1, bound))
+            rows.append(_csv_row(rec, "coupling_max", ratios["a_max"]))
     return rows
 
 
-def write_csv(rows: list[dict], path=None) -> str:
+def _write_csv(rows: list[dict], columns: list[str], path=None) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
     writer.writeheader()
     for row in rows:
-        writer.writerow({col: row.get(col, "") for col in CSV_COLUMNS})
+        writer.writerow({col: row.get(col, "") for col in columns})
     text = buf.getvalue()
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
     return text
+
+
+def write_csv(rows: list[dict], path=None) -> str:
+    return _write_csv(rows, CSV_COLUMNS, path)
 
 
 @dataclass
@@ -381,22 +347,20 @@ def _ratio_checks(prefix, rep, limit) -> list[BoundCheck]:
     ]
 
 
-def _sandwich(value, eps):
-    lo = 1.0 / math.sqrt(1.0 + eps)
-    hi = 1.0 / math.sqrt(1.0 - eps) if eps < 1.0 else float("inf")
-    return lo, hi
+def _two_sided(name, values, upper, lower, vacuous) -> list[BoundCheck]:
+    """``max(values) <= upper`` and ``min(values) >= lower``; a vacuous
+    distortion (eps >= 1) opens the window to [0, inf]."""
+    return [
+        BoundCheck(
+            f"{name} upper", float(np.max(values)), math.inf if vacuous else upper, "<="
+        ),
+        BoundCheck(
+            f"{name} lower", float(np.min(values)), 0.0 if vacuous else lower, ">="
+        ),
+    ]
 
 
-def verify_checks(
-    mat: np.ndarray,
-    algo: str,
-    f: float,
-    k: int | None = None,
-    tau: float | None = None,
-    kind: str = "srht",
-    d: int | None = None,
-    seed: int = 0,
-) -> list[BoundCheck]:
+def verify_checks(mat: np.ndarray, cfg: RunConfig, seed: int) -> list[BoundCheck]:
     """Full bound checklist for one seed on one fixture.
 
     Deterministic algorithms are checked against their own threshold ``f``;
@@ -405,125 +369,69 @@ def verify_checks(
     norm sandwiches, residual sandwich, swap-ratio preservation) only apply
     to the randomized paths.
     """
-    checks: list[BoundCheck] = []
-    n = mat.shape[1]
+    res, _ = _factor(mat, cfg, seed)
     slack = 1.0 + 1e-8
-    if algo == "qrcp":
-        fact = qrcp(mat, k, want_q=False)
-        rep = ratio_report(mat, fact, threshold=f)
-        checks += _ratio_checks("qrcp", rep, rep.bound * slack)
-        checks.append(
-            BoundCheck("qrcp coupling entries", rep.a_max, f * slack, "<=")
-        )
-        return checks
-    if algo == "srrqr":
-        mode = TargetRank(k) if k is not None else Tolerance(tau)
-        res = srrqr(mat, SrrqrConfig(f=f, mode=mode), want_q=False)
-        kk = res.k
-        rep = ratio_report(mat, res)
-        checks += _ratio_checks("srrqr", rep, rep.bound * slack)
-        checks.append(BoundCheck("srrqr coupling entries", rep.a_max, f * slack, "<="))
-        oracle = exhaustive_det_ratios(
-            res.factorization.perm.apply_cols(mat), kk
-        )
+    randomized = isinstance(res, RandSrrqrResult)
+    prefix = "randomized" if randomized else cfg.algo
+    threshold = res.f_tilde if randomized else cfg.f
+    rep = ratio_report(mat, res, threshold=threshold)
+    checks = _ratio_checks(prefix, rep, rep.bound * slack)
+    checks.append(
+        BoundCheck(f"{prefix} coupling entries", rep.a_max, threshold * slack, "<=")
+    )
+    if isinstance(res, SrrqrResult):
+        oracle = exhaustive_det_ratios(res.factorization.perm.apply_cols(mat), res.k)
         checks.append(
             BoundCheck(
                 "srrqr exhaustive swap certificate",
                 float(oracle.max()) if oracle.size else 0.0,
-                f * slack,
+                cfg.f * slack,
                 "<=",
             )
         )
-        return checks
+    elif randomized:
+        checks += _sketch_checks(mat, cfg, seed, res, slack)
+    return checks
 
-    if algo == "rand-rank":
-        res = rand_srrqr_rank(mat, f=f, k=k, d=d, seed=seed, kind=kind, want_q=False)
-    elif algo == "rand-tau":
-        res = rand_srrqr_tol(mat, f=f, tau=tau, d=d, seed=seed, kind=kind, want_q=False)
-    else:
-        raise ValueError(f"unknown algo {algo!r}")
-    eps = res.distortion
-    ft = res.f_tilde
+
+def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundCheck]:
+    """The checks that carry bounds from the sketch over to M."""
+    checks: list[BoundCheck] = []
+    n = mat.shape[1]
     kk = res.k
     # a distortion at or above 1 means the subspace was not embedded at all;
-    # every eps-conditioned window is then vacuous
-    vacuous = eps >= 1.0
-    inf = float("inf")
-    rep = ratio_report(mat, res)
-    checks += _ratio_checks("randomized", rep, rep.bound * slack)
-    checks.append(
-        BoundCheck("randomized coupling entries", rep.a_max, ft * slack, "<=")
-    )
+    # every eps-conditioned window is then vacuous, and the limits below
+    # are computed from eps = 0 only to keep them finite
+    vacuous = res.distortion >= 1.0
+    eps = 0.0 if vacuous else res.distortion
 
-    padded = pad_rows_pow2(mat) if kind == "srht" else mat
-    op = SketchOperator(kind=kind, d=res.d, m=padded.shape[0], seed=seed)
+    srht = res.kind == "srht"
+    padded = pad_rows_pow2(mat) if srht else mat
+    op = SketchOperator(kind=res.kind, d=res.d, m=padded.shape[0], seed=seed)
     msk = apply(op, padded)
     sv_m = singular_values(mat)
     sv_sk = singular_values(msk)
     limit = min(len(sv_sk), len(sv_m), res.d)
     keep = sv_m[:limit] > 1e-13 * sv_m[0]
     quot = sv_sk[:limit][keep] / sv_m[:limit][keep]
-    checks.append(
-        BoundCheck(
-            "sketch singular values upper",
-            float(np.max(quot)),
-            math.sqrt(1.0 + eps) * slack if not vacuous else inf,
-            "<=",
-        )
-    )
-    checks.append(
-        BoundCheck(
-            "sketch singular values lower",
-            float(np.min(quot)),
-            math.sqrt(max(1.0 - eps, 0.0)) / slack,
-            ">=",
-        )
-    )
+    upper, lower = math.sqrt(1.0 + eps) * slack, math.sqrt(1.0 - eps) / slack
+    checks += _two_sided("sketch singular values", quot, upper, lower, vacuous)
 
     g_m = np.linalg.norm(res.factorization.r22, axis=0)
     g_sk = res.sketch_result.state.gamma
     mask = g_sk > 1e-290
     if np.any(mask):
+        upper, lower = slack / (1.0 - eps), 1.0 / ((1.0 + eps) * slack)
         q2 = g_m[mask] ** 2 / g_sk[mask] ** 2
-        checks.append(
-            BoundCheck(
-                "trailing norm sandwich upper",
-                float(np.max(q2)),
-                slack / (1.0 - eps) if not vacuous else inf,
-                "<=",
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "trailing norm sandwich lower",
-                float(np.min(q2)),
-                1.0 / ((1.0 + eps) * slack) if not vacuous else 0.0,
-                ">=",
-            )
-        )
+        checks += _two_sided("trailing norm sandwich", q2, upper, lower, vacuous)
         fr = float(np.sum(g_m**2) / np.sum(g_sk**2))
-        checks.append(
-            BoundCheck(
-                "trailing frobenius sandwich upper",
-                fr,
-                slack / (1.0 - eps) if not vacuous else inf,
-                "<=",
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "trailing frobenius sandwich lower",
-                fr,
-                1.0 / ((1.0 + eps) * slack) if not vacuous else 0.0,
-                ">=",
-            )
-        )
-    if tau is not None:
+        checks += _two_sided("trailing frobenius sandwich", fr, upper, lower, vacuous)
+    if cfg.tau is not None:
         checks.append(
             BoundCheck(
                 "trailing norms within tolerance",
                 float(np.max(g_m, initial=0.0)),
-                slack * tau / math.sqrt(1.0 - eps) if not vacuous else inf,
+                math.inf if vacuous else slack * cfg.tau / math.sqrt(1.0 - eps),
                 "<=",
             )
         )
@@ -534,63 +442,32 @@ def verify_checks(
     a_ls = mat[:, :cols]
     b = mat @ rng.standard_normal(n)
     a_sk = msk[:, :cols]
-    b_sk = apply(op, pad_rows_pow2(b[:, None]) if kind == "srht" else b[:, None])[:, 0]
+    b_sk = apply(op, pad_rows_pow2(b[:, None]) if srht else b[:, None])[:, 0]
     x_hat = np.linalg.lstsq(a_sk, b_sk, rcond=None)[0]
     x_star = np.linalg.lstsq(a_ls, b, rcond=None)[0]
     r_star = float(np.linalg.norm(a_ls @ x_star - b))
     sk_resid = float(np.linalg.norm(a_sk @ x_hat - b_sk))
-    lo, hi = _sandwich(1.0, eps)
     if sk_resid > 0:
-        checks.append(
-            BoundCheck(
-                "residual sandwich upper",
-                r_star / sk_resid,
-                hi * slack if not vacuous else inf,
-                "<=",
-            )
-        )
-        checks.append(
-            BoundCheck(
-                "residual sandwich lower",
-                r_star / sk_resid,
-                lo / slack if not vacuous else 0.0,
-                ">=",
-            )
-        )
+        upper = 1.0 / math.sqrt(1.0 - eps) * slack
+        lower = 1.0 / math.sqrt(1.0 + eps) / slack
+        quot = r_star / sk_resid
+        checks += _two_sided("residual sandwich", quot, upper, lower, vacuous)
 
     # single-swap volume ratios are preserved through the sketch
     if kk >= 1 and n - kk >= 1:
-        mp = res.factorization.perm.apply_cols(mat)
-        dm = exhaustive_det_ratios(mp, kk)
-        d_sk = np.hypot(
-            res.sketch_result.state.a,
-            np.outer(res.sketch_result.state.omega, res.sketch_result.state.gamma),
-        )
+        dm = exhaustive_det_ratios(res.factorization.perm.apply_cols(mat), kk)
+        d_sk = det_ratio_matrix(res.sketch_result.state)
         good = d_sk > 1e-290
         if np.any(good):
+            upper = math.sqrt((1.0 + eps) / (1.0 - eps)) * slack
             quot = dm[good] / d_sk[good]
-            lim = math.sqrt((1.0 + eps) / (1.0 - eps)) if eps < 1.0 else float("inf")
-            checks.append(
-                BoundCheck(
-                    "swap ratio preservation upper",
-                    float(np.max(quot)),
-                    lim * slack,
-                    "<=",
-                )
-            )
-            checks.append(
-                BoundCheck(
-                    "swap ratio preservation lower",
-                    float(np.min(quot)),
-                    1.0 / (lim * slack),
-                    ">=",
-                )
-            )
+            lower = 1.0 / upper
+            checks += _two_sided("swap ratio preservation", quot, upper, lower, vacuous)
         checks.append(
             BoundCheck(
                 "exhaustive swap certificate",
                 float(dm.max()),
-                ft * (1.0 + 1e-6),
+                res.f_tilde * (1.0 + 1e-6),
                 "<=",
             )
         )
@@ -608,18 +485,24 @@ def run_verify(
     seeds: list[int] | None = None,
     matrix_seed: int = 0,
 ) -> VerifyReport:
-    seeds = seeds or [0]
-    _, mat = resolve_matrix(matrix, matrix_seed)
-
-    def one(seed):
-        got = verify_checks(mat, algo, f, k=k, tau=tau, kind=kind, d=d, seed=seed)
+    """Bound checklist of every seed; :class:`RunConfig` checks the args."""
+    cfg = RunConfig(
+        matrix=matrix,
+        algo=algo,
+        f=f,
+        k=k,
+        tau=tau,
+        kind=kind,
+        d=d,
+        seeds=seeds or [0],
+        matrix_seed=matrix_seed,
+    )
+    checks = []
+    for seed, got in zip(cfg.seeds, _per_seed(cfg, verify_checks)):
         for c in got:
             c.name = f"seed={seed} {c.name}"
-        return got
-
-    with ThreadPoolExecutor(max_workers=worker_count(len(seeds))) as pool:
-        nested = list(pool.map(one, seeds))
-    return VerifyReport(checks=[c for grp in nested for c in grp])
+        checks += got
+    return VerifyReport(checks=checks)
 
 
 def run_volume_decay(
@@ -659,16 +542,7 @@ def run_volume_decay(
 
 
 def volume_decay_csv(result: dict, path=None) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=VOLUME_CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for row in result["rows"]:
-        writer.writerow({c: row[c] for c in VOLUME_CSV_COLUMNS})
-    text = buf.getvalue()
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
+    return _write_csv(result["rows"], VOLUME_CSV_COLUMNS, path)
 
 
 def volume_decay_gnuplot(csv_path: str) -> str:
@@ -700,8 +574,8 @@ def run_timing(
     t0 = time.perf_counter()
     rnd = rand_srrqr_tol(mat, f=f, tau=tau, d=d, seed=seed, kind=kind, want_q=False)
     rnd_ms = (time.perf_counter() - t0) * 1e3
-    rnd_core_ms = _total_ms(
-        {k: v for k, v in rnd.timings_ms.items() if k != "distortion"}
+    rnd_core_ms = float(
+        sum(v for k, v in rnd.timings_ms.items() if k != "distortion")
     )
     return {
         "matrix": matrix,

@@ -72,20 +72,17 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=["text", "binary"], default="text")
 
-    for name in ("factor", "ratios"):
-        p = sub.add_parser(
-            name,
-            help="run factorizations"
-            + (" and report singular-value ratios" if name == "ratios" else ""),
-        )
+    for name, text in (
+        ("factor", "run factorizations"),
+        ("ratios", "run factorizations and report singular-value ratios"),
+        ("verify", "run the bound checklist; exit 1 on violation"),
+    ):
+        p = sub.add_parser(name, help=text)
         _add_common(p)
         p.add_argument("--algo", choices=ALGOS, required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
-
-    p = sub.add_parser("verify", help="run the bound checklist; exit 1 on violation")
-    _add_common(p)
-    p.add_argument("--algo", choices=ALGOS, required=True)
+        if name != "verify":
+            p.add_argument("--out", default=None)
+            p.add_argument("--format", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("volume-decay", help="sketched-volume decay experiment")
     p.add_argument("--m", type=int, default=8192)
@@ -116,19 +113,24 @@ def main(argv=None) -> int:
         print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
         return 0
 
+    if args.command in ("factor", "ratios", "verify"):
+        try:
+            cfg = RunConfig(
+                matrix=args.matrix,
+                algo=args.algo,
+                f=args.f,
+                k=args.k,
+                tau=args.tau,
+                kind=args.kind,
+                d=args.d,
+                seeds=_parse_seeds(args),
+                matrix_seed=args.matrix_seed,
+                with_ratios=(args.command == "ratios"),
+            )
+        except ValueError as exc:
+            parser.error(str(exc))
+
     if args.command in ("factor", "ratios"):
-        cfg = RunConfig(
-            matrix=args.matrix,
-            algo=args.algo,
-            f=args.f,
-            k=args.k,
-            tau=args.tau,
-            kind=args.kind,
-            d=args.d,
-            seeds=_parse_seeds(args),
-            matrix_seed=args.matrix_seed,
-            with_ratios=(args.command == "ratios"),
-        )
         records = run_factor(cfg)
         if args.format == "json":
             text = json.dumps(records, indent=2)
@@ -144,15 +146,15 @@ def main(argv=None) -> int:
 
     if args.command == "verify":
         report = run_verify(
-            matrix=args.matrix,
-            algo=args.algo,
-            f=args.f,
-            k=args.k,
-            tau=args.tau,
-            kind=args.kind,
-            d=args.d,
-            seeds=_parse_seeds(args),
-            matrix_seed=args.matrix_seed,
+            matrix=cfg.matrix,
+            algo=cfg.algo,
+            f=cfg.f,
+            k=cfg.k,
+            tau=cfg.tau,
+            kind=cfg.kind,
+            d=cfg.d,
+            seeds=cfg.seeds,
+            matrix_seed=cfg.matrix_seed,
         )
         for line in report.lines():
             print(line)

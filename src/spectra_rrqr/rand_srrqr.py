@@ -328,16 +328,28 @@ def swap_subspace_distortion(op: SketchOperator, m_padded, perm, k: int) -> floa
     return worst
 
 
+def record_ratios(report: RatioReport | None) -> dict:
+    """The ``ratios`` and ``bound`` fields of a record (NaN ratios -> null)."""
+    if report is None:
+        return {"ratios": None, "bound": None}
+
+    def listify(arr):
+        return [None if math.isnan(x) else float(x) for x in arr]
+
+    ratios = {
+        "leading": listify(report.leading_ratios),
+        "trailing": listify(report.trailing_ratios),
+        "a_max": report.a_max,
+    }
+    return {"ratios": ratios, "bound": report.bound}
+
+
 def export_record(
     res: RandSrrqrResult,
     report: RatioReport | None = None,
     qlp: QlpResult | None = None,
 ) -> dict:
     """JSON-ready record of one randomized run (fixed key set)."""
-
-    def listify(arr):
-        return [None if (isinstance(x, float) and math.isnan(x)) else x for x in arr]
-
     rec = {
         "k": res.k,
         "seed": res.seed,
@@ -347,20 +359,12 @@ def export_record(
         "epsilon_measured": res.distortion if res.distortion_is_measured else None,
         "epsilon_nominal": None if res.distortion_is_measured else res.distortion,
         "f_tilde": None if math.isinf(res.f_tilde) else res.f_tilde,
-        "ratios": None,
-        "bound": None,
+        **record_ratios(report),
         "l_values": None,
         "r_values": None,
         "swap_count": res.sketch_result.swap_count,
         "timings_ms": {k: round(v, 3) for k, v in res.timings_ms.items()},
     }
-    if report is not None:
-        rec["ratios"] = {
-            "leading": listify([float(x) for x in report.leading_ratios]),
-            "trailing": listify([float(x) for x in report.trailing_ratios]),
-            "a_max": report.a_max,
-        }
-        rec["bound"] = report.bound
     if qlp is not None:
         rec["l_values"] = [float(x) for x in qlp.l_values]
         rec["r_values"] = [float(x) for x in qlp.r_values]

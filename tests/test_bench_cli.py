@@ -3,9 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from spectra_rrqr import load_matrix_binary, load_matrix_text
+from spectra_rrqr import (
+    SrrqrConfig,
+    Tolerance,
+    load_matrix_binary,
+    load_matrix_text,
+    qrcp,
+    rand_srrqr_rank,
+    rand_srrqr_tol,
+    srrqr,
+)
 from spectra_rrqr.bench import (
+    ALGOS,
     CSV_COLUMNS,
+    RECORD_KEYS,
     RunConfig,
     records_to_csv_rows,
     resolve_matrix,
@@ -18,6 +29,22 @@ from spectra_rrqr.bench import (
     write_csv,
 )
 from spectra_rrqr.cli import main
+
+# (algo, parameters) on hc:64x16 for every algorithm
+HC_RUNS = {
+    "srrqr": {"tau": 1e-8},
+    "rand-rank": {"k": 5, "d": 64},
+    "rand-tau": {"tau": 1e-8, "d": 64},
+    "qrcp": {"k": 5},
+}
+
+# (algo, k, tau) that RunConfig rejects
+BAD_ARGS = [
+    ("srrqr", None, None),
+    ("qrcp", None, None),
+    ("rand-rank", None, None),
+    ("rand-tau", 3, None),
+]
 
 
 class TestResolveMatrix:
@@ -96,6 +123,40 @@ class TestRunFactor:
             assert rec["algo"] == algo
             assert rec["timings_ms"]["total"] > 0
 
+    @pytest.mark.parametrize("with_ratios", [False, True])
+    def test_one_key_set_for_every_algo(self, with_ratios):
+        mat = resolve_matrix("hc:64x16")[1]
+        recs = {}
+        for algo, kw in HC_RUNS.items():
+            cfg = RunConfig(matrix="hc:64x16", algo=algo, with_ratios=with_ratios, **kw)
+            (recs[algo],) = run_factor(cfg)
+            assert list(recs[algo]) == list(RECORD_KEYS)
+            assert recs[algo]["algo"] == algo
+            assert recs[algo]["timings_ms"]["total"] > 0
+            assert (recs[algo]["ratios"] is not None) == with_ratios
+            json.dumps(recs[algo])
+        det = srrqr(mat, SrrqrConfig(f=2.0, mode=Tolerance(1e-8)), want_q=False)
+        rec = recs["srrqr"]
+        assert (rec["k"], rec["rho"]) == (det.k, det.rho)
+        assert rec["swap_count"] == det.swap_count
+        assert rec["kind"] is rec["f_tilde"] is rec["l_values"] is None
+        rec = recs["qrcp"]
+        assert rec["k"] == qrcp(mat, 5, want_q=False).k == 5
+        assert rec["rho"] is rec["swap_count"] is None
+        for algo, run, stop in [
+            ("rand-rank", rand_srrqr_rank, {"k": 5}),
+            ("rand-tau", rand_srrqr_tol, {"tau": 1e-8}),
+        ]:
+            res = run(mat, f=2.0, d=64, seed=0, want_q=False, **stop)
+            rec = recs[algo]
+            assert rec["k"] == res.k
+            assert rec["swap_count"] == res.sketch_result.swap_count
+            assert rec["f_tilde"] == res.f_tilde and rec["rho"] is None
+            assert rec["epsilon_measured"] == res.distortion
+            assert rec["epsilon_nominal"] is None
+            assert set(rec["timings_ms"]) == set(res.timings_ms) | {"total"}
+            assert (rec["l_values"] is not None) == with_ratios
+
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
         cfg = RunConfig(
@@ -143,6 +204,37 @@ class TestCsvSchema:
         assert len(text.splitlines()) == 1 + len(rows)
 
 
+RATIO_CHECKS = [
+    "leading singular ratios",
+    "trailing singular ratios",
+    "interlacing lower bound",
+    "coupling entries",
+]
+SRRQR_CHECKS = [f"srrqr {n}" for n in RATIO_CHECKS] + [
+    "srrqr exhaustive swap certificate"
+]
+QRCP_CHECKS = [f"qrcp {n}" for n in RATIO_CHECKS]
+SANDWICHES = [
+    f"{name} {side}"
+    for name in (
+        "sketch singular values",
+        "trailing norm sandwich",
+        "trailing frobenius sandwich",
+    )
+    for side in ("upper", "lower")
+]
+TAIL_CHECKS = [
+    "residual sandwich upper",
+    "residual sandwich lower",
+    "swap ratio preservation upper",
+    "swap ratio preservation lower",
+    "exhaustive swap certificate",
+]
+RAND_HEAD = [f"randomized {n}" for n in RATIO_CHECKS] + SANDWICHES
+RAND_CHECKS = RAND_HEAD + TAIL_CHECKS
+RAND_TAU_CHECKS = RAND_HEAD + ["trailing norms within tolerance"] + TAIL_CHECKS
+
+
 class TestVerify:
     def test_identity_passes(self):
         report = run_verify("identity:16", "srrqr", f=2.0, k=8)
@@ -162,6 +254,43 @@ class TestVerify:
         assert report.exit_code == 1
         names = " ".join(c.name for c in report.violations)
         assert "leading singular ratios" in names or "coupling" in names
+
+    @pytest.mark.parametrize("algo, k, tau", BAD_ARGS)
+    def test_bad_arguments_raise(self, algo, k, tau):
+        with pytest.raises(ValueError, match="takes"):
+            run_verify("identity:8", algo, k=k, tau=tau)
+
+    @pytest.mark.parametrize(
+        "matrix, algo, kw, names",
+        [
+            ("identity:16", "srrqr", {"k": 8}, SRRQR_CHECKS),
+            ("kahan:128x32", "qrcp", {"k": 31}, QRCP_CHECKS),
+            ("random:64x12", "rand-rank", {"k": 6, "d": 48}, RAND_CHECKS),
+            ("hc:64x16", "rand-tau", {"tau": 1e-8, "d": 64}, RAND_TAU_CHECKS),
+        ],
+    )
+    def test_checklist_names(self, matrix, algo, kw, names):
+        report = run_verify(matrix, algo, seeds=[0, 1], **kw)
+        assert [c.name for c in report.checks] == [
+            f"seed={s} {name}" for s in (0, 1) for name in names
+        ]
+
+    def test_vacuous_distortion_opens_every_window(self):
+        # d=8 < n=12 cannot embed the range of M: eps = 1
+        (rec,) = run_factor(
+            RunConfig(matrix="random:64x12", algo="rand-rank", k=6, d=8)
+        )
+        assert rec["epsilon_measured"] == 1.0 and rec["f_tilde"] is None
+        report = run_verify("random:64x12", "rand-rank", k=6, d=8)
+        assert [c.name for c in report.checks] == [f"seed=0 {n}" for n in RAND_CHECKS]
+        for c in report.checks:
+            if c.name.endswith("interlacing lower bound"):
+                assert c.limit == 1.0 - 1e-8
+            elif c.comparator == "<=":
+                assert c.limit == float("inf"), c.name
+            else:
+                assert c.limit == 0.0, c.name
+        assert report.exit_code == 0
 
     def test_report_lines_format(self):
         report = run_verify("identity:8", "srrqr", f=2.0, k=4)
@@ -279,6 +408,39 @@ class TestCli:
             ["verify", "--matrix", "kahan:128x32", "--algo", "qrcp", "--k", "31"]
         )
         assert bad == 1
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    @pytest.mark.parametrize(
+        "command", [["factor", "--format", "json"], ["factor"], ["ratios"], ["verify"]]
+    )
+    def test_every_algo(self, algo, command, capsys):
+        opts = [f"--{key}={val}" for key, val in HC_RUNS[algo].items()]
+        argv = command[:1] + ["--matrix", "hc:64x16", "--algo", algo] + opts
+        assert main(argv + command[1:]) == 0
+        out = capsys.readouterr().out
+        if "json" in command:
+            (rec,) = json.loads(out)
+            assert list(rec) == list(RECORD_KEYS) and rec["algo"] == algo
+        elif command == ["verify"]:
+            count = len(out.splitlines()) - 1
+            assert out.splitlines()[-1] == f"{count}/{count} checks passed"
+        else:
+            lines = out.splitlines()
+            assert lines[0] == ",".join(CSV_COLUMNS)
+            assert lines[1].startswith("rank,0,")
+            assert ("leading_ratio" in out) == (command == ["ratios"])
+
+    @pytest.mark.parametrize("command", ["factor", "ratios", "verify"])
+    @pytest.mark.parametrize("algo, k, tau", BAD_ARGS)
+    def test_bad_arguments_exit_2(self, command, algo, k, tau, capsys):
+        argv = [command, "--matrix", "identity:8", "--algo", algo]
+        argv += ["--k", str(k)] if k is not None else []
+        argv += ["--tau", str(tau)] if tau is not None else []
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("spectra-rrqr: error: ") and "takes" in err[-1]
 
     def test_volume_decay_cli(self, tmp_path, capsys):
         out = tmp_path / "vol.csv"
