@@ -31,7 +31,7 @@ from .rand_srrqr import (
     ratio_report,
     record_ratios,
 )
-from .sketch import SketchOperator, apply, pad_rows_pow2, worker_count
+from .sketch import SketchOperator, _operator_rows, apply, worker_count
 from .srrqr import (
     SrrqrConfig,
     SrrqrResult,
@@ -405,12 +405,9 @@ def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundChec
     vacuous = res.distortion >= 1.0
     eps = 0.0 if vacuous else res.distortion
 
-    srht = res.kind == "srht"
-    padded = pad_rows_pow2(mat) if srht else mat
-    op = SketchOperator(kind=res.kind, d=res.d, m=padded.shape[0], seed=seed)
-    msk = apply(op, padded)
+    # the R factor the call pivoted on has the singular values of its sketch
     sv_m = singular_values(mat)
-    sv_sk = singular_values(msk)
+    sv_sk = singular_values(res.sketch_result.state.r)
     limit = min(len(sv_sk), len(sv_m), res.d)
     keep = sv_m[:limit] > 1e-13 * sv_m[0]
     quot = sv_sk[:limit][keep] / sv_m[:limit][keep]
@@ -441,8 +438,9 @@ def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundChec
     cols = min(6, n - 1) if n > 1 else 1
     a_ls = mat[:, :cols]
     b = mat @ rng.standard_normal(n)
-    a_sk = msk[:, :cols]
-    b_sk = apply(op, pad_rows_pow2(b[:, None]) if srht else b[:, None])[:, 0]
+    op = SketchOperator(res.kind, res.d, _operator_rows(res.kind, len(b)), seed)
+    ls_sk = apply(op, np.column_stack([a_ls, b]))
+    a_sk, b_sk = ls_sk[:, :cols], ls_sk[:, cols]
     x_hat = np.linalg.lstsq(a_sk, b_sk, rcond=None)[0]
     x_star = np.linalg.lstsq(a_ls, b, rcond=None)[0]
     r_star = float(np.linalg.norm(a_ls @ x_star - b))
@@ -497,6 +495,11 @@ def run_verify(
         seeds=seeds or [0],
         matrix_seed=matrix_seed,
     )
+    return verify_config(cfg)
+
+
+def verify_config(cfg: RunConfig) -> VerifyReport:
+    """Bound checklist of every seed of ``cfg`` (thread fan-out)."""
     checks = []
     for seed, got in zip(cfg.seeds, _per_seed(cfg, verify_checks)):
         for c in got:

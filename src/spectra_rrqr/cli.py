@@ -21,8 +21,8 @@ from .bench import (
     resolve_matrix,
     run_factor,
     run_timing,
-    run_verify,
     run_volume_decay,
+    verify_config,
     volume_decay_csv,
     volume_decay_gnuplot,
     write_csv,
@@ -127,11 +127,15 @@ def main(argv=None) -> int:
                 matrix_seed=args.matrix_seed,
                 with_ratios=(args.command == "ratios"),
             )
+            # a bad matrix descriptor or sketch size surfaces only in the run
+            if args.command == "verify":
+                report = verify_config(cfg)
+            else:
+                records = run_factor(cfg)
         except ValueError as exc:
             parser.error(str(exc))
 
     if args.command in ("factor", "ratios"):
-        records = run_factor(cfg)
         if args.format == "json":
             text = json.dumps(records, indent=2)
         else:
@@ -145,17 +149,6 @@ def main(argv=None) -> int:
         return 0
 
     if args.command == "verify":
-        report = run_verify(
-            matrix=cfg.matrix,
-            algo=cfg.algo,
-            f=cfg.f,
-            k=cfg.k,
-            tau=cfg.tau,
-            kind=cfg.kind,
-            d=cfg.d,
-            seeds=cfg.seeds,
-            matrix_seed=cfg.matrix_seed,
-        )
         for line in report.lines():
             print(line)
         bad = len(report.violations)

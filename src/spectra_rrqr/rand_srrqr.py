@@ -31,13 +31,14 @@ from .dense_core import (
 from .sketch import SketchOperator, embedding_distortion, ose_dim
 from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
 
-# A randomized call validates its input once, in _prepare; the stages run
-# on that array and on copies of it, so they are bound to the unchecked
-# kernels behind the public functions of the same names (looked up here at
-# call time, which lets a tracer wrap each stage).
+# A randomized call validates its input once, in the public function; the
+# stages run on that array and on copies of it, so they are bound to the
+# unchecked kernels behind the public functions of the same names (looked
+# up here at call time, which lets a tracer wrap each stage).
 from .dense_core import _stable_partial_qr as stable_partial_qr
 from .sketch import _apply as apply
-from .sketch import _pad_rows_pow2 as pad_rows_pow2
+from .sketch import _operator_rows
+from .sketch import pad_rows_pow2  # noqa: F401  perfbench's sketch.pad trace point
 
 _MEASURE_LIMIT = 64
 
@@ -112,14 +113,11 @@ class QlpResult:
     r_values_sorted: np.ndarray
 
 
-def _prepare(m, kind: str):
-    a = as_matrix(m)
-    padded = pad_rows_pow2(a) if kind == "srht" else a
-    return a, padded
+def _randomized(a, f, mode, d, subspace, seed, kind, epsilon, want_q):
+    """Sketch the validated ``a``, pivot on the sketch, then factor ``a``.
 
-
-def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrResult:
-    """Sketch, then run the strong RRQR on the sketch's triangular factor.
+    ``d`` defaults to the size that embeds a ``subspace``-dimensional
+    subspace.
 
     Column norms, ``inv(R11)``, ``R12`` and the ``R22`` column norms of the
     sketch under any permutation are fixed by the R factor of the permuted
@@ -129,8 +127,16 @@ def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrRes
     the same decisions at a fraction of the cost.  A sketch with ``d <= n``
     is used as it is.
     """
+    rows = _operator_rows(kind, a.shape[0])
+    if d is None:
+        d = ose_dim(epsilon, 0.1, subspace, rows, kind)
+    if d > rows:
+        raise ValueError(f"sketch size d={d} exceeds padded row count {rows}")
+    timings: dict = {}
+    op = SketchOperator(kind=kind, d=d, m=rows, seed=seed)
+    config = SrrqrConfig(f=f, mode=mode)
     t0 = time.perf_counter()
-    msk = apply(op, padded)
+    msk = apply(op, a)
     timings["sketch"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     if msk.shape[0] > msk.shape[1]:
@@ -138,18 +144,9 @@ def _pivot_on_sketch(op, padded, config: SrrqrConfig, timings: dict) -> SrrqrRes
         msk = _r_factor(msk)
     sk_res = srrqr(msk, config, want_q=False)
     timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
-    return sk_res
-
-
-def _distortion(op, padded, cols: int, epsilon: float):
-    if cols <= _MEASURE_LIMIT:
-        return embedding_distortion(op, _range_basis(padded)), True
-    return epsilon, False
-
-
-def _finish(
-    a, padded, op, sk_res, f, epsilon, seed, kind, want_q, timings
-) -> RandSrrqrResult:
+    if sk_res.k == 0:
+        # only a tolerance can stop before the first pivot
+        raise ValueError("tolerance exceeds every sketched column norm")
     k = min(sk_res.k, *a.shape)
     perm = sk_res.factorization.perm.copy()
     t0 = time.perf_counter()
@@ -158,7 +155,8 @@ def _finish(
     fact.perm = perm
     timings["final_qr"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
-    eps_hat, measured = _distortion(op, padded, a.shape[1], epsilon)
+    measured = a.shape[1] <= _MEASURE_LIMIT
+    eps_hat = embedding_distortion(op, _range_basis(a)) if measured else epsilon
     timings["distortion"] = (time.perf_counter() - t0) * 1e3
     return RandSrrqrResult(
         factorization=fact,
@@ -194,25 +192,17 @@ def rand_srrqr_rank(
     input), ``"kplus1"`` targets any (k+1)-dimensional subspace, which is
     the right notion for general matrices with k much smaller than m.
     """
-    a, padded = _prepare(m, kind)
-    rows_sk = padded.shape[0]
+    a = as_matrix(m)
     n = a.shape[1]
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"k={k} out of range for a {a.shape[0]}x{n} matrix")
     if sizing not in ("range", "kplus1"):
         raise ValueError(f"unknown sizing policy {sizing!r}")
-    if d is None:
-        subspace = n if sizing == "range" else k + 1
-        d = ose_dim(epsilon, 0.1, subspace, rows_sk, kind)
-    if d < k:
+    # a default d embeds at least k + 1 dimensions, so only a given d is short
+    if d is not None and d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
-    if d > rows_sk:
-        raise ValueError(f"sketch size d={d} exceeds padded row count {rows_sk}")
-    timings: dict = {}
-    op = SketchOperator(kind=kind, d=d, m=rows_sk, seed=seed)
-    config = SrrqrConfig(f=f, mode=TargetRank(k))
-    sk_res = _pivot_on_sketch(op, padded, config, timings)
-    return _finish(a, padded, op, sk_res, f, epsilon, seed, kind, want_q, timings)
+    subspace = n if sizing == "range" else k + 1
+    return _randomized(a, f, TargetRank(k), d, subspace, seed, kind, epsilon, want_q)
 
 
 def rand_srrqr_tol(
@@ -232,22 +222,11 @@ def rand_srrqr_tol(
     the returned factorization obey ``gamma_j <= tau / sqrt(1 - eps)`` for
     the realized distortion eps.
     """
-    a, padded = _prepare(m, kind)
-    rows_sk = padded.shape[0]
+    a = as_matrix(m)
     n = a.shape[1]
     if not tau > 1e-300 * np.linalg.norm(a):
         raise ValueError(f"tolerance {tau} is below the representable scale of m")
-    if d is None:
-        d = ose_dim(epsilon, 0.1, n, rows_sk, kind)
-    if d > rows_sk:
-        raise ValueError(f"sketch size d={d} exceeds padded row count {rows_sk}")
-    timings: dict = {}
-    op = SketchOperator(kind=kind, d=d, m=rows_sk, seed=seed)
-    config = SrrqrConfig(f=f, mode=Tolerance(tau))
-    sk_res = _pivot_on_sketch(op, padded, config, timings)
-    if sk_res.k == 0:
-        raise ValueError("tolerance exceeds every sketched column norm")
-    return _finish(a, padded, op, sk_res, f, epsilon, seed, kind, want_q, timings)
+    return _randomized(a, f, Tolerance(tau), d, n, seed, kind, epsilon, want_q)
 
 
 def ratio_report(m, res, threshold: float | None = None) -> RatioReport:
@@ -309,7 +288,7 @@ def qlp_values(res) -> QlpResult:
     )
 
 
-def swap_subspace_distortion(op: SketchOperator, m_padded, perm, k: int) -> float:
+def swap_subspace_distortion(op: SketchOperator, m, perm, k: int) -> float:
     """Largest distortion over the swap-relevant (k+1)-dimensional subspaces.
 
     For the single-interchange certificate only the spans of the k selected
@@ -317,8 +296,10 @@ def swap_subspace_distortion(op: SketchOperator, m_padded, perm, k: int) -> floa
     those n-k subspaces can be measured exactly.  This is the tight
     certificate threshold for a general (possibly full-rank) matrix, where
     embedding the whole range would need a sketch as large as the matrix.
+    ``m`` is the matrix the operator sketches; an SRHT takes it unpadded
+    (see :func:`.sketch.apply`).
     """
-    a = as_matrix(m_padded)
+    a = as_matrix(m)
     mp = a[:, perm.forward]
     n = a.shape[1]
     worst = 0.0

@@ -49,14 +49,17 @@ def worker_count(n_jobs: int) -> int:
     """Threads for ``n_jobs`` independent jobs.
 
     The number of CPUs available to the process, capped by the
-    ``SPECTRA_RRQR_THREADS`` environment variable and by ``n_jobs``.
+    ``SPECTRA_RRQR_THREADS`` environment variable (``ValueError`` unless it
+    is an integer) and by ``n_jobs``.
     """
     if hasattr(os, "sched_getaffinity"):
         cap = len(os.sched_getaffinity(0))
     else:
         cap = os.cpu_count() or 1
-    env = os.environ.get("SPECTRA_RRQR_THREADS", "")
-    if env.strip():
+    env = os.environ.get("SPECTRA_RRQR_THREADS", "").strip()
+    if env:
+        if not env.lstrip("+-").isdigit():
+            raise ValueError(f"SPECTRA_RRQR_THREADS must be an integer, got {env!r}")
         cap = min(cap, max(1, int(env)))
     return max(1, min(n_jobs, cap))
 
@@ -98,17 +101,18 @@ def next_pow2(n: int) -> int:
 
 def pad_rows_pow2(m) -> np.ndarray:
     """Zero-pad below so the row count becomes a power of two."""
-    return _pad_rows_pow2(as_matrix(m))
-
-
-def _pad_rows_pow2(a: np.ndarray) -> np.ndarray:
-    """:func:`pad_rows_pow2` on an already validated F-ordered matrix."""
+    a = as_matrix(m)
     target = next_pow2(a.shape[0])
     if target == a.shape[0]:
         return a
     out = np.zeros((target, a.shape[1]), order="F")
     out[: a.shape[0], :] = a
     return out
+
+
+def _operator_rows(kind: str, rows: int) -> int:
+    """Operator row count for a ``rows``-row input; the SRHT pads to 2^j."""
+    return next_pow2(rows) if kind == "srht" else rows
 
 
 def fwht(x) -> np.ndarray:
@@ -289,20 +293,23 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     is contracted against ``H_p`` for every row (one batched product on
     the row-major view ``(n, p, q)``); the within-block index is then
     contracted only against the rows of ``H_q`` the samples need, one
-    product per sampled row block.  Row blocks past the last nonzero one
-    (the zero padding of :func:`pad_rows_pow2`) add nothing to the first
-    product, so it contracts only the leading blocks.
+    product per sampled row block.  Rows of ``a`` past its end (it may
+    have fewer than m) are zeros: row blocks past the last nonzero one add
+    nothing to the first product, so it contracts only the leading blocks,
+    and a partial last block is zero-filled in the working copy ``x``.
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
     # larger factor of the split goes to stage 2: q = p or q = 2p
     q = 1 << (op.m.bit_length() // 2)
     p = op.m // q
-    live = p
+    live = -(-a.shape[0] // q)
     while live and not a[(live - 1) * q : live * q].any():
         live -= 1
     rows = live * q
-    x = (a[:rows].T * op.signs[:rows]).reshape(n, live, q)
+    x = np.zeros((n, live, q))
+    head = x.reshape(n, rows)[:, : a.shape[0]]
+    np.multiply(a[:rows].T, op.signs[: head.shape[1]], out=head)
     z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64)[:, :live], x)
     block, within = np.divmod(op.sample_idx, q)
     # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
@@ -320,6 +327,8 @@ def apply(op: SketchOperator, m) -> np.ndarray:
 
     The SRHT path flips signs and computes only the ``d`` sampled rows of
     the Hadamard transform, as two matrix products (see :func:`_srht_rows`).
+    It takes unpadded input, giving bitwise what it gives on
+    :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
     The Gaussian path multiplies blocks of counter-generated operator
     columns into the result, generating them in chunks of at most
     ``_CHUNK`` columns on one worker thread per available CPU, capped by
@@ -331,7 +340,7 @@ def apply(op: SketchOperator, m) -> np.ndarray:
 
 def _apply(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """:func:`apply` on an already validated F-ordered float64 matrix."""
-    if a.shape[0] != op.m:
+    if _operator_rows(op.kind, a.shape[0]) != op.m:
         raise ValueError(f"matrix has {a.shape[0]} rows, operator expects {op.m}")
     if op.kind == "identity":
         return a.copy()

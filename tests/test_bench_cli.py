@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from spectra_rrqr import bench
 from spectra_rrqr import (
     SrrqrConfig,
     Tolerance,
@@ -37,6 +38,14 @@ HC_RUNS = {
     "rand-tau": {"tau": 1e-8, "d": 64},
     "qrcp": {"k": 5},
 }
+
+# arguments RunConfig accepts that fail in the run: the matrix descriptor
+# or the sketch size (d above the padded row count 64)
+RUN_ERRORS = [
+    ["--matrix", "kahan", "--algo", "qrcp", "--k", "3"],
+    ["--matrix", "identity:abc", "--algo", "qrcp", "--k", "3"],
+    ["--matrix", "random:64x12", "--algo", "rand-rank", "--k", "6", "--d", "100"],
+]
 
 # (algo, k, tau) that RunConfig rejects
 BAD_ARGS = [
@@ -292,6 +301,21 @@ class TestVerify:
                 assert c.limit == 0.0, c.name
         assert report.exit_code == 0
 
+    def test_sketches_only_the_least_squares_block(self, monkeypatch):
+        # the sketch checks reuse the call's R factor; only [M[:, :6], b]
+        # is sketched again, never all 12 columns of M
+        seen = []
+        real = bench.apply
+
+        def spy(op, mat):
+            seen.append(np.shape(mat))
+            return real(op, mat)
+
+        monkeypatch.setattr(bench, "apply", spy)
+        report = run_verify("random:100x12", "rand-rank", k=6, d=48, seeds=[0, 1])
+        assert report.exit_code == 0
+        assert seen and all(shape[1] <= 6 + 1 for shape in seen)
+
     def test_report_lines_format(self):
         report = run_verify("identity:8", "srrqr", f=2.0, k=4)
         for line in report.lines():
@@ -441,6 +465,16 @@ class TestCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1].startswith("spectra-rrqr: error: ") and "takes" in err[-1]
+
+    @pytest.mark.parametrize("command", ["factor", "ratios", "verify"])
+    @pytest.mark.parametrize("args", RUN_ERRORS, ids=["no-dims", "bad-dims", "big-d"])
+    def test_run_errors_exit_2(self, command, args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command] + args)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith("spectra-rrqr: error: ")
 
     def test_volume_decay_cli(self, tmp_path, capsys):
         out = tmp_path / "vol.csv"

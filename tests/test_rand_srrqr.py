@@ -217,6 +217,21 @@ class TestValidatedOnce:
             assert np.array_equal(res.factorization.q, fact.q)
         assert np.array_equal(a, before)
 
+    @pytest.mark.parametrize("cols", [12, COLS])
+    def test_srht_never_pads(self, monkeypatch, cols):
+        # the SRHT sketches the 300-row input as it is; 12 columns also
+        # measure the distortion on the unpadded range basis
+        def refuse(_):
+            raise AssertionError("the randomized pipeline padded its input")
+
+        for mod in (sketch, rand_srrqr):
+            monkeypatch.setattr(mod, "pad_rows_pow2", refuse)
+        a = rng(12).standard_normal((self.ROWS, cols))
+        tol = rand_srrqr_tol(a, 2.0, 1e-8, seed=4)
+        rank = rand_srrqr_rank(a, 2.0, 10, seed=4)
+        assert tol.k == min(self.ROWS, cols) and rank.k == 10
+        assert tol.distortion_is_measured == (cols == 12)
+
     def test_public_functions_keep_their_checks(self):
         bad = np.ones((16, 3))
         bad[5, 1] = np.nan

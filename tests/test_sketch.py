@@ -274,6 +274,29 @@ class TestSrhtKronecker:
         # all zero: the reference is zero, so _check demands exact zeros
         self._check(op, np.zeros((m, 4)))
 
+    @pytest.mark.parametrize("log_m", range(2, 13))
+    def test_unpadded_input_is_padded_bitwise(self, log_m):
+        # row counts between m/2 and m end inside a row block, on either
+        # side of a block boundary, or one short of m; the sketch must be
+        # the bytes of the sketch of the zero-padded input
+        m = 2**log_m
+        q = 1 << (m.bit_length() // 2)
+        g = rng(400 + log_m)
+        op = SketchOperator("srht", d=max(1, m // 3), m=m, seed=log_m)
+        for rows in sorted({m // 2 + 1, q - 1, q, q + 1, m - q, m - q + 1, m - 1}):
+            if not m // 2 < rows < m:
+                continue
+            x = g.standard_normal((rows, 3))
+            tail = x.copy()
+            tail[rows // 2 :] = 0.0
+            for a in (x, np.ascontiguousarray(x), np.asfortranarray(tail),
+                      np.zeros((rows, 2))):
+                got = apply(op, a)
+                assert got.tobytes() == apply(op, pad_rows_pow2(a)).tobytes()
+        gauss = SketchOperator("gaussian", d=2, m=m + 1, seed=0)
+        with pytest.raises(ValueError, match="rows"):
+            apply(gauss, np.ones((m, 1)))
+
     @pytest.mark.parametrize("m", [2, 8, 64, 2048])
     def test_repeated_samples(self, m):
         g = rng(m)
@@ -458,6 +481,11 @@ class TestWorkerCount:
         for env, want in (("1", 1), ("2", 2), ("16", 4), ("0", 1), (" ", 4)):
             monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
             assert sk.worker_count(10) == want
+
+    def test_non_integer_env_names_variable(self, monkeypatch):
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", "two")
+        with pytest.raises(ValueError, match="SPECTRA_RRQR_THREADS.*'two'"):
+            sk.worker_count(10)
 
     def test_one_helper(self):
         assert bench.worker_count is sk.worker_count
