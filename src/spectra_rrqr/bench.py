@@ -96,19 +96,25 @@ def resolve_matrix(text: str, seed: int = 0) -> tuple[str, np.ndarray]:
     kind = parts[0].lower()
     if len(parts) < 2:
         raise ValueError(f"matrix descriptor {text!r} is missing dimensions")
-    dims = parts[1].lower().split("x")
+
+    def number(cast, segment, value):
+        try:
+            return cast(value)
+        except ValueError:
+            msg = f"matrix descriptor {text!r}: bad segment {segment!r}"
+            raise ValueError(msg) from None
+
+    dims = [number(int, parts[1], x) for x in parts[1].lower().split("x")]
     extra = {}
     for item in parts[2:]:
         key, _, val = item.partition("=")
-        extra[key.strip()] = float(val)
+        extra[key.strip().lower()] = number(float, item, val)
     if kind == "identity":
-        n = int(dims[0])
-        return text, np.eye(n)
+        return text, np.eye(dims[0])
     if kind == "diag":
-        n = int(dims[0])
-        return text, np.diag(np.arange(1.0, n + 1.0))
-    m = int(dims[0])
-    n = int(dims[1]) if len(dims) > 1 else m
+        return text, np.diag(np.arange(1.0, dims[0] + 1.0))
+    m = dims[0]
+    n = dims[1] if len(dims) > 1 else m
     if kind == "random":
         rng = np.random.default_rng(seed)
         return text, rng.standard_normal((m, n))
@@ -161,6 +167,8 @@ class RunConfig:
                 raise ValueError(f"{self.algo} takes k and not tau")
         elif self.tau is None or self.k is not None:
             raise ValueError(f"{self.algo} takes tau and not k")
+        if not self.seeds:
+            raise ValueError("no seeds to run; give at least one seed")
 
 
 def exhaustive_det_ratios(mp, k: int) -> np.ndarray:
@@ -522,6 +530,8 @@ def run_volume_decay(
     the per-n volumes and the fitted slope of log-volume against n.
     """
     n_values = list(n_values)
+    if not n_values:
+        raise ValueError("no column counts to run; the n range is empty")
     n_max = max(n_values)
     if n_max > d:
         raise ValueError(f"column count {n_max} exceeds sketch size {d}")

@@ -32,7 +32,11 @@ from .dense_core import save_matrix_binary, save_matrix_text
 
 def _parse_seeds(args) -> list[int]:
     if args.seed_list:
-        return [int(s) for s in args.seed_list.split(",")]
+        try:
+            return [int(s) for s in args.seed_list.split(",")]
+        except ValueError:
+            msg = f"--seed-list takes comma-separated integers, got {args.seed_list!r}"
+            raise ValueError(msg) from None
     return list(range(args.seed_base, args.seed_base + args.seeds))
 
 
@@ -56,6 +60,87 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seeds", type=int, default=1, help="number of seeds")
     p.add_argument("--seed-base", type=int, default=0)
     p.add_argument("--seed-list", default=None, help="comma-separated explicit seeds")
+
+
+def _run(args) -> int:
+    """Run the parsed command and return its exit code."""
+    if args.command == "gen-matrix":
+        _, mat = resolve_matrix(args.matrix, args.seed)
+        if args.format == "text":
+            save_matrix_text(mat, args.out)
+        else:
+            save_matrix_binary(mat, args.out)
+        print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
+        return 0
+
+    if args.command in ("factor", "ratios", "verify"):
+        cfg = RunConfig(
+            matrix=args.matrix,
+            algo=args.algo,
+            f=args.f,
+            k=args.k,
+            tau=args.tau,
+            kind=args.kind,
+            d=args.d,
+            seeds=_parse_seeds(args),
+            matrix_seed=args.matrix_seed,
+            with_ratios=(args.command == "ratios"),
+        )
+        if args.command == "verify":
+            report = verify_config(cfg)
+            for line in report.lines():
+                print(line)
+            bad = len(report.violations)
+            print(f"{len(report.checks) - bad}/{len(report.checks)} checks passed")
+            return report.exit_code
+        records = run_factor(cfg)
+        if args.format == "json":
+            text = json.dumps(records, indent=2)
+        else:
+            text = write_csv(records_to_csv_rows(records))
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+            print(f"wrote {len(records)} records to {args.out}")
+        else:
+            print(text)
+        return 0
+
+    if args.command == "volume-decay":
+        result = run_volume_decay(
+            m_rows=args.m,
+            d=args.d,
+            n_values=_parse_range(args.n),
+            seed=args.seed,
+            kind=args.kind,
+        )
+        text = volume_decay_csv(result, args.out)
+        if args.out:
+            script = volume_decay_gnuplot(args.out)
+            with open(args.out + ".gp", "w") as fh:
+                fh.write(script)
+            print(f"wrote {args.out} and {args.out}.gp; slope={result['slope']:.5f}")
+        else:
+            print(text)
+            print(f"slope={result['slope']:.5f}")
+        return 0
+
+    # the one command left: timing
+    result = run_timing(
+        matrix=args.matrix,
+        tau=args.tau,
+        f=args.f,
+        kind=args.kind,
+        d=args.d,
+        seed=args.seed,
+        matrix_seed=args.matrix_seed,
+    )
+    text = json.dumps(result, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    print(text)
+    return 0
 
 
 def main(argv=None) -> int:
@@ -103,96 +188,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
-
-    if args.command == "gen-matrix":
-        _, mat = resolve_matrix(args.matrix, args.seed)
-        if args.format == "text":
-            save_matrix_text(mat, args.out)
-        else:
-            save_matrix_binary(mat, args.out)
-        print(f"wrote {mat.shape[0]}x{mat.shape[1]} matrix to {args.out}")
-        return 0
-
-    if args.command in ("factor", "ratios", "verify"):
-        try:
-            cfg = RunConfig(
-                matrix=args.matrix,
-                algo=args.algo,
-                f=args.f,
-                k=args.k,
-                tau=args.tau,
-                kind=args.kind,
-                d=args.d,
-                seeds=_parse_seeds(args),
-                matrix_seed=args.matrix_seed,
-                with_ratios=(args.command == "ratios"),
-            )
-            # a bad matrix descriptor or sketch size surfaces only in the run
-            if args.command == "verify":
-                report = verify_config(cfg)
-            else:
-                records = run_factor(cfg)
-        except ValueError as exc:
-            parser.error(str(exc))
-
-    if args.command in ("factor", "ratios"):
-        if args.format == "json":
-            text = json.dumps(records, indent=2)
-        else:
-            text = write_csv(records_to_csv_rows(records))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-            print(f"wrote {len(records)} records to {args.out}")
-        else:
-            print(text)
-        return 0
-
-    if args.command == "verify":
-        for line in report.lines():
-            print(line)
-        bad = len(report.violations)
-        print(f"{len(report.checks) - bad}/{len(report.checks)} checks passed")
-        return report.exit_code
-
-    if args.command == "volume-decay":
-        result = run_volume_decay(
-            m_rows=args.m,
-            d=args.d,
-            n_values=_parse_range(args.n),
-            seed=args.seed,
-            kind=args.kind,
-        )
-        text = volume_decay_csv(result, args.out)
-        if args.out:
-            script = volume_decay_gnuplot(args.out)
-            with open(args.out + ".gp", "w") as fh:
-                fh.write(script)
-            print(f"wrote {args.out} and {args.out}.gp; slope={result['slope']:.5f}")
-        else:
-            print(text)
-            print(f"slope={result['slope']:.5f}")
-        return 0
-
-    if args.command == "timing":
-        result = run_timing(
-            matrix=args.matrix,
-            tau=args.tau,
-            f=args.f,
-            kind=args.kind,
-            d=args.d,
-            seed=args.seed,
-            matrix_seed=args.matrix_seed,
-        )
-        text = json.dumps(result, indent=2)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        print(text)
-        return 0
-
-    parser.error(f"unknown command {args.command}")
-    return 2
+    try:
+        return _run(args)
+    except ValueError as exc:
+        # input errors the parser cannot see: descriptor, seeds, sizes
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -35,6 +35,10 @@ Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 m.  Runs without interchanges, and inputs with no more rows than columns,
 are never compressed.
 
+An interchange rotates leading column i to the block boundary, swaps the
+boundary pair with one reflector and rotates the incoming column back; each
+rotation is one LAPACK QR of rows i..k-1, so omega and ``a`` only permute.
+
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
 ``dgemqrt`` on the m-by-m identity).  :func:`qrcp` is LAPACK's ``dgeqp3``.
@@ -115,7 +119,8 @@ class SrrqrState:
     :meth:`_compress` has run (in :func:`srrqr`, at the first interchange of
     a tall input) ``r`` has n rows, and its trailing block n-k.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
-    in the module docstring; they are always current.
+    in the module docstring; they are always current.  Interchanges
+    retriangularize R11 with LAPACK QRs of its rows i..k-1 (:meth:`_cycle`).
 
     Growth steps may leave up to ``_PANEL`` Householder updates pending:
     reflectors ``V`` (one column each) and ``F = tau A^T v`` (one column per
@@ -299,59 +304,21 @@ class SrrqrState:
             self.r[k:, k:] -= self._v[k:, :p] @ self._f[k:, :p].T
             self._pending = 0
 
-    def _givens_rows(self, t: int, x: float, y: float, col_start: int) -> None:
-        """Rotate rows t and t+1 so the pair (x, y) maps to (hypot, 0).
+    def _cycle(self, i: int, shift: int) -> None:
+        """Roll leading columns i..k-1 by ``shift`` and retriangularize.
 
-        Applied to columns col_start onward; columns to the left must be
-        zero in both rows.
-        """
-        h = math.hypot(x, y)
-        if h == 0.0:
-            return
-        c, s = x / h, y / h
-        r = self.r
-        top = c * r[t, col_start:] + s * r[t + 1, col_start:]
-        bot = -s * r[t, col_start:] + c * r[t + 1, col_start:]
-        r[t, col_start:] = top
-        r[t + 1, col_start:] = bot
-
-    def _rotate_to_boundary(self, i: int) -> None:
-        """Cyclically move leading column i to position k-1 and retriangularize.
-
-        The Givens sweep leaves the maintained quantities exactly permuted.
+        ``shift=-1`` moves column i to position k-1, ``shift=1`` moves
+        column k-1 back to i.  One LAPACK QR of rows i..k-1 (columns i
+        onward) restores the triangle; a row rotation of R11 and R12 leaves
+        omega and ``a`` exactly permuted with the columns.
         """
         k = self.k
-        if i == k - 1:
-            return
         r = self.r
-        r[:, i:k] = np.roll(r[:, i:k], -1, axis=1)
-        for t in range(i, k - 1):
-            self._givens_rows(t, r[t, t], r[t + 1, t], t)
-            r[t + 1, t] = 0.0
-        self._flip_row(k - 1)
-        if self.update_mode == "incremental":
-            self.omega[i:k] = np.roll(self.omega[i:k], -1)
-            self.a[i:k, :] = np.roll(self.a[i:k, :], -1, axis=0)
-
-    def _rotate_from_boundary(self, i: int) -> None:
-        """Inverse of :meth:`_rotate_to_boundary`: column k-1 moves back to i.
-
-        The inserted column forms a spike in rows i..k-1, eliminated bottom
-        up by Givens rotations that never touch the trailing block.
-        """
-        k = self.k
-        if i == k - 1:
-            return
-        r = self.r
-        r[:, i:k] = np.roll(r[:, i:k], 1, axis=1)
-        for t in range(k - 2, i - 1, -1):
-            self._givens_rows(t, r[t, i], r[t + 1, i], i)
-            r[t + 1, i] = 0.0
-        for t in range(i, k):
-            self._flip_row(t)
-        if self.update_mode == "incremental":
-            self.omega[i:k] = np.roll(self.omega[i:k], 1)
-            self.a[i:k, :] = np.roll(self.a[i:k, :], 1, axis=0)
+        # rows >= k of the leading columns are zero, so they need no roll
+        r[:k, i:k] = np.roll(r[:k, i:k], shift, axis=1)
+        r[i:k, i:] = _r_factor(np.asfortranarray(r[i:k, i:]), overwrite=True)
+        self.omega[i:k] = np.roll(self.omega[i:k], shift)
+        self.a[i:k] = np.roll(self.a[i:k], shift, axis=0)
 
     def _swap_boundary(self) -> None:
         """Interchange columns k-1 and k, then restore the triangular form."""
@@ -430,7 +397,8 @@ class SrrqrState:
         Internally the leading column rotates to the block boundary, the
         boundary pair is swapped and retriangularized, and the incoming
         column rotates back to position i, so the net column permutation is
-        exactly the transposition (i, k+j).
+        exactly the transposition (i, k+j).  Each rotation is one LAPACK QR
+        of rows i..k-1 (:meth:`_cycle`).
         """
         k, n = self.k, self.r.shape[1]
         if not (0 <= i < k):
@@ -438,11 +406,11 @@ class SrrqrState:
         if not (0 <= j < n - k):
             raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
         self._flush()
-        self._rotate_to_boundary(i)
+        self._cycle(i, -1)
         self._swap_trailing(j)
         self._swap_boundary()
         self._swap_trailing(j)
-        self._rotate_from_boundary(i)
+        self._cycle(i, 1)
         self.perm.swap(i, k + j)
         if self.update_mode != "incremental":
             self._recompute()

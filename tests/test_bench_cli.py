@@ -39,13 +39,42 @@ HC_RUNS = {
     "qrcp": {"k": 5},
 }
 
-# arguments RunConfig accepts that fail in the run: the matrix descriptor
-# or the sketch size (d above the padded row count 64)
+# arguments RunConfig accepts that fail in the run, and a fragment of the
+# error line: the matrix descriptor, which the message names, or the sketch
+# size (d above the padded row count 64)
 RUN_ERRORS = [
-    ["--matrix", "kahan", "--algo", "qrcp", "--k", "3"],
-    ["--matrix", "identity:abc", "--algo", "qrcp", "--k", "3"],
-    ["--matrix", "random:64x12", "--algo", "rand-rank", "--k", "6", "--d", "100"],
+    pytest.param(
+        ["--matrix", "kahan", "--algo", "qrcp", "--k", "3"], "'kahan'", id="no-dims"
+    ),
+    pytest.param(
+        ["--matrix", "identity:abc", "--algo", "qrcp", "--k", "3"],
+        "'identity:abc'",
+        id="bad-dims",
+    ),
+    pytest.param(
+        ["--matrix", "kahan:64x16:s", "--algo", "qrcp", "--k", "3"],
+        "'kahan:64x16:s'",
+        id="bad-param",
+    ),
+    pytest.param(
+        ["--matrix", "random:64x12", "--algo", "rand-rank", "--k", "6", "--d", "100"],
+        "d=100",
+        id="big-d",
+    ),
 ]
+
+# other commands' input errors, each one error line and exit code 2
+COMMAND_ERRORS = {
+    "gen-matrix-no-dims": ["gen-matrix", "--matrix", "kahan", "--out", "x.txt"],
+    "timing-no-dims": ["timing", "--matrix", "kahan"],
+    "decay-empty-range": ["volume-decay", "--n", "30:10"],
+    "decay-zero-step": ["volume-decay", "--n", "10:30:0"],
+    "decay-big-n": ["volume-decay", "--m", "64", "--d", "32", "--n", "40"],
+    "no-seeds": ["verify", "--matrix", "random:64x12", "--algo", "rand-rank"]
+    + ["--k", "6", "--seeds", "0"],
+    "negative-seeds": ["factor", "--matrix", "random:64x12", "--algo", "rand-rank"]
+    + ["--k", "6", "--seeds", "-2"],
+}
 
 # (algo, k, tau) that RunConfig rejects
 BAD_ARGS = [
@@ -85,6 +114,20 @@ class TestResolveMatrix:
         with pytest.raises(ValueError, match="dimensions"):
             resolve_matrix("kahan")
 
+    @pytest.mark.parametrize(
+        "text, segment",
+        [("identity:abc", "abc"), ("kahan:64x16:s", "s"), ("hc:8xq", "8xq")],
+    )
+    def test_bad_segment_named(self, text, segment):
+        with pytest.raises(ValueError) as exc:
+            resolve_matrix(text)
+        assert str(exc.value) == f"matrix descriptor {text!r}: bad segment {segment!r}"
+
+    def test_param_keys_ignore_case(self):
+        upper = resolve_matrix("stairs:64x32:L=8")[1]
+        assert np.array_equal(upper, resolve_matrix("stairs:64x32:l=8")[1])
+        assert not np.array_equal(upper, resolve_matrix("stairs:64x32")[1])
+
 
 class TestRunConfig:
     def test_srrqr_needs_exactly_one_mode(self):
@@ -106,6 +149,10 @@ class TestRunConfig:
     def test_unknown_algo(self):
         with pytest.raises(ValueError, match="unknown algo"):
             RunConfig(matrix="identity:8", algo="svd", k=2)
+
+    def test_empty_seeds(self):
+        with pytest.raises(ValueError, match="no seeds"):
+            RunConfig(matrix="identity:8", algo="qrcp", k=2, seeds=[])
 
 
 class TestRunFactor:
@@ -330,6 +377,10 @@ class TestVolumeDecay:
         assert all(b < a for a, b in zip(logs, logs[1:]))
         assert result["slope"] < 0
 
+    def test_empty_range_rejected(self):
+        with pytest.raises(ValueError, match="no column counts"):
+            run_volume_decay(512, 96, range(40, 20), seed=0)
+
     def test_saturated_sketch_rejected(self):
         with pytest.raises(ValueError, match="exceeds sketch size"):
             run_volume_decay(512, 96, range(40, 121, 20), seed=0)
@@ -467,14 +518,36 @@ class TestCli:
         assert err[-1].startswith("spectra-rrqr: error: ") and "takes" in err[-1]
 
     @pytest.mark.parametrize("command", ["factor", "ratios", "verify"])
-    @pytest.mark.parametrize("args", RUN_ERRORS, ids=["no-dims", "bad-dims", "big-d"])
-    def test_run_errors_exit_2(self, command, args, capsys):
+    @pytest.mark.parametrize("args, fragment", RUN_ERRORS)
+    def test_run_errors_exit_2(self, command, args, fragment, capsys):
         with pytest.raises(SystemExit) as exc:
             main([command] + args)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith("spectra-rrqr: error: ")
+        assert fragment in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("argv", COMMAND_ERRORS.values(), ids=COMMAND_ERRORS.keys())
+    def test_command_errors_exit_2(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        errors = [x for x in captured.err.splitlines() if "error" in x]
+        assert len(errors) == 1 and errors[0].startswith("spectra-rrqr: error: ")
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_seed_list_error_names_option(self, capsys):
+        argv = ["factor", "--matrix", "identity:8", "--algo", "qrcp", "--k", "2"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed-list", "1,a"])
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("spectra-rrqr: error: --seed-list") and "'1,a'" in line
 
     def test_volume_decay_cli(self, tmp_path, capsys):
         out = tmp_path / "vol.csv"

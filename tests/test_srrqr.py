@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,9 @@ from spectra_rrqr import (
 )
 from spectra_rrqr.bench import exhaustive_det_ratios
 from spectra_rrqr.srrqr import _PANEL
+
+# ranks the benchmark's swap-det pool must reproduce; read, never written
+REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
 
 
 def rng(seed=0):
@@ -601,6 +606,19 @@ class TestCompression:
         assert np.allclose(st.r[:20], before.r[:20], atol=1e-12)
         assert np.allclose(st.gamma, before.gamma, rtol=1e-10)
         assert np.allclose(st.a, before.a, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_benchmark_scale_interchanges(self, seed):
+        # the swap-det workload: stewart 2048x256, q=0.8, f=1.1, tau=1e-10
+        rec = json.loads(REFERENCE_K.read_text())["stewart:2048x256:q=0.8"]
+        m = generate(MatrixSpec(Stewart(m=2048, n=256, q=0.8), seed=seed))
+        cfg = SrrqrConfig(f=rec["f"], mode=Tolerance(rec["tau"]))
+        res = srrqr(m, cfg, want_q=False)
+        assert res.k == rec["k"][str(seed)]
+        assert res.swap_count > 0
+        assert res.state.r.shape[0] == 256
+        assert res.rho <= rec["f"]
+        assert max(res.state.consistency_errors().values()) <= 1e-8
 
     def test_compress_is_a_noop_without_extra_rows(self):
         m = rng(31).standard_normal((30, 30))
