@@ -3,11 +3,13 @@
 Everything here is importable so the test suite can exercise the bench
 logic without spawning subprocesses.  :func:`_factor` is the one place that
 maps an algorithm name to its call; the factor records (one key set,
-:data:`RECORD_KEYS`, for all four algorithms) and the bound checklist of
-``verify`` are both built from its result.  Seeds fan out across a thread
-pool with one thread per available CPU, capped by the ``SPECTRA_RRQR_THREADS``
-environment variable (:func:`.sketch.worker_count`); records are returned
-in seed order regardless of completion order.
+:data:`RECORD_KEYS`, for all four algorithms), the bound checklist of
+``verify`` and both runs of ``timing`` come from its result.
+:func:`resolve_matrix` is the one place that maps a matrix descriptor to a
+matrix, with the kind names and defaults of :mod:`.testmat`.  Seeds fan out
+across a thread pool with one thread per available CPU, capped by the
+``SPECTRA_RRQR_THREADS`` environment variable (:func:`.sketch.worker_count`);
+records are returned in seed order regardless of completion order.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -84,13 +86,23 @@ RECORD_KEYS = (
 )
 
 
-def resolve_matrix(text: str, seed: int = 0) -> tuple[str, np.ndarray]:
+# descriptor kinds spelled otherwise than :mod:`.testmat`'s names (which
+# also take hyphens for underscores)
+_KIND_ALIASES = {"stairs": "devils_stairs", "ident": "sampled_identity"}
+# descriptor keys (case-blind) and the generator field each one sets
+_PARAM_KEYS = {"s": "s", "pert": "diag_perturb", "q": "q", "l": "stair_len"}
+
+
+def resolve_matrix(text: str, seed: int = 0) -> np.ndarray:
     """Build a matrix from a compact descriptor like ``hc:8192x500``.
 
-    Kinds: kahan, stairs, stewart, hc, sampled-identity, identity, diag,
-    random; extra ``:key=value`` segments set generator parameters (``s``,
-    ``q``, ``L``, ``pert``).  Dimensions are ``MxN`` (kahan: M is the padded
-    row count, N the triangular size); ``diag:N`` is diag(1..N).
+    Kinds: kahan, stairs (or devils-stairs), stewart, hc, sampled-identity
+    (or ident), identity, diag, random.  Dimensions are ``MxN`` (kahan: M is
+    the padded row count, N the triangular size); ``diag:N`` is diag(1..N).
+    Extra ``:key=value`` segments set generator parameters: ``s`` and
+    ``pert`` for kahan, ``q`` for stairs and stewart, ``l`` for stairs; keys
+    are case-blind, and a key the kind does not take is an error.  A
+    parameter not given keeps the default of its :mod:`.testmat` dataclass.
     """
     parts = text.split(":")
     kind = parts[0].lower()
@@ -105,39 +117,36 @@ def resolve_matrix(text: str, seed: int = 0) -> tuple[str, np.ndarray]:
             raise ValueError(msg) from None
 
     dims = [number(int, parts[1], x) for x in parts[1].lower().split("x")]
-    extra = {}
+    given = {}
     for item in parts[2:]:
         key, _, val = item.partition("=")
-        extra[key.strip().lower()] = number(float, item, val)
+        given[key.strip().lower()] = number(float, item, val)
+    if kind in ("identity", "diag", "random"):
+        cls, known = None, set()
+    else:
+        cls = testmat._NAME_KINDS.get(_KIND_ALIASES.get(kind, kind.replace("-", "_")))
+        if cls is None:
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        known = {fld.name for fld in fields(cls)}
+    params = {}
+    for key, value in given.items():
+        name = _PARAM_KEYS.get(key)
+        if name not in known:
+            takes = ", ".join(k for k, v in _PARAM_KEYS.items() if v in known)
+            msg = f"matrix descriptor {text!r}: unknown key {key!r}"
+            raise ValueError(f"{msg} ({kind} takes {takes or 'no keys'})")
+        params[name] = int(value) if name == "stair_len" else value
     if kind == "identity":
-        return text, np.eye(dims[0])
+        return np.eye(dims[0])
     if kind == "diag":
-        return text, np.diag(np.arange(1.0, dims[0] + 1.0))
+        return np.diag(np.arange(1.0, dims[0] + 1.0))
     m = dims[0]
     n = dims[1] if len(dims) > 1 else m
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        return text, rng.standard_normal((m, n))
-    if kind == "kahan":
-        spec_kind = testmat.Kahan(
-            n=n,
-            s=extra.get("s", 0.99),
-            pad_to_m=m,
-            diag_perturb=extra.get("pert", 25.0),
-        )
-    elif kind in ("stairs", "devils-stairs", "devils_stairs"):
-        spec_kind = testmat.DevilsStairs(
-            m=m, n=n, q=extra.get("q", 1e-3), stair_len=int(extra.get("l", 100))
-        )
-    elif kind == "stewart":
-        spec_kind = testmat.Stewart(m=m, n=n, q=extra.get("q", 0.8))
-    elif kind == "hc":
-        spec_kind = testmat.HC(m=m, n=n)
-    elif kind in ("sampled-identity", "sampled_identity", "ident"):
-        spec_kind = testmat.SampledIdentity(m=m, n=n)
-    else:
-        raise ValueError(f"unknown matrix kind {kind!r}")
-    return text, generate(MatrixSpec(kind=spec_kind, seed=seed))
+        return np.random.default_rng(seed).standard_normal((m, n))
+    # the kahan triangle is N by N, zero-padded to M rows
+    shape = {"n": n, "pad_to_m": m} if cls is testmat.Kahan else {"m": m, "n": n}
+    return generate(MatrixSpec(kind=cls(**shape, **params), seed=seed))
 
 
 @dataclass
@@ -239,7 +248,7 @@ def _record(mat: np.ndarray, cfg: RunConfig, seed: int) -> dict:
 
 def _per_seed(cfg: RunConfig, run) -> list:
     """``run(mat, cfg, seed)`` for each seed of ``cfg`` on a thread pool."""
-    _, mat = resolve_matrix(cfg.matrix, cfg.matrix_seed)
+    mat = resolve_matrix(cfg.matrix, cfg.matrix_seed)
     with ThreadPoolExecutor(max_workers=worker_count(len(cfg.seeds))) as pool:
         return list(pool.map(lambda s: run(mat, cfg, s), cfg.seeds))
 
@@ -398,12 +407,15 @@ def verify_checks(mat: np.ndarray, cfg: RunConfig, seed: int) -> list[BoundCheck
             )
         )
     elif randomized:
-        checks += _sketch_checks(mat, cfg, seed, res, slack)
+        checks += _sketch_checks(mat, cfg, seed, res, rep.sigma_m, slack)
     return checks
 
 
-def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundCheck]:
-    """The checks that carry bounds from the sketch over to M."""
+def _sketch_checks(
+    mat, cfg: RunConfig, seed: int, res, sv_m, slack
+) -> list[BoundCheck]:
+    """The checks that carry bounds from the sketch over to M, whose
+    singular values ``sv_m`` the ratio report has computed."""
     checks: list[BoundCheck] = []
     n = mat.shape[1]
     kk = res.k
@@ -414,7 +426,6 @@ def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundChec
     eps = 0.0 if vacuous else res.distortion
 
     # the R factor the call pivoted on has the singular values of its sketch
-    sv_m = singular_values(mat)
     sv_sk = singular_values(res.sketch_result.state.r)
     limit = min(len(sv_sk), len(sv_m), res.d)
     keep = sv_m[:limit] > 1e-13 * sv_m[0]
@@ -478,32 +489,6 @@ def _sketch_checks(mat, cfg: RunConfig, seed: int, res, slack) -> list[BoundChec
             )
         )
     return checks
-
-
-def run_verify(
-    matrix: str,
-    algo: str,
-    f: float = 2.0,
-    k: int | None = None,
-    tau: float | None = None,
-    kind: str = "srht",
-    d: int | None = None,
-    seeds: list[int] | None = None,
-    matrix_seed: int = 0,
-) -> VerifyReport:
-    """Bound checklist of every seed; :class:`RunConfig` checks the args."""
-    cfg = RunConfig(
-        matrix=matrix,
-        algo=algo,
-        f=f,
-        k=k,
-        tau=tau,
-        kind=kind,
-        d=d,
-        seeds=seeds or [0],
-        matrix_seed=matrix_seed,
-    )
-    return verify_config(cfg)
 
 
 def verify_config(cfg: RunConfig) -> VerifyReport:
@@ -580,13 +565,10 @@ def run_timing(
 ) -> dict:
     """Wall-clock comparison: deterministic factorization vs the randomized
     pipeline (sketch + pivoting on the sketch + final unpivoted QR)."""
-    _, mat = resolve_matrix(matrix, matrix_seed)
-    t0 = time.perf_counter()
-    det = srrqr(mat, SrrqrConfig(f=f, mode=Tolerance(tau)), want_q=False)
-    det_ms = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    rnd = rand_srrqr_tol(mat, f=f, tau=tau, d=d, seed=seed, kind=kind, want_q=False)
-    rnd_ms = (time.perf_counter() - t0) * 1e3
+    mat = resolve_matrix(matrix, matrix_seed)
+    rand_cfg = RunConfig(matrix, "rand-tau", f=f, tau=tau, kind=kind, d=d)
+    det, det_ms = _factor(mat, replace(rand_cfg, algo="srrqr"), seed)
+    rnd, rnd_ms = _factor(mat, rand_cfg, seed)
     rnd_core_ms = float(
         sum(v for k, v in rnd.timings_ms.items() if k != "distortion")
     )

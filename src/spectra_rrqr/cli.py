@@ -41,12 +41,16 @@ def _parse_seeds(args) -> list[int]:
 
 
 def _parse_range(text: str) -> range:
-    parts = [int(x) for x in text.split(":")]
-    if len(parts) == 1:
-        return range(parts[0], parts[0] + 1)
-    if len(parts) == 2:
-        return range(parts[0], parts[1] + 1)
-    return range(parts[0], parts[1] + 1, parts[2])
+    """``start[:stop[:step]]``, stop included, as a range."""
+    msg = f"--n takes integers start[:stop[:step]] with a nonzero step, got {text!r}"
+    try:
+        parts = [int(x) for x in text.split(":")]
+    except ValueError:
+        raise ValueError(msg) from None
+    if len(parts) > 3 or parts[2:] == [0]:
+        raise ValueError(msg)
+    stop = parts[1] if len(parts) > 1 else parts[0]
+    return range(parts[0], stop + 1, *parts[2:])
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -65,7 +69,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _run(args) -> int:
     """Run the parsed command and return its exit code."""
     if args.command == "gen-matrix":
-        _, mat = resolve_matrix(args.matrix, args.seed)
+        mat = resolve_matrix(args.matrix, args.seed)
         if args.format == "text":
             save_matrix_text(mat, args.out)
         else:

@@ -85,13 +85,15 @@ class RatioReport:
     ``leading_ratios[i] = sigma_i(M) / sigma_i(R11)`` and
     ``trailing_ratios[j] = sigma_j(R22) / sigma_{j+k}(M)``; trailing entries
     whose denominator falls below 1e-13 * sigma_1(M) are NaN (the ratio is
-    undefined for a spectrum that has already hit zero).
+    undefined for a spectrum that has already hit zero).  ``sigma_m`` keeps
+    the singular values of M the ratios were computed from.
     """
 
     leading_ratios: np.ndarray
     trailing_ratios: np.ndarray
     a_max: float
     bound: float
+    sigma_m: np.ndarray = field(repr=False)
 
     @property
     def defined_trailing(self) -> np.ndarray:
@@ -268,6 +270,7 @@ def ratio_report(m, res, threshold: float | None = None) -> RatioReport:
         trailing_ratios=trailing,
         a_max=a_max,
         bound=bound,
+        sigma_m=sv_m,
     )
 
 

@@ -372,22 +372,6 @@ def embedding_distortion(op: SketchOperator, basis) -> float:
     return float(max(1.0 - s[-1] ** 2, s[0] ** 2 - 1.0))
 
 
-@dataclass(frozen=True)
-class SketchConfig:
-    epsilon: float
-    delta: float
-    subspace_dim: int
-    d: int
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-        if self.subspace_dim < 1 or self.d < 1:
-            raise ValueError("dimensions must be positive")
-
-
 def ose_dim(
     epsilon: float,
     delta: float,

@@ -441,7 +441,6 @@ def srrqr_state(m, k: int, *, update_mode: str = "incremental") -> SrrqrState:
     for _ in range(k):
         state._advance()
     state._flush()
-    state.swap_count = 0
     return state
 
 
@@ -536,27 +535,22 @@ def srrqr(
         raise TypeError("config must be an SrrqrConfig")
     f = config.f
     rank_mode = isinstance(config.mode, TargetRank)
-    if rank_mode and config.mode.k > mr:
-        raise ValueError(
-            f"target rank {config.mode.k} exceeds min(rows, cols) = {mr}"
-        )
+    # the rank to stop at: the target, or every column a tolerance leaves
+    stop = config.mode.k if rank_mode else mr
+    if stop > mr:
+        raise ValueError(f"target rank {stop} exceeds min(rows, cols) = {mr}")
 
     state = _fresh_state(a, update_mode)
     f_swap = f * (1.0 + 1e-12)
     early_exit = f / math.sqrt(2.0)
 
-    while True:
-        if rank_mode:
-            if state.k >= config.mode.k:
-                break
-        elif state.k >= mr:
-            break
+    while state.k < stop:
         jmax = int(np.argmax(state.gamma))
         if rank_mode:
             if state.gamma[jmax] < _UNDERFLOW_FLOOR:
                 raise SingularMatrixError(
                     f"trailing column norms underflowed at step {state.k + 1}; "
-                    f"target rank {config.mode.k} exceeds the numerical rank"
+                    f"target rank {stop} exceeds the numerical rank"
                 )
         elif state.gamma[jmax] < config.mode.tau:
             break
@@ -579,7 +573,8 @@ def srrqr(
                     "livelock in floating point"
                 )
             i, j = divmod(first, hit.shape[1])
-            ratio = det_ratio(state, i, j)
+            # the growth factor is only reported, to a monitor
+            ratio = det_ratio(state, i, j) if on_swap is not None else None
             # a tall state drops to n rows here, at its first interchange
             state._compress()
             state._interchange_core(i, j)

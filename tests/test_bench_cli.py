@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spectra_rrqr import bench
+from spectra_rrqr import bench, testmat
 from spectra_rrqr import (
     SrrqrConfig,
     Tolerance,
@@ -23,8 +23,8 @@ from spectra_rrqr.bench import (
     resolve_matrix,
     run_factor,
     run_timing,
-    run_verify,
     run_volume_decay,
+    verify_config,
     volume_decay_csv,
     volume_decay_gnuplot,
     write_csv,
@@ -57,6 +57,11 @@ RUN_ERRORS = [
         id="bad-param",
     ),
     pytest.param(
+        ["--matrix", "stewart:64x32:qq=0.5", "--algo", "qrcp", "--k", "3"],
+        "unknown key 'qq'",
+        id="unknown-key",
+    ),
+    pytest.param(
         ["--matrix", "random:64x12", "--algo", "rand-rank", "--k", "6", "--d", "100"],
         "d=100",
         id="big-d",
@@ -87,23 +92,23 @@ BAD_ARGS = [
 
 class TestResolveMatrix:
     def test_kinds_and_shapes(self):
-        assert resolve_matrix("identity:16")[1].shape == (16, 16)
-        d = resolve_matrix("diag:10")[1]
+        assert resolve_matrix("identity:16").shape == (16, 16)
+        d = resolve_matrix("diag:10")
         assert np.array_equal(np.diag(d), np.arange(1.0, 11.0))
-        assert resolve_matrix("random:8x5", seed=1)[1].shape == (8, 5)
-        assert resolve_matrix("kahan:128x32")[1].shape == (128, 32)
-        assert resolve_matrix("stairs:64x32:l=8")[1].shape == (64, 32)
-        assert resolve_matrix("stewart:48x24")[1].shape == (48, 24)
-        assert resolve_matrix("hc:64x16")[1].shape == (64, 16)
-        assert resolve_matrix("sampled-identity:64x9")[1].shape == (64, 9)
+        assert resolve_matrix("random:8x5", seed=1).shape == (8, 5)
+        assert resolve_matrix("kahan:128x32").shape == (128, 32)
+        assert resolve_matrix("stairs:64x32:l=8").shape == (64, 32)
+        assert resolve_matrix("stewart:48x24").shape == (48, 24)
+        assert resolve_matrix("hc:64x16").shape == (64, 16)
+        assert resolve_matrix("sampled-identity:64x9").shape == (64, 9)
 
     def test_kahan_params(self):
-        loose = resolve_matrix("kahan:64x8:s=0.5")[1]
+        loose = resolve_matrix("kahan:64x8:s=0.5")
         assert np.isclose(loose[1, 1], 0.5, atol=1e-10)
 
     def test_seed_changes_random(self):
-        a = resolve_matrix("random:6x4", seed=0)[1]
-        b = resolve_matrix("random:6x4", seed=1)[1]
+        a = resolve_matrix("random:6x4", seed=0)
+        b = resolve_matrix("random:6x4", seed=1)
         assert not np.array_equal(a, b)
 
     def test_unknown_kind(self):
@@ -123,10 +128,38 @@ class TestResolveMatrix:
             resolve_matrix(text)
         assert str(exc.value) == f"matrix descriptor {text!r}: bad segment {segment!r}"
 
+    @pytest.mark.parametrize(
+        "text, key, takes",
+        [
+            ("stewart:64x32:qq=0.5", "qq", "q"),
+            ("hc:64x16:q=0.5", "q", "no keys"),
+            ("kahan:64x16:l=4", "l", "s, pert"),
+            ("stairs:64x32:stair_len=8", "stair_len", "q, l"),
+            ("random:8x4:s=0.5", "s", "no keys"),
+        ],
+    )
+    def test_unknown_key_named(self, text, key, takes):
+        with pytest.raises(ValueError) as exc:
+            resolve_matrix(text)
+        assert str(exc.value).startswith(
+            f"matrix descriptor {text!r}: unknown key {key!r}"
+        )
+        assert str(exc.value).endswith(f"takes {takes})")
+
+    def test_documented_keys_set_the_generator(self):
+        spec = testmat.Kahan(n=16, s=0.9, pad_to_m=32, diag_perturb=5.0)
+        want = testmat.generate(testmat.MatrixSpec(spec))
+        assert np.array_equal(resolve_matrix("kahan:32x16:S=0.9:pert=5"), want)
+        spec = testmat.DevilsStairs(m=64, n=32, q=0.5, stair_len=8)
+        want = testmat.generate(testmat.MatrixSpec(spec, seed=3))
+        for kind in ("stairs", "devils-stairs", "devils_stairs"):
+            got = resolve_matrix(f"{kind}:64x32:q=0.5:l=8", seed=3)
+            assert np.array_equal(got, want)
+
     def test_param_keys_ignore_case(self):
-        upper = resolve_matrix("stairs:64x32:L=8")[1]
-        assert np.array_equal(upper, resolve_matrix("stairs:64x32:l=8")[1])
-        assert not np.array_equal(upper, resolve_matrix("stairs:64x32")[1])
+        upper = resolve_matrix("stairs:64x32:L=8")
+        assert np.array_equal(upper, resolve_matrix("stairs:64x32:l=8"))
+        assert not np.array_equal(upper, resolve_matrix("stairs:64x32"))
 
 
 class TestRunConfig:
@@ -181,7 +214,7 @@ class TestRunFactor:
 
     @pytest.mark.parametrize("with_ratios", [False, True])
     def test_one_key_set_for_every_algo(self, with_ratios):
-        mat = resolve_matrix("hc:64x16")[1]
+        mat = resolve_matrix("hc:64x16")
         recs = {}
         for algo, kw in HC_RUNS.items():
             cfg = RunConfig(matrix="hc:64x16", algo=algo, with_ratios=with_ratios, **kw)
@@ -293,20 +326,21 @@ RAND_TAU_CHECKS = RAND_HEAD + ["trailing norms within tolerance"] + TAIL_CHECKS
 
 class TestVerify:
     def test_identity_passes(self):
-        report = run_verify("identity:16", "srrqr", f=2.0, k=8)
+        report = verify_config(RunConfig("identity:16", "srrqr", f=2.0, k=8))
         assert report.exit_code == 0
         assert all(c.ok for c in report.checks)
 
     def test_randomized_passes(self):
-        report = run_verify(
+        cfg = RunConfig(
             "random:64x12", "rand-rank", f=2.0, k=6, d=48, seeds=list(range(5))
         )
+        report = verify_config(cfg)
         assert report.exit_code == 0
 
     def test_qrcp_on_kahan_fails_bounds(self):
         # the expected-fail fixture: greedy pivoting alone cannot satisfy
         # the strong bounds on this matrix
-        report = run_verify("kahan:128x32", "qrcp", f=2.0, k=31)
+        report = verify_config(RunConfig("kahan:128x32", "qrcp", f=2.0, k=31))
         assert report.exit_code == 1
         names = " ".join(c.name for c in report.violations)
         assert "leading singular ratios" in names or "coupling" in names
@@ -314,7 +348,7 @@ class TestVerify:
     @pytest.mark.parametrize("algo, k, tau", BAD_ARGS)
     def test_bad_arguments_raise(self, algo, k, tau):
         with pytest.raises(ValueError, match="takes"):
-            run_verify("identity:8", algo, k=k, tau=tau)
+            verify_config(RunConfig("identity:8", algo, k=k, tau=tau))
 
     @pytest.mark.parametrize(
         "matrix, algo, kw, names",
@@ -326,7 +360,7 @@ class TestVerify:
         ],
     )
     def test_checklist_names(self, matrix, algo, kw, names):
-        report = run_verify(matrix, algo, seeds=[0, 1], **kw)
+        report = verify_config(RunConfig(matrix, algo, seeds=[0, 1], **kw))
         assert [c.name for c in report.checks] == [
             f"seed={s} {name}" for s in (0, 1) for name in names
         ]
@@ -337,7 +371,7 @@ class TestVerify:
             RunConfig(matrix="random:64x12", algo="rand-rank", k=6, d=8)
         )
         assert rec["epsilon_measured"] == 1.0 and rec["f_tilde"] is None
-        report = run_verify("random:64x12", "rand-rank", k=6, d=8)
+        report = verify_config(RunConfig("random:64x12", "rand-rank", k=6, d=8))
         assert [c.name for c in report.checks] == [f"seed=0 {n}" for n in RAND_CHECKS]
         for c in report.checks:
             if c.name.endswith("interlacing lower bound"):
@@ -359,15 +393,38 @@ class TestVerify:
             return real(op, mat)
 
         monkeypatch.setattr(bench, "apply", spy)
-        report = run_verify("random:100x12", "rand-rank", k=6, d=48, seeds=[0, 1])
+        report = verify_config(
+            RunConfig("random:100x12", "rand-rank", k=6, d=48, seeds=[0, 1])
+        )
         assert report.exit_code == 0
         assert seen and all(shape[1] <= 6 + 1 for shape in seen)
 
     def test_report_lines_format(self):
-        report = run_verify("identity:8", "srrqr", f=2.0, k=4)
+        report = verify_config(RunConfig("identity:8", "srrqr", f=2.0, k=4))
         for line in report.lines():
             assert line.startswith("[PASS]") or line.startswith("[FAIL]")
             assert "limit=" in line
+
+
+class TestOneDispatch:
+    def test_every_driver_runs_through_factor(self, monkeypatch):
+        calls = []
+        real = bench._factor
+
+        def spy(mat, cfg, seed):
+            calls.append((cfg.algo, seed))
+            return real(mat, cfg, seed)
+
+        monkeypatch.setattr(bench, "_factor", spy)
+        run_factor(RunConfig("hc:64x16", "qrcp", k=5, seeds=[0, 1]))
+        assert sorted(calls) == [("qrcp", 0), ("qrcp", 1)]
+        calls.clear()
+        verify_config(RunConfig("identity:8", "srrqr", k=4))
+        assert calls == [("srrqr", 0)]
+        calls.clear()
+        out = run_timing("stairs:128x32:l=8", tau=1e-8, d=64, seed=2)
+        assert calls == [("srrqr", 2), ("rand-tau", 2)]
+        assert out["deterministic_k"] == out["randomized_k"]
 
 
 class TestVolumeDecay:
@@ -548,6 +605,14 @@ class TestCli:
         assert exc.value.code == 2
         line = capsys.readouterr().err.splitlines()[-1]
         assert line.startswith("spectra-rrqr: error: --seed-list") and "'1,a'" in line
+
+    @pytest.mark.parametrize("text", ["abc", "10:30:0", "1:2:3:4"])
+    def test_range_error_names_option(self, text, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["volume-decay", "--n", text])
+        assert exc.value.code == 2
+        line = capsys.readouterr().err.splitlines()[-1]
+        assert line.startswith("spectra-rrqr: error: --n ") and repr(text) in line
 
     def test_volume_decay_cli(self, tmp_path, capsys):
         out = tmp_path / "vol.csv"

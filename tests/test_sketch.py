@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_rrqr import (
-    SketchConfig,
     SketchOperator,
     apply,
     cos_angle,
@@ -559,11 +558,6 @@ class TestOseDim:
         with pytest.raises(ValueError, match="policy"):
             ose_dim(0.25, 0.1, 8, 64, policy="magic")
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=1.5, delta=0.1, subspace_dim=4, d=16)
-        with pytest.raises(ValueError):
-            SketchConfig(epsilon=0.5, delta=0.0, subspace_dim=4, d=16)
 
 
 class TestSandwiches:
