@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import testmat
-from .dense_core import PartialQR, as_matrix, partial_qr, r_factor, singular_values
+from .dense_core import PartialQR, _r_factor, as_matrix, r_factor, singular_values
 from .rand_srrqr import (
     RandSrrqrResult,
     export_record,
@@ -100,27 +100,32 @@ def resolve_matrix(text: str, seed: int = 0) -> np.ndarray:
     (or ident), identity, diag, random.  Dimensions are ``MxN`` (kahan: M is
     the padded row count, N the triangular size); ``diag:N`` is diag(1..N).
     Extra ``:key=value`` segments set generator parameters: ``s`` and
-    ``pert`` for kahan, ``q`` for stairs and stewart, ``l`` for stairs; keys
-    are case-blind, and a key the kind does not take is an error.  A
-    parameter not given keeps the default of its :mod:`.testmat` dataclass.
+    ``pert`` for kahan, ``q`` for stairs and stewart, an integer ``l`` for
+    stairs; keys are case-blind, and a key the kind does not take is an
+    error.  A parameter not given keeps the default of its :mod:`.testmat`
+    dataclass.  identity and diag take one dimension, the others one or two.
     """
     parts = text.split(":")
     kind = parts[0].lower()
     if len(parts) < 2:
         raise ValueError(f"matrix descriptor {text!r} is missing dimensions")
 
+    def bad(segment):
+        return ValueError(f"matrix descriptor {text!r}: bad segment {segment!r}")
+
     def number(cast, segment, value):
         try:
             return cast(value)
         except ValueError:
-            msg = f"matrix descriptor {text!r}: bad segment {segment!r}"
-            raise ValueError(msg) from None
+            raise bad(segment) from None
 
     dims = [number(int, parts[1], x) for x in parts[1].lower().split("x")]
+    if len(dims) > (1 if kind in ("identity", "diag") else 2):
+        raise bad(parts[1])
     given = {}
     for item in parts[2:]:
         key, _, val = item.partition("=")
-        given[key.strip().lower()] = number(float, item, val)
+        given[key.strip().lower()] = (item, number(float, item, val))
     if kind in ("identity", "diag", "random"):
         cls, known = None, set()
     else:
@@ -129,12 +134,14 @@ def resolve_matrix(text: str, seed: int = 0) -> np.ndarray:
             raise ValueError(f"unknown matrix kind {kind!r}")
         known = {fld.name for fld in fields(cls)}
     params = {}
-    for key, value in given.items():
+    for key, (item, value) in given.items():
         name = _PARAM_KEYS.get(key)
         if name not in known:
             takes = ", ".join(k for k, v in _PARAM_KEYS.items() if v in known)
             msg = f"matrix descriptor {text!r}: unknown key {key!r}"
             raise ValueError(f"{msg} ({kind} takes {takes or 'no keys'})")
+        if name == "stair_len" and not value.is_integer():
+            raise bad(item)
         params[name] = int(value) if name == "stair_len" else value
     if kind == "identity":
         return np.eye(dims[0])
@@ -176,6 +183,8 @@ class RunConfig:
                 raise ValueError(f"{self.algo} takes k and not tau")
         elif self.tau is None or self.k is not None:
             raise ValueError(f"{self.algo} takes tau and not k")
+        if self.algo in ("srrqr", "qrcp") and (self.d, self.kind) != (None, "srht"):
+            raise ValueError(f"{self.algo} does not sketch; it takes no d or kind")
         if not self.seeds:
             raise ValueError("no seeds to run; give at least one seed")
 
@@ -184,24 +193,25 @@ def exhaustive_det_ratios(mp, k: int) -> np.ndarray:
     """From-scratch swap oracle: refactorize after every single interchange.
 
     Entry (i, j) is ``|det R11(after swapping columns i and j+k)| / |det
-    R11|``, each determinant read off an independent partial QR (log-space
-    to dodge under/overflow).
+    R11|``.  R11 depends on the k leading columns alone, so each
+    determinant is read off an independent LAPACK QR of those k columns,
+    column i replaced by column j+k (log-space to dodge under/overflow).
     """
     a = as_matrix(mp)
     n = a.shape[1]
+    if not (1 <= k <= min(a.shape)):
+        raise ValueError(f"k={k} out of range for a {a.shape[0]}x{n} matrix")
 
-    def logdet(mat):
-        d = np.abs(np.diag(partial_qr(mat, k, want_q=False).r11))
+    def logdet(cols):
+        d = np.abs(np.diag(_r_factor(a[:, cols], overwrite=True)))
         with np.errstate(divide="ignore"):
             return float(np.sum(np.log(d)))
 
-    base = logdet(a)
+    base = logdet(np.arange(k))
     out = np.zeros((k, n - k))
     for i in range(k):
         for j in range(n - k):
-            swapped = a.copy()
-            swapped[:, [i, j + k]] = swapped[:, [j + k, i]]
-            out[i, j] = math.exp(logdet(swapped) - base)
+            out[i, j] = math.exp(logdet(np.r_[:i, j + k, i + 1 : k]) - base)
     return out
 
 
@@ -567,7 +577,8 @@ def run_timing(
     pipeline (sketch + pivoting on the sketch + final unpivoted QR)."""
     mat = resolve_matrix(matrix, matrix_seed)
     rand_cfg = RunConfig(matrix, "rand-tau", f=f, tau=tau, kind=kind, d=d)
-    det, det_ms = _factor(mat, replace(rand_cfg, algo="srrqr"), seed)
+    det_cfg = replace(rand_cfg, algo="srrqr", kind="srht", d=None)
+    det, det_ms = _factor(mat, det_cfg, seed)
     rnd, rnd_ms = _factor(mat, rand_cfg, seed)
     rnd_core_ms = float(
         sum(v for k, v in rnd.timings_ms.items() if k != "distortion")

@@ -1,9 +1,11 @@
 """Dense matrix container and deterministic numerical kernels.
 
 Everything operates on 64-bit float ndarrays in column-major layout.  The
-kernels here (Householder QR, singular values, triangular solves, column
-geometry) are the building blocks consumed by the pivoted factorizations
-and the sketching layer.
+kernels here (QR, singular values, triangular solves, column geometry) are
+the building blocks consumed by the pivoted factorizations and the
+sketching layer.  Every unpivoted QR -- :func:`partial_qr`,
+:func:`thin_qr`, :func:`r_factor` and the volumes and angles built on them
+-- runs on one engine, LAPACK's blocked Householder ``dgeqrt``.
 """
 from __future__ import annotations
 
@@ -184,47 +186,6 @@ def _reflector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
     return v, float(tau), float(beta)
 
 
-def _apply_reflector_left(block: np.ndarray, v: np.ndarray, tau: float) -> None:
-    """block <- (I - tau v v^T) block, in place."""
-    if tau == 0.0:
-        return
-    block -= np.outer(tau * v, v @ block)
-
-
-def partial_qr(m, k: int, *, full_q: bool = True, want_q: bool = True) -> PartialQR:
-    """Householder partial QR after k elimination steps, no pivoting.
-
-    The diagonal of R11 is forced nonnegative by a sign sweep, which makes
-    the factor unique for full-column-rank leading blocks.  ``full_q=False``
-    materializes only the leading k columns of Q; ``want_q=False`` skips Q
-    entirely.
-    """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    if not (1 <= k <= min(rows, cols)):
-        raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    r = a.copy()
-    reflectors: list[tuple[int, np.ndarray, float]] = []
-    signs = np.ones(k)
-    for t in range(k):
-        v, tau, beta = _reflector(r[t:, t])
-        _apply_reflector_left(r[t:, t + 1 :], v, tau)
-        r[t, t] = beta
-        r[t + 1 :, t] = 0.0
-        reflectors.append((t, v, tau))
-        if r[t, t] < 0.0:
-            r[t, t:] *= -1.0
-            signs[t] = -1.0
-    q = None
-    if want_q:
-        qc = rows if full_q else k
-        q = np.eye(rows, qc)
-        for t, v, tau in reversed(reflectors):
-            _apply_reflector_left(q[t:, :], v, tau)
-        q[:, :k] *= signs
-    return PartialQR.from_r(q, r, k, PermutationSeq.identity(cols), rows)
-
-
 # panel width of the blocked Householder QR; dgeqrt factors each panel
 # recursively and updates the trailing columns with BLAS-3
 _QRT_BLOCK = 64
@@ -290,18 +251,23 @@ def _r_factor(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
     return r * _diag_signs(r)[:, None]
 
 
-def stable_partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
-    """Partial QR of a (possibly tall) matrix through the LAPACK kernel.
+def partial_qr(m, k: int, *, full_q: bool = True, want_q: bool = True) -> PartialQR:
+    """Partial QR after k elimination steps, no pivoting.
 
-    Equivalent to :func:`partial_qr` up to rotations of the trailing block;
-    R11 and R12 agree to roundoff thanks to the shared sign convention.
-    With ``want_q=False`` only R is computed.
+    One LAPACK ``dgeqrt`` of the whole matrix: R is bitwise the R of
+    :func:`r_factor`, its diagonal nonnegative, which makes the factor
+    unique for full-column-rank leading blocks; ``r22`` keeps min(m, n)-k
+    rows.  Q is m-by-m; ``full_q=False`` keeps only its leading k columns,
+    and ``want_q=False`` skips Q entirely.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    return _stable_partial_qr(a, k, want_q=want_q)
+    fact = _stable_partial_qr(a, k, want_q=want_q, full_q=full_q)
+    if fact.q is not None and not full_q:
+        fact.q = fact.q[:, :k]
+    return fact
 
 
 def _stable_partial_qr(
@@ -312,9 +278,9 @@ def _stable_partial_qr(
     full_q: bool = False,
     overwrite: bool = False,
 ) -> PartialQR:
-    """:func:`stable_partial_qr` of a validated matrix; ``k`` may be 0.
+    """:func:`partial_qr` of a validated matrix; ``k`` may be 0.
 
-    ``full_q`` forms all m columns of Q instead of the leading min(m, n).
+    Q has the leading min(m, n) columns, all m of them with ``full_q``.
     """
     rows, cols = a.shape
     if want_q:

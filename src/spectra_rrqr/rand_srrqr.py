@@ -33,8 +33,9 @@ from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
 
 # A randomized call validates its input once, in the public function; the
 # stages run on that array and on copies of it, so they are bound to the
-# unchecked kernels behind the public functions of the same names (looked
-# up here at call time, which lets a tracer wrap each stage).
+# unchecked kernels behind the public functions of the same names, or of
+# ``partial_qr`` for ``stable_partial_qr`` (looked up here at call time,
+# which lets a tracer wrap each stage).
 from .dense_core import _stable_partial_qr as stable_partial_qr
 from .sketch import _apply as apply
 from .sketch import _operator_rows

@@ -39,9 +39,10 @@ HC_RUNS = {
     "qrcp": {"k": 5},
 }
 
-# arguments RunConfig accepts that fail in the run, and a fragment of the
-# error line: the matrix descriptor, which the message names, or the sketch
-# size (d above the padded row count 64)
+# arguments that fail before or in the run, and a fragment of the error
+# line: the matrix descriptor or its bad segment, which the message names,
+# the sketch size (d above the padded row count 64), or a sketch option
+# given to an algorithm that does not sketch
 RUN_ERRORS = [
     pytest.param(
         ["--matrix", "kahan", "--algo", "qrcp", "--k", "3"], "'kahan'", id="no-dims"
@@ -65,6 +66,36 @@ RUN_ERRORS = [
         ["--matrix", "random:64x12", "--algo", "rand-rank", "--k", "6", "--d", "100"],
         "d=100",
         id="big-d",
+    ),
+    pytest.param(
+        ["--matrix", "identity:16x8", "--algo", "qrcp", "--k", "3"],
+        "bad segment '16x8'",
+        id="identity-two-dims",
+    ),
+    pytest.param(
+        ["--matrix", "diag:4x9", "--algo", "qrcp", "--k", "3"],
+        "bad segment '4x9'",
+        id="diag-two-dims",
+    ),
+    pytest.param(
+        ["--matrix", "hc:64x16x3", "--algo", "qrcp", "--k", "3"],
+        "bad segment '64x16x3'",
+        id="three-dims",
+    ),
+    pytest.param(
+        ["--matrix", "stairs:64x32:l=2.5", "--algo", "qrcp", "--k", "3"],
+        "bad segment 'l=2.5'",
+        id="fractional-l",
+    ),
+    pytest.param(
+        ["--matrix", "hc:64x16", "--algo", "qrcp", "--k", "5", "--d", "3"],
+        "qrcp does not sketch",
+        id="qrcp-d",
+    ),
+    pytest.param(
+        ["--matrix", "hc:64x16", "--algo", "qrcp", "--k", "5", "--kind", "gaussian"],
+        "qrcp does not sketch",
+        id="qrcp-kind",
     ),
 ]
 
@@ -398,6 +429,23 @@ class TestVerify:
         )
         assert report.exit_code == 0
         assert seen and all(shape[1] <= 6 + 1 for shape in seen)
+
+    def test_exhaustive_certificate_on_compressed_state(self, monkeypatch):
+        # a tall input whose state is compressed to its 128-row R factor and
+        # that makes interchanges; the oracle refactors 40 columns per swap
+        seen = []
+        real = bench._factor
+
+        def spy(mat, cfg, seed):
+            res, ms = real(mat, cfg, seed)
+            seen.append(res)
+            return res, ms
+
+        monkeypatch.setattr(bench, "_factor", spy)
+        report = verify_config(RunConfig("stewart:1024x128", "srrqr", f=1.1, k=40))
+        assert len(report.checks) == 5 and report.exit_code == 0
+        (res,) = seen
+        assert res.swap_count == 26 and res.state.r.shape[0] == 128
 
     def test_report_lines_format(self):
         report = verify_config(RunConfig("identity:8", "srrqr", f=2.0, k=4))

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectra_rrqr import (
+    PartialQR,
     PermutationSeq,
     SingularMatrixError,
     as_matrix,
@@ -21,7 +22,6 @@ from spectra_rrqr import (
     save_matrix_binary,
     save_matrix_text,
     singular_values,
-    stable_partial_qr,
     thin_qr,
     volume,
 )
@@ -146,15 +146,28 @@ class TestPartialQR:
             partial_qr(m, 0)
 
     def test_stable_path_agrees(self):
+        # against numpy's QR (another LAPACK driver), signs made nonnegative
         m = rng(6).standard_normal((12, 7))
-        own = partial_qr(m, 5)
-        fast = stable_partial_qr(m, 5)
+        ref = np.linalg.qr(m, mode="r")
+        ref *= np.where(np.diag(ref) < 0.0, -1.0, 1.0)[:, None]
+        own = PartialQR.from_r(None, ref, 5, PermutationSeq.identity(7), 12)
+        fast = partial_qr(m, 5)
         assert np.allclose(own.r11, fast.r11, atol=1e-12)
         assert np.allclose(own.r12, fast.r12, atol=1e-12)
         assert fast.reconstruction_error(m) <= 1e-12
         assert np.allclose(
             np.linalg.norm(own.r22, axis=0), np.linalg.norm(fast.r22, axis=0)
         )
+
+    @pytest.mark.parametrize("shape,k", [((40, 7), 3), ((7, 7), 7), ((5, 9), 2)])
+    def test_partial_qr_r_is_r_factor(self, shape, k):
+        # one engine: the blocks are bitwise those of r_factor's R
+        m = rng(shape[0] + k).standard_normal(shape)
+        r = r_factor(m)
+        for fact in (partial_qr(m, k, want_q=False), partial_qr(m, k)):
+            assert np.array_equal(fact.r11, r[:k, :k])
+            assert np.array_equal(fact.r12, r[:k, k:])
+            assert np.array_equal(fact.r22, r[k:, k:])
 
     @pytest.mark.parametrize("shape", [(40, 7), (7, 7), (5, 9)])
     def test_r_factor_is_thin_qr_r(self, shape):
@@ -187,8 +200,8 @@ class TestPartialQR:
     def test_stable_path_r_only(self):
         m = np.asfortranarray(rng(9).standard_normal((30, 8)))
         before = m.copy()
-        with_q = stable_partial_qr(m, 5)
-        r_only = stable_partial_qr(m, 5, want_q=False)
+        with_q = partial_qr(m, 5)
+        r_only = partial_qr(m, 5, want_q=False)
         assert np.array_equal(m, before)
         assert r_only.q is None
         assert np.array_equal(r_only.r11, with_q.r11)
@@ -201,7 +214,7 @@ class TestPartialQR:
         # zero, and shape, R and the residual read as if they were stored
         m = rng(shape[0] + k).standard_normal(shape)
         rows, cols = shape
-        fact = stable_partial_qr(m, k)
+        fact = partial_qr(m, k)
         assert fact.r22.shape == (min(shape) - k, cols - k)
         assert fact.shape == shape
         r = fact.r_matrix()

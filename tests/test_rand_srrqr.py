@@ -24,10 +24,10 @@ from spectra_rrqr import (
     singular_values,
     srrqr,
 )
-from spectra_rrqr import MatrixSpec, HC, Stewart, stable_partial_qr, thin_qr
+from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
 from spectra_rrqr import dense_core, rand_srrqr, sketch
 from spectra_rrqr.bench import exhaustive_det_ratios
-from spectra_rrqr.dense_core import r_factor
+from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
 
 # the package exports the function srrqr under the module's name
@@ -210,7 +210,7 @@ class TestValidatedOnce:
         perm = sk.factorization.perm.forward
         assert np.array_equal(res.factorization.perm.forward, perm)
         assert res.sketch_result.swap_count == sk.swap_count
-        fact = stable_partial_qr(a[:, perm], res.k, want_q=call == "rank")
+        fact = _stable_partial_qr(as_matrix(a[:, perm]), res.k, want_q=call == "rank")
         for name in ("r11", "r12", "r22"):
             assert np.array_equal(getattr(res.factorization, name), getattr(fact, name))
         if call == "rank":
@@ -239,8 +239,8 @@ class TestValidatedOnce:
         for call in (
             lambda: apply(op, bad),
             lambda: pad_rows_pow2(bad),
-            lambda: stable_partial_qr(bad, 2),
-            lambda: stable_partial_qr(bad, 2, want_q=False),
+            lambda: partial_qr(bad, 2),
+            lambda: partial_qr(bad, 2, want_q=False),
             lambda: r_factor(bad),
             lambda: thin_qr(bad),
             lambda: rand_srrqr_tol(bad, 2.0, 1e-8),
