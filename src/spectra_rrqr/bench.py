@@ -223,6 +223,8 @@ def _factor(
     if cfg.algo == "srrqr":
         mode = TargetRank(cfg.k) if cfg.k is not None else Tolerance(cfg.tau)
         res = srrqr(mat, SrrqrConfig(f=cfg.f, mode=mode), want_q=False)
+        if res.k == 0:
+            raise ValueError("tolerance exceeds every column norm")
     elif cfg.algo == "qrcp":
         res = qrcp(mat, cfg.k, want_q=False)
     elif cfg.algo == "rand-rank":

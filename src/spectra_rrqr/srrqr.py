@@ -37,7 +37,8 @@ are never compressed.
 
 An interchange rotates leading column i to the block boundary, swaps the
 boundary pair with one reflector and rotates the incoming column back; each
-rotation is one LAPACK QR of rows i..k-1, so omega and ``a`` only permute.
+rotation is a Givens update (``qr_delete``/``qr_insert``) of rows i..k-1, so
+omega and ``a`` only permute.  The screen squares ratios; :func:`rho` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-from scipy.linalg.lapack import dgeqp3
+from scipy.linalg.lapack import dgeqp3, dtrtrs
 
 from .dense_core import (
     PartialQR,
@@ -120,7 +121,7 @@ class SrrqrState:
     a tall input) ``r`` has n rows, and its trailing block n-k.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
     in the module docstring; they are always current.  Interchanges
-    retriangularize R11 with LAPACK QRs of its rows i..k-1 (:meth:`_cycle`).
+    retriangularize R11 with Givens updates of rows i..k-1 (:meth:`_cycle`).
 
     Growth steps may leave up to ``_PANEL`` Householder updates pending:
     reflectors ``V`` (one column each) and ``F = tau A^T v`` (one column per
@@ -307,18 +308,31 @@ class SrrqrState:
     def _cycle(self, i: int, shift: int) -> None:
         """Roll leading columns i..k-1 by ``shift`` and retriangularize.
 
-        ``shift=-1`` moves column i to position k-1, ``shift=1`` moves
-        column k-1 back to i.  One LAPACK QR of rows i..k-1 (columns i
-        onward) restores the triangle; a row rotation of R11 and R12 leaves
-        omega and ``a`` exactly permuted with the columns.
+        ``shift=-1`` moves column i to position k-1 (``qr_delete`` of it),
+        ``shift=1`` moves column k-1 back to i (``qr_insert``): one Givens
+        update of rows i..k-1 with Q = I.  A row rotation of R11 and R12
+        leaves omega and ``a`` exactly permuted with the columns.
         """
-        k = self.k
-        r = self.r
-        # rows >= k of the leading columns are zero, so they need no roll
-        r[:k, i:k] = np.roll(r[:k, i:k], shift, axis=1)
-        r[i:k, i:] = _r_factor(np.asfortranarray(r[i:k, i:]), overwrite=True)
-        self.omega[i:k] = np.roll(self.omega[i:k], shift)
-        self.a[i:k] = np.roll(self.a[i:k], shift, axis=0)
+        k, r, w = self.k, self.r, self.k - i
+        order = i + (np.arange(w) - shift) % w
+        if shift < 0:
+            q, blk = scipy.linalg.qr_delete(
+                np.eye(w), np.array(r[i:k, i:], order="F"), 0,
+                which="col", overwrite_qr=True, check_finite=False,
+            )
+            # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
+            r[i:k, i:] = np.insert(blk, w - 1, r[i, i] * q[0], axis=1)
+        else:
+            r[i:k, i:] = scipy.linalg.qr_insert(
+                np.eye(w), np.delete(r[i:k, i:], w - 1, axis=1), r[i:k, k - 1], 0,
+                which="col", overwrite_qru=True, check_finite=False,
+            )[1]
+        # rows >= k of the leading columns are zero, so they need no permuting;
+        # the updates write exact zeros below the diagonal, so no triu either
+        r[:i, i:k] = r[:i, order]
+        r[i + np.flatnonzero(np.diagonal(r)[i:k] < 0.0), i:] *= -1.0
+        self.omega[i:k] = self.omega[order]
+        self.a[i:k] = self.a[order]
 
     def _swap_boundary(self) -> None:
         """Interchange columns k-1 and k, then restore the triangular form."""
@@ -334,11 +348,14 @@ class SrrqrState:
         if incremental:
             a1 = self.a[:, 0].copy()
             if km1:
-                w = scipy.linalg.solve_triangular(r[:km1, :km1], r[:km1, km1])
+                # solve_triangular's own LAPACK call, without its wrapper
+                w, info = dtrtrs(r[:km1, :km1].T, r[:km1, km1], lower=1, trans=1)
+                if info:
+                    raise SingularMatrixError(f"zero diagonal at index {info - 1}")
             else:
                 w = np.zeros(0)
             w_bar = a1[:km1] + w * a1[km1]
-        r[:, [km1, k]] = r[:, [k, km1]]
+        _swap_columns(r, km1, k)
         v, tau, beta_bar = _reflector(r[km1:, km1])
         if tau:
             # rows k-1 onward, in place (their transpose is F-contiguous);
@@ -397,8 +414,8 @@ class SrrqrState:
         Internally the leading column rotates to the block boundary, the
         boundary pair is swapped and retriangularized, and the incoming
         column rotates back to position i, so the net column permutation is
-        exactly the transposition (i, k+j).  Each rotation is one LAPACK QR
-        of rows i..k-1 (:meth:`_cycle`).
+        exactly the transposition (i, k+j).  Each rotation is one Givens
+        update (``qr_delete``/``qr_insert``) of rows i..k-1 (:meth:`_cycle`).
         """
         k, n = self.k, self.r.shape[1]
         if not (0 <= i < k):
@@ -452,6 +469,20 @@ def det_ratio_matrix(state: SrrqrState) -> np.ndarray:
     if state.omega.size == 0 or state.gamma.size == 0:
         return np.zeros((state.omega.size, state.gamma.size))
     return np.hypot(state.a, np.outer(state.omega, state.gamma))
+
+
+def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
+    """First (i, j), row-major, with ``det_ratio > f_swap``; None if none.
+
+    Compares squares; only ratios above 1e154 overflow, and inf is a hit.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.outer(state.omega, state.gamma)
+        sq *= sq
+        sq += np.multiply(state.a, state.a)
+    hit = sq > f_swap * f_swap
+    first = int(np.argmax(hit))
+    return divmod(first, hit.shape[1]) if hit.flat[first] else None
 
 
 def det_ratio(state: SrrqrState, i: int, j: int) -> float:
@@ -561,10 +592,7 @@ def srrqr(
         while state.gamma.size:
             if rho_hat(state) <= early_exit:
                 break
-            hit = det_ratio_matrix(state) > f_swap
-            # first hit in row-major order; argmax stops at the first True
-            first = int(np.argmax(hit))
-            if not hit.flat[first]:
+            if (hit := _first_swap(state, f_swap)) is None:
                 break
             if state.swap_count >= 20 * swap_budget(max(state.k, 1), cols, f):
                 raise RuntimeError(
@@ -572,7 +600,7 @@ def srrqr(
                     f"{state.swap_count} swaps; threshold f={f} appears to "
                     "livelock in floating point"
                 )
-            i, j = divmod(first, hit.shape[1])
+            i, j = hit
             # the growth factor is only reported, to a monitor
             ratio = det_ratio(state, i, j) if on_swap is not None else None
             # a tall state drops to n rows here, at its first interchange

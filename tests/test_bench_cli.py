@@ -41,8 +41,9 @@ HC_RUNS = {
 
 # arguments that fail before or in the run, and a fragment of the error
 # line: the matrix descriptor or its bad segment, which the message names,
-# the sketch size (d above the padded row count 64), or a sketch option
-# given to an algorithm that does not sketch
+# the sketch size (d above the padded row count 64), a sketch option
+# given to an algorithm that does not sketch, or a tolerance above every
+# column norm (no pivot to report)
 RUN_ERRORS = [
     pytest.param(
         ["--matrix", "kahan", "--algo", "qrcp", "--k", "3"], "'kahan'", id="no-dims"
@@ -96,6 +97,11 @@ RUN_ERRORS = [
         ["--matrix", "hc:64x16", "--algo", "qrcp", "--k", "5", "--kind", "gaussian"],
         "qrcp does not sketch",
         id="qrcp-kind",
+    ),
+    pytest.param(
+        ["--matrix", "hc:64x16", "--algo", "srrqr", "--tau", "1e10"],
+        "tolerance exceeds every column norm",
+        id="srrqr-tau-above-norms",
     ),
 ]
 

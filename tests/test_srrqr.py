@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from spectra_rrqr import (
     DevilsStairs,
@@ -32,7 +34,8 @@ from spectra_rrqr import (
     swap_budget,
 )
 from spectra_rrqr.bench import exhaustive_det_ratios
-from spectra_rrqr.srrqr import _PANEL
+from spectra_rrqr.dense_core import _r_factor
+from spectra_rrqr.srrqr import _PANEL, _first_swap
 
 # ranks the benchmark's swap-det pool must reproduce; read, never written
 REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
@@ -638,6 +641,7 @@ class TestCompression:
         cfg = SrrqrConfig(f=rec["f"], mode=Tolerance(rec["tau"]))
         res = srrqr(m, cfg, want_q=False)
         assert res.k == rec["k"][str(seed)]
+        assert res.swap_count == rec["swap_count"][str(seed)]
         assert res.swap_count > 0
         assert res.state.r.shape[0] == 256
         assert res.rho <= rec["f"]
@@ -670,6 +674,75 @@ class TestCompression:
         assert len(picks) == res.swap_count > 0
         for got, first in picks:
             assert got == first
+
+
+class TestSwapScreen:
+    """The loop's squared screen picks the swap that ``hypot`` picks."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=hst.integers(0, 2**32 - 1),
+        rows=hst.integers(2, 12),
+        cols=hst.integers(2, 10),
+        depth=hst.floats(0.0, 1.0),
+        f=hst.floats(1.0001, 4.0),
+        scale=hst.sampled_from([1.0, 1e160, 1e-160]),
+        exact=hst.one_of(hst.none(), hst.tuples(hst.floats(0, 1), hst.floats(0, 1))),
+    )
+    @example(seed=0, rows=4, cols=6, depth=0.0, f=2.0, scale=1e-160, exact=(0.0, 0.0))
+    def test_first_hit_matches_hypot(self, seed, rows, cols, depth, f, scale, exact):
+        # k up to min(rows, cols - 1): a wide state at k = rows has gamma = 0
+        top = min(rows, cols - 1)
+        k = 1 + int(depth * (top - 1))
+        state = srrqr_state(rng(seed).standard_normal((rows, cols)), k)
+        f_swap = f * (1.0 + 1e-12)
+        # 1e160 overflows a*a to inf, 1e-160 underflows it to zero
+        state.a *= scale
+        if exact is not None:
+            i = int(exact[0] * (k - 1))
+            j = int(exact[1] * (cols - k - 1))
+            # an exact tie: ratio (i, j) is f_swap itself, which is no hit
+            state.a[i, j] = f_swap
+            state.gamma[j] = 0.0
+        hit = det_ratio_matrix(state) > f_swap
+        first = int(np.argmax(hit))
+        want = divmod(first, hit.shape[1]) if hit.flat[first] else None
+        assert _first_swap(state, f_swap) == want
+
+
+def _state_kinds():
+    m = generate(MatrixSpec(Stewart(m=96, n=24, q=0.8), seed=3))
+    tall = srrqr_state(m, 12)
+    compressed = tall.copy()
+    compressed._compress()
+    square = srrqr_state(rng(12).standard_normal((20, 20)), 12)
+    return {"tall": tall, "compressed": compressed, "square": square}
+
+
+class TestCycle:
+    """``_cycle`` against a reference rotation: roll, then a fresh QR."""
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    @pytest.mark.parametrize("kind", ["tall", "compressed", "square"])
+    def test_matches_roll_and_qr(self, kind, shift):
+        base = _state_kinds()[kind]
+        k = base.k
+        for i in [0, k // 2, k - 2, k - 1]:
+            st = base.copy()
+            ref = st.r.copy()
+            ref[:k, i:k] = np.roll(ref[:k, i:k], shift, axis=1)
+            ref[i:k, i:] = _r_factor(ref[i:k, i:])
+            st._cycle(i, shift)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(st.r - ref)) <= 1e-12 * scale
+            omega, a = base.omega.copy(), base.a.copy()
+            omega[i:k] = np.roll(omega[i:k], shift)
+            a[i:k] = np.roll(a[i:k], shift, axis=0)
+            assert np.array_equal(st.omega, omega)
+            assert np.array_equal(st.a, a)
+            r11 = st.r[:k, :k]
+            assert np.all(np.tril(r11, -1) == 0.0)
+            assert np.all(np.diag(r11) >= 0.0)
 
 
 def _greedy_pivots(m, k):
