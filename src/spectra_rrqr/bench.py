@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import testmat
-from .dense_core import PartialQR, _r_factor, as_matrix, r_factor, singular_values
+from .dense_core import PartialQR, _r_factor, as_matrix, log_volume, singular_values
 from .rand_srrqr import (
     RandSrrqrResult,
     export_record,
@@ -540,10 +540,7 @@ def run_volume_decay(
     sk = apply(op, base)
     rows = []
     for n in n_values:
-        r = r_factor(sk[:, :n])
-        diag = np.abs(np.diag(r))
-        with np.errstate(divide="ignore"):
-            logv = float(np.sum(np.log(diag)))
+        logv = log_volume(sk[:, :n])
         rows.append({"n": n, "volume": math.exp(logv), "log_volume": logv})
     slope = float(
         np.polyfit([r["n"] for r in rows], [r["log_volume"] for r in rows], 1)[0]

@@ -5,7 +5,9 @@ kernels here (QR, singular values, triangular solves, column geometry) are
 the building blocks consumed by the pivoted factorizations and the
 sketching layer.  Every unpivoted QR -- :func:`partial_qr`,
 :func:`thin_qr`, :func:`r_factor` and the volumes and angles built on them
--- runs on one engine, LAPACK's blocked Householder ``dgeqrt``.
+-- runs on one engine, LAPACK's blocked Householder ``dgeqrt``.  No
+Householder code is written in Python: the single reflectors of
+:mod:`.srrqr` are LAPACK's ``dlarfg``.
 """
 from __future__ import annotations
 
@@ -168,22 +170,6 @@ class PartialQR:
             ),
         )
         return float(err / scale)
-
-
-def _reflector(x: np.ndarray) -> tuple[np.ndarray, float, float]:
-    """Householder vector for x with v[0] = 1: (I - tau v v^T) x = beta e1."""
-    alpha = x[0]
-    tail_norm = np.linalg.norm(x[1:]) if x.size > 1 else 0.0
-    if tail_norm == 0.0:
-        # already collapsed; tau=0 leaves x untouched
-        return np.zeros_like(x), 0.0, float(alpha)
-    beta = -np.hypot(alpha, tail_norm) if alpha >= 0 else np.hypot(alpha, tail_norm)
-    v = x.copy()
-    v0 = alpha - beta
-    v[0] = 1.0
-    v[1:] /= v0
-    tau = -v0 / beta
-    return v, float(tau), float(beta)
 
 
 # panel width of the blocked Householder QR; dgeqrt factors each panel

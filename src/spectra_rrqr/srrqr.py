@@ -20,13 +20,14 @@ the incremental path in the tests.
 Growth defers the Householder updates of the trailing block over a panel of
 up to ``_PANEL`` steps, as LAPACK's xLAQPS does (Quintana-Orti, Sun &
 Bischof, SISC 1998).  Each step brings only the pivot column and the pivot
-row up to date and records its reflector ``v`` with ``F = tau A^T v``; one
-GEMM applies the whole panel when it is full and before anything that reads
-the trailing block as a whole (interchanges, ``copy``, recomputation, and
-the end of :func:`srrqr` and :func:`srrqr_state`).  Pivots, interchanges
-and the stopping test are still decided after every step, from the same
-quantities; only the order of floating-point operations changes, so a
-decision can move only where rounding already settles it (exact ties).
+row up to date and records its reflector ``v``, built by LAPACK's
+``dlarfg``, with ``F = tau A^T v``; one GEMM applies the whole panel when it
+is full and before anything that reads the trailing block as a whole
+(interchanges, ``copy``, recomputation, and the end of :func:`srrqr` and
+:func:`srrqr_state`).  Pivots, interchanges and the stopping test are still
+decided after every step, from the same quantities; only the order of
+floating-point operations changes, so a decision can move only where
+rounding already settles it (exact ties).
 
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 ``>= k``.  So on a tall input, just before its first interchange,
@@ -36,9 +37,10 @@ m.  Runs without interchanges, and inputs with no more rows than columns,
 are never compressed.
 
 An interchange rotates leading column i to the block boundary, swaps the
-boundary pair with one reflector and rotates the incoming column back; each
-rotation is a Givens update (``qr_delete``/``qr_insert``) of rows i..k-1, so
-omega and ``a`` only permute.  The screen squares ratios; :func:`rho` uses hypot.
+boundary pair with one ``dlarfg`` reflector and rotates the incoming column
+back; each rotation is a Givens update (``qr_delete``/``qr_insert``) of rows
+i..k-1, so omega and ``a`` only permute; no Householder code is written in
+Python.  The screen squares ratios; :func:`rho` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-from scipy.linalg.lapack import dgeqp3, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dlarfg, dtrtrs
 
 from .dense_core import (
     PartialQR,
@@ -60,7 +62,6 @@ from .dense_core import (
     SingularMatrixError,
     _diag_signs,
     _r_factor,
-    _reflector,
     _stable_partial_qr,
     as_matrix,
     column_norms,
@@ -124,15 +125,16 @@ class SrrqrState:
     retriangularize R11 with Givens updates of rows i..k-1 (:meth:`_cycle`).
 
     Growth steps may leave up to ``_PANEL`` Householder updates pending:
-    reflectors ``V`` (one column each) and ``F = tau A^T v`` (one column per
-    reflector, one row per column of ``r``).  While updates are pending,
-    rows ``>= k`` of the trailing columns of ``r`` are stale, and their true
-    value is ``r[k:, k:] - V[k:] F[k:].T``; the rows above ``k`` (the pivot
-    rows, ``R11`` and ``R12``) and the leading columns are final.  Trailing
-    column swaps swap the matching rows of ``F``.  :meth:`_flush` applies
-    the pending updates; it runs when the panel is full and before
-    interchanges, :meth:`copy` and :meth:`recomputed`, so every state
-    returned to a caller has a fully updated ``r``.
+    ``dlarfg`` reflectors ``V`` (one column each, unit first entry) and
+    ``F = tau A^T v`` (a column per reflector, a row per column of ``r``).
+    While updates are pending, rows ``>= k`` of the trailing columns of
+    ``r`` are stale, and their true value is ``r[k:, k:] - V[k:] F[k:].T``;
+    the rows above ``k`` (the pivot rows, ``R11`` and ``R12``) and the
+    leading columns are final.  Trailing column swaps swap the matching rows
+    of ``F``.  :meth:`_flush` applies the pending updates; it runs when the
+    panel is full and before interchanges, :meth:`copy` and
+    :meth:`recomputed`, so every state returned to a caller has a fully
+    updated ``r``.
     """
 
     r: np.ndarray
@@ -257,8 +259,9 @@ class SrrqrState:
         if t:
             r[k:, k] -= vp[k:] @ fp[k]
         u = self.a[:, 0].copy() if k else np.zeros(0)
-        v, tau, beta = _reflector(r[k:, k])
-        self._v[k:, t] = v
+        beta, self._v[k + 1 :, t], tau = dlarfg(r.shape[0] - k, r[k, k], r[k + 1 :, k])
+        self._v[k, t] = 1.0
+        v = self._v[k:, t]
         # F column: tau * (true trailing block)^T v, from the stale block
         self._f[k + 1 :, t] = tau * (v @ r[k:, k + 1 :])
         if t:
@@ -356,7 +359,8 @@ class SrrqrState:
                 w = np.zeros(0)
             w_bar = a1[:km1] + w * a1[km1]
         _swap_columns(r, km1, k)
-        v, tau, beta_bar = _reflector(r[km1:, km1])
+        beta_bar, v_tail, tau = dlarfg(r.shape[0] - km1, r[km1, km1], r[k:, km1])
+        v = np.concatenate(([1.0], v_tail))
         if tau:
             # rows k-1 onward, in place (their transpose is F-contiguous);
             # the columns left of k-1 are zero there and stay zero
@@ -380,7 +384,10 @@ class SrrqrState:
                 rows = np.nonzero(bad)[0]
                 rhs = np.zeros((k, rows.size))
                 rhs[rows, np.arange(rows.size)] = 1.0
-                sol = scipy.linalg.solve_triangular(r[:k, :k].T, rhs, lower=True)
+                # R^T sol = rhs by the LAPACK call solve_triangular makes for it
+                sol, info = dtrtrs(r[:k, :k], rhs, lower=0, trans=1)
+                if info:
+                    raise SingularMatrixError(f"zero diagonal at index {info - 1}")
                 o2[bad] = np.sum(sol**2, axis=0)
             omega_new[:km1] = np.sqrt(np.maximum(o2, 0.0))
         self.omega = omega_new

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dense_core import as_matrix
+from .dense_core import _diag_signs, as_matrix
 
 _EPS = np.finfo(np.float64).eps
 
@@ -94,9 +94,7 @@ def haar_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
     """Haar-distributed matrix with orthonormal columns (rows >= cols)."""
     g = rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g, mode="reduced")
-    flip = np.sign(np.diag(r))
-    flip[flip == 0.0] = 1.0
-    return q * flip
+    return q * _diag_signs(r)
 
 
 def _gen_kahan(spec: Kahan) -> np.ndarray:

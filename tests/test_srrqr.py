@@ -41,6 +41,21 @@ from spectra_rrqr.srrqr import _PANEL, _first_swap
 REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
 
 
+def _swap_det_pool():
+    """(key, m, n, q, seed) for every pool seed of both reference keys.
+
+    The full-size swap-det key has bare seed ids, its ``--smoke`` tier
+    ``smoke-`` ones.
+    """
+    ref = json.loads(REFERENCE_K.read_text())
+    for key, m, n, q, prefix in [
+        ("stewart:2048x256:q=0.8", 2048, 256, 0.8, ""),
+        ("stewart:1024x128:q=0.6", 1024, 128, 0.6, "smoke-"),
+    ]:
+        for s in sorted(ref[key]["k"], key=int):
+            yield pytest.param(key, m, n, q, int(s), id=f"{prefix}{s}")
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)
 
@@ -633,17 +648,17 @@ class TestCompression:
         assert np.allclose(st.gamma, before.gamma, rtol=1e-10)
         assert np.allclose(st.a, before.a, rtol=1e-10, atol=1e-12)
 
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_benchmark_scale_interchanges(self, seed):
-        # the swap-det workload: stewart 2048x256, q=0.8, f=1.1, tau=1e-10
-        rec = json.loads(REFERENCE_K.read_text())["stewart:2048x256:q=0.8"]
-        m = generate(MatrixSpec(Stewart(m=2048, n=256, q=0.8), seed=seed))
+    @pytest.mark.parametrize("key, m_rows, n, q, seed", list(_swap_det_pool()))
+    def test_benchmark_scale_interchanges(self, key, m_rows, n, q, seed):
+        # the swap-det workload (f=1.1, tau=1e-10) on every input it can draw
+        rec = json.loads(REFERENCE_K.read_text())[key]
+        m = generate(MatrixSpec(Stewart(m=m_rows, n=n, q=q), seed=seed))
         cfg = SrrqrConfig(f=rec["f"], mode=Tolerance(rec["tau"]))
         res = srrqr(m, cfg, want_q=False)
         assert res.k == rec["k"][str(seed)]
         assert res.swap_count == rec["swap_count"][str(seed)]
         assert res.swap_count > 0
-        assert res.state.r.shape[0] == 256
+        assert res.state.r.shape[0] == n
         assert res.rho <= rec["f"]
         assert max(res.state.consistency_errors().values()) <= 1e-8
 
