@@ -20,7 +20,9 @@ of workers.
 
 The SRHT is applied as two matrix products through the Kronecker structure
 ``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
-sampled rows; :func:`fwht` is the same transform as a butterfly.
+sampled rows; the first runs in panels of columns, so the only
+matrix-sized scratch is its result.  :func:`fwht` is the same transform
+as a butterfly.
 """
 from __future__ import annotations
 
@@ -43,6 +45,9 @@ _KINDS = ("gaussian", "srht", "identity")
 # a chunk bounds each worker's scratch to 3 d doubles per column
 _BLOCK_ENTRIES = 4_000_000
 _CHUNK = 256
+# SRHT input columns per stage-1 product; bounds the sign-flipped scratch
+# to _SRHT_PANEL * m doubles
+_SRHT_PANEL = 32
 
 
 def worker_count(n_jobs: int) -> int:
@@ -289,14 +294,19 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """The sampled rows of ``H_m (signs * a) / sqrt(d)``, as two GEMMs.
 
     With ``m = p q`` and row index ``i = i_p q + i_q``, ``H_m = H_p (x) H_q``
-    gives ``H_m[i, j] = H_p[i_p, j_p] H_q[i_q, j_q]``.  The row-block index
-    is contracted against ``H_p`` for every row (one batched product on
-    the row-major view ``(n, p, q)``); the within-block index is then
-    contracted only against the rows of ``H_q`` the samples need, one
-    product per sampled row block.  Rows of ``a`` past its end (it may
-    have fewer than m) are zeros: row blocks past the last nonzero one add
-    nothing to the first product, so it contracts only the leading blocks,
-    and a partial last block is zero-filled in the working copy ``x``.
+    gives ``H_m[i, j] = H_p[i_p, j_p] H_q[i_q, j_q]``.  Stage 1 contracts the
+    row-block index against ``H_p`` for every row, one batched product per
+    panel of ``_SRHT_PANEL`` columns on the row-major view ``(n, p, q)``:
+    each panel's sign-flipped columns are copied into one small scratch
+    ``x`` and the product is written into its slice of the one ``z``.
+    Each column is its own product in the batch, so the panels give the
+    bytes of a single batched product.  Stage 2 contracts the within-block
+    index only against the rows of ``H_q`` the samples need, one product
+    per sampled row block over all n columns.  Rows of ``a`` past its end
+    (it may have fewer than m) are zeros: row blocks past the last nonzero
+    one add nothing to stage 1, so it contracts only the leading ``live``
+    blocks, and the part of a partial last block past ``a``'s end stays
+    zero in ``x``.
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
@@ -307,10 +317,15 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     while live and not a[(live - 1) * q : live * q].any():
         live -= 1
     rows = live * q
-    x = np.zeros((n, live, q))
-    head = x.reshape(n, rows)[:, : a.shape[0]]
-    np.multiply(a[:rows].T, op.signs[: head.shape[1]], out=head)
-    z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64)[:, :live], x)
+    signs = op.signs[: min(rows, a.shape[0])]
+    h_p = scipy.linalg.hadamard(p, dtype=np.float64)[:, :live]
+    x = np.zeros((min(n, _SRHT_PANEL), live, q))
+    z = np.empty((n, p, q))
+    for c0 in range(0, n, _SRHT_PANEL):
+        c1 = min(n, c0 + _SRHT_PANEL)
+        head = x[: c1 - c0].reshape(c1 - c0, rows)[:, : signs.size]
+        np.multiply(a[: signs.size, c0:c1].T, signs, out=head)
+        np.matmul(h_p, x[: c1 - c0], out=z[c0:c1])
     block, within = np.divmod(op.sample_idx, q)
     # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
     # unnormalized transform

@@ -3,7 +3,11 @@
 Every generator is a pure function of its spec and seed, so fixtures are
 bit-reproducible.  Random orthogonal factors are Haar-distributed, obtained
 from the QR factorization of a seeded Gaussian matrix with the R diagonal
-sign-corrected.
+sign-corrected.  The factorization is LAPACK ``dgeqrf`` then ``dorgqr``,
+run in place on an F-ordered copy of the draw; those are the calls of
+numpy's ``qr``, and the factor is bitwise what it gives.  Scaling and the
+Stewart perturbation are applied in place, so a build holds at most two
+matrix-sized arrays at its peak.
 """
 from __future__ import annotations
 
@@ -11,6 +15,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .dense_core import _diag_signs, as_matrix
 
@@ -91,10 +96,26 @@ class MatrixSpec:
 
 
 def haar_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """Haar-distributed matrix with orthonormal columns (rows >= cols)."""
-    g = rng.standard_normal((rows, cols))
-    q, r = np.linalg.qr(g, mode="reduced")
-    return q * _diag_signs(r)
+    """Haar-distributed F-ordered matrix with orthonormal columns.
+
+    Raises ``ValueError`` unless ``rows >= cols``.
+    """
+    if rows < cols:
+        raise ValueError(
+            f"haar_orthogonal: needs rows >= cols, got {rows} rows < {cols} cols"
+        )
+    g = np.asfortranarray(rng.standard_normal((rows, cols)))
+    q, r = scipy.linalg.qr(g, mode="economic", overwrite_a=True, check_finite=False)
+    q *= _diag_signs(r)
+    return q
+
+
+def _haar_svd(rng: np.random.Generator, m: int, n: int, sigma) -> np.ndarray:
+    """``U diag(sigma) V^T`` with Haar factors U (m x n), then V (n x n)."""
+    u = haar_orthogonal(rng, m, n)
+    v = haar_orthogonal(rng, n, n)
+    u *= sigma
+    return u @ v.T
 
 
 def _gen_kahan(spec: Kahan) -> np.ndarray:
@@ -129,9 +150,7 @@ def _gen_devils_stairs(spec: DevilsStairs, rng: np.random.Generator) -> np.ndarr
                 f"devils_stairs: {m} rows cannot hold one stair of length {length}"
             )
     sigma = q ** (np.arange(n) // length).astype(np.float64)
-    u = haar_orthogonal(rng, m, n)
-    v = haar_orthogonal(rng, n, n)
-    return (u * sigma) @ v.T
+    return _haar_svd(rng, m, n, sigma)
 
 
 def _gen_stewart(spec: Stewart, rng: np.random.Generator) -> np.ndarray:
@@ -144,9 +163,11 @@ def _gen_stewart(spec: Stewart, rng: np.random.Generator) -> np.ndarray:
     sigma = np.zeros(n)
     sigma[: half + 1] = q ** np.arange(half + 1)
     c = q**half
-    u = haar_orthogonal(rng, m, n)
-    v = haar_orthogonal(rng, n, n)
-    return (u * sigma) @ v.T + c * rng.random((m, n))
+    out = _haar_svd(rng, m, n, sigma)
+    noise = rng.random((m, n))
+    noise *= c
+    out += noise
+    return out
 
 
 def _gen_hc(spec: HC, rng: np.random.Generator) -> np.ndarray:
@@ -155,7 +176,8 @@ def _gen_hc(spec: HC, rng: np.random.Generator) -> np.ndarray:
         raise ValueError("hc: requires m >= n >= 3")
     sigma = np.concatenate(([100.0, 10.0], np.logspace(-2, -14, n - 2)))
     u = haar_orthogonal(rng, m, n)
-    return u * sigma
+    u *= sigma
+    return u
 
 
 def _gen_sampled_identity(spec: SampledIdentity, rng: np.random.Generator) -> np.ndarray:

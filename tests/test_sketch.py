@@ -309,6 +309,75 @@ class TestSrhtKronecker:
         self._check(single, g.standard_normal((m, 2)))
 
 
+class TestSrhtPanels:
+    """Stage 1 of the SRHT in column panels against the unpaneled formula.
+
+    The oracle builds the whole sign-flipped copy ``x`` of the live rows
+    and contracts it in one batched product, then runs stage 2 as
+    ``_srht_rows`` does.  Each column is its own product in the batch, so
+    equality is bitwise.  At m = 1024 the split is p = q = 32.
+    """
+
+    M = 1024
+    PANEL = sk._SRHT_PANEL
+
+    @staticmethod
+    def _oracle(op, a):
+        n = a.shape[1]
+        q = 1 << (op.m.bit_length() // 2)
+        p = op.m // q
+        live = -(-a.shape[0] // q)
+        while live and not a[(live - 1) * q : live * q].any():
+            live -= 1
+        rows = live * q
+        x = np.zeros((n, live, q))
+        head = x.reshape(n, rows)[:, : a.shape[0]]
+        np.multiply(a[:rows].T, op.signs[: head.shape[1]], out=head)
+        z = np.matmul(scipy.linalg.hadamard(p, dtype=np.float64)[:, :live], x)
+        block, within = np.divmod(op.sample_idx, q)
+        h_rows = scipy.linalg.hadamard(q)[within] * (1.0 / math.sqrt(op.d))
+        out = np.empty((op.d, n))
+        for b in np.unique(block):
+            sel = np.flatnonzero(block == b)
+            out[sel] = h_rows[sel] @ z[:, b, :].T
+        return out
+
+    @staticmethod
+    def _input(case, n, g):
+        if case == "full":
+            return g.standard_normal((1024, n))
+        if case == "partial-block":  # 31 whole row blocks and 8 rows
+            return g.standard_normal((1000, n))
+        if case == "short":  # 19 live row blocks of 32, the last partial
+            return g.standard_normal((600, n))
+        a = np.zeros((1024, n))
+        if case == "zero-tail":  # rows past 320 are zero: live = 10
+            a[:320] = g.standard_normal((320, n))
+        return a  # "zero": live = 0
+
+    @pytest.mark.parametrize("case", ["full", "partial-block", "short", "zero-tail", "zero"])
+    @pytest.mark.parametrize("n", [1, PANEL - 1, PANEL, PANEL + 1, 2 * PANEL + 3])
+    def test_bitwise_equal_to_unpaneled(self, case, n):
+        g = rng(n)
+        op = SketchOperator("srht", d=300, m=self.M, seed=n)
+        a = np.asfortranarray(self._input(case, n, g))
+        got = apply(op, a)
+        assert got.tobytes() == self._oracle(op, a).tobytes()
+        if case == "zero":
+            assert not got.any()
+
+    @pytest.mark.parametrize("rows", [4096, 3000])
+    def test_peak_memory(self, rows, traced_peak):
+        # stage 1's result z is n m doubles; the panel scratch, H_q's
+        # sampled rows and stage 2's temporaries stay under a quarter of
+        # that (the unpaneled formula took about twice z)
+        n = 512
+        a = np.asfortranarray(rng(7).standard_normal((rows, n)))
+        op = SketchOperator("srht", d=1200, m=4096, seed=1)
+        out, peak = traced_peak(lambda: apply(op, a))
+        assert peak <= 1.25 * 8 * n * op.m + out.nbytes
+
+
 class TestGaussianChunks:
     """The chunked, threaded Gaussian path against the block oracle.
 

@@ -9,12 +9,84 @@ from spectra_rrqr import (
     SampledIdentity,
     Stewart,
     generate,
+    haar_orthogonal,
     qrcp,
     singular_values,
     spec_from_json,
     spec_to_json,
     volume,
 )
+
+
+def _haar_oracle(rng, rows, cols):
+    # numpy's QR of the draw, then the sign fix of the R diagonal
+    q, r = np.linalg.qr(rng.standard_normal((rows, cols)), mode="reduced")
+    flip = np.sign(np.diag(r))
+    flip[flip == 0.0] = 1.0
+    return q * flip
+
+
+def _generate_oracle(spec):
+    # the generators with numpy's QR and out-of-place scaling and sums
+    rng = np.random.default_rng(spec.seed)
+    kind = spec.kind
+    m, n = kind.m, kind.n
+    if isinstance(kind, DevilsStairs):
+        sigma = kind.q ** (np.arange(n) // kind.stair_len).astype(np.float64)
+    elif isinstance(kind, Stewart):
+        sigma = np.zeros(n)
+        sigma[: n // 2 + 1] = kind.q ** np.arange(n // 2 + 1)
+    else:
+        sigma = np.concatenate(([100.0, 10.0], np.logspace(-2, -14, n - 2)))
+        return np.asfortranarray(_haar_oracle(rng, m, n) * sigma)
+    u = _haar_oracle(rng, m, n)
+    v = _haar_oracle(rng, n, n)
+    out = (u * sigma) @ v.T
+    if isinstance(kind, Stewart):
+        out = out + kind.q ** (n // 2) * rng.random((m, n))
+    return np.asfortranarray(out)
+
+
+SHAPES = [(1, 1), (64, 12), (300, 40), (500, 500), (1024, 128), (2048, 125)]
+
+
+class TestHaarOrthogonal:
+    """The in-place LAPACK factor against numpy's QR of the same draw."""
+
+    @pytest.mark.parametrize("rows,cols", SHAPES, ids=str)
+    def test_bitwise_numpy_qr(self, rows, cols):
+        got = haar_orthogonal(np.random.default_rng(rows + cols), rows, cols)
+        ref = _haar_oracle(np.random.default_rng(rows + cols), rows, cols)
+        assert got.flags.f_contiguous
+        assert got.tobytes() == ref.tobytes()
+
+    def test_wide_request_names_both_sizes(self):
+        with pytest.raises(ValueError, match="3 rows < 5 cols"):
+            haar_orthogonal(np.random.default_rng(0), 3, 5)
+
+    @pytest.mark.parametrize(
+        "kind",
+        # the --smoke benchmark fixtures, then the Haar kinds over SHAPES
+        [DevilsStairs(m=2048, n=125, stair_len=25), DevilsStairs(m=1500, n=125, stair_len=25),
+         HC(m=1500, n=125), Stewart(m=1024, n=128, q=0.6)]
+        + [DevilsStairs(m=m, n=n, stair_len=max(1, n // 4)) for m, n in SHAPES]
+        + [Stewart(m=m, n=n) for m, n in SHAPES[1:]]
+        + [HC(m=m, n=n) for m, n in SHAPES[1:]],
+        ids=repr,
+    )
+    def test_generate_bitwise_numpy_qr(self, kind):
+        spec = MatrixSpec(kind, seed=11)
+        assert generate(spec).tobytes() == _generate_oracle(spec).tobytes()
+
+    @pytest.mark.parametrize(
+        "kind", [DevilsStairs(m=4096, n=256, stair_len=64), Stewart(m=4096, n=256),
+                 HC(m=4096, n=256)], ids=lambda k: type(k).__name__,
+    )
+    def test_peak_memory(self, kind, traced_peak):
+        # two matrix-sized arrays, plus the finiteness mask of the input
+        # check; numpy's QR and out-of-place scaling took three
+        out, peak = traced_peak(lambda: generate(MatrixSpec(kind, seed=3)))
+        assert peak <= 2.25 * out.nbytes
 
 
 class TestKahan:
