@@ -4,8 +4,11 @@ Every generator is a pure function of its spec and seed, so fixtures are
 bit-reproducible.  Random orthogonal factors are Haar-distributed, obtained
 from the QR factorization of a seeded Gaussian matrix with the R diagonal
 sign-corrected.  The factorization is LAPACK ``dgeqrf`` then ``dorgqr``,
-run in place on an F-ordered copy of the draw; those are the calls of
-numpy's ``qr``, and the factor is bitwise what it gives.  Scaling and the
+run in place on an F-ordered copy of the draw through numpy's own LAPACK
+(``numpy.linalg.lapack_lite``); those are the calls of numpy's ``qr``, in
+the same library with the same workspace, so the factor is bitwise what it
+gives for any BLAS thread count.  (scipy bundles a different OpenBLAS,
+whose threaded blocked path can move the last bits.)  Scaling and the
 Stewart perturbation are applied in place, so a build holds at most two
 matrix-sized arrays at its peak.
 """
@@ -15,7 +18,7 @@ import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.linalg
+from numpy.linalg import lapack_lite
 
 from .dense_core import _diag_signs, as_matrix
 
@@ -104,10 +107,23 @@ def haar_orthogonal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarra
         raise ValueError(
             f"haar_orthogonal: needs rows >= cols, got {rows} rows < {cols} cols"
         )
-    g = np.asfortranarray(rng.standard_normal((rows, cols)))
-    q, r = scipy.linalg.qr(g, mode="economic", overwrite_a=True, check_finite=False)
-    q *= _diag_signs(r)
+    q = np.asfortranarray(rng.standard_normal((rows, cols)))
+    a, tau, lda = q.T, np.empty(cols), max(1, rows)  # a: the F data, C-contiguous
+    _lapack(lapack_lite.dgeqrf, rows, cols, a, lda, tau)
+    signs = _diag_signs(q)
+    _lapack(lapack_lite.dorgqr, rows, cols, cols, a, lda, tau)
+    q *= signs
     return q
+
+
+def _lapack(routine, *args) -> None:
+    """Call a lapack_lite routine with a queried optimal workspace, as numpy's ``qr`` does."""
+    work = np.empty(1)
+    routine(*args, work, -1, 0)
+    lwork = max(1, args[1], int(work[0]))
+    info = routine(*args, np.empty(lwork), lwork, 0)["info"]
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine.__name__}: info={info}")
 
 
 def _haar_svd(rng: np.random.Generator, m: int, n: int, sigma) -> np.ndarray:
