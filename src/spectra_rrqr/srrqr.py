@@ -10,12 +10,15 @@ the test suite.
 
 Three quantities are maintained across steps: the row norms of ``inv(R11)``
 (``omega``), the trailing column norms of ``R22`` (``gamma``), and the
-coupling block ``inv(R11) @ R12`` (``a``).  By default they are updated
-incrementally (rank-one updates on growth, permutation plus closed-form
-updates on interchanges, with exact recomputation whenever a downdate loses
-more than half its magnitude); ``update_mode="recompute"`` rebuilds them
-from scratch after every structural change and is cross-validated against
-the incremental path in the tests.
+coupling block ``inv(R11) @ R12`` (``a``).  They are updated incrementally
+(rank-one updates on growth, permutation plus closed-form updates on
+interchanges), with exact recomputation whenever a downdate loses more than
+half its magnitude; a trailing norm is also recomputed once its downdated
+square falls below ``sqrt(eps)`` times its square at the last exact
+computation, the rule of LAPACK's xLAQP2 (Drmač & Bujanović, ACM TOMS
+2008), so a norm that shrinks a little at every step cannot freeze at its
+roundoff floor.  This is the only path; the tests check it against a state
+that rebuilds all three from scratch after every structural change.
 
 Growth defers the Householder updates of the trailing block over a panel of
 up to ``_PANEL`` steps, as LAPACK's xLAQPS does (Quintana-Orti, Sun &
@@ -71,6 +74,9 @@ from .dense_core import (
 _UNDERFLOW_FLOOR = 1e-300
 # growth steps whose trailing-block updates are deferred and applied together
 _PANEL = 32
+# a squared norm downdated below this fraction of its last exact value is
+# recomputed (LAPACK xLAQP2's tol3z); strictly below, so a zero one is not
+_DOWNDATE_TOL = math.sqrt(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -144,7 +150,9 @@ class SrrqrState:
     gamma: np.ndarray
     a: np.ndarray
     swap_count: int = 0
-    update_mode: str = "incremental"
+    # _DOWNDATE_TOL times gamma**2 at its last exact computation (LAPACK
+    # xLAQP2 keeps that norm as vn2); a downdated square below it is redone
+    _gamma2_floor: np.ndarray = field(init=False, repr=False)
     # pending panel: reflectors (V) and F = tau * A^T v columns, see above
     _v: np.ndarray = field(init=False, repr=False)
     _f: np.ndarray = field(init=False, repr=False)
@@ -156,6 +164,7 @@ class SrrqrState:
         rows, cols = self.r.shape
         self._v = np.empty((rows, _PANEL), order="F")
         self._f = np.empty((cols, _PANEL), order="F")
+        self._gamma2_floor = _DOWNDATE_TOL * self.gamma**2
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -163,7 +172,7 @@ class SrrqrState:
 
     def copy(self) -> "SrrqrState":
         self._flush()
-        return SrrqrState(
+        out = type(self)(
             r=self.r.copy(),
             perm=self.perm.copy(),
             k=self.k,
@@ -171,8 +180,9 @@ class SrrqrState:
             gamma=self.gamma.copy(),
             a=self.a.copy(),
             swap_count=self.swap_count,
-            update_mode=self.update_mode,
         )
+        out._gamma2_floor = self._gamma2_floor.copy()
+        return out
 
     # -- consistency -----------------------------------------------------
 
@@ -204,9 +214,6 @@ class SrrqrState:
             "gamma": rel(self.gamma, gamma),
             "a": rel(self.a, a),
         }
-
-    def _recompute(self) -> None:
-        self.omega, self.gamma, self.a = self.recomputed()
 
     # -- structural operations -------------------------------------------
 
@@ -240,8 +247,8 @@ class SrrqrState:
             return
         _swap_columns(self.r, k, k + j)
         _swap_columns(self._f[:, : self._pending].T, k, k + j)
-        g = self.gamma
-        g[0], g[j] = g[j], g[0]
+        for g in (self.gamma, self._gamma2_floor):
+            g[0], g[j] = g[j], g[0]
         if self.a.size:
             _swap_columns(self.a, 0, j)
 
@@ -277,9 +284,6 @@ class SrrqrState:
         c2 = r[k, k + 1 :].copy()
         old_tail = self.gamma[1:]
         self.k = k + 1
-        if self.update_mode != "incremental":
-            self._recompute()
-            return
         self.omega = np.concatenate(
             [np.sqrt(self.omega**2 + (u / diag) ** 2), [1.0 / diag]]
         )
@@ -291,12 +295,14 @@ class SrrqrState:
             scipy.linalg.blas.dger(-1.0 / diag, c2, u, a=a_new[:k].T, overwrite_a=1)
         self.a = a_new
         g2 = old_tail**2 - c2**2
-        bad = g2 < 0.5 * old_tail**2
+        floor = self._gamma2_floor = self._gamma2_floor[1:]
+        bad = g2 < np.maximum(0.5 * old_tail**2, floor)
         if np.any(bad):
             cols = self.k + np.nonzero(bad)[0]
             p = self._pending
             fresh = r[self.k :, cols] - self._v[self.k :, :p] @ self._f[cols, :p].T
             g2[bad] = np.sum(fresh**2, axis=0)
+            floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
         if self._pending == _PANEL:
             self._flush()
@@ -347,17 +353,15 @@ class SrrqrState:
             raise SingularMatrixError(f"zero diagonal at index {km1}")
         old_rowk = r[km1, k:].copy()
         nu = self.gamma[0]
-        incremental = self.update_mode == "incremental"
-        if incremental:
-            a1 = self.a[:, 0].copy()
-            if km1:
-                # solve_triangular's own LAPACK call, without its wrapper
-                w, info = dtrtrs(r[:km1, :km1].T, r[:km1, km1], lower=1, trans=1)
-                if info:
-                    raise SingularMatrixError(f"zero diagonal at index {info - 1}")
-            else:
-                w = np.zeros(0)
-            w_bar = a1[:km1] + w * a1[km1]
+        a1 = self.a[:, 0].copy()
+        if km1:
+            # solve_triangular's own LAPACK call, without its wrapper
+            w, info = dtrtrs(r[:km1, :km1].T, r[:km1, km1], lower=1, trans=1)
+            if info:
+                raise SingularMatrixError(f"zero diagonal at index {info - 1}")
+        else:
+            w = np.zeros(0)
+        w_bar = a1[:km1] + w * a1[km1]
         _swap_columns(r, km1, k)
         beta_bar, v_tail, tau = dlarfg(r.shape[0] - km1, r[km1, km1], r[k:, km1])
         v = np.concatenate(([1.0], v_tail))
@@ -370,8 +374,6 @@ class SrrqrState:
         r[k:, km1] = 0.0
         self._flip_row(km1)
         self.swap_count += 1
-        if not incremental:
-            return
         beta_bar = r[km1, km1]
         new_rowk = r[km1, k:]
         # row norms of the inverse: only the last column of R11 changed
@@ -406,12 +408,15 @@ class SrrqrState:
         # trailing norms: the reflector moved mass between row k-1 and R22
         gamma_new = self.gamma.copy()
         gamma_new[0] = beta * nu / beta_bar
+        floor = self._gamma2_floor
+        floor[0] = _DOWNDATE_TOL * gamma_new[0] ** 2
         if gamma_new.size > 1:
             g2 = self.gamma[1:] ** 2 + old_rowk[1:] ** 2 - new_rowk[1:] ** 2
-            bad = g2 < 0.5 * self.gamma[1:] ** 2
+            bad = g2 < np.maximum(0.5 * self.gamma[1:] ** 2, floor[1:])
             if np.any(bad):
                 cols = k + 1 + np.nonzero(bad)[0]
                 g2[bad] = np.sum(r[k:, cols] ** 2, axis=0)
+                floor[1:][bad] = _DOWNDATE_TOL * g2[bad]
             gamma_new[1:] = np.sqrt(np.maximum(g2, 0.0))
         self.gamma = gamma_new
 
@@ -436,14 +441,10 @@ class SrrqrState:
         self._swap_trailing(j)
         self._cycle(i, 1)
         self.perm.swap(i, k + j)
-        if self.update_mode != "incremental":
-            self._recompute()
 
 
-def _fresh_state(a: np.ndarray, update_mode: str) -> SrrqrState:
+def _fresh_state(a: np.ndarray) -> SrrqrState:
     """State of ``a`` before its first pivot (k = 0, identity permutation)."""
-    if update_mode not in ("incremental", "recompute"):
-        raise ValueError(f"unknown update_mode {update_mode!r}")
     return SrrqrState(
         r=a.copy(),
         perm=PermutationSeq.identity(a.shape[1]),
@@ -451,17 +452,16 @@ def _fresh_state(a: np.ndarray, update_mode: str) -> SrrqrState:
         omega=np.zeros(0),
         gamma=column_norms(a),
         a=np.zeros((0, a.shape[1])),
-        update_mode=update_mode,
     )
 
 
-def srrqr_state(m, k: int, *, update_mode: str = "incremental") -> SrrqrState:
+def srrqr_state(m, k: int) -> SrrqrState:
     """State of the unpivoted k-step factorization of ``m`` (identity permutation)."""
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    state = _fresh_state(a, update_mode)
+    state = _fresh_state(a)
     for _ in range(k):
         state._advance()
     state._flush()
@@ -529,59 +529,30 @@ def swap_budget(k: int, n: int, f: float) -> float:
     return k * math.log(math.sqrt(max(n, 2))) / math.log(f)
 
 
-@dataclass
-class SrrqrResult:
-    factorization: PartialQR
-    k: int
-    rho: float
-    swap_count: int
-    f: float
-    state: SrrqrState = field(repr=False)
-
-
-def srrqr(
-    m,
-    config: SrrqrConfig,
-    *,
-    want_q: bool = True,
-    update_mode: str = "incremental",
-    on_swap=None,
-) -> SrrqrResult:
-    """Strong rank-revealing QR factorization (rank or tolerance driven).
+def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
+    """Grow and interchange ``state`` until ``config`` stops it; say why.
 
     Each outer step pivots the max-norm trailing column to the front; the
     inner loop then performs interchanges as long as some pair grows
     ``|det(R11)|`` by more than ``f``, so every swap multiplies the leading
     volume by at least ``f`` and at termination no swap can beat ``f``.
     A cheap early exit fires when ``rho_hat <= f/sqrt(2)``, which already
-    certifies ``rho <= f``.
+    certifies ``rho <= f``.  ``on_swap(k, i, j, ratio)`` is invoked after
+    every interchange.
 
-    ``on_swap(k, i, j, ratio)`` is invoked after every interchange; handy
-    for monitoring the volume growth.
-
-    With ``want_q`` the factorization, full m-by-m Q included, is one LAPACK
-    QR of ``M P``: R11 and R12 match the state's to roundoff, and ``r22``
-    has min(m, n)-k rows.  Without it ``q`` is None and the blocks are the
-    state's own: ``r22`` has n-k rows after an interchange on a tall input
-    (the state was compressed), m-k otherwise; ``shape`` is (m, n) either
-    way.
+    Returns ``"tolerance"`` (every trailing norm below tau),
+    ``"target_rank"``, or ``"full_rank"`` (a tolerance run that took every
+    column it could), with the state flushed.  Raises ``RuntimeError`` when
+    the interchanges exceed 20 times :func:`swap_budget` (livelock) and, in
+    rank mode, :class:`SingularMatrixError` when the trailing norms underflow.
     """
-    a = as_matrix(m)
-    rows, cols = a.shape
-    mr = min(rows, cols)
-    if not isinstance(config, SrrqrConfig):
-        raise TypeError("config must be an SrrqrConfig")
+    cols = state.r.shape[1]
     f = config.f
     rank_mode = isinstance(config.mode, TargetRank)
-    # the rank to stop at: the target, or every column a tolerance leaves
-    stop = config.mode.k if rank_mode else mr
-    if stop > mr:
-        raise ValueError(f"target rank {stop} exceeds min(rows, cols) = {mr}")
-
-    state = _fresh_state(a, update_mode)
+    stop = config.mode.k if rank_mode else min(state.r.shape)
+    reason = "target_rank" if rank_mode else "full_rank"
     f_swap = f * (1.0 + 1e-12)
     early_exit = f / math.sqrt(2.0)
-
     while state.k < stop:
         jmax = int(np.argmax(state.gamma))
         if rank_mode:
@@ -591,6 +562,7 @@ def srrqr(
                     f"target rank {stop} exceeds the numerical rank"
                 )
         elif state.gamma[jmax] < config.mode.tau:
+            reason = "tolerance"
             break
         if jmax > 0:
             state._swap_trailing(jmax)
@@ -615,8 +587,46 @@ def srrqr(
             state._interchange_core(i, j)
             if on_swap is not None:
                 on_swap(state.k, i, j, ratio)
-
     state._flush()
+    return reason
+
+
+@dataclass
+class SrrqrResult:
+    factorization: PartialQR
+    k: int
+    rho: float
+    swap_count: int
+    f: float
+    # why _drive stopped: "tolerance", "target_rank" or "full_rank"
+    stop_reason: str
+    state: SrrqrState = field(repr=False)
+
+
+def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> SrrqrResult:
+    """Strong rank-revealing QR factorization (rank or tolerance driven).
+
+    Validates ``config`` against ``m``, then :func:`_drive` grows and
+    interchanges a fresh state (its docstring has the loop); the result's
+    ``stop_reason`` is what ``_drive`` returned.  ``on_swap(k, i, j,
+    ratio)`` is invoked after every interchange; handy for monitoring the
+    volume growth.
+
+    With ``want_q`` the factorization, full m-by-m Q included, is one LAPACK
+    QR of ``M P``: R11 and R12 match the state's to roundoff, and ``r22``
+    has min(m, n)-k rows.  Without it ``q`` is None and the blocks are the
+    state's own: ``r22`` has n-k rows after an interchange on a tall input
+    (the state was compressed), m-k otherwise; ``shape`` is (m, n) either
+    way.
+    """
+    a = as_matrix(m)
+    rows, mr = a.shape[0], min(a.shape)
+    if not isinstance(config, SrrqrConfig):
+        raise TypeError("config must be an SrrqrConfig")
+    if isinstance(config.mode, TargetRank) and config.mode.k > mr:
+        raise ValueError(f"target rank {config.mode.k} exceeds min(rows, cols) = {mr}")
+    state = _fresh_state(a)
+    stop_reason = _drive(state, config, on_swap)
     k = state.k
     if want_q:
         # the state carries no Q: factor M P once, with LAPACK, for Q and R
@@ -631,7 +641,8 @@ def srrqr(
         k=k,
         rho=rho(state),
         swap_count=state.swap_count,
-        f=f,
+        f=config.f,
+        stop_reason=stop_reason,
         state=state,
     )
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from pathlib import Path
@@ -34,8 +35,14 @@ from spectra_rrqr import (
     swap_budget,
 )
 from spectra_rrqr.bench import exhaustive_det_ratios
-from spectra_rrqr.dense_core import _r_factor
-from spectra_rrqr.srrqr import _PANEL, _first_swap
+from spectra_rrqr.dense_core import PartialQR, _r_factor, as_matrix
+from spectra_rrqr.srrqr import (
+    _DOWNDATE_TOL,
+    _PANEL,
+    SrrqrResult,
+    _drive,
+    _first_swap,
+)
 
 # ranks the benchmark's swap-det pool must reproduce; read, never written
 REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
@@ -58,6 +65,52 @@ def _swap_det_pool():
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+class _RecomputeState(SrrqrState):
+    """Test oracle: rebuilds omega, gamma and ``a`` after every structural step.
+
+    The incremental updates still run (the parent's methods), then
+    :meth:`SrrqrState.recomputed` overwrites what they produced, so ``r``
+    and every decision read off the state come from exact quantities.
+    """
+
+    def _recompute(self) -> None:
+        self.omega, self.gamma, self.a = self.recomputed()
+        self._gamma2_floor = _DOWNDATE_TOL * self.gamma**2
+
+    def _advance(self) -> None:
+        super()._advance()
+        self._recompute()
+
+    def _interchange_core(self, i: int, j: int) -> None:
+        super()._interchange_core(i, j)
+        self._recompute()
+
+
+def _recompute_state(m, k: int = 0) -> _RecomputeState:
+    """The oracle's flushed state after k unpivoted growth steps of ``m``."""
+    a = as_matrix(m)
+    st = _RecomputeState(
+        r=a.copy(),
+        perm=PermutationSeq.identity(a.shape[1]),
+        k=0,
+        omega=np.zeros(0),
+        gamma=column_norms(a),
+        a=np.zeros((0, a.shape[1])),
+    )
+    for _ in range(k):
+        st._advance()
+    st._flush()
+    return st
+
+
+def _recompute_srrqr(m, cfg: SrrqrConfig) -> SrrqrResult:
+    """``srrqr(m, cfg, want_q=False)`` with the oracle driven by ``_drive``."""
+    st = _recompute_state(m)
+    reason = _drive(st, cfg)
+    fact = PartialQR.from_r(None, st.r, st.k, st.perm.copy(), np.shape(m)[0])
+    return SrrqrResult(fact, st.k, rho(st), st.swap_count, cfg.f, reason, st)
 
 
 def diag_embedded(values, rows):
@@ -220,8 +273,8 @@ class TestInterchange:
 
     def test_update_modes_agree(self):
         m = rng(10).standard_normal((9, 6))
-        inc = srrqr_state(m, 4, update_mode="incremental")
-        rec = srrqr_state(m, 4, update_mode="recompute")
+        inc = srrqr_state(m, 4)
+        rec = _recompute_state(m, 4)
         for i, j in [(1, 1), (3, 0), (0, 1), (2, 0)]:
             inc = interchange(inc, i, j)
             rec = interchange(rec, i, j)
@@ -341,12 +394,7 @@ class TestSrrqr:
             (1, generate(MatrixSpec(Kahan(n=24, s=0.9)))),
         ]:
             a = srrqr(mat, SrrqrConfig(f=1.05, mode=TargetRank(6)), want_q=False)
-            b = srrqr(
-                mat,
-                SrrqrConfig(f=1.05, mode=TargetRank(6)),
-                want_q=False,
-                update_mode="recompute",
-            )
+            b = _recompute_srrqr(mat, SrrqrConfig(f=1.05, mode=TargetRank(6)))
             assert np.array_equal(
                 a.factorization.perm.forward, b.factorization.perm.forward
             )
@@ -358,6 +406,127 @@ class TestSrrqr:
         res = srrqr(m, SrrqrConfig(f=2.0, mode=Tolerance(1e-14)), want_q=False)
         assert res.k == 4
         assert res.rho == 0.0 or res.rho <= 2.0
+
+
+class TestStopReason:
+    """``_drive`` says why it stopped, and ``srrqr`` passes the reason on."""
+
+    @pytest.mark.parametrize(
+        "m,mode,k,reason",
+        [
+            (diag_embedded([3.0, 2.0, 1e-12], 8), Tolerance(1e-6), 2, "tolerance"),
+            (rng(30).standard_normal((7, 4)), Tolerance(1e3), 0, "tolerance"),
+            (np.diag([1.0, 2.0, 3.0]), TargetRank(2), 2, "target_rank"),
+            # a target at min(m, n) is still the target, not full rank
+            (np.diag([1.0, 2.0, 3.0]), TargetRank(3), 3, "target_rank"),
+            (rng(15).standard_normal((4, 9)), Tolerance(1e-14), 4, "full_rank"),
+        ],
+        ids=["tolerance", "tau-above-every-column", "target-rank", "target-min-dim",
+             "full-rank"],
+    )
+    def test_reason(self, m, mode, k, reason):
+        res = srrqr(m, SrrqrConfig(f=2.0, mode=mode), want_q=False)
+        assert (res.k, res.stop_reason) == (k, reason)
+
+    def test_livelock_guard(self, monkeypatch):
+        # with no budget the first interchange the loop wants trips the guard
+        module = importlib.import_module("spectra_rrqr.srrqr")
+        monkeypatch.setattr(module, "swap_budget", lambda k, n, f: 0.0)
+        k32 = generate(MatrixSpec(Kahan(n=32, s=0.92)))
+        with pytest.raises(RuntimeError, match="interchange budget exhausted"):
+            srrqr(k32, SrrqrConfig(f=1.02, mode=TargetRank(31)), want_q=False)
+
+
+class TestNormDowndate:
+    """A trailing norm that shrinks steadily is recomputed before it freezes.
+
+    On Kahan(300, 0.95) one column's norm falls by about 0.72x per step, so
+    no single downdate loses half of it; without the comparison against its
+    last exact value the maintained norm stops near 6e-9 while the true one
+    falls to 3e-42, and tolerance mode admits the column.
+    """
+
+    @pytest.mark.parametrize(
+        "spec,seed,f",
+        [
+            # a known rounding-tie region: gate on k and diagonals, not pivots
+            (Kahan(n=300, s=0.95), 0, 1.02),
+            (DevilsStairs(m=400, n=200, stair_len=25), 1, 2.0),
+        ],
+    )
+    def test_admitted_diagonals_clear_tau(self, spec, seed, f, monkeypatch):
+        m = generate(MatrixSpec(spec, seed=seed))
+        tau = 1e-10
+        cfg = SrrqrConfig(f=f, mode=Tolerance(tau))
+        oracle = _recompute_srrqr(m, cfg)
+        admitted = []
+        grow = SrrqrState._advance
+
+        def spy(state):
+            grow(state)
+            admitted.append(state.r[state.k - 1, state.k - 1])
+
+        monkeypatch.setattr(SrrqrState, "_advance", spy)
+        res = srrqr(m, cfg, want_q=False)
+        assert res.k == oracle.k
+        assert len(admitted) == res.k
+        assert min(admitted) >= tau
+
+    def test_maintained_norms_track_the_trailing_block(self, monkeypatch):
+        # without the rule the maintained norms are off by up to 1e33 here
+        m = generate(MatrixSpec(Kahan(n=300, s=0.95)))
+        worst = []
+        for name in ("_advance", "_interchange_core"):
+            step = getattr(SrrqrState, name)
+
+            def spy(state, *ij, step=step):
+                step(state, *ij)
+                true = np.linalg.norm(_true_trailing(state), axis=0)
+                worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
+
+            monkeypatch.setattr(SrrqrState, name, spy)
+        res = srrqr(m, SrrqrConfig(f=1.02, mode=Tolerance(1e-10)), want_q=False)
+        assert res.swap_count > 0
+        assert len(worst) == res.k + res.swap_count
+        assert max(worst) <= 1e-6
+
+    def test_floor_governs_recomputes_and_resets(self):
+        m = generate(MatrixSpec(Stewart(m=96, n=40, q=0.8), seed=3))
+        st = srrqr_state(m, 10)
+        # a column that loses little keeps its floor, a recomputed one gets
+        # sqrt(eps) times its new square
+        before = st._gamma2_floor[1:].copy()
+        st._advance()
+        kept = st._gamma2_floor == before
+        assert kept.any()
+        want = _DOWNDATE_TOL * st.gamma**2
+        assert np.allclose(st._gamma2_floor[~kept], want[~kept], rtol=1e-12)
+        # a floor far above every norm turns each downdate into a loss to
+        # below sqrt(eps) of its last exact square: every norm is recomputed
+        # and its floor reset, in growth and in the boundary swap alike
+        st._gamma2_floor *= 1e20
+        st._advance()
+        assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
+        st._flush()
+        st._gamma2_floor *= 1e20
+        st._swap_boundary()
+        # the closed form of the incoming column's norm is exact too
+        assert st._gamma2_floor[0] == _DOWNDATE_TOL * st.gamma[0] ** 2
+        assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
+        exact = np.linalg.norm(st.r[st.k :, st.k :], axis=0)
+        assert np.allclose(st.gamma, exact, rtol=1e-12)
+
+    def test_floor_follows_its_column(self):
+        m = generate(MatrixSpec(Stewart(m=96, n=40, q=0.8), seed=3))
+        st = srrqr_state(m, 10)
+        st._gamma2_floor = np.arange(30.0)
+        st.gamma = np.arange(30.0)
+        st._swap_trailing(7)
+        assert np.array_equal(st._gamma2_floor, st.gamma)
+        assert st.gamma[0] == 7.0
+        dup = st.copy()
+        assert np.array_equal(dup._gamma2_floor, st._gamma2_floor)
+        assert type(interchange(_recompute_state(m, 10), 0, 0)) is _RecomputeState
 
 
 def _growing_state(m) -> SrrqrState:
@@ -393,7 +562,7 @@ class TestDeferredGrowth:
         k = 3 * _PANEL + 4
         cfg = SrrqrConfig(f=1.5, mode=TargetRank(k))
         res = srrqr(m, cfg)
-        oracle = srrqr(m, cfg, update_mode="recompute")
+        oracle = _recompute_srrqr(m, cfg)
         _same_decisions(res, oracle)
         assert res.state._pending == 0
         assert np.allclose(res.state.r, oracle.state.r, atol=1e-11)
@@ -408,7 +577,7 @@ class TestDeferredGrowth:
         for step in range(1, 2 * _PANEL + 6):
             st._advance()
             assert st._pending == step % _PANEL
-            ref = srrqr_state(m, step, update_mode="recompute")
+            ref = _recompute_state(m, step)
             # pivot rows and leading columns are final, the rest is stale
             assert np.allclose(st.r[:step], ref.r[:step], atol=1e-12)
             assert np.allclose(_true_trailing(st), ref.r[step:, step:], atol=1e-12)
@@ -420,7 +589,7 @@ class TestDeferredGrowth:
     def test_interchange_fires_mid_panel(self, seed, monkeypatch):
         m = generate(MatrixSpec(Stewart(m=256, n=96, q=0.8), seed=seed))
         cfg = SrrqrConfig(f=1.1, mode=Tolerance(1e-10))
-        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        oracle = _recompute_srrqr(m, cfg)
         pending = []
         core = SrrqrState._interchange_core
 
@@ -472,7 +641,7 @@ class TestDeferredGrowth:
         m = rng(22).standard_normal(shape)
         cfg = SrrqrConfig(f=2.0, mode=mode)
         res = srrqr(m, cfg)
-        oracle = srrqr(m, cfg, update_mode="recompute")
+        oracle = _recompute_srrqr(m, cfg)
         _same_decisions(res, oracle)
         assert res.k == min(shape)
         assert res.factorization.reconstruction_error(m) <= 1e-12
@@ -483,7 +652,7 @@ class TestDeferredGrowth:
         m = rng(23).standard_normal((60, 50))
         k = _PANEL + 7
         st = srrqr_state(m, k)
-        ref = srrqr_state(m, k, update_mode="recompute")
+        ref = _recompute_state(m, k)
         assert st._pending == 0
         assert np.allclose(st.r, ref.r, atol=1e-12)
         assert max(st.consistency_errors().values()) <= 1e-10
@@ -532,7 +701,7 @@ class TestDeferredGrowth:
         m = generate(MatrixSpec(spec, seed=3))
         cfg = SrrqrConfig(f=f, mode=mode)
         res = srrqr(m, cfg, want_q=False)
-        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        oracle = _recompute_srrqr(m, cfg)
         _same_decisions(res, oracle)
         assert np.allclose(res.state.r, oracle.state.r, atol=1e-12)
         # rho reads inv(R11), whose condition reaches 1e9 on the stairs, so
@@ -599,7 +768,7 @@ class TestCompression:
         rows, cols = m.shape
         cfg = SrrqrConfig(f=1.1, mode=mode)
         res = srrqr(m, cfg, want_q=False)
-        oracle = srrqr(m, cfg, want_q=False, update_mode="recompute")
+        oracle = _recompute_srrqr(m, cfg)
         assert res.swap_count > 0
         assert res.state.r.shape == (cols, cols)
         assert res.state._v.shape[0] == cols
