@@ -41,7 +41,9 @@ from .sketch import _apply as apply
 from .sketch import _operator_rows
 from .sketch import pad_rows_pow2  # noqa: F401  perfbench's sketch.pad trace point
 
+# eps is measured up to _MEASURE_LIMIT columns, else reported as _NOMINAL_EPS
 _MEASURE_LIMIT = 64
+_NOMINAL_EPS = 0.25
 
 
 def f_tilde_from(epsilon: float, f: float) -> float:
@@ -56,8 +58,8 @@ class RandSrrqrResult:
     """Factorization of M whose permutation was chosen on the sketch.
 
     ``distortion`` is the exact measured distortion over the numerical
-    range of M when the column count makes that affordable, otherwise the
-    configured target; ``distortion_is_measured`` records which.
+    range of M when M has at most ``_MEASURE_LIMIT`` columns, otherwise
+    the nominal ``_NOMINAL_EPS``; ``distortion_is_measured`` records which.
 
     ``sketch_result`` is the strong RRQR of the sketch's R factor when the
     sketch has more rows than columns, so ``sketch_result.state.r`` and
@@ -116,7 +118,7 @@ class QlpResult:
     r_values_sorted: np.ndarray
 
 
-def _randomized(a, f, mode, d, subspace, seed, kind, epsilon, want_q):
+def _randomized(a, f, mode, d, subspace, seed, kind, want_q):
     """Sketch the validated ``a``, pivot on the sketch, then factor ``a``.
 
     ``d`` defaults to the size that embeds a ``subspace``-dimensional
@@ -132,7 +134,7 @@ def _randomized(a, f, mode, d, subspace, seed, kind, epsilon, want_q):
     """
     rows = _operator_rows(kind, a.shape[0])
     if d is None:
-        d = ose_dim(epsilon, 0.1, subspace, rows, kind)
+        d = ose_dim(subspace, rows)
     if d > rows:
         raise ValueError(f"sketch size d={d} exceeds padded row count {rows}")
     timings: dict = {}
@@ -159,7 +161,7 @@ def _randomized(a, f, mode, d, subspace, seed, kind, epsilon, want_q):
     timings["final_qr"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     measured = a.shape[1] <= _MEASURE_LIMIT
-    eps_hat = embedding_distortion(op, _range_basis(a)) if measured else epsilon
+    eps_hat = embedding_distortion(op, _range_basis(a)) if measured else _NOMINAL_EPS
     timings["distortion"] = (time.perf_counter() - t0) * 1e3
     return RandSrrqrResult(
         factorization=fact,
@@ -184,7 +186,6 @@ def rand_srrqr_rank(
     seed: int = 0,
     kind: str = "srht",
     *,
-    epsilon: float = 0.25,
     sizing: str = "range",
     want_q: bool = True,
 ) -> RandSrrqrResult:
@@ -205,7 +206,7 @@ def rand_srrqr_rank(
     if d is not None and d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
     subspace = n if sizing == "range" else k + 1
-    return _randomized(a, f, TargetRank(k), d, subspace, seed, kind, epsilon, want_q)
+    return _randomized(a, f, TargetRank(k), d, subspace, seed, kind, want_q)
 
 
 def rand_srrqr_tol(
@@ -216,20 +217,19 @@ def rand_srrqr_tol(
     seed: int = 0,
     kind: str = "srht",
     *,
-    epsilon: float = 0.25,
     want_q: bool = True,
 ) -> RandSrrqrResult:
     """Randomized strong RRQR stopping at a trailing-norm tolerance.
 
     The stopping test runs on the sketch, so the trailing column norms of
     the returned factorization obey ``gamma_j <= tau / sqrt(1 - eps)`` for
-    the realized distortion eps.
+    a measured distortion eps; a nominal one carries no such bound.
     """
     a = as_matrix(m)
     n = a.shape[1]
     if not tau > 1e-300 * np.linalg.norm(a):
         raise ValueError(f"tolerance {tau} is below the representable scale of m")
-    return _randomized(a, f, Tolerance(tau), d, n, seed, kind, epsilon, want_q)
+    return _randomized(a, f, Tolerance(tau), d, n, seed, kind, want_q)
 
 
 def ratio_report(m, res, threshold: float | None = None) -> RatioReport:

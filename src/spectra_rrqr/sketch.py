@@ -63,9 +63,11 @@ def worker_count(n_jobs: int) -> int:
         cap = os.cpu_count() or 1
     env = os.environ.get("SPECTRA_RRQR_THREADS", "").strip()
     if env:
-        if not env.lstrip("+-").isdigit():
-            raise ValueError(f"SPECTRA_RRQR_THREADS must be an integer, got {env!r}")
-        cap = min(cap, max(1, int(env)))
+        try:
+            cap = min(cap, max(1, int(env)))
+        except ValueError:
+            msg = f"SPECTRA_RRQR_THREADS must be an integer, got {env!r}"
+            raise ValueError(msg) from None
     return max(1, min(n_jobs, cap))
 
 
@@ -387,41 +389,14 @@ def embedding_distortion(op: SketchOperator, basis) -> float:
     return float(max(1.0 - s[-1] ** 2, s[0] ** 2 - 1.0))
 
 
-def ose_dim(
-    epsilon: float,
-    delta: float,
-    subspace_dim: int,
-    m: int,
-    kind: str = "srht",
-    *,
-    policy: str = "experimental",
-    constant: float = 1.0,
-) -> int:
-    """Sketch size for embedding a ``subspace_dim``-dimensional subspace.
+def ose_dim(subspace_dim: int, m: int) -> int:
+    """Sketch size ``floor(3 n log(m) / log(n))`` with ``n = subspace_dim``.
 
-    The default policy is the benchmark sizing ``floor(3 n log(m) / log(n))``
-    (natural logs; the ratio is base-invariant).  The ``theory`` policy uses
-    the asymptotic formulas for the requested kind with an explicit leading
-    ``constant`` (default 1) since the asymptotics carry none.  The result
-    is clamped to ``[subspace_dim + 1, m]``.
+    Natural logs (the ratio is base-invariant), clamped to ``[n + 1, m]``.
+    No distortion target goes in, and the size implies none.
     """
     n = subspace_dim
     if n < 1 or m < 1:
         raise ValueError("dimensions must be positive")
-    if policy == "experimental":
-        raw = m if n < 2 else math.floor(3.0 * n * math.log(m) / math.log(n))
-    elif policy == "theory":
-        if kind == "gaussian":
-            raw = math.ceil(constant * epsilon**-2 * (n - math.log(delta)))
-        elif kind == "srht":
-            raw = math.ceil(
-                constant
-                * epsilon**-2
-                * (n + math.log(m / delta))
-                * math.log(n / delta)
-            )
-        else:
-            raise ValueError(f"no theory sizing for kind {kind!r}")
-    else:
-        raise ValueError(f"unknown sizing policy {policy!r}")
+    raw = m if n < 2 else math.floor(3.0 * n * math.log(m) / math.log(n))
     return int(min(m, max(n + 1, raw)))

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 
@@ -16,8 +17,10 @@ from spectra_rrqr import (
     f_tilde_from,
     generate,
     haar_orthogonal,
+    ose_dim,
     pad_rows_pow2,
     qlp_values,
+    qrcp,
     rand_srrqr_rank,
     rand_srrqr_tol,
     ratio_report,
@@ -26,7 +29,7 @@ from spectra_rrqr import (
 )
 from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
 from spectra_rrqr import dense_core, rand_srrqr, sketch
-from spectra_rrqr.bench import exhaustive_det_ratios
+from spectra_rrqr.bench import RunConfig, exhaustive_det_ratios, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
 
@@ -404,6 +407,44 @@ class TestExport:
         rec = export_record(res)
         assert rec["ratios"] is None and rec["l_values"] is None
         assert "sketch" in rec["timings_ms"]
+
+
+class TestNominalDistortion:
+    """Above ``_MEASURE_LIMIT`` columns the reported eps is the nominal one."""
+
+    @pytest.mark.parametrize("algo", ["rand-rank", "rand-tau"])
+    def test_nominal_eps_is_labelled(self, algo):
+        assert rand_srrqr._MEASURE_LIMIT < 70
+        m = rng(24).standard_normal((300, 70))
+        if algo == "rand-rank":
+            res = rand_srrqr_rank(m, f=2.0, k=30, seed=0, want_q=False)
+        else:
+            res = rand_srrqr_tol(m, f=2.0, tau=1e-8, seed=0, want_q=False)
+        assert res.distortion_is_measured is False
+        assert res.distortion == rand_srrqr._NOMINAL_EPS
+        assert res.f_tilde == f_tilde_from(rand_srrqr._NOMINAL_EPS, 2.0)
+        rec = export_record(res)
+        assert rec["epsilon_measured"] is None
+        assert rec["epsilon_nominal"] == 0.25
+        mode = {"k": 30} if algo == "rand-rank" else {"tau": 1e-8}
+        (rec,) = run_factor(RunConfig(matrix="random:300x70", algo=algo, **mode))
+        assert rec["epsilon_measured"] is None
+        assert rec["epsilon_nominal"] == 0.25
+        assert rec["f_tilde"] == f_tilde_from(0.25, 2.0)
+
+
+def test_settable_parameters():
+    # every parameter a caller can set on the public entry points; a new
+    # knob shows up as an edit here
+    pinned = {
+        srrqr: ("m", "config", "want_q", "on_swap"),
+        qrcp: ("m", "k", "want_q"),
+        rand_srrqr_rank: ("m", "f", "k", "d", "seed", "kind", "sizing", "want_q"),
+        rand_srrqr_tol: ("m", "f", "tau", "d", "seed", "kind", "want_q"),
+        ose_dim: ("subspace_dim", "m"),
+    }
+    for func, names in pinned.items():
+        assert tuple(inspect.signature(func).parameters) == names, func.__name__
 
 
 class TestSwapSubspaceDistortion:

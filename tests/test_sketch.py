@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -546,13 +547,16 @@ class TestWorkerCount:
         assert sk.worker_count(10) == 4
         assert sk.worker_count(3) == 3
         assert sk.worker_count(0) == 1
-        for env, want in (("1", 1), ("2", 2), ("16", 4), ("0", 1), (" ", 4)):
+        cases = (("1", 1), ("2", 2), ("16", 4), ("0", 1), (" ", 4), ("-3", 1), (" 2 ", 2))
+        for env, want in cases:
             monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
             assert sk.worker_count(10) == want
 
-    def test_non_integer_env_names_variable(self, monkeypatch):
-        monkeypatch.setenv("SPECTRA_RRQR_THREADS", "two")
-        with pytest.raises(ValueError, match="SPECTRA_RRQR_THREADS.*'two'"):
+    @pytest.mark.parametrize("env", ["two", "1.5", "+-5", "\u00b2"])
+    def test_non_integer_env_names_variable(self, monkeypatch, env):
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
+        # "+-5" and "\u00b2" pass a sign-stripped isdigit() but are not integers
+        with pytest.raises(ValueError, match="SPECTRA_RRQR_THREADS.*" + re.escape(repr(env))):
             sk.worker_count(10)
 
     def test_one_helper(self):
@@ -602,31 +606,13 @@ class TestDistortion:
 class TestOseDim:
     def test_benchmark_default_value(self):
         # floor(3*500*log(8192)/log(500)) evaluates to 2174 (ratio 2174.94)
-        assert ose_dim(0.25, 0.1, 500, 8192) == 2174
+        assert ose_dim(500, 8192) == 2174
 
     def test_clamp_to_m(self):
-        assert ose_dim(0.25, 0.1, 64, 64) == 64
+        assert ose_dim(64, 64) == 64
 
     def test_floor_guard(self):
-        assert ose_dim(0.25, 0.1, 1, 2) == 2
-
-    def test_theory_policies(self):
-        g = ose_dim(0.5, 0.1, 20, 4096, kind="gaussian", policy="theory")
-        s = ose_dim(0.5, 0.1, 20, 4096, kind="srht", policy="theory")
-        assert g >= 21 and s >= 21
-        assert (
-            ose_dim(0.5, 0.1, 20, 4096, kind="srht", policy="theory", constant=2.0)
-            >= s
-        )
-
-    def test_theory_srht_value(self):
-        # 0.5**-2 * (20 + log(4096 / 0.1)) * log(20 / 0.1) = 648.9
-        assert ose_dim(0.5, 0.1, 20, 4096, kind="srht", policy="theory") == 649
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError, match="policy"):
-            ose_dim(0.25, 0.1, 8, 64, policy="magic")
-
+        assert ose_dim(1, 2) == 2
 
 
 class TestSandwiches:
