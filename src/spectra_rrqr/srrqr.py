@@ -43,7 +43,7 @@ An interchange rotates leading column i to the block boundary, swaps the
 boundary pair with one ``dlarfg`` reflector and rotates the incoming column
 back; each rotation is a Givens update (``qr_delete``/``qr_insert``) of rows
 i..k-1, so omega and ``a`` only permute; no Householder code is written in
-Python.  The screen squares ratios; :func:`rho` uses hypot.
+Python.  The screen squares ratios; :func:`swap_ratios` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
@@ -118,6 +118,20 @@ def _swap_columns(x: np.ndarray, i: int, j: int) -> None:
     x[:, j] = t
 
 
+def recompute(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fresh (omega, gamma, a) of an R factor whose leading k columns are
+    upper-triangular; none of the three depends on the signs of its rows."""
+    n = r.shape[1]
+    r11 = r[:k, :k]
+    omega = inverse_row_norms(r11) if k else np.zeros(0)
+    gamma = np.linalg.norm(r[k:, k:], axis=0)
+    if k and n > k:
+        a = scipy.linalg.solve_triangular(r11, r[:k, k:])
+    else:
+        a = np.zeros((k, n - k))
+    return omega, gamma, a
+
+
 @dataclass
 class SrrqrState:
     """Working state of the pivoted factorization.
@@ -189,17 +203,7 @@ class SrrqrState:
     def recomputed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fresh (omega, gamma, a) from the current factor."""
         self._flush()
-        k, n = self.k, self.r.shape[1]
-        r11 = self.r[:k, :k]
-        omega = inverse_row_norms(r11) if k else np.zeros(0)
-        gamma = (
-            np.linalg.norm(self.r[k:, k:], axis=0) if n > k else np.zeros(0)
-        )
-        if k and n > k:
-            a = scipy.linalg.solve_triangular(r11, self.r[:k, k:])
-        else:
-            a = np.zeros((k, n - k))
-        return omega, gamma, a
+        return recompute(self.r, self.k)
 
     def consistency_errors(self) -> dict[str, float]:
         """Relative gaps between maintained quantities and recomputation."""
@@ -468,14 +472,20 @@ def srrqr_state(m, k: int) -> SrrqrState:
     return state
 
 
-def det_ratio_matrix(state: SrrqrState) -> np.ndarray:
+def swap_ratios(omega, gamma, a) -> np.ndarray:
     """All volume-growth factors ``|det(R11 after swap i,j)| / |det(R11)|``.
 
-    Entry (i, j) equals ``sqrt(a[i, j]^2 + omega[i]^2 gamma[j]^2)``.
+    Entry (i, j) equals ``sqrt(a[i, j]^2 + omega[i]^2 gamma[j]^2)`` (Gu &
+    Eisenstat, SISC 1996), so ``swap_ratios(*recompute(r, k))`` needs one R.
     """
-    if state.omega.size == 0 or state.gamma.size == 0:
-        return np.zeros((state.omega.size, state.gamma.size))
-    return np.hypot(state.a, np.outer(state.omega, state.gamma))
+    if omega.size == 0 or gamma.size == 0:
+        return np.zeros((omega.size, gamma.size))
+    return np.hypot(a, np.outer(omega, gamma))
+
+
+def det_ratio_matrix(state: SrrqrState) -> np.ndarray:
+    """:func:`swap_ratios` of the maintained omega, gamma and ``a``."""
+    return swap_ratios(state.omega, state.gamma, state.a)
 
 
 def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
@@ -499,7 +509,8 @@ def det_ratio(state: SrrqrState, i: int, j: int) -> float:
         raise IndexError(f"leading index i={i} out of range for k={k}")
     if not (0 <= j < n - k):
         raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
-    return float(math.hypot(state.a[i, j], state.omega[i] * state.gamma[j]))
+    row, col = slice(i, i + 1), slice(j, j + 1)
+    return swap_ratios(state.omega[row], state.gamma[col], state.a[row, col]).item()
 
 
 def rho(state: SrrqrState) -> float:

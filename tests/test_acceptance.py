@@ -35,7 +35,8 @@ from spectra_rrqr import (
     srrqr_state,
     volume,
 )
-from spectra_rrqr.bench import exhaustive_det_ratios, run_timing, run_volume_decay
+from oracles import exhaustive_det_ratios
+from spectra_rrqr.bench import run_timing, run_volume_decay
 from spectra_rrqr.dense_core import ls_residual
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
 from spectra_rrqr.sketch import embedding_distortion

@@ -1,9 +1,10 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spectra_rrqr import bench, testmat
+from spectra_rrqr import bench, dense_core, testmat
 from spectra_rrqr import (
     SrrqrConfig,
     Tolerance,
@@ -30,6 +31,9 @@ from spectra_rrqr.bench import (
     write_csv,
 )
 from spectra_rrqr.cli import main
+from spectra_rrqr.srrqr import det_ratio_matrix
+
+from oracles import exhaustive_det_ratios
 
 # (algo, parameters) on hc:64x16 for every algorithm
 HC_RUNS = {
@@ -310,6 +314,23 @@ class TestCsvSchema:
         text = write_csv([])
         assert text == "experiment,seed,k,i_or_j,ratio,bound,kind,d,f,epsilon\n"
 
+    @pytest.mark.parametrize(
+        "cfg, source",
+        [
+            (RunConfig("random:300x70", "rand-rank", k=30), "epsilon_nominal"),
+            (RunConfig("random:32x6", "rand-rank", k=3, d=32), "epsilon_measured"),
+        ],
+        ids=["nominal", "measured"],
+    )
+    def test_epsilon_is_the_one_bound_was_built_from(self, cfg, source):
+        # above 64 columns eps is nominal; the column then holds it rather
+        # than an empty cell next to a bound built from it
+        (rec,) = run_factor(replace(cfg, with_ratios=True))
+        assert rec[source] is not None
+        rows = records_to_csv_rows([rec])
+        assert {r["epsilon"] for r in rows} == {rec[source]}
+        assert rec["bound"] in {r["bound"] for r in rows}
+
     def test_row_structure(self):
         cfg = RunConfig(
             matrix="random:32x6",
@@ -359,6 +380,13 @@ TAIL_CHECKS = [
 RAND_HEAD = [f"randomized {n}" for n in RATIO_CHECKS] + SANDWICHES
 RAND_CHECKS = RAND_HEAD + TAIL_CHECKS
 RAND_TAU_CHECKS = RAND_HEAD + ["trailing norms within tolerance"] + TAIL_CHECKS
+# one verify configuration per algorithm and the checks it reports
+CHECKLISTS = [
+    ("identity:16", "srrqr", {"k": 8}, SRRQR_CHECKS),
+    ("kahan:128x32", "qrcp", {"k": 31}, QRCP_CHECKS),
+    ("random:64x12", "rand-rank", {"k": 6, "d": 48}, RAND_CHECKS),
+    ("hc:64x16", "rand-tau", {"tau": 1e-8, "d": 64}, RAND_TAU_CHECKS),
+]
 
 
 class TestVerify:
@@ -387,15 +415,7 @@ class TestVerify:
         with pytest.raises(ValueError, match="takes"):
             verify_config(RunConfig("identity:8", algo, k=k, tau=tau))
 
-    @pytest.mark.parametrize(
-        "matrix, algo, kw, names",
-        [
-            ("identity:16", "srrqr", {"k": 8}, SRRQR_CHECKS),
-            ("kahan:128x32", "qrcp", {"k": 31}, QRCP_CHECKS),
-            ("random:64x12", "rand-rank", {"k": 6, "d": 48}, RAND_CHECKS),
-            ("hc:64x16", "rand-tau", {"tau": 1e-8, "d": 64}, RAND_TAU_CHECKS),
-        ],
-    )
+    @pytest.mark.parametrize("matrix, algo, kw, names", CHECKLISTS)
     def test_checklist_names(self, matrix, algo, kw, names):
         report = verify_config(RunConfig(matrix, algo, seeds=[0, 1], **kw))
         assert [c.name for c in report.checks] == [
@@ -438,7 +458,8 @@ class TestVerify:
 
     def test_exhaustive_certificate_on_compressed_state(self, monkeypatch):
         # a tall input whose state is compressed to its 128-row R factor and
-        # that makes interchanges; the oracle refactors 40 columns per swap
+        # that makes interchanges; the certificate reads every swap of the
+        # returned M P off one QR of it, never off the compressed state
         seen = []
         real = bench._factor
 
@@ -452,6 +473,70 @@ class TestVerify:
         assert len(report.checks) == 5 and report.exit_code == 0
         (res,) = seen
         assert res.swap_count == 26 and res.state.r.shape[0] == 128
+
+    @pytest.mark.parametrize(
+        "cfg, most",
+        [
+            (RunConfig("stewart:1024x128", "srrqr", f=1.1, k=40), 3),
+            (RunConfig("random:64x12", "rand-rank", k=6, d=48), 4),
+        ],
+        ids=["stewart-srrqr", "random-rand-rank"],
+    )
+    def test_qr_count_independent_of_swap_count(self, monkeypatch, cfg, most):
+        # the swap checks factor M P once; one QR per candidate swap made
+        # k(n-k) calls: 3,522 and 39 on these two runs
+        calls = []
+        real = dense_core.dgeqrt
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dense_core, "dgeqrt", spy)
+        assert verify_config(cfg).exit_code == 0
+        assert 1 <= len(calls) <= most
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            RunConfig(matrix, algo, seeds=[0, 1], **kw)
+            for matrix, algo, kw, _ in CHECKLISTS
+        ]
+        + [RunConfig("stewart:1024x128", "srrqr", f=1.1, k=40)],
+        ids=lambda cfg: f"{cfg.matrix}-{cfg.algo}",
+    )
+    def test_swap_ratios_match_the_oracle(self, monkeypatch, cfg):
+        # the closed form on one QR of M P against a refactorization per
+        # swap, on the factorizations verify checks; every swap check the
+        # oracle's ratios would give has the verdict the report gives
+        results = {}
+        real = bench._factor
+
+        def spy(mat, cfg, seed):
+            res, ms = real(mat, cfg, seed)
+            results[seed] = (mat, res)
+            return res, ms
+
+        monkeypatch.setattr(bench, "_factor", spy)
+        checks = {c.name: c for c in verify_config(cfg).checks}
+        for seed, (mat, res) in results.items():
+            fact = getattr(res, "factorization", res)
+            closed = bench._swap_ratios(mat, fact)
+            oracle = exhaustive_det_ratios(fact.perm.apply_cols(mat), fact.k)
+            top = float(oracle.max())
+            assert np.max(np.abs(closed - oracle)) <= 1e-6 * top
+            verdicts = {}
+            if cfg.algo == "srrqr":
+                verdicts["srrqr exhaustive swap certificate"] = top
+            elif cfg.algo != "qrcp":
+                verdicts["exhaustive swap certificate"] = top
+                d_sk = det_ratio_matrix(res.sketch_result.state)
+                quot = oracle[d_sk > 1e-290] / d_sk[d_sk > 1e-290]
+                verdicts["swap ratio preservation upper"] = quot.max()
+                verdicts["swap ratio preservation lower"] = quot.min()
+            for name, value in verdicts.items():
+                check = checks[f"seed={seed} {name}"]
+                assert replace(check, value=float(value)).ok == check.ok
 
     def test_report_lines_format(self):
         report = verify_config(RunConfig("identity:8", "srrqr", f=2.0, k=4))

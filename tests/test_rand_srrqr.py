@@ -29,9 +29,11 @@ from spectra_rrqr import (
 )
 from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
 from spectra_rrqr import dense_core, rand_srrqr, sketch
-from spectra_rrqr.bench import RunConfig, exhaustive_det_ratios, run_factor
+from spectra_rrqr.bench import RunConfig, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 from spectra_rrqr.rand_srrqr import swap_subspace_distortion
+
+from oracles import exhaustive_det_ratios
 
 # the package exports the function srrqr under the module's name
 srrqr_module = importlib.import_module("spectra_rrqr.srrqr")
