@@ -118,11 +118,11 @@ class QlpResult:
     r_values_sorted: np.ndarray
 
 
-def _randomized(a, f, mode, d, subspace, seed, kind, want_q):
+def _randomized(a, f, mode, d, seed, kind, want_q):
     """Sketch the validated ``a``, pivot on the sketch, then factor ``a``.
 
-    ``d`` defaults to the size that embeds a ``subspace``-dimensional
-    subspace.
+    ``d`` defaults to the size that embeds the n-dimensional range of
+    ``a``.  With ``want_q`` the final QR forms the thin m-by-min(m, n) Q.
 
     Column norms, ``inv(R11)``, ``R12`` and the ``R22`` column norms of the
     sketch under any permutation are fixed by the R factor of the permuted
@@ -134,7 +134,7 @@ def _randomized(a, f, mode, d, subspace, seed, kind, want_q):
     """
     rows = _operator_rows(kind, a.shape[0])
     if d is None:
-        d = ose_dim(subspace, rows)
+        d = ose_dim(a.shape[1], rows)
     if d > rows:
         raise ValueError(f"sketch size d={d} exceeds padded row count {rows}")
     timings: dict = {}
@@ -186,27 +186,22 @@ def rand_srrqr_rank(
     seed: int = 0,
     kind: str = "srht",
     *,
-    sizing: str = "range",
     want_q: bool = True,
 ) -> RandSrrqrResult:
     """Randomized strong RRQR selecting exactly k columns.
 
-    ``sizing`` controls the default sketch size when ``d`` is omitted:
-    ``"range"`` targets embedding the whole range of M (tall or low-rank
-    input), ``"kplus1"`` targets any (k+1)-dimensional subspace, which is
-    the right notion for general matrices with k much smaller than m.
+    When ``d`` is omitted the sketch is sized to embed the whole range of
+    M (:func:`.sketch.ose_dim` of its n columns).  ``want_q`` forms the
+    thin m-by-min(m, n) Q of the final QR.
     """
     a = as_matrix(m)
     n = a.shape[1]
     if not (1 <= k <= min(a.shape)):
         raise ValueError(f"k={k} out of range for a {a.shape[0]}x{n} matrix")
-    if sizing not in ("range", "kplus1"):
-        raise ValueError(f"unknown sizing policy {sizing!r}")
-    # a default d embeds at least k + 1 dimensions, so only a given d is short
+    # a default d is at least min(n + 1, rows) >= k, so only a given d is short
     if d is not None and d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
-    subspace = n if sizing == "range" else k + 1
-    return _randomized(a, f, TargetRank(k), d, subspace, seed, kind, want_q)
+    return _randomized(a, f, TargetRank(k), d, seed, kind, want_q)
 
 
 def rand_srrqr_tol(
@@ -226,10 +221,9 @@ def rand_srrqr_tol(
     a measured distortion eps; a nominal one carries no such bound.
     """
     a = as_matrix(m)
-    n = a.shape[1]
     if not tau > 1e-300 * np.linalg.norm(a):
         raise ValueError(f"tolerance {tau} is below the representable scale of m")
-    return _randomized(a, f, Tolerance(tau), d, n, seed, kind, want_q)
+    return _randomized(a, f, Tolerance(tau), d, seed, kind, want_q)
 
 
 def ratio_report(m, res, threshold: float | None = None) -> RatioReport:
@@ -290,27 +284,6 @@ def qlp_values(res) -> QlpResult:
         l_values_sorted=np.sort(l_values)[::-1],
         r_values_sorted=np.sort(r_values)[::-1],
     )
-
-
-def swap_subspace_distortion(op: SketchOperator, m, perm, k: int) -> float:
-    """Largest distortion over the swap-relevant (k+1)-dimensional subspaces.
-
-    For the single-interchange certificate only the spans of the k selected
-    columns plus one trailing column matter, and at desk scale each of
-    those n-k subspaces can be measured exactly.  This is the tight
-    certificate threshold for a general (possibly full-rank) matrix, where
-    embedding the whole range would need a sketch as large as the matrix.
-    ``m`` is the matrix the operator sketches; an SRHT takes it unpadded
-    (see :func:`.sketch.apply`).
-    """
-    a = as_matrix(m)
-    mp = a[:, perm.forward]
-    n = a.shape[1]
-    worst = 0.0
-    for j in range(k, n):
-        block = np.hstack([mp[:, :k], mp[:, j : j + 1]])
-        worst = max(worst, embedding_distortion(op, _range_basis(block)))
-    return worst
 
 
 def record_ratios(report: RatioReport | None) -> dict:

@@ -47,7 +47,8 @@ Python.  The screen squares ratios; :func:`swap_ratios` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
-``dgemqrt`` on the m-by-m identity).  :func:`qrcp` is LAPACK's ``dgeqp3``.
+``dgemqrt`` on the leading min(m, n) identity columns, the thin Q).
+:func:`qrcp` is LAPACK's ``dgeqp3``, with ``dorgqr`` for its thin Q.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-from scipy.linalg.lapack import dgeqp3, dlarfg, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dlarfg, dorgqr, dtrtrs
 
 from .dense_core import (
     PartialQR,
@@ -623,12 +624,12 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
     ratio)`` is invoked after every interchange; handy for monitoring the
     volume growth.
 
-    With ``want_q`` the factorization, full m-by-m Q included, is one LAPACK
-    QR of ``M P``: R11 and R12 match the state's to roundoff, and ``r22``
-    has min(m, n)-k rows.  Without it ``q`` is None and the blocks are the
-    state's own: ``r22`` has n-k rows after an interchange on a tall input
-    (the state was compressed), m-k otherwise; ``shape`` is (m, n) either
-    way.
+    With ``want_q`` the factorization, its thin m-by-min(m, n) Q included,
+    is one LAPACK QR of ``M P``: R11 and R12 match the state's to roundoff,
+    and ``r22`` has min(m, n)-k rows.  Without it ``q`` is None and the
+    blocks are the state's own: ``r22`` has n-k rows after an interchange
+    on a tall input (the state was compressed), m-k otherwise; ``shape`` is
+    (m, n) either way.
     """
     a = as_matrix(m)
     rows, mr = a.shape[0], min(a.shape)
@@ -641,9 +642,7 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
     k = state.k
     if want_q:
         # the state carries no Q: factor M P once, with LAPACK, for Q and R
-        fact = _stable_partial_qr(
-            state.perm.apply_cols(a), k, full_q=True, overwrite=True
-        )
+        fact = _stable_partial_qr(state.perm.apply_cols(a), k, overwrite=True)
         fact.perm = state.perm.copy()
     else:
         fact = PartialQR.from_r(None, state.r, k, state.perm.copy(), rows)
@@ -664,29 +663,33 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
     One LAPACK ``dgeqp3`` (Quintana-Orti, Sun & Bischof, SISC 1998), greedy
     max-norm pivoting run to the end: the permutation beyond position k is
     LAPACK's.  The R diagonal is made nonnegative and comes out
-    nonincreasing; ``q`` is the full m-by-m factor when wanted.
+    nonincreasing.  ``want_q`` adds one ``dorgqr`` of the leading min(m, n)
+    reflectors, so ``q`` is the thin m-by-min(m, n) factor.
     """
     a = as_matrix(m)
     rows, cols = a.shape
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    if want_q:
-        q, r, piv = scipy.linalg.qr(a, pivoting=True, check_finite=False)
-        r = r[: min(rows, cols)]
-    else:
-        # one working copy and R of min(m, n) rows; the optimal lwork keeps
-        # LAPACK on the blocked path that scipy.linalg.qr takes
-        q, work = None, np.array(a, order="F")
-        lwork = int(dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-        work, piv, _, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
-        if info:
-            raise ValueError(f"dgeqp3 failed with info={info}")
-        r = np.triu(work[: min(rows, cols)])
-        piv -= 1  # LAPACK's pivots are 1-based
+    # one working copy and R of min(m, n) rows; the optimal lwork keeps
+    # LAPACK on the blocked path that scipy.linalg.qr takes
+    q, work = None, np.array(a, order="F")
+    lwork = int(dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+    work, piv, tau, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
+    if info:
+        raise ValueError(f"dgeqp3 failed with info={info}")
+    r = np.triu(work[: min(rows, cols)])
+    piv -= 1  # LAPACK's pivots are 1-based
     flip = _diag_signs(r)
     r *= flip[:, None]
-    if q is not None:
-        q[:, : flip.size] *= flip
+    if want_q:
+        # Q gets its own m-by-min(m, n) array: on a wide input a Q written
+        # into ``work`` would keep all n columns of it alive
+        reflectors = work[:, : min(rows, cols)]
+        lwork = int(dorgqr(reflectors, tau, lwork=-1)[1][0])
+        q, _, info = dorgqr(reflectors, tau, lwork=lwork)
+        if info:
+            raise ValueError(f"dorgqr failed with info={info}")
+        q *= flip
     # LAPACK's pivot order as transpositions, so replay() reproduces it
     perm = PermutationSeq.identity(cols)
     where = np.arange(cols)  # where[c]: current position of column c

@@ -3,7 +3,8 @@ import math
 
 import numpy as np
 
-from spectra_rrqr.dense_core import _r_factor, as_matrix
+from spectra_rrqr.dense_core import _r_factor, _range_basis, as_matrix
+from spectra_rrqr.sketch import SketchOperator, embedding_distortion
 
 
 def exhaustive_det_ratios(mp, k: int) -> np.ndarray:
@@ -30,3 +31,24 @@ def exhaustive_det_ratios(mp, k: int) -> np.ndarray:
         for j in range(n - k):
             out[i, j] = math.exp(logdet(np.r_[:i, j + k, i + 1 : k]) - base)
     return out
+
+
+def swap_subspace_distortion(op: SketchOperator, m, perm, k: int) -> float:
+    """Largest distortion over the swap-relevant (k+1)-dimensional subspaces.
+
+    For the single-interchange certificate only the spans of the k selected
+    columns plus one trailing column matter, and at desk scale each of
+    those n-k subspaces can be measured exactly.  This is the tight
+    certificate threshold for a general (possibly full-rank) matrix, where
+    embedding the whole range would need a sketch as large as the matrix.
+    ``m`` is the matrix the operator sketches; an SRHT takes it unpadded
+    (see :func:`.sketch.apply`).
+    """
+    a = as_matrix(m)
+    mp = a[:, perm.forward]
+    n = a.shape[1]
+    worst = 0.0
+    for j in range(k, n):
+        block = np.hstack([mp[:, :k], mp[:, j : j + 1]])
+        worst = max(worst, embedding_distortion(op, _range_basis(block)))
+    return worst

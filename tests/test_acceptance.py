@@ -38,7 +38,7 @@ from spectra_rrqr import (
 from oracles import exhaustive_det_ratios
 from spectra_rrqr.bench import run_timing, run_volume_decay
 from spectra_rrqr.dense_core import ls_residual
-from spectra_rrqr.rand_srrqr import swap_subspace_distortion
+from oracles import swap_subspace_distortion
 from spectra_rrqr.sketch import embedding_distortion
 from spectra_rrqr.srrqr import det_ratio_matrix
 

@@ -31,9 +31,8 @@ from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
 from spectra_rrqr import dense_core, rand_srrqr, sketch
 from spectra_rrqr.bench import RunConfig, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
-from spectra_rrqr.rand_srrqr import swap_subspace_distortion
 
-from oracles import exhaustive_det_ratios
+from oracles import exhaustive_det_ratios, swap_subspace_distortion
 
 # the package exports the function srrqr under the module's name
 srrqr_module = importlib.import_module("spectra_rrqr.srrqr")
@@ -100,16 +99,6 @@ class TestRankMode:
         m = rng(6).standard_normal((16, 8))
         with pytest.raises(ValueError, match="exceeds padded"):
             rand_srrqr_rank(m, f=2.0, k=4, d=32, seed=0)
-
-    def test_sizing_policies(self):
-        m = rng(7).standard_normal((128, 8))
-        r1 = rand_srrqr_rank(m, f=2.0, k=3, seed=0, sizing="range")
-        r2 = rand_srrqr_rank(m, f=2.0, k=3, seed=0, sizing="kplus1")
-        assert r2.d <= r1.d
-        with pytest.raises(ValueError, match="sizing"):
-            rand_srrqr_rank(m, f=2.0, k=3, seed=0, sizing="bogus")
-        with pytest.raises(ValueError, match="sizing"):
-            rand_srrqr_rank(m, 2.0, 5, d=48, sizing="bogus")
 
     def test_distortion_measured_at_desk_scale(self):
         m = rng(8).standard_normal((64, 12))
@@ -441,7 +430,8 @@ def test_settable_parameters():
     pinned = {
         srrqr: ("m", "config", "want_q", "on_swap"),
         qrcp: ("m", "k", "want_q"),
-        rand_srrqr_rank: ("m", "f", "k", "d", "seed", "kind", "sizing", "want_q"),
+        partial_qr: ("m", "k", "want_q"),
+        rand_srrqr_rank: ("m", "f", "k", "d", "seed", "kind", "want_q"),
         rand_srrqr_tol: ("m", "f", "tau", "d", "seed", "kind", "want_q"),
         ose_dim: ("subspace_dim", "m"),
     }

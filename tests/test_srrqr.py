@@ -27,6 +27,8 @@ from spectra_rrqr import (
     interchange,
     partial_qr,
     qrcp,
+    rand_srrqr_rank,
+    rand_srrqr_tol,
     rho,
     rho_hat,
     singular_values,
@@ -320,7 +322,8 @@ class TestSrrqr:
         res = srrqr(m, SrrqrConfig(f=1.5, mode=TargetRank(4)))
         assert res.factorization.reconstruction_error(m) <= 1e-12
         q = res.factorization.q
-        assert np.max(np.abs(q.T @ q - np.eye(8))) <= 1e-12
+        assert q.shape == (8, 6)
+        assert np.max(np.abs(q.T @ q - np.eye(6))) <= 1e-12
 
     def test_singular_ratio_bounds_random(self):
         m = rng(12).standard_normal((20, 15))
@@ -546,7 +549,8 @@ class TestDeferredGrowth:
         assert np.allclose(res.state.r, oracle.state.r, atol=1e-11)
         assert res.factorization.reconstruction_error(m) <= 1e-12
         q = res.factorization.q
-        assert np.max(np.abs(q.T @ q - np.eye(150))) <= 1e-12
+        assert q.shape == (150, 110)
+        assert np.max(np.abs(q.T @ q - np.eye(110))) <= 1e-12
         assert max(res.state.consistency_errors().values()) <= 1e-8
 
     def test_mid_panel_invariant(self):
@@ -703,8 +707,29 @@ def _want_q_case(name):
     return m, SrrqrConfig(f=1.1, mode=TargetRank(60))
 
 
+def _factor(algo, m, want_q):
+    """The PartialQR that ``algo`` returns for ``m``, k = min(m, n) // 2."""
+    k = min(m.shape) // 2
+    if algo == "srrqr":
+        cfg = SrrqrConfig(f=1.5, mode=TargetRank(k))
+        return srrqr(m, cfg, want_q=want_q).factorization
+    if algo == "qrcp":
+        return qrcp(m, k, want_q=want_q)
+    if algo == "rand_srrqr_rank":
+        return rand_srrqr_rank(m, 2.0, k, seed=1, want_q=want_q).factorization
+    if algo == "rand_srrqr_tol":
+        return rand_srrqr_tol(m, 2.0, 1e-10, seed=1, want_q=want_q).factorization
+    return partial_qr(m, k, want_q=want_q)
+
+
+Q_ALGOS = ["srrqr", "qrcp", "rand_srrqr_rank", "rand_srrqr_tol", "partial_qr"]
+
+
 class TestWantQ:
-    """``want_q`` adds one LAPACK QR of ``M P`` after the last decision."""
+    """``want_q`` adds one LAPACK QR of ``M P`` after the last decision.
+
+    Every factorization's Q is thin: the m-by-min(m, n) columns that meet R.
+    """
 
     @pytest.mark.parametrize(
         "name", ["tall", "square", "wide", "below-tau", "stewart-0", "stewart-1"]
@@ -726,10 +751,45 @@ class TestWantQ:
         ga = np.linalg.norm(a.r22, axis=0)
         gb = np.linalg.norm(b.r22, axis=0)
         assert np.max(np.abs(ga - gb), initial=0.0) <= 1e-12 * np.max(gb, initial=0.0)
-        rows = m.shape[0]
-        assert a.q.shape == (rows, rows)
-        assert np.max(np.abs(a.q.T @ a.q - np.eye(rows))) <= 1e-12
+        thin = min(m.shape)
+        assert a.q.shape == (m.shape[0], thin)
+        assert np.max(np.abs(a.q.T @ a.q - np.eye(thin))) <= 1e-12
         assert a.reconstruction_error(m) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "shape", [(300, 40), (60, 60), (30, 50)], ids=["tall", "square", "wide"]
+    )
+    @pytest.mark.parametrize("algo", Q_ALGOS)
+    def test_one_q_contract(self, algo, shape):
+        m = np.asfortranarray(rng(32).standard_normal(shape))
+        with_q = _factor(algo, m, want_q=True)
+        without = _factor(algo, m, want_q=False)
+        thin = min(shape)
+        assert with_q.q.shape == (shape[0], thin)
+        assert np.max(np.abs(with_q.q.T @ with_q.q - np.eye(thin))) <= 1e-12
+        assert with_q.reconstruction_error(m) <= 1e-12
+        assert without.q is None
+        assert with_q.k == without.k
+        assert np.array_equal(with_q.perm.forward, without.perm.forward)
+        if algo == "srrqr":
+            # Q comes from a fresh QR of M P, R from the pivoting state
+            for block in ("r11", "r12"):
+                x, y = getattr(with_q, block), getattr(without, block)
+                assert np.linalg.norm(x - y) <= 1e-12 * np.linalg.norm(y)
+            ga = np.linalg.norm(with_q.r22, axis=0)
+            gb = np.linalg.norm(without.r22, axis=0)
+            assert np.max(np.abs(ga - gb), initial=0.0) <= 1e-12 * np.max(gb, initial=0.0)
+        else:
+            for block in ("r11", "r12", "r22"):
+                assert np.array_equal(getattr(with_q, block), getattr(without, block))
+
+    @pytest.mark.parametrize("algo", Q_ALGOS)
+    def test_q_peak_memory(self, algo, traced_peak):
+        # no m-by-m array: an m-by-m Q alone would be 64 times M's bytes
+        m = np.asfortranarray(rng(33).standard_normal((4096, 64)))
+        fact, peak = traced_peak(lambda: _factor(algo, m, want_q=True))
+        assert fact.q.shape == m.shape
+        assert peak <= 5 * m.nbytes
 
 
 def _tall_stewart(seed):
