@@ -5,17 +5,21 @@ kernels here (QR, singular values, triangular solves, column geometry) are
 the building blocks consumed by the pivoted factorizations and the
 sketching layer.  Every unpivoted QR -- :func:`partial_qr`,
 :func:`thin_qr`, :func:`r_factor` and the volumes and angles built on them
--- runs on one engine, LAPACK's blocked Householder ``dgeqrt``.  No
-Householder code is written in Python: the single reflectors of
-:mod:`.srrqr` are LAPACK's ``dlarfg``.
+-- runs on one engine, LAPACK's blocked Householder ``dgeqrt``, called
+without the GIL: :func:`_geqrt` calls scipy's LAPACK routine through its
+function pointer with ctypes, so a QR on a worker thread leaves the
+interpreter to the caller.  No Householder code is written in Python: the
+single reflectors of :mod:`.srrqr` are LAPACK's ``dlarfg``.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import dgemqrt, dgeqrt
+from scipy.linalg import cython_lapack
+from scipy.linalg.lapack import dgemqrt
 
 
 class SingularMatrixError(ValueError):
@@ -152,16 +156,60 @@ class PartialQR:
 _QRT_BLOCK = 64
 
 
+def _capsule_address(capsule) -> int:
+    """The function pointer a Cython ``__pyx_capi__`` capsule holds."""
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api)
+    )
+    return pointer(capsule, name(capsule))
+
+
+# dgeqrt(m, n, nb, a, lda, t, ldt, work, info), every argument a pointer;
+# a ctypes foreign call releases the GIL, which scipy's f2py wrapper holds
+_DGEQRT = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(
+    _capsule_address(cython_lapack.__pyx_capi__["dgeqrt"])
+)
+
+
 def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK ``dgeqrt`` of ``a``: R and reflectors, T.
 
     ``a`` is overwritten only with ``overwrite`` and only when it is
-    F-ordered float64; otherwise LAPACK works on a copy.
+    F-ordered float64; otherwise LAPACK works on a copy.  Runs without the
+    GIL; R and T are bitwise those of scipy's ``dgeqrt`` wrapper.
     """
-    f, t, info = dgeqrt(min(_QRT_BLOCK, *a.shape), a, overwrite_a=overwrite)
-    if info:
-        raise ValueError(f"dgeqrt failed with info={info}")
+    m, n = a.shape
+    nb = min(_QRT_BLOCK, m, n)
+    if overwrite:
+        f = np.require(a, np.float64, ["F", "A", "W"])
+    else:
+        f = np.array(a, np.float64, order="F")
+    t = np.zeros((nb, min(m, n)), order="F")
+    work = np.empty(nb * n)
+    # m, n, nb (also ldt), lda, info
+    ints = np.array([m, n, nb, m, 0], dtype=np.intc)
+    i, s = ints.ctypes.data, ints.itemsize
+    _DGEQRT(
+        i, i + s, i + 2 * s, f.ctypes.data, i + 3 * s,
+        t.ctypes.data, i + 2 * s, work.ctypes.data, i + 4 * s,
+    )
+    if ints[4]:
+        raise ValueError(f"dgeqrt failed with info={ints[4]}")
     return f, t
+
+
+def _apply_q(f: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``Q @ c`` for the reflectors and T of :func:`_geqrt` (``dgemqrt``).
+
+    ``c`` has the row count of ``f``; an F-ordered float64 ``c`` is
+    overwritten.
+    """
+    out, info = dgemqrt(f[:, : t.shape[1]], t, c, overwrite_c=1)
+    if info:
+        raise ValueError(f"dgemqrt failed with info={info}")
+    return out
 
 
 def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
@@ -178,13 +226,10 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
 def _thin_qr(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     k = min(a.shape)
     f, t = _geqrt(a, overwrite)
-    q, info = dgemqrt(f[:, :k], t, np.eye(a.shape[0], k, order="F"), overwrite_c=1)
-    if info:
-        raise ValueError(f"dgemqrt failed with info={info}")
-    r = np.triu(f[:k])
-    flip = _diag_signs(r)
+    q = _apply_q(f, t, np.eye(a.shape[0], k, order="F"))
+    r, flip = _signed_r(f, k)
     q *= flip
-    return q, r * flip[:, None]
+    return q, r
 
 
 def _diag_signs(r: np.ndarray) -> np.ndarray:
@@ -192,6 +237,14 @@ def _diag_signs(r: np.ndarray) -> np.ndarray:
     flip = np.sign(np.diag(r))
     flip[flip == 0.0] = 1.0
     return flip
+
+
+def _signed_r(f: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The R in the first k rows of ``dgeqrt``'s output, its diagonal made
+    nonnegative, and the row signs that did it."""
+    r = np.triu(f[:k])
+    flip = _diag_signs(r)
+    return r * flip[:, None], flip
 
 
 def r_factor(m) -> np.ndarray:
@@ -205,8 +258,7 @@ def r_factor(m) -> np.ndarray:
 
 
 def _r_factor(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    r = np.triu(_geqrt(a, overwrite)[0][: min(a.shape)])
-    return r * _diag_signs(r)[:, None]
+    return _signed_r(_geqrt(a, overwrite)[0], min(a.shape))[0]
 
 
 def partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
@@ -343,14 +395,18 @@ def cos_angle_subspace(v, basis) -> float:
     b = as_matrix(basis, name="basis")
     if x.size != b.shape[0]:
         raise ValueError("vector and basis dimensions differ")
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
+    peak = np.max(np.abs(x))
+    if peak == 0.0:
         raise ValueError("cos_angle_subspace requires a nonzero vector")
+    # unit largest entry, so neither norm of x over- or underflows
+    x = x / peak
     fact = partial_qr(b, b.shape[1])
-    # relative to the basis's own scale, so an all-zero basis still fails
-    if np.min(np.diag(fact.r11)) <= 1e-14 * np.linalg.norm(b):
+    # relative to R11's largest diagonal, a column norm dgeqrt scales
+    # against overflow; an all-zero basis still fails
+    diag = np.diag(fact.r11)
+    if not np.min(diag) > 1e-14 * np.max(diag):
         raise ValueError("basis does not have full column rank")
-    return float(np.clip(np.linalg.norm(fact.q.T @ x) / nx, 0.0, 1.0))
+    return float(np.clip(np.linalg.norm(fact.q.T @ x) / np.linalg.norm(x), 0.0, 1.0))
 
 
 def save_matrix_text(m, path) -> None:

@@ -9,12 +9,22 @@ forms Q only when asked for.  Because single-swap volume
 ratios are nearly preserved by the sketch, the factorization of ``M``
 inherits the rank-revealing guarantees with the threshold inflated from
 ``f`` to ``f_tilde = sqrt((1+eps)/(1-eps)) * f``.
+
+``M P`` plays no part in choosing P, so a tall ``M`` is reduced to its
+n-by-n R factor ``R_M`` (the reduce-to-R step of TSQR) while the caller
+pivots on the sketch: one unpivoted ``dgeqrt`` of a copy of ``M`` on the
+shared worker pool of :mod:`.sketch`, which runs without the GIL.  The
+final QR is then the n-by-n QR of ``R_M P``, and Q, when asked for, is
+``Q_M [Q_2; 0]``, one ``dgemqrt`` of the worker's reflectors.  With
+``SPECTRA_RRQR_THREADS=1`` the reduction runs in the calling thread after
+the pivoting, and no thread is started.
 """
 from __future__ import annotations
 
 import json
 import math
 import time
+from concurrent.futures import wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,13 +32,16 @@ import scipy.linalg
 
 from .dense_core import (
     PartialQR,
+    _apply_q,
+    _geqrt,
     _r_factor,
     _range_basis,
+    _signed_r,
     as_matrix,
     r_factor,
     singular_values,
 )
-from .sketch import SketchOperator, embedding_distortion, ose_dim
+from .sketch import SketchOperator, _sketch_pool, embedding_distortion, ose_dim, worker_count
 from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
 
 # A randomized call validates its input once, in the public function; the
@@ -131,6 +144,12 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     (one blocked ``dgeqrt``, :func:`r_factor`), on which the pivoting makes
     the same decisions at a fraction of the cost.  A sketch with ``d <= n``
     is used as it is.
+
+    A tall ``a`` is reduced to its R factor on the worker pool, started
+    once the sketch is formed and joined after the pivoting; the final QR
+    is then that of the permuted n-by-n R, so ``timings_ms["final_qr"]``
+    covers the wait for the reduction plus that QR, while
+    ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
     """
     rows = _operator_rows(kind, a.shape[0])
     if d is None:
@@ -144,19 +163,47 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     msk = apply(op, a)
     timings["sketch"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
-    if msk.shape[0] > msk.shape[1]:
-        # srrqr validates the R it gets, which is non-finite if the sketch is
-        msk = _r_factor(msk)
-    sk_res = srrqr(msk, config, want_q=False)
+    n = a.shape[1]
+    tall = a.shape[0] > n
+    workers = worker_count(2) if tall else 1
+    # started after the sketch, whose scratch it would add to; the copy is
+    # made here, not in the worker's own malloc arena
+    reduction = None
+    if workers > 1:
+        reduction = _sketch_pool(workers).submit(_geqrt, np.array(a, order="F"), True)
+    try:
+        if msk.shape[0] > n:
+            # one F-ordered copy, reduced in place once the C-ordered sketch
+            # is freed: the sketch is not held twice next to the copy of a.
+            # srrqr validates the R it gets, non-finite if the sketch is
+            msk = np.asfortranarray(msk)
+            msk = _r_factor(msk, overwrite=True)
+        sk_res = srrqr(msk, config, want_q=False)
+        if sk_res.k == 0:
+            # only a tolerance can stop before the first pivot
+            raise ValueError("tolerance exceeds every sketched column norm")
+    except BaseException:
+        # the reduction may not outlive the call
+        if reduction is not None:
+            wait([reduction])
+        raise
     timings["srrqr_sketch"] = (time.perf_counter() - t0) * 1e3
-    if sk_res.k == 0:
-        # only a tolerance can stop before the first pivot
-        raise ValueError("tolerance exceeds every sketched column norm")
     k = min(sk_res.k, *a.shape)
     perm = sk_res.factorization.perm.copy()
     t0 = time.perf_counter()
-    # the permuted copy is F-ordered and ours, so the QR runs in place on it
-    fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q, overwrite=True)
+    if tall:
+        # M P = Q_M [R_M P; 0], so M P's R is the R of R_M P
+        f_m, t_m = reduction.result() if reduction is not None else _geqrt(a)
+        r_m, signs = _signed_r(f_m, n)
+        fact = stable_partial_qr(perm.apply_cols(r_m), k, want_q=want_q, overwrite=True)
+        if want_q:
+            c = np.zeros(a.shape, order="F")
+            c[:n] = fact.q * signs[:, None]
+            fact.q = _apply_q(f_m, t_m, c)
+        fact.rows = a.shape[0]
+    else:
+        # the permuted copy is F-ordered and ours, so the QR runs in place on it
+        fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q, overwrite=True)
     fact.perm = perm
     timings["final_qr"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()

@@ -77,7 +77,10 @@ _pool_lock = threading.Lock()
 
 
 def _sketch_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared generation pool, grown to at least ``workers`` threads.
+    """The shared worker pool, grown to at least ``workers`` threads.
+
+    It generates Gaussian sketch chunks and reduces a tall input of the
+    randomized pipeline to its R factor; no task on it waits on it.
 
     A replaced pool is dropped, not shut down: a caller still holding it
     keeps it alive, and its idle threads exit once it is collected.

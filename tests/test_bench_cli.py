@@ -486,13 +486,13 @@ class TestVerify:
         # the swap checks factor M P once; one QR per candidate swap made
         # k(n-k) calls: 3,522 and 39 on these two runs
         calls = []
-        real = dense_core.dgeqrt
+        real = dense_core._DGEQRT
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(dense_core, "dgeqrt", spy)
+        monkeypatch.setattr(dense_core, "_DGEQRT", spy)
         assert verify_config(cfg).exit_code == 0
         assert 1 <= len(calls) <= most
 

@@ -1,5 +1,8 @@
+import ctypes
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +28,8 @@ from spectra_rrqr import (
     thin_qr,
     volume,
 )
-from spectra_rrqr.dense_core import _range_basis, r_factor
+from spectra_rrqr import dense_core
+from spectra_rrqr.dense_core import _geqrt, _range_basis, r_factor
 
 
 def rng(seed=0):
@@ -423,13 +427,53 @@ class TestAngles:
         with pytest.raises(ValueError, match="full column rank"):
             cos_angle_subspace([1.0, 0.0, 0.0, 0.0], np.zeros((4, 2)))
 
-    @pytest.mark.parametrize("scale", [1e-15, 1e-200, 1.0, 1e150])
+    @pytest.mark.parametrize("scale", [1e-15, 1e-200, 1.0, 1e150, 1e200])
     def test_basis_scale_invariant(self, scale):
-        # the rank test is relative to the basis's norm, so a tiny exact
-        # basis is as good as the unit one
-        v = [1.0, 1.0, 0.0, 0.0]
+        # the rank test is relative to the basis's own scale, so a tiny or
+        # a huge exact basis is as good as the unit one, and so is the vector
+        v = np.array([1.0, 1.0, 0.0, 0.0])
         assert cos_angle_subspace(v, scale * np.eye(4)[:, :2]) == 1.0
         assert cos_angle_subspace([0.0, 0.0, 1.0, 0.0], scale * np.eye(4)[:, :2]) == 0.0
+        assert cos_angle_subspace(scale * v, np.eye(4)[:, :2]) == 1.0
+
+
+class TestGeqrtEngine:
+    """The QR engine is scipy's LAPACK ``dgeqrt``, called without the GIL."""
+
+    # tall, wide, square, one column, one row, several panels
+    @pytest.mark.parametrize(
+        "shape", [(300, 40), (40, 300), (5, 5), (30, 1), (1, 30), (700, 150)]
+    )
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_bitwise_scipy_wrapper(self, shape, order):
+        a = np.asarray(rng(shape[0] + shape[1]).standard_normal(shape), order=order)
+        before = a.copy()
+        f, t = _geqrt(a)
+        ref_f, ref_t, info = scipy.linalg.lapack.dgeqrt(min(64, *shape), a)
+        assert info == 0
+        assert f.shape == ref_f.shape and t.shape == ref_t.shape
+        assert np.array_equal(f, ref_f) and np.array_equal(t, ref_t)
+        assert np.array_equal(a, before)
+
+    def test_overwrite_only_f_ordered_float64(self):
+        base = rng(30).standard_normal((20, 6))
+        ref_f, _ = _geqrt(base)
+        f_in = np.asfortranarray(base)
+        f, _ = _geqrt(f_in, overwrite=True)
+        assert f is f_in and np.array_equal(f_in, ref_f)
+        read_only = np.asfortranarray(base)
+        read_only.flags.writeable = False
+        for a in (np.ascontiguousarray(base), np.asfortranarray(base, np.float32), read_only):
+            before = a.copy()
+            f, _ = _geqrt(a, overwrite=True)
+            assert not np.shares_memory(f, a) and np.array_equal(a, before)
+        kept = np.asfortranarray(base)
+        f, _ = _geqrt(kept)
+        assert not np.shares_memory(f, kept) and np.array_equal(kept, base)
+
+    def test_called_without_the_gil(self):
+        # a ctypes prototype without FUNCFLAG_PYTHONAPI releases the GIL
+        assert not dense_core._DGEQRT._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 class TestFileFormats:

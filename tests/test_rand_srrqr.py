@@ -2,6 +2,11 @@ import importlib
 import inspect
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +199,8 @@ class TestValidatedOnce:
     @pytest.mark.parametrize("call", ["tol", "rank"])
     def test_same_as_public_stages(self, kind, call):
         # the unchecked, in-place stages give bitwise what the public
-        # functions give on the same data
+        # functions give on the same data; the tall input is finished as
+        # the QR of its own R factor with the sketch's permutation
         a, res = self._pipeline(call, kind)
         before = a.copy()
         padded = pad_rows_pow2(a) if kind == "srht" else a
@@ -204,12 +210,33 @@ class TestValidatedOnce:
         perm = sk.factorization.perm.forward
         assert np.array_equal(res.factorization.perm.forward, perm)
         assert res.sketch_result.swap_count == sk.swap_count
-        fact = _stable_partial_qr(as_matrix(a[:, perm]), res.k, want_q=call == "rank")
+        fact = partial_qr(r_factor(a)[:, perm], res.k, want_q=call == "rank")
         for name in ("r11", "r12", "r22"):
             assert np.array_equal(getattr(res.factorization, name), getattr(fact, name))
+        assert res.factorization.shape == a.shape
         if call == "rank":
-            assert np.array_equal(res.factorization.q, fact.q)
+            # Q = Q_M [S Q_2; 0]: Q_M the reflectors of M's own QR, S the
+            # row signs that made r_factor's diagonal nonnegative
+            f_m, t_m = dense_core._geqrt(a)
+            c = np.zeros(a.shape, order="F")
+            c[: self.COLS] = fact.q * dense_core._diag_signs(f_m[: self.COLS])[:, None]
+            assert np.array_equal(res.factorization.q, dense_core._apply_q(f_m, t_m, c))
         assert np.array_equal(a, before)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    def test_agrees_with_qr_of_permuted_input(self, kind, call):
+        # finishing on R_M P instead of M P moves the factors by roundoff only
+        a, res = self._pipeline(call, kind)
+        fact = res.factorization
+        ref = _stable_partial_qr(as_matrix(a[:, fact.perm.forward]), res.k)
+        tol = 1e-13 * np.linalg.norm(a)
+        for name in ("r11", "r12", "r22"):
+            assert np.linalg.norm(getattr(fact, name) - getattr(ref, name)) <= tol
+        if call == "rank":
+            assert fact.q.shape == ref.q.shape
+            assert np.linalg.norm(fact.q - ref.q) <= 1e-13 * self.COLS
+            assert fact.reconstruction_error(a) <= 1e-14
 
     @pytest.mark.parametrize("cols", [12, COLS])
     def test_srht_never_pads(self, monkeypatch, cols):
@@ -242,6 +269,79 @@ class TestValidatedOnce:
         ):
             with pytest.raises(ValueError, match="non-finite"):
                 call()
+
+
+class TestOverlappedReduction:
+    """A tall M is reduced to its R on the worker pool during the pivoting."""
+
+    @pytest.fixture
+    def eight_cpus(self, monkeypatch):
+        # the cap, not the host's CPU count, sets the worker count here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+    @staticmethod
+    def _call(call, kind, want_q):
+        a = np.asfortranarray(rng(21).standard_normal((300, 40)) * 2.0 ** -np.arange(40))
+        if call == "tol":
+            return rand_srrqr_tol(a, 2.0, 1e-6, seed=3, kind=kind, want_q=want_q)
+        return rand_srrqr_rank(a, 2.0, 25, seed=3, kind=kind, want_q=want_q)
+
+    @pytest.mark.parametrize("want_q", [True, False])
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    def test_bitwise_same_for_every_cap(self, monkeypatch, eight_cpus, call, kind, want_q):
+        results = []
+        for cap in ("1", "2", "8"):
+            monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+            results.append(self._call(call, kind, want_q).factorization)
+        first = results[0]
+        assert first.shape == (300, 40) and (first.q is None) != want_q
+        for fact in results[1:]:
+            assert np.array_equal(fact.perm.forward, first.perm.forward)
+            assert fact.perm.swaps == first.perm.swaps and fact.k == first.k
+            for name in ("r11", "r12", "r22"):
+                assert np.array_equal(getattr(fact, name), getattr(first, name))
+            if want_q:
+                assert np.array_equal(fact.q, first.q)
+
+    def test_cap_of_one_starts_no_thread(self):
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "import spectra_rrqr as s\n"
+            "a = np.random.default_rng(0).standard_normal((3000, 20))\n"
+            "for kind in ('srht', 'gaussian'):\n"
+            "    s.rand_srrqr_tol(a, 2.0, 1e-8, kind=kind)\n"
+            "    s.rand_srrqr_rank(a, 2.0, 5, kind=kind, want_q=False)\n"
+            "print(threading.active_count(), s.sketch._pool is None)\n"
+        )
+        src = Path(rand_srrqr.__file__).resolve().parents[1]
+        env = dict(os.environ, SPECTRA_RRQR_THREADS="1", PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "True"]
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_failed_pivoting_joins_the_reduction(self, monkeypatch, eight_cpus, cap):
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+        events = []
+        real = rand_srrqr._geqrt
+
+        def slow(a, overwrite=False):
+            events.append("start")
+            time.sleep(0.2)
+            out = real(a, overwrite)
+            events.append("end")
+            return out
+
+        monkeypatch.setattr(rand_srrqr, "_geqrt", slow)
+        a = rng(22).standard_normal((300, 40))
+        with pytest.raises(ValueError, match="tolerance exceeds every sketched column norm"):
+            rand_srrqr_tol(a, 2.0, 1e3 * np.linalg.norm(a), seed=0)
+        # a started reduction has finished; run inline it is never started
+        assert events == (["start", "end"] if cap == "2" else [])
 
 
 class TestToleranceMode:
