@@ -6,10 +6,11 @@ the building blocks consumed by the pivoted factorizations and the
 sketching layer.  Every unpivoted QR -- :func:`partial_qr`,
 :func:`thin_qr`, :func:`r_factor` and the volumes and angles built on them
 -- runs on one engine, LAPACK's blocked Householder ``dgeqrt``, called
-without the GIL: :func:`_geqrt` calls scipy's LAPACK routine through its
-function pointer with ctypes, so a QR on a worker thread leaves the
-interpreter to the caller.  No Householder code is written in Python: the
-single reflectors of :mod:`.srrqr` are LAPACK's ``dlarfg``.
+without the GIL when LAPACK runs on one thread: :func:`_geqrt` calls
+scipy's LAPACK routine through its function pointer with ctypes, so a QR
+on a worker thread leaves the interpreter to the caller.  No Householder
+code is written in Python: the single reflectors of :mod:`.srrqr` are
+LAPACK's ``dlarfg``.
 """
 from __future__ import annotations
 
@@ -166,11 +167,26 @@ def _capsule_address(capsule) -> int:
     return pointer(capsule, name(capsule))
 
 
-# dgeqrt(m, n, nb, a, lda, t, ldt, work, info), every argument a pointer;
-# a ctypes foreign call releases the GIL, which scipy's f2py wrapper holds
-_DGEQRT = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(
-    _capsule_address(cython_lapack.__pyx_capi__["dgeqrt"])
+# dgeqrt(m, n, nb, a, lda, t, ldt, work, info), every argument a pointer.
+# A CFUNCTYPE call releases the GIL; the PYFUNCTYPE one holds it, as
+# scipy's f2py wrapper does
+_DGEQRT_ADDRESS = _capsule_address(cython_lapack.__pyx_capi__["dgeqrt"])
+_DGEQRT = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
+_DGEQRT_GIL = ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
+
+# the thread-count query of the OpenBLAS behind scipy's LAPACK, found
+# through the module that links it; None for any other LAPACK
+_LAPACK_LIB = ctypes.CDLL(cython_lapack.__file__)
+_LAPACK_THREADS = getattr(_LAPACK_LIB, "scipy_openblas_get_num_threads", None) or getattr(
+    _LAPACK_LIB, "openblas_get_num_threads", None
 )
+if _LAPACK_THREADS is not None:
+    _LAPACK_THREADS.argtypes, _LAPACK_THREADS.restype = [], ctypes.c_int
+
+
+def _lapack_threads() -> int | None:
+    """Threads a LAPACK call of this module may use, None if unknown."""
+    return None if _LAPACK_THREADS is None else _LAPACK_THREADS()
 
 
 def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -178,7 +194,8 @@ def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarr
 
     ``a`` is overwritten only with ``overwrite`` and only when it is
     F-ordered float64; otherwise LAPACK works on a copy.  Runs without the
-    GIL; R and T are bitwise those of scipy's ``dgeqrt`` wrapper.
+    GIL when LAPACK runs on one thread; R and T are bitwise those of
+    scipy's ``dgeqrt`` wrapper.
     """
     m, n = a.shape
     nb = min(_QRT_BLOCK, m, n)
@@ -191,7 +208,10 @@ def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarr
     # m, n, nb (also ldt), lda, info
     ints = np.array([m, n, nb, m, 0], dtype=np.intc)
     i, s = ints.ctypes.data, ints.itemsize
-    _DGEQRT(
+    # a threaded LAPACK already spreads one QR over the cores; holding the
+    # GIL keeps threads that call it at once from oversubscribing them
+    qr = _DGEQRT if _lapack_threads() == 1 else _DGEQRT_GIL
+    qr(
         i, i + s, i + 2 * s, f.ctypes.data, i + 3 * s,
         t.ctypes.data, i + 2 * s, work.ctypes.data, i + 4 * s,
     )
@@ -344,19 +364,31 @@ def log_volume(m) -> float:
     return float(np.sum(np.log(d)))
 
 
-def _range_basis(m) -> np.ndarray:
+def _range_basis(m, reduced=None) -> np.ndarray:
     """Orthonormal basis of the numerical range via pivoted QR (``dgeqp3``).
 
     Columns whose pivot falls below 1e-14 times the Frobenius norm are
     treated as dependent.  The first pivot is the largest column norm, at
     least the Frobenius norm over sqrt(n), so the rank is at least 1.
+
+    ``reduced`` may hold the reflectors and T of :func:`_geqrt` of a tall
+    ``m``, ``m = Q_M [R_M; 0]``; the pivoted QR then runs on the n-by-n
+    ``R_M``, and its Q is lifted through ``Q_M``.
     """
     a = as_matrix(m)
     scale = np.linalg.norm(a)
     if scale == 0.0:
         raise ValueError("matrix of zeros has no range basis")
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
-    return q[:, : int(np.sum(np.abs(np.diag(r)) > 1e-14 * scale))]
+    if reduced is None:
+        q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True, check_finite=False)
+        return q[:, : int(np.sum(np.abs(np.diag(r)) > 1e-14 * scale))]
+    f, t = reduced
+    n = a.shape[1]
+    q, r, _ = scipy.linalg.qr(np.triu(f[:n]), pivoting=True, check_finite=False)
+    rank = int(np.sum(np.abs(np.diag(r)) > 1e-14 * scale))
+    c = np.zeros((a.shape[0], rank), order="F")
+    c[:n] = q[:, :rank]
+    return _apply_q(f, t, c)
 
 
 def ls_residual(a, b) -> float:

@@ -10,14 +10,18 @@ ratios are nearly preserved by the sketch, the factorization of ``M``
 inherits the rank-revealing guarantees with the threshold inflated from
 ``f`` to ``f_tilde = sqrt((1+eps)/(1-eps)) * f``.
 
-``M P`` plays no part in choosing P, so a tall ``M`` is reduced to its
-n-by-n R factor ``R_M`` (the reduce-to-R step of TSQR) while the caller
-pivots on the sketch: one unpivoted ``dgeqrt`` of a copy of ``M`` on the
-shared worker pool of :mod:`.sketch`, which runs without the GIL.  The
-final QR is then the n-by-n QR of ``R_M P``, and Q, when asked for, is
-``Q_M [Q_2; 0]``, one ``dgemqrt`` of the worker's reflectors.  With
-``SPECTRA_RRQR_THREADS=1`` the reduction runs in the calling thread after
-the pivoting, and no thread is started.
+``M P`` plays no part in choosing P, so a tall ``M`` can be reduced to
+its n-by-n R factor ``R_M`` (the reduce-to-R step of TSQR) while the
+caller pivots on the sketch: one unpivoted ``dgeqrt`` of a copy of ``M``
+on the shared worker pool of :mod:`.sketch`, which runs without the GIL.
+The final QR is then the n-by-n QR of ``R_M P``, and Q, when asked for,
+is ``Q_M [Q_2; 0]``, one ``dgemqrt`` of the worker's reflectors.  That
+adds an n-by-n QR, which pays only when the reduction overlaps, so the
+worker is used only for an ``M`` with at least ``_OVERLAP_ASPECT`` rows
+per column, a single-threaded LAPACK and a thread cap above 1; otherwise
+``M P`` is factored directly and no thread is started.  An ``M`` of at
+most ``_MEASURE_LIMIT`` columns is reduced in any case, in the calling
+thread if need be, because its range basis is read off ``R_M`` as well.
 """
 from __future__ import annotations
 
@@ -34,6 +38,7 @@ from .dense_core import (
     PartialQR,
     _apply_q,
     _geqrt,
+    _lapack_threads,
     _r_factor,
     _range_basis,
     _signed_r,
@@ -57,6 +62,11 @@ from .sketch import pad_rows_pow2  # noqa: F401  perfbench's sketch.pad trace po
 # eps is measured up to _MEASURE_LIMIT columns, else reported as _NOMINAL_EPS
 _MEASURE_LIMIT = 64
 _NOMINAL_EPS = 0.25
+# least rows per column for which the reduction of M runs on a worker.
+# Measured with n=500 on 2 CPUs, one BLAS thread: at 4-8 rows per column
+# the n-by-n QR it adds and the contention cost 3-12% per call, at 10-16
+# the overlap saved 5-37%
+_OVERLAP_ASPECT = 10
 
 
 def f_tilde_from(epsilon: float, f: float) -> float:
@@ -145,11 +155,13 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     the same decisions at a fraction of the cost.  A sketch with ``d <= n``
     is used as it is.
 
-    A tall ``a`` is reduced to its R factor on the worker pool, started
-    once the sketch is formed and joined after the pivoting; the final QR
-    is then that of the permuted n-by-n R, so ``timings_ms["final_qr"]``
-    covers the wait for the reduction plus that QR, while
-    ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
+    When a core is free, a tall ``a`` is reduced to its R factor on the
+    worker pool, started once the sketch is formed and joined after the
+    pivoting; the final QR is then that of the permuted n-by-n R, so
+    ``timings_ms["final_qr"]`` covers the wait for the reduction plus that
+    QR, while ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
+    Otherwise ``"final_qr"`` is the QR of ``a P``, or, at most
+    ``_MEASURE_LIMIT`` columns, the reduction plus the n-by-n QR.
     """
     rows = _operator_rows(kind, a.shape[0])
     if d is None:
@@ -165,7 +177,13 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     t0 = time.perf_counter()
     n = a.shape[1]
     tall = a.shape[0] > n
-    workers = worker_count(2) if tall else 1
+    measured = n <= _MEASURE_LIMIT
+    # a worker overlaps the reduction with the pivoting only on a core that
+    # LAPACK leaves idle (a threaded LAPACK already spreads the final QR
+    # over the cores), and only for an M tall enough that the QR it hides
+    # outweighs the n-by-n QR it adds
+    overlap = a.shape[0] >= _OVERLAP_ASPECT * n and _lapack_threads() == 1
+    workers = worker_count(2) if overlap else 1
     # started after the sketch, whose scratch it would add to; the copy is
     # made here, not in the worker's own malloc arena
     reduction = None
@@ -191,9 +209,23 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     k = min(sk_res.k, *a.shape)
     perm = sk_res.factorization.perm.copy()
     t0 = time.perf_counter()
-    if tall:
+    # without a worker, a tall M is reduced only when its range basis is
+    # wanted too; otherwise the extra n-by-n QR would cost, not save
+    reduced = None
+    if reduction is not None:
+        reduced = reduction.result()
+    elif tall and measured:
+        reduced = _geqrt(a)
+    final_ms = (time.perf_counter() - t0) * 1e3
+    # measured before Q is formed, so that the range basis and the scratch
+    # of its sketch are never held next to Q
+    t0 = time.perf_counter()
+    eps_hat = embedding_distortion(op, _range_basis(a, reduced)) if measured else _NOMINAL_EPS
+    distortion_ms = (time.perf_counter() - t0) * 1e3
+    t0 = time.perf_counter()
+    if reduced is not None:
         # M P = Q_M [R_M P; 0], so M P's R is the R of R_M P
-        f_m, t_m = reduction.result() if reduction is not None else _geqrt(a)
+        f_m, t_m = reduced
         r_m, signs = _signed_r(f_m, n)
         fact = stable_partial_qr(perm.apply_cols(r_m), k, want_q=want_q, overwrite=True)
         if want_q:
@@ -205,11 +237,8 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
         # the permuted copy is F-ordered and ours, so the QR runs in place on it
         fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q, overwrite=True)
     fact.perm = perm
-    timings["final_qr"] = (time.perf_counter() - t0) * 1e3
-    t0 = time.perf_counter()
-    measured = a.shape[1] <= _MEASURE_LIMIT
-    eps_hat = embedding_distortion(op, _range_basis(a)) if measured else _NOMINAL_EPS
-    timings["distortion"] = (time.perf_counter() - t0) * 1e3
+    timings["final_qr"] = final_ms + (time.perf_counter() - t0) * 1e3
+    timings["distortion"] = distortion_ms
     return RandSrrqrResult(
         factorization=fact,
         k=k,

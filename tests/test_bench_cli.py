@@ -486,13 +486,15 @@ class TestVerify:
         # the swap checks factor M P once; one QR per candidate swap made
         # k(n-k) calls: 3,522 and 39 on these two runs
         calls = []
-        real = dense_core._DGEQRT
+        # the engine's one routine, with or without the GIL
+        for name in ("_DGEQRT", "_DGEQRT_GIL"):
+            real = getattr(dense_core, name)
 
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+            def spy(*args, real=real):
+                calls.append(1)
+                return real(*args)
 
-        monkeypatch.setattr(dense_core, "_DGEQRT", spy)
+            monkeypatch.setattr(dense_core, name, spy)
         assert verify_config(cfg).exit_code == 0
         assert 1 <= len(calls) <= most
 

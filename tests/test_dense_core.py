@@ -1,4 +1,8 @@
 import ctypes
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -386,6 +390,17 @@ class TestRangeBasis:
         u = np.linalg.svd(a)[0][:, :rank]
         assert np.linalg.norm(basis @ basis.T - u @ u.T) <= 1e-12
 
+    @pytest.mark.parametrize("rows,cols,rank", [(20, 7, 3), (20, 6, 6), (300, 40, 12)])
+    def test_read_off_the_reduction(self, rows, cols, rank):
+        # the pivoted QR of R_M, lifted through Q_M, spans the same range
+        g = rng(rows + cols + rank)
+        a = g.standard_normal((rows, rank)) @ g.standard_normal((rank, cols))
+        basis = _range_basis(a, _geqrt(a))
+        assert basis.shape == (rows, rank)
+        assert np.max(np.abs(basis.T @ basis - np.eye(rank))) <= 1e-12
+        ref = _range_basis(a)
+        assert np.linalg.norm(basis @ basis.T - ref @ ref.T) <= 1e-12
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="no range basis"):
             _range_basis(np.zeros((4, 3)))
@@ -474,6 +489,35 @@ class TestGeqrtEngine:
     def test_called_without_the_gil(self):
         # a ctypes prototype without FUNCFLAG_PYTHONAPI releases the GIL
         assert not dense_core._DGEQRT._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+        assert dense_core._DGEQRT_GIL._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    @pytest.mark.parametrize("threads, used", [(1, "_DGEQRT"), (2, "_DGEQRT_GIL"), (None, "_DGEQRT_GIL")])
+    def test_gil_kept_unless_one_lapack_thread(self, monkeypatch, threads, used):
+        # threads that call a threaded LAPACK at once take turns on the GIL
+        monkeypatch.setattr(dense_core, "_lapack_threads", lambda: threads)
+        calls = []
+        for name in ("_DGEQRT", "_DGEQRT_GIL"):
+            real = getattr(dense_core, name)
+            monkeypatch.setattr(
+                dense_core, name, lambda *a, real=real, name=name: calls.append(name) or real(*a)
+            )
+        a = rng(3).standard_normal((30, 10))
+        f, t = _geqrt(a)
+        assert calls == [used]
+        ref_f, ref_t, _ = scipy.linalg.lapack.dgeqrt(10, a)
+        assert np.array_equal(f, ref_f) and np.array_equal(t, ref_t)
+
+    def test_lapack_thread_count(self):
+        # the OpenBLAS behind scipy's LAPACK reports the threads it was
+        # given; another LAPACK reports None
+        code = "from spectra_rrqr import dense_core; print(dense_core._lapack_threads())"
+        src = Path(dense_core.__file__).resolve().parents[1]
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() in ("1", "None")
 
 
 class TestFileFormats:

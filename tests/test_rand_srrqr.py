@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spectra_rrqr import (
     SketchOperator,
@@ -17,6 +18,7 @@ from spectra_rrqr import (
     TargetRank,
     Tolerance,
     apply,
+    embedding_distortion,
     export_json,
     export_record,
     f_tilde_from,
@@ -38,6 +40,19 @@ from spectra_rrqr.bench import RunConfig, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 
 from oracles import exhaustive_det_ratios, swap_subspace_distortion
+
+
+def _spare_core(monkeypatch, cap="2", lapack_threads=1, aspect=4):
+    """Eight CPUs, the given cap and LAPACK thread count, and a worker for
+    inputs of at least ``aspect`` rows per column (None: the library's),
+    so that small inputs reach it: by default a 300x70 input is reduced on
+    a worker."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    monkeypatch.setattr(rand_srrqr, "_lapack_threads", lambda: lapack_threads)
+    if aspect is not None:
+        monkeypatch.setattr(rand_srrqr, "_OVERLAP_ASPECT", aspect)
+    monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+
 
 # the package exports the function srrqr under the module's name
 srrqr_module = importlib.import_module("spectra_rrqr.srrqr")
@@ -172,8 +187,8 @@ class TestValidatedOnce:
 
     ROWS, COLS = 300, 70
 
-    def _pipeline(self, call, kind):
-        a = np.asfortranarray(rng(11).standard_normal((self.ROWS, self.COLS)))
+    def _pipeline(self, call, kind, rows=ROWS):
+        a = np.asfortranarray(rng(11).standard_normal((rows, self.COLS)))
         if call == "tol":
             return a, rand_srrqr_tol(a, 2.0, 1e-8, seed=4, kind=kind, want_q=False)
         return a, rand_srrqr_rank(a, 2.0, 30, seed=4, kind=kind, want_q=True)
@@ -197,10 +212,12 @@ class TestValidatedOnce:
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian"])
     @pytest.mark.parametrize("call", ["tol", "rank"])
-    def test_same_as_public_stages(self, kind, call):
+    def test_same_as_public_stages(self, monkeypatch, kind, call):
         # the unchecked, in-place stages give bitwise what the public
-        # functions give on the same data; the tall input is finished as
-        # the QR of its own R factor with the sketch's permutation
+        # functions give on the same data; reduced on a worker, the tall
+        # input is finished as the QR of its own R factor with the
+        # sketch's permutation
+        _spare_core(monkeypatch)
         a, res = self._pipeline(call, kind)
         before = a.copy()
         padded = pad_rows_pow2(a) if kind == "srht" else a
@@ -225,8 +242,9 @@ class TestValidatedOnce:
 
     @pytest.mark.parametrize("kind", ["srht", "gaussian"])
     @pytest.mark.parametrize("call", ["tol", "rank"])
-    def test_agrees_with_qr_of_permuted_input(self, kind, call):
+    def test_agrees_with_qr_of_permuted_input(self, monkeypatch, kind, call):
         # finishing on R_M P instead of M P moves the factors by roundoff only
+        _spare_core(monkeypatch)
         a, res = self._pipeline(call, kind)
         fact = res.factorization
         ref = _stable_partial_qr(as_matrix(a[:, fact.perm.forward]), res.k)
@@ -237,6 +255,40 @@ class TestValidatedOnce:
             assert fact.q.shape == ref.q.shape
             assert np.linalg.norm(fact.q - ref.q) <= 1e-13 * self.COLS
             assert fact.reconstruction_error(a) <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    @pytest.mark.parametrize(
+        "cap, lapack_threads, rows, aspect",
+        [("1", 1, ROWS, 4), ("8", 2, ROWS, 4), ("8", None, ROWS, 4), ("8", 1, 250, 4),
+         ("8", 1, ROWS, None)],
+        ids=["cap", "threaded", "unknown", "short", "below-10-rows-per-column"],
+    )
+    def test_no_spare_core_factors_m_p(
+        self, monkeypatch, kind, call, cap, lapack_threads, rows, aspect
+    ):
+        # with a cap of 1, a LAPACK that is threaded or not known to be
+        # single-threaded, or too few rows per column, the pool is not
+        # asked for a worker and M P is factored as it is: bitwise the QR
+        # of M P, with the decisions of a run that reduces M on a worker
+        _spare_core(monkeypatch, cap, lapack_threads, aspect)
+        asked = []
+        real = rand_srrqr._sketch_pool
+        monkeypatch.setattr(rand_srrqr, "_sketch_pool", lambda w: asked.append(w) or real(w))
+        a, res = self._pipeline(call, kind, rows)
+        assert asked == []
+        fact = res.factorization
+        if rows == self.ROWS:
+            _spare_core(monkeypatch)
+            _, overlapped = self._pipeline(call, kind)
+            assert np.array_equal(fact.perm.forward, overlapped.factorization.perm.forward)
+            assert fact.perm.swaps == overlapped.factorization.perm.swaps
+            assert res.k == overlapped.k
+        ref = _stable_partial_qr(as_matrix(a[:, fact.perm.forward]), res.k, want_q=call == "rank")
+        for name in ("r11", "r12", "r22"):
+            assert np.array_equal(getattr(fact, name), getattr(ref, name))
+        if call == "rank":
+            assert np.array_equal(fact.q, ref.q)
 
     @pytest.mark.parametrize("cols", [12, COLS])
     def test_srht_never_pads(self, monkeypatch, cols):
@@ -275,9 +327,10 @@ class TestOverlappedReduction:
     """A tall M is reduced to its R on the worker pool during the pivoting."""
 
     @pytest.fixture
-    def eight_cpus(self, monkeypatch):
-        # the cap, not the host's CPU count, sets the worker count here
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    def spare_core(self, monkeypatch):
+        # the cap, not the host's CPU count or its LAPACK threads, sets the
+        # worker count here
+        _spare_core(monkeypatch)
 
     @staticmethod
     def _call(call, kind, want_q):
@@ -289,7 +342,9 @@ class TestOverlappedReduction:
     @pytest.mark.parametrize("want_q", [True, False])
     @pytest.mark.parametrize("kind", ["srht", "gaussian"])
     @pytest.mark.parametrize("call", ["tol", "rank"])
-    def test_bitwise_same_for_every_cap(self, monkeypatch, eight_cpus, call, kind, want_q):
+    def test_bitwise_same_for_every_cap(self, monkeypatch, spare_core, call, kind, want_q):
+        # at most 64 columns, M is reduced for its range basis on every path,
+        # on a worker or, with a cap of 1, in the calling thread
         results = []
         for cap in ("1", "2", "8"):
             monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
@@ -324,7 +379,40 @@ class TestOverlappedReduction:
         assert out.stdout.split() == ["1", "True"]
 
     @pytest.mark.parametrize("cap", ["1", "2"])
-    def test_failed_pivoting_joins_the_reduction(self, monkeypatch, eight_cpus, cap):
+    def test_range_basis_read_off_the_reduction(self, monkeypatch, spare_core, cap):
+        # the measured distortion needs no second QR of the m-row input
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+        shapes = []
+        real = scipy.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        # rank 12 of 40 columns, so the basis is cut at its numerical rank
+        g = rng(23)
+        a = g.standard_normal((300, 12)) @ g.standard_normal((12, 40))
+        res = rand_srrqr_rank(a, 2.0, 10, seed=5)
+        assert shapes == [(40, 40)]
+        op = SketchOperator(kind="srht", d=res.d, m=512, seed=5)
+        assert res.distortion_is_measured
+        assert res.distortion == pytest.approx(
+            embedding_distortion(op, dense_core._range_basis(a)), abs=1e-12
+        )
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_distortion_measured_before_q(self, monkeypatch, spare_core, traced_peak, cap):
+        # R_M's reflectors, the range basis with its sketch's scratch and Q
+        # are never all held at once: 4.87x M's bytes when they were
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+        m = np.asfortranarray(rng(33).standard_normal((4096, 64)))
+        res, peak = traced_peak(lambda: rand_srrqr_rank(m, 2.0, 32, seed=1))
+        assert res.distortion_is_measured and res.factorization.q.shape == m.shape
+        assert peak <= 4 * m.nbytes
+
+    @pytest.mark.parametrize("cap", ["1", "2"])
+    def test_failed_pivoting_joins_the_reduction(self, monkeypatch, spare_core, cap):
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
         events = []
         real = rand_srrqr._geqrt
