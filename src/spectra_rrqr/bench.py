@@ -2,10 +2,11 @@
 
 Everything here is importable so the test suite can exercise the bench
 logic without spawning subprocesses.  :func:`_factor` is the one place that
-maps an algorithm name to its call; the factor records (one key set,
-:data:`RECORD_KEYS`, for all four algorithms), the bound checklist of
-``verify`` and both runs of ``timing`` come from its result; ``verify`` reads
-every single-swap ratio off one LAPACK QR of the returned ``M P``.
+maps an algorithm name to its call, and its result is one type,
+:class:`.srrqr.SrrqrResult`, for all four algorithms.  The factor records
+(:func:`.rand_srrqr.factor_record`, one key set :data:`RECORD_KEYS`), the
+bound checklist of ``verify`` and both runs of ``timing`` come from it;
+``verify`` reads every single-swap ratio off one LAPACK QR of ``M P``.
 :func:`resolve_matrix` is the one place that maps a matrix descriptor to a
 matrix, with the kind names and defaults of :mod:`.testmat`.  Seeds fan out
 across a thread pool with one thread per available CPU, capped by the
@@ -26,13 +27,12 @@ import numpy as np
 from . import testmat
 from .dense_core import PartialQR, _r_factor, log_volume, singular_values
 from .rand_srrqr import (
-    RandSrrqrResult,
-    export_record,
+    RECORD_KEYS,  # noqa: F401  the key set of every record built here
+    factor_record,
     qlp_values,
     rand_srrqr_rank,
     rand_srrqr_tol,
     ratio_report,
-    record_ratios,
 )
 from .sketch import SketchOperator, _operator_rows, apply, worker_count
 from .srrqr import (
@@ -64,30 +64,6 @@ CSV_COLUMNS = [
 VOLUME_CSV_COLUMNS = ["n", "volume", "log_volume"]
 
 ALGOS = ("srrqr", "rand-rank", "rand-tau", "qrcp")
-
-# the keys of every factor record, for all four algorithms; a key that does
-# not apply is null: kind, d, epsilon_*, f_tilde, l_values and r_values for
-# srrqr and qrcp, rho for all but srrqr, swap_count for qrcp, and ratios,
-# bound, l_values and r_values unless the ratios were asked for
-RECORD_KEYS = (
-    "algo",
-    "k",
-    "seed",
-    "kind",
-    "d",
-    "f",
-    "epsilon_measured",
-    "epsilon_nominal",
-    "f_tilde",
-    "rho",
-    "swap_count",
-    "ratios",
-    "bound",
-    "l_values",
-    "r_values",
-    "timings_ms",
-)
-
 
 # descriptor kinds spelled otherwise than :mod:`.testmat`'s names (which
 # also take hyphens for underscores)
@@ -192,10 +168,11 @@ class RunConfig:
             raise ValueError("no seeds to run; give at least one seed")
 
 
-def _factor(
-    mat: np.ndarray, cfg: RunConfig, seed: int
-) -> tuple[PartialQR | SrrqrResult | RandSrrqrResult, float]:
-    """The one dispatch: run ``cfg.algo`` without forming Q; result and ms."""
+def _factor(mat: np.ndarray, cfg: RunConfig, seed: int) -> tuple[SrrqrResult, float]:
+    """The one dispatch: run ``cfg.algo`` without forming Q; result and ms.
+
+    ``qrcp`` returns a bare :class:`.PartialQR`, wrapped here with ``cfg.f``,
+    the threshold ``verify`` holds it to."""
     t0 = time.perf_counter()
     if cfg.algo == "srrqr":
         mode = TargetRank(cfg.k) if cfg.k is not None else Tolerance(cfg.tau)
@@ -203,7 +180,8 @@ def _factor(
         if res.k == 0:
             raise ValueError("tolerance exceeds every column norm")
     elif cfg.algo == "qrcp":
-        res = qrcp(mat, cfg.k, want_q=False)
+        fact = qrcp(mat, cfg.k, want_q=False)
+        res = SrrqrResult(fact, fact.k, f=cfg.f)
     elif cfg.algo == "rand-rank":
         res = rand_srrqr_rank(
             mat, f=cfg.f, k=cfg.k, d=cfg.d, seed=seed, kind=cfg.kind, want_q=False
@@ -218,20 +196,15 @@ def _factor(
 def _record(mat: np.ndarray, cfg: RunConfig, seed: int) -> dict:
     """One factor record; ``timings_ms["total"]`` is the call's wall time."""
     res, ms = _factor(mat, cfg, seed)
-    randomized = isinstance(res, RandSrrqrResult)
-    report = None
+    report = qlp = None
     if cfg.with_ratios:
-        report = ratio_report(mat, res, threshold=res.f_tilde if randomized else cfg.f)
-    rec = dict.fromkeys(RECORD_KEYS)
-    if randomized:
-        qlp = qlp_values(res) if report is not None else None
-        rec.update(export_record(res, report, qlp))
-    else:
-        rec.update(k=res.k, f=cfg.f, **record_ratios(report))
-        if isinstance(res, SrrqrResult):
-            rec.update(rho=res.rho, swap_count=res.swap_count)
-    timings = rec["timings_ms"] or {}
-    rec.update(algo=cfg.algo, seed=seed, timings_ms={**timings, "total": round(ms, 3)})
+        report = ratio_report(mat, res)
+        # QLP values are reported for a sketched call only
+        if res.sketch_result is not None:
+            qlp = qlp_values(res)
+    rec = factor_record(res, report, qlp)
+    timings = {**rec["timings_ms"], "total": round(ms, 3)}
+    rec.update(algo=cfg.algo, seed=seed, timings_ms=timings)
     return rec
 
 
@@ -371,31 +344,45 @@ def _two_sided(name, values, upper, lower, vacuous) -> list[BoundCheck]:
 def verify_checks(mat: np.ndarray, cfg: RunConfig, seed: int) -> list[BoundCheck]:
     """Full bound checklist for one seed on one fixture.
 
-    Deterministic algorithms are checked against their own threshold ``f``;
-    randomized ones against ``f_tilde``, built from the call's distortion
-    (measured up to 64 columns, nominal above).  The swap checks read every
-    ratio off one QR of ``M P`` (:func:`_swap_ratios`).  Sketch-transfer
-    checks (singular-value sandwich, trailing norm sandwiches, residual
-    sandwich, swap-ratio preservation) only apply to the randomized paths.
+    ``srrqr`` and ``qrcp`` are checked against ``f`` (``--f``; qrcp has no
+    threshold of its own), the randomized algorithms against ``f_tilde``,
+    built from the call's distortion (measured up to 64 columns, nominal
+    above).  The swap checks read every ratio off one QR of ``M P``
+    (:func:`_swap_ratios`).  Sketch-transfer checks (singular-value
+    sandwich, trailing norm sandwiches, residual sandwich, swap-ratio
+    preservation) apply to a result with a ``sketch_result``.  Every
+    tolerance-mode call, ``srrqr --tau`` included, gets the tolerance check.
     """
     res, _ = _factor(mat, cfg, seed)
     slack = 1.0 + 1e-8
-    randomized = isinstance(res, RandSrrqrResult)
-    prefix = "randomized" if randomized else cfg.algo
-    threshold = res.f_tilde if randomized else cfg.f
-    rep = ratio_report(mat, res, threshold=threshold)
+    sketched = res.sketch_result is not None
+    prefix = "randomized" if sketched else cfg.algo
+    threshold = res.f_tilde or res.f
+    rep = ratio_report(mat, res)
     checks = _ratio_checks(prefix, rep, rep.bound * slack)
     checks.append(
         BoundCheck(f"{prefix} coupling entries", rep.a_max, threshold * slack, "<=")
     )
-    if isinstance(res, SrrqrResult):
+    if sketched:
+        return checks + _sketch_checks(mat, cfg, seed, res, rep.sigma_m, slack)
+    # srrqr certifies every swap against f; qrcp claims nothing of its swaps
+    if res.rho is not None:
         top = float(_swap_ratios(mat, res.factorization).max(initial=0.0))
         checks.append(
-            BoundCheck("srrqr exhaustive swap certificate", top, cfg.f * slack, "<=")
+            BoundCheck("srrqr exhaustive swap certificate", top, res.f * slack, "<=")
         )
-    elif randomized:
-        checks += _sketch_checks(mat, cfg, seed, res, rep.sigma_m, slack)
-    return checks
+    return checks + _tolerance_checks(res, cfg.tau, 0.0, slack)
+
+
+def _tolerance_checks(res, tau, eps, slack) -> list[BoundCheck]:
+    """``max gamma_j <= tau / sqrt(1 - eps)`` on the returned R22 when the
+    call ran to a tolerance (``tau`` set); ``eps`` is 0 for a call that
+    did not sketch, and a vacuous one (eps >= 1) opens the limit to inf."""
+    if tau is None:
+        return []
+    trailing = float(np.max(np.linalg.norm(res.factorization.r22, axis=0), initial=0.0))
+    limit = math.inf if eps >= 1.0 else slack * tau / math.sqrt(1.0 - eps)
+    return [BoundCheck("trailing norms within tolerance", trailing, limit, "<=")]
 
 
 def _swap_ratios(mat, fact: PartialQR) -> np.ndarray:
@@ -437,15 +424,7 @@ def _sketch_checks(
         checks += _two_sided("trailing norm sandwich", q2, upper, lower, vacuous)
         fr = float(np.sum(g_m**2) / np.sum(g_sk**2))
         checks += _two_sided("trailing frobenius sandwich", fr, upper, lower, vacuous)
-    if cfg.tau is not None:
-        checks.append(
-            BoundCheck(
-                "trailing norms within tolerance",
-                float(np.max(g_m, initial=0.0)),
-                math.inf if vacuous else slack * cfg.tau / math.sqrt(1.0 - eps),
-                "<=",
-            )
-        )
+    checks += _tolerance_checks(res, cfg.tau, res.distortion, slack)
 
     # residual transfer on a least-squares instance inside the range
     rng = np.random.default_rng(seed + 101)

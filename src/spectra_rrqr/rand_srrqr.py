@@ -22,6 +22,10 @@ per column, a single-threaded LAPACK and a thread cap above 1; otherwise
 ``M P`` is factored directly and no thread is started.  An ``M`` of at
 most ``_MEASURE_LIMIT`` columns is reduced in any case, in the calling
 thread if need be, because its range basis is read off ``R_M`` as well.
+
+A call returns the package's one result type, :class:`.srrqr.SrrqrResult`,
+with its sketch fields set.  :func:`factor_record` builds the record of any
+result; :func:`export_record` cuts it to its published key set.
 """
 from __future__ import annotations
 
@@ -69,39 +73,37 @@ _NOMINAL_EPS = 0.25
 _OVERLAP_ASPECT = 10
 
 
+# the keys of every factor record, for all four algorithms; a key that does
+# not apply is null: kind, d, epsilon_*, f_tilde, l_values and r_values for
+# srrqr and qrcp, rho for all but srrqr, swap_count and stop_reason for
+# qrcp, and ratios, bound, l_values and r_values unless the ratios were
+# asked for
+RECORD_KEYS = (
+    "algo",
+    "k",
+    "seed",
+    "kind",
+    "d",
+    "f",
+    "epsilon_measured",
+    "epsilon_nominal",
+    "f_tilde",
+    "rho",
+    "swap_count",
+    "stop_reason",
+    "ratios",
+    "bound",
+    "l_values",
+    "r_values",
+    "timings_ms",
+)
+
+
 def f_tilde_from(epsilon: float, f: float) -> float:
     """Inflated interchange threshold sqrt((1+eps)/(1-eps)) * f."""
     if epsilon >= 1.0:
         return float("inf")
     return math.sqrt((1.0 + epsilon) / (1.0 - epsilon)) * f
-
-
-@dataclass
-class RandSrrqrResult:
-    """Factorization of M whose permutation was chosen on the sketch.
-
-    ``distortion`` is the exact measured distortion over the numerical
-    range of M when M has at most ``_MEASURE_LIMIT`` columns, otherwise
-    the nominal ``_NOMINAL_EPS``; ``distortion_is_measured`` records which.
-
-    ``sketch_result`` is the strong RRQR of the sketch's R factor when the
-    sketch has more rows than columns, so ``sketch_result.state.r`` and
-    ``sketch_result.factorization.r22`` have ``n`` rows, not ``d``; its
-    permutation, rank, ``rho`` and pivoting quantities are those of the
-    sketch.
-    """
-
-    factorization: PartialQR
-    k: int
-    sketch_result: SrrqrResult = field(repr=False)
-    f: float
-    f_tilde: float
-    distortion: float
-    distortion_is_measured: bool
-    seed: int
-    kind: str
-    d: int
-    timings_ms: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -146,6 +148,10 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
 
     ``d`` defaults to the size that embeds the n-dimensional range of
     ``a``.  With ``want_q`` the final QR forms the thin m-by-min(m, n) Q.
+    ``distortion`` is measured up to ``_MEASURE_LIMIT`` columns, else the
+    nominal ``_NOMINAL_EPS``.  ``sketch_result`` pivots on the sketch's R
+    factor when the sketch has more rows than columns, so its ``state.r``
+    and ``factorization.r22`` then have ``n`` rows, not ``d``.
 
     Column norms, ``inv(R11)``, ``R12`` and the ``R22`` column norms of the
     sketch under any permutation are fixed by the R factor of the permuted
@@ -239,17 +245,20 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     fact.perm = perm
     timings["final_qr"] = final_ms + (time.perf_counter() - t0) * 1e3
     timings["distortion"] = distortion_ms
-    return RandSrrqrResult(
+    return SrrqrResult(
         factorization=fact,
         k=k,
-        sketch_result=sk_res,
+        swap_count=sk_res.swap_count,
         f=f,
+        stop_reason=sk_res.stop_reason,
         f_tilde=f_tilde_from(eps_hat, f),
         distortion=eps_hat,
         distortion_is_measured=measured,
-        seed=seed,
+        # plain ints, so that a numpy integer argument still exports to JSON
+        seed=int(seed),
         kind=kind,
-        d=op.d,
+        d=int(op.d),
+        sketch_result=sk_res,
         timings_ms=timings,
     )
 
@@ -263,7 +272,7 @@ def rand_srrqr_rank(
     kind: str = "srht",
     *,
     want_q: bool = True,
-) -> RandSrrqrResult:
+) -> SrrqrResult:
     """Randomized strong RRQR selecting exactly k columns.
 
     When ``d`` is omitted the sketch is sized to embed the whole range of
@@ -289,7 +298,7 @@ def rand_srrqr_tol(
     kind: str = "srht",
     *,
     want_q: bool = True,
-) -> RandSrrqrResult:
+) -> SrrqrResult:
     """Randomized strong RRQR stopping at a trailing-norm tolerance.
 
     The stopping test runs on the sketch, so the trailing column norms of
@@ -302,22 +311,18 @@ def rand_srrqr_tol(
     return _randomized(a, f, Tolerance(tau), d, seed, kind, want_q)
 
 
-def ratio_report(m, res, threshold: float | None = None) -> RatioReport:
+def ratio_report(m, res: SrrqrResult) -> RatioReport:
     """Singular-value ratios of a factorization against its matrix.
 
-    ``res`` may be a randomized result (bound built from its f_tilde), a
-    deterministic result (bound from its f), or a bare PartialQR, in which
-    case ``threshold`` must be given.  The function only reports; callers
-    assert against ``bound``.
+    The bound is built from the result's ``f_tilde`` when it has one (a
+    randomized result), else from its ``f``.  The function only reports;
+    callers assert against ``bound``.
     """
     a = as_matrix(m)
-    fact: PartialQR = getattr(res, "factorization", res)
+    fact = res.factorization
     k = fact.k
     n = a.shape[1]
-    if threshold is None:
-        threshold = getattr(res, "f_tilde", None) or getattr(res, "f", None)
-        if threshold is None:
-            raise ValueError("a bare factorization needs an explicit threshold")
+    threshold = res.f_tilde or res.f
     sv_m = singular_values(a)
     sv_r11 = singular_values(fact.r11)
     with np.errstate(divide="ignore"):
@@ -362,47 +367,43 @@ def qlp_values(res) -> QlpResult:
     )
 
 
-def record_ratios(report: RatioReport | None) -> dict:
-    """The ``ratios`` and ``bound`` fields of a record (NaN ratios -> null)."""
-    if report is None:
-        return {"ratios": None, "bound": None}
-
-    def listify(arr):
-        return [None if math.isnan(x) else float(x) for x in arr]
-
-    ratios = {
-        "leading": listify(report.leading_ratios),
-        "trailing": listify(report.trailing_ratios),
-        "a_max": report.a_max,
-    }
-    return {"ratios": ratios, "bound": report.bound}
-
-
-def export_record(
-    res: RandSrrqrResult,
-    report: RatioReport | None = None,
-    qlp: QlpResult | None = None,
-) -> dict:
-    """JSON-ready record of one randomized run (fixed key set)."""
-    rec = {
-        "k": res.k,
-        "seed": res.seed,
-        "kind": res.kind,
-        "d": res.d,
-        "f": res.f,
-        "epsilon_measured": res.distortion if res.distortion_is_measured else None,
-        "epsilon_nominal": None if res.distortion_is_measured else res.distortion,
-        "f_tilde": None if math.isinf(res.f_tilde) else res.f_tilde,
-        **record_ratios(report),
-        "l_values": None,
-        "r_values": None,
-        "swap_count": res.sketch_result.swap_count,
-        "timings_ms": {k: round(v, 3) for k, v in res.timings_ms.items()},
-    }
+def factor_record(res: SrrqrResult, report=None, qlp=None) -> dict:
+    """The JSON-ready record of any result, keyed by :data:`RECORD_KEYS`,
+    with ``algo`` left for the caller to name; the ratios and bound come
+    from a :class:`RatioReport`, ``l_values`` and ``r_values`` from a
+    :class:`QlpResult`.  NaN ratios and an infinite ``f_tilde`` are null."""
+    measured = res.distortion_is_measured
+    rec = dict.fromkeys(RECORD_KEYS)
+    rec.update(
+        k=res.k, seed=res.seed, kind=res.kind, d=res.d, f=res.f,
+        epsilon_measured=res.distortion if measured else None,
+        epsilon_nominal=None if measured else res.distortion,
+        f_tilde=None if res.f_tilde == math.inf else res.f_tilde,
+        rho=res.rho, swap_count=res.swap_count, stop_reason=res.stop_reason,
+        timings_ms={k: round(v, 3) for k, v in res.timings_ms.items()},
+    )
+    if report is not None:
+        lead, trail = (
+            [None if math.isnan(x) else float(x) for x in arr]
+            for arr in (report.leading_ratios, report.trailing_ratios)
+        )
+        ratios = {"leading": lead, "trailing": trail, "a_max": report.a_max}
+        rec.update(ratios=ratios, bound=report.bound)
     if qlp is not None:
         rec["l_values"] = [float(x) for x in qlp.l_values]
         rec["r_values"] = [float(x) for x in qlp.r_values]
     return rec
+
+
+def export_record(
+    res: SrrqrResult,
+    report: RatioReport | None = None,
+    qlp: QlpResult | None = None,
+) -> dict:
+    """JSON-ready record of one run (the published key set of a randomized
+    one): :func:`factor_record` without the keys only ``bench`` publishes."""
+    rec = factor_record(res, report, qlp)
+    return {k: v for k, v in rec.items() if k not in ("algo", "rho", "stop_reason")}
 
 
 def export_json(res, report=None, qlp=None) -> str:

@@ -605,14 +605,32 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
 
 @dataclass
 class SrrqrResult:
+    """A factorization and how it was chosen, for every algorithm.
+
+    :func:`srrqr` sets the first seven fields.  A randomized call pivots on
+    a sketch: ``rho`` and ``state`` stay None, ``swap_count`` and
+    ``stop_reason`` are those of ``sketch_result``, the strong RRQR of the
+    sketch, and the fields after ``state`` describe the sketch, its
+    distortion eps and the threshold ``f_tilde`` built from it.  A field
+    that does not apply is None: a bare QRCP is ``SrrqrResult(fact, k)``.
+    """
+
     factorization: PartialQR
     k: int
-    rho: float
-    swap_count: int
-    f: float
+    rho: float | None = None
+    swap_count: int | None = None
+    f: float | None = None
     # why _drive stopped: "tolerance", "target_rank" or "full_rank"
-    stop_reason: str
-    state: SrrqrState = field(repr=False)
+    stop_reason: str | None = None
+    state: SrrqrState | None = field(default=None, repr=False)
+    f_tilde: float | None = None
+    distortion: float | None = None
+    distortion_is_measured: bool | None = None
+    seed: int | None = None
+    kind: str | None = None
+    d: int | None = None
+    sketch_result: SrrqrResult | None = field(default=None, repr=False)
+    timings_ms: dict = field(default_factory=dict)
 
 
 def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> SrrqrResult:

@@ -4,9 +4,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import spectra_rrqr
 from spectra_rrqr import bench, dense_core, testmat
 from spectra_rrqr import (
     SrrqrConfig,
+    SrrqrResult,
     Tolerance,
     load_matrix_binary,
     load_matrix_text,
@@ -269,10 +271,11 @@ class TestRunFactor:
         rec = recs["srrqr"]
         assert (rec["k"], rec["rho"]) == (det.k, det.rho)
         assert rec["swap_count"] == det.swap_count
+        assert rec["stop_reason"] == det.stop_reason == "tolerance"
         assert rec["kind"] is rec["f_tilde"] is rec["l_values"] is None
         rec = recs["qrcp"]
         assert rec["k"] == qrcp(mat, 5, want_q=False).k == 5
-        assert rec["rho"] is rec["swap_count"] is None
+        assert rec["rho"] is rec["swap_count"] is rec["stop_reason"] is None
         for algo, run, stop in [
             ("rand-rank", rand_srrqr_rank, {"k": 5}),
             ("rand-tau", rand_srrqr_tol, {"tau": 1e-8}),
@@ -281,6 +284,7 @@ class TestRunFactor:
             rec = recs[algo]
             assert rec["k"] == res.k
             assert rec["swap_count"] == res.sketch_result.swap_count
+            assert rec["stop_reason"] == res.sketch_result.stop_reason
             assert rec["f_tilde"] == res.f_tilde and rec["rho"] is None
             assert rec["epsilon_measured"] == res.distortion
             assert rec["epsilon_nominal"] is None
@@ -540,6 +544,18 @@ class TestVerify:
                 check = checks[f"seed={seed} {name}"]
                 assert replace(check, value=float(value)).ok == check.ok
 
+    def test_srrqr_tau_checks_the_tolerance(self):
+        # srrqr guarantees max gamma_j <= tau; verify checks it with eps = 0
+        cfg = RunConfig("hc:64x16", "srrqr", tau=1e-8)
+        report = verify_config(cfg)
+        names = SRRQR_CHECKS + ["trailing norms within tolerance"]
+        assert [c.name for c in report.checks] == [f"seed=0 {n}" for n in names]
+        check = report.checks[-1]
+        det = srrqr(resolve_matrix("hc:64x16"), SrrqrConfig(2.0, Tolerance(1e-8)))
+        gamma = np.linalg.norm(det.factorization.r22, axis=0)
+        assert check.value == pytest.approx(gamma.max(), rel=1e-12)
+        assert check.limit == (1.0 + 1e-8) * 1e-8 and check.ok
+
     def test_report_lines_format(self):
         report = verify_config(RunConfig("identity:8", "srrqr", f=2.0, k=4))
         for line in report.lines():
@@ -548,6 +564,15 @@ class TestVerify:
 
 
 class TestOneDispatch:
+    @pytest.mark.parametrize("algo, kw", HC_RUNS.items())
+    def test_one_result_type(self, algo, kw):
+        cfg = RunConfig("hc:64x16", algo, **kw)
+        res, _ = bench._factor(resolve_matrix(cfg.matrix), cfg, 0)
+        assert type(res) is SrrqrResult and res.f == cfg.f
+        # a result says whether it was sketched by its fields alone
+        assert (res.sketch_result is not None) == algo.startswith("rand")
+        assert not hasattr(spectra_rrqr, "RandSrrqrResult")
+
     def test_every_driver_runs_through_factor(self, monkeypatch):
         calls = []
         real = bench._factor

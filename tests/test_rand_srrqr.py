@@ -572,6 +572,15 @@ class TestExport:
         parsed = json.loads(export_json(res, ratio_report(m, res)))
         assert parsed["d"] == 48
 
+    def test_numpy_integer_arguments_export(self):
+        # seed and d are stored as Python ints, which json can write
+        m = rng(17).standard_normal((64, 12))
+        for kw in ({"seed": np.int64(3)}, {"d": np.int64(48)}):
+            res = rand_srrqr_rank(m, 2.0, 4, want_q=False, **kw)
+            assert type(res.seed) is int and type(res.d) is int
+            rec = json.loads(export_json(res))
+            assert (rec["seed"], rec["d"]) == (res.seed, res.d)
+
     def test_nan_ratios_become_null(self):
         g = rng(18)
         m = g.standard_normal((32, 3)) @ g.standard_normal((3, 6))
