@@ -163,11 +163,11 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
 
     When a core is free, a tall ``a`` is reduced to its R factor on the
     worker pool, started once the sketch is formed and joined after the
-    pivoting; the final QR is then that of the permuted n-by-n R, so
-    ``timings_ms["final_qr"]`` covers the wait for the reduction plus that
-    QR, while ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
-    Otherwise ``"final_qr"`` is the QR of ``a P``, or, at most
-    ``_MEASURE_LIMIT`` columns, the reduction plus the n-by-n QR.
+    pivoting; the final QR is then that of the permuted n-by-n R.
+    ``timings_ms["reduce_m"]`` is the wait for the worker, or the reduction
+    in the calling thread (at most ``_MEASURE_LIMIT`` columns), else about
+    0; ``"final_qr"`` is the QR of ``R_M P`` or ``a P`` (with Q if wanted),
+    and ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
     """
     rows = _operator_rows(kind, a.shape[0])
     if d is None:
@@ -222,7 +222,7 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
         reduced = reduction.result()
     elif tall and measured:
         reduced = _geqrt(a)
-    final_ms = (time.perf_counter() - t0) * 1e3
+    timings["reduce_m"] = (time.perf_counter() - t0) * 1e3
     # measured before Q is formed, so that the range basis and the scratch
     # of its sketch are never held next to Q
     t0 = time.perf_counter()
@@ -243,7 +243,7 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
         # the permuted copy is F-ordered and ours, so the QR runs in place on it
         fact = stable_partial_qr(perm.apply_cols(a), k, want_q=want_q, overwrite=True)
     fact.perm = perm
-    timings["final_qr"] = final_ms + (time.perf_counter() - t0) * 1e3
+    timings["final_qr"] = (time.perf_counter() - t0) * 1e3
     timings["distortion"] = distortion_ms
     return SrrqrResult(
         factorization=fact,

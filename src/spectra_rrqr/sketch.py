@@ -8,15 +8,15 @@ generated counter-based from (seed, entry index) so the operator never
 needs dense storage and blocked application reproduces the same matrix.
 
 The Gaussian operator is applied one block of columns at a time, each
-block one matrix product into the result.  Its columns are generated in
-chunks of at most ``_CHUNK`` on a lazily created thread pool (Philox, the
-ufuncs and the product all release the GIL), the next block filling a
-second buffer while the caller multiplies the current one.  The pool has
-one worker per CPU available to the process, capped by the
-``SPECTRA_RRQR_THREADS`` environment variable; with a cap of 1 the chunks
-run in the caller and no thread is started.  Counter-based generation
-makes the operator bitwise independent of the chunking and of the number
-of workers.
+block generated into one buffer and multiplied into the result as one
+matrix product.  A block's columns are generated in chunks of at most
+``_CHUNK``, drained from a queue by the caller and by tasks on a lazily
+created thread pool (Philox and the ufuncs release the GIL).  The caller
+uses one worker per CPU available to the process, itself included,
+capped by the ``SPECTRA_RRQR_THREADS`` environment variable; with a cap
+of 1 it fills every chunk itself and no thread is started.
+Counter-based generation makes the operator bitwise independent of the
+chunking and of the number of workers.
 
 The SRHT is applied as two matrix products through the Kronecker structure
 ``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
@@ -30,6 +30,7 @@ import json
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -40,11 +41,11 @@ from .dense_core import as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
-# Gaussian operator entries per matrix product (the block is
-# _BLOCK_ENTRIES // d columns) and operator columns per generation chunk;
-# a chunk bounds each worker's scratch to 3 d doubles per column
+# Gaussian operator entries per matrix product (the block of _BLOCK_ENTRIES // d
+# columns fixes the sketch's bits) and operator columns per generation chunk;
+# each worker's scratch is 3 d _CHUNK doubles, 3.2 MB at d = 2099
 _BLOCK_ENTRIES = 4_000_000
-_CHUNK = 256
+_CHUNK = 64
 # SRHT input columns per stage-1 product; bounds the sign-flipped scratch
 # to _SRHT_PANEL * m doubles
 _SRHT_PANEL = 32
@@ -80,7 +81,8 @@ def _sketch_pool(workers: int) -> ThreadPoolExecutor:
     """The shared worker pool, grown to at least ``workers`` threads.
 
     It generates Gaussian sketch chunks and reduces a tall input of the
-    randomized pipeline to its R factor; no task on it waits on it.
+    randomized pipeline to its R factor; no task on it waits on it, and a
+    caller generating the sketch never waits for a task of it to start.
 
     A replaced pool is dropped, not shut down: a caller still holding it
     keeps it alive, and its idle threads exit once it is collected.
@@ -174,15 +176,15 @@ def _gaussian_block(seed: int, d: int, j0: int, j1: int) -> np.ndarray:
 def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
     """Write operator columns ``[c0, c1)`` into ``buf[:, c0 - j0 : c1 - j0]``.
 
-    ``buf`` is F-ordered with ``d`` rows, so each chunk is one contiguous
-    run that the transform fills in place.  The arithmetic is that of
+    The pairs are at most ``_CHUNK`` apart and share one scratch.  ``buf``
+    is F-ordered with ``d`` rows, so each chunk is one contiguous run that
+    the transform fills in place.  The arithmetic is that of
     :func:`_gaussian_block`, operation for operation, with ``log1p`` and
     ``cos`` on contiguous operands as there, so the entries are bitwise
     the same.
     """
     flat = buf.reshape(-1, order="F")
-    most = d * max(c1 - c0 for c0, c1 in chunks)
-    u, arg = np.empty(2 * most), np.empty(most)
+    u, arg = np.empty(2 * d * _CHUNK), np.empty(d * _CHUNK)
     for c0, c1 in chunks:
         bg = np.random.Philox(key=seed)
         words = 2 * d * c0
@@ -202,51 +204,48 @@ def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
         np.multiply(z, arg[:size], out=z)
 
 
+def _drain(queue: deque):
+    """Pop ``queue`` until it is empty; a deque pops atomically across threads."""
+    try:
+        while True:
+            yield queue.popleft()
+    except IndexError:
+        return
+
+
 def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """``op @ a`` for a Gaussian operator: one GEMM per block of columns.
 
     Blocks of ``_BLOCK_ENTRIES // d`` operator columns are accumulated into
     the result in order, the same partition and order as
-    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``.  The block's chunks are
-    spread over ``workers`` tasks; with more than one worker, block ``b + 1``
-    is generated into the second buffer while the caller multiplies block
-    ``b``.
+    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``.  A block's chunks go on
+    a queue that the caller and ``workers - 1`` pool tasks drain into the
+    one buffer; the caller then cancels the tasks that never started, waits
+    for the running ones and multiplies the block in.  It never waits for
+    a task to start, so a busy pool only slows the generation down.
     """
     d, m = op.d, op.m
     width = min(m, max(1, _BLOCK_ENTRIES // d))
-    blocks = [(j0, min(m, j0 + width)) for j0 in range(0, m, width)]
     workers = worker_count(-(-width // _CHUNK))
-    bufs = [np.empty((d, width), order="F") for _ in range(min(workers, 2))]
-
-    def chunks(b):
-        j0, j1 = blocks[b]
-        return [(c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK)]
-
-    def submit(b):
-        if b == len(blocks):
-            return []
-        pool, cs = _sketch_pool(workers), chunks(b)
-        args = (bufs[b % 2], op.seed, d, blocks[b][0])
-        tasks = min(workers, len(cs))
-        return [pool.submit(_fill_gaussian, *args, cs[t::tasks]) for t in range(tasks)]
-
+    pool = _sketch_pool(workers) if workers > 1 else None
+    buf = np.empty((d, width), order="F")
     out = np.zeros((d, a.shape[1]))
-    pending = submit(0) if workers > 1 else []
-    try:
-        for b, (j0, j1) in enumerate(blocks):
-            buf = bufs[b % len(bufs)]
-            if workers == 1:
-                _fill_gaussian(buf, op.seed, d, j0, chunks(b))
-            else:
-                for fut in pending:
-                    fut.result()
-                pending = submit(b + 1)
-            out += buf[:, : j1 - j0] @ a[j0:j1, :]
-    finally:
-        # on error, no task may still write into the buffers
-        for fut in pending:
-            fut.cancel()
-        wait(pending)
+    for j0 in range(0, m, width):
+        j1 = min(m, j0 + width)
+        queue = deque((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
+        args = (buf, op.seed, d, j0)
+        tasks = [pool.submit(_fill_gaussian, *args, _drain(queue)) for _ in range(workers - 1)]
+        try:
+            _fill_gaussian(*args, _drain(queue))
+        finally:
+            # on error, no task may go on writing into the buffer; a
+            # cancelled task counts as done only once a pool thread reaches it
+            queue.clear()
+            running = [fut for fut in tasks if not fut.cancel()]
+            wait(running)
+        for fut in running:
+            fut.result()
+        out += buf[:, : j1 - j0] @ a[j0:j1, :]
     return out / math.sqrt(d)
 
 
@@ -349,11 +348,12 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     the Hadamard transform, as two matrix products (see :func:`_srht_rows`).
     It takes unpadded input, giving bitwise what it gives on
     :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
-    The Gaussian path multiplies blocks of counter-generated operator
-    columns into the result, generating them in chunks of at most
-    ``_CHUNK`` columns on one worker thread per available CPU, capped by
-    ``SPECTRA_RRQR_THREADS`` (see :func:`_gaussian_rows`); the result is
-    bitwise the same for every worker count.
+    The Gaussian path generates each block of counter-based operator
+    columns into one buffer, in chunks of at most ``_CHUNK`` columns on the
+    caller and pool threads, one per available CPU capped by
+    ``SPECTRA_RRQR_THREADS``, and multiplies it into the result (see
+    :func:`_gaussian_rows`); the result is bitwise the same for every
+    worker count.
     """
     return _apply(op, as_matrix(m))
 

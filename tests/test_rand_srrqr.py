@@ -411,6 +411,20 @@ class TestOverlappedReduction:
         assert res.distortion_is_measured and res.factorization.q.shape == m.shape
         assert peak <= 4 * m.nbytes
 
+    def test_wait_for_the_reduction_is_its_own_stage(self, monkeypatch, spare_core):
+        # a worker that takes 0.5 s: the pivoting hides a few ms of it, and
+        # the rest is the wait, reported apart from the 40x40 final QR
+        real = rand_srrqr._geqrt
+
+        def slow(a, overwrite=False):
+            time.sleep(0.5)
+            return real(a, overwrite)
+
+        monkeypatch.setattr(rand_srrqr, "_geqrt", slow)
+        timings = self._call("rank", "srht", True).timings_ms
+        assert list(timings) == ["sketch", "srrqr_sketch", "reduce_m", "final_qr", "distortion"]
+        assert timings["reduce_m"] >= 250 > timings["final_qr"]
+
     @pytest.mark.parametrize("cap", ["1", "2"])
     def test_failed_pivoting_joins_the_reduction(self, monkeypatch, spare_core, cap):
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)

@@ -540,6 +540,50 @@ class TestGaussianChunks:
         assert proc.exitcode == 0
 
 
+class TestGaussianOneBuffer:
+    """The Gaussian path's one block buffer, filled by the caller and the pool."""
+
+    @staticmethod
+    def _cap(monkeypatch, cap):
+        # the cap, not the host's CPU count, sets the worker count here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", str(cap))
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    @pytest.mark.parametrize("d, m, n", [(2000, 4100, 50), (2099, 6000, 500)])
+    def test_peak_memory(self, monkeypatch, traced_peak, cap, d, m, n):
+        # one d x width block buffer, one chunk scratch per worker, the
+        # accumulated result and its scaled copy, and 1 MB for the rest
+        self._cap(monkeypatch, cap)
+        a = np.asfortranarray(rng(8).standard_normal((m, n)))
+        op = SketchOperator("gaussian", d=d, m=m, seed=2)
+        out, peak = traced_peak(lambda: apply(op, a))
+        width = min(m, sk._BLOCK_ENTRIES // d)
+        scratch = cap * 3 * 8 * d * sk._CHUNK
+        assert peak <= 8 * d * width + scratch + 2 * out.nbytes + 2**20
+
+    def test_caller_fills_the_block_when_no_task_starts(self, monkeypatch):
+        # the pool's one thread is blocked, so no task submitted to it runs
+        # until the gate opens: the caller must fill every chunk itself
+        self._cap(monkeypatch, 2)
+        monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
+        monkeypatch.setattr(sk, "_CHUNK", 4)
+        gate = threading.Event()
+        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
+        stuck.submit(gate.wait)
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck)
+        op = SketchOperator("gaussian", d=7, m=97, seed=6)
+        x = np.asfortranarray(rng(6).standard_normal((97, 3)))
+        helper = ThreadPoolExecutor(1)
+        try:
+            got = helper.submit(apply, op, x).result(timeout=20)
+        finally:
+            gate.set()
+            helper.shutdown()
+            stuck.shutdown()
+        assert np.array_equal(got, TestGaussianChunks._oracle(op, x))
+
+
 class TestWorkerCount:
     def test_cpus_capped_by_env(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
