@@ -10,18 +10,18 @@ ratios are nearly preserved by the sketch, the factorization of ``M``
 inherits the rank-revealing guarantees with the threshold inflated from
 ``f`` to ``f_tilde = sqrt((1+eps)/(1-eps)) * f``.
 
-``M P`` plays no part in choosing P, so a tall ``M`` can be reduced to
-its n-by-n R factor ``R_M`` (the reduce-to-R step of TSQR) while the
-caller pivots on the sketch: one unpivoted ``dgeqrt`` of a copy of ``M``
-on the shared worker pool of :mod:`.sketch`, which runs without the GIL.
-The final QR is then the n-by-n QR of ``R_M P``, and Q, when asked for,
-is ``Q_M [Q_2; 0]``, one ``dgemqrt`` of the worker's reflectors.  That
-adds an n-by-n QR, which pays only when the reduction overlaps, so the
-worker is used only for an ``M`` with at least ``_OVERLAP_ASPECT`` rows
-per column, a single-threaded LAPACK and a thread cap above 1; otherwise
-``M P`` is factored directly and no thread is started.  An ``M`` of at
-most ``_MEASURE_LIMIT`` columns is reduced in any case, in the calling
-thread if need be, because its range basis is read off ``R_M`` as well.
+``M P`` plays no part in choosing P, and the shape of ``M`` alone picks
+how its QR is computed.  An ``M`` with at least ``_OVERLAP_ASPECT`` rows
+per column, or a tall one of at most ``_MEASURE_LIMIT`` columns (its range
+basis is read off ``R_M`` too), is reduced to its n-by-n R factor ``R_M``
+(TSQR's reduce-to-R step), one unpivoted ``dgeqrt``; the final QR is then
+the n-by-n QR of ``R_M P``, and Q, when asked for, is ``Q_M [Q_2; 0]``, one
+``dgemqrt``.  Any other ``M``, square or wide too, is factored as ``M P``.
+The host picks only where ``M`` is reduced: on the worker pool of
+:mod:`.sketch`, without the GIL, while the caller pivots, if ``M`` has at
+least ``_OVERLAP_ASPECT`` rows per column, LAPACK runs one thread and the
+cap allows two; else in the calling thread after the pivoting.  So the cap,
+the CPU count and LAPACK's reported threads move timings, not factors.
 
 A call returns the package's one result type, :class:`.srrqr.SrrqrResult`,
 with its sketch fields set.  :func:`factor_record` builds the record of any
@@ -66,10 +66,10 @@ from .sketch import pad_rows_pow2  # noqa: F401  perfbench's sketch.pad trace po
 # eps is measured up to _MEASURE_LIMIT columns, else reported as _NOMINAL_EPS
 _MEASURE_LIMIT = 64
 _NOMINAL_EPS = 0.25
-# least rows per column for which the reduction of M runs on a worker.
-# Measured with n=500 on 2 CPUs, one BLAS thread: at 4-8 rows per column
-# the n-by-n QR it adds and the contention cost 3-12% per call, at 10-16
-# the overlap saved 5-37%
+# least rows per column for which M is reduced to R_M (and the reduction
+# may run on a worker).  Measured with the reduction on a worker, n=500 on
+# 2 CPUs, one BLAS thread: at 4-8 rows per column the n-by-n QR it adds
+# and the contention cost 3-12% per call, at 10-16 the overlap saved 5-37%
 _OVERLAP_ASPECT = 10
 
 
@@ -143,7 +143,7 @@ class QlpResult:
     r_values_sorted: np.ndarray
 
 
-def _randomized(a, f, mode, d, seed, kind, want_q):
+def _randomized(a, config, d, seed, kind, want_q):
     """Sketch the validated ``a``, pivot on the sketch, then factor ``a``.
 
     ``d`` defaults to the size that embeds the n-dimensional range of
@@ -161,12 +161,12 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     the same decisions at a fraction of the cost.  A sketch with ``d <= n``
     is used as it is.
 
-    When a core is free, a tall ``a`` is reduced to its R factor on the
+    An ``a`` that the shape rule of the module reduces is reduced on the
     worker pool, started once the sketch is formed and joined after the
-    pivoting; the final QR is then that of the permuted n-by-n R.
-    ``timings_ms["reduce_m"]`` is the wait for the worker, or the reduction
-    in the calling thread (at most ``_MEASURE_LIMIT`` columns), else about
-    0; ``"final_qr"`` is the QR of ``R_M P`` or ``a P`` (with Q if wanted),
+    pivoting, or else in the calling thread after the pivoting.
+    ``timings_ms["reduce_m"]`` is the wait for the worker or the whole
+    reduction in the calling thread, about 0 for an ``a`` not reduced;
+    ``"final_qr"`` is the QR of ``R_M P`` or ``a P`` (with Q if wanted),
     and ``"srrqr_sketch"`` also covers copying ``a`` for the worker.
     """
     rows = _operator_rows(kind, a.shape[0])
@@ -176,20 +176,18 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
         raise ValueError(f"sketch size d={d} exceeds padded row count {rows}")
     timings: dict = {}
     op = SketchOperator(kind=kind, d=d, m=rows, seed=seed)
-    config = SrrqrConfig(f=f, mode=mode)
     t0 = time.perf_counter()
     msk = apply(op, a)
     timings["sketch"] = (time.perf_counter() - t0) * 1e3
     t0 = time.perf_counter()
     n = a.shape[1]
-    tall = a.shape[0] > n
     measured = n <= _MEASURE_LIMIT
-    # a worker overlaps the reduction with the pivoting only on a core that
-    # LAPACK leaves idle (a threaded LAPACK already spreads the final QR
-    # over the cores), and only for an M tall enough that the QR it hides
-    # outweighs the n-by-n QR it adds
-    overlap = a.shape[0] >= _OVERLAP_ASPECT * n and _lapack_threads() == 1
-    workers = worker_count(2) if overlap else 1
+    # the shape alone decides whether M is reduced; the host only where: a
+    # worker overlaps the reduction with the pivoting on a core that LAPACK
+    # leaves idle (a threaded LAPACK already spreads it over the cores)
+    overlap = a.shape[0] >= _OVERLAP_ASPECT * n
+    reduce = overlap or (a.shape[0] > n and measured)
+    workers = worker_count(2) if overlap and _lapack_threads() == 1 else 1
     # started after the sketch, whose scratch it would add to; the copy is
     # made here, not in the worker's own malloc arena
     reduction = None
@@ -215,12 +213,10 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
     k = min(sk_res.k, *a.shape)
     perm = sk_res.factorization.perm.copy()
     t0 = time.perf_counter()
-    # without a worker, a tall M is reduced only when its range basis is
-    # wanted too; otherwise the extra n-by-n QR would cost, not save
     reduced = None
     if reduction is not None:
         reduced = reduction.result()
-    elif tall and measured:
+    elif reduce:
         reduced = _geqrt(a)
     timings["reduce_m"] = (time.perf_counter() - t0) * 1e3
     # measured before Q is formed, so that the range basis and the scratch
@@ -249,9 +245,9 @@ def _randomized(a, f, mode, d, seed, kind, want_q):
         factorization=fact,
         k=k,
         swap_count=sk_res.swap_count,
-        f=f,
+        f=config.f,
         stop_reason=sk_res.stop_reason,
-        f_tilde=f_tilde_from(eps_hat, f),
+        f_tilde=f_tilde_from(eps_hat, config.f),
         distortion=eps_hat,
         distortion_is_measured=measured,
         # plain ints, so that a numpy integer argument still exports to JSON
@@ -286,7 +282,7 @@ def rand_srrqr_rank(
     # a default d is at least min(n + 1, rows) >= k, so only a given d is short
     if d is not None and d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
-    return _randomized(a, f, TargetRank(k), d, seed, kind, want_q)
+    return _randomized(a, SrrqrConfig(f, TargetRank(k)), d, seed, kind, want_q)
 
 
 def rand_srrqr_tol(
@@ -306,9 +302,11 @@ def rand_srrqr_tol(
     a measured distortion eps; a nominal one carries no such bound.
     """
     a = as_matrix(m)
+    # checks f and that tau is positive, as srrqr does, before its scale
+    config = SrrqrConfig(f, Tolerance(tau))
     if not tau > 1e-300 * np.linalg.norm(a):
         raise ValueError(f"tolerance {tau} is below the representable scale of m")
-    return _randomized(a, f, Tolerance(tau), d, seed, kind, want_q)
+    return _randomized(a, config, d, seed, kind, want_q)
 
 
 def ratio_report(m, res: SrrqrResult) -> RatioReport:
@@ -323,6 +321,9 @@ def ratio_report(m, res: SrrqrResult) -> RatioReport:
     k = fact.k
     n = a.shape[1]
     threshold = res.f_tilde or res.f
+    if threshold is None:
+        # a bare QRCP result has no f to build the bound from
+        raise ValueError("ratio_report needs a result with an interchange threshold f")
     sv_m = singular_values(a)
     sv_r11 = singular_values(fact.r11)
     with np.errstate(divide="ignore"):

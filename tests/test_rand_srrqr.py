@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import scipy.linalg
 from spectra_rrqr import (
     SketchOperator,
     SrrqrConfig,
+    SrrqrResult,
     TargetRank,
     Tolerance,
     apply,
@@ -256,34 +258,51 @@ class TestValidatedOnce:
             assert np.linalg.norm(fact.q - ref.q) <= 1e-13 * self.COLS
             assert fact.reconstruction_error(a) <= 1e-14
 
-    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
-    @pytest.mark.parametrize("call", ["tol", "rank"])
-    @pytest.mark.parametrize(
-        "cap, lapack_threads, rows, aspect",
-        [("1", 1, ROWS, 4), ("8", 2, ROWS, 4), ("8", None, ROWS, 4), ("8", 1, 250, 4),
-         ("8", 1, ROWS, None)],
-        ids=["cap", "threaded", "unknown", "short", "below-10-rows-per-column"],
-    )
-    def test_no_spare_core_factors_m_p(
-        self, monkeypatch, kind, call, cap, lapack_threads, rows, aspect
-    ):
-        # with a cap of 1, a LAPACK that is threaded or not known to be
-        # single-threaded, or too few rows per column, the pool is not
-        # asked for a worker and M P is factored as it is: bitwise the QR
-        # of M P, with the decisions of a run that reduces M on a worker
-        _spare_core(monkeypatch, cap, lapack_threads, aspect)
+    def _no_worker(self, monkeypatch, call, kind, rows=ROWS):
+        # the pipeline's result, and that the pool was asked for no worker
         asked = []
         real = rand_srrqr._sketch_pool
         monkeypatch.setattr(rand_srrqr, "_sketch_pool", lambda w: asked.append(w) or real(w))
         a, res = self._pipeline(call, kind, rows)
         assert asked == []
+        return a, res
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    @pytest.mark.parametrize(
+        "cap, lapack_threads", [("1", 1), ("8", 2), ("8", None)],
+        ids=["cap", "threaded", "unknown"],
+    )
+    def test_no_spare_core_reduces_in_the_caller(
+        self, monkeypatch, kind, call, cap, lapack_threads
+    ):
+        # with a cap of 1, or a LAPACK that is threaded or not known to be
+        # single-threaded, the pool is not asked for a worker and the
+        # calling thread reduces M itself: bitwise the factors of a run
+        # that reduces M on a worker
+        _spare_core(monkeypatch, cap, lapack_threads)
+        _, res = self._no_worker(monkeypatch, call, kind)
+        _spare_core(monkeypatch)
+        _, overlapped = self._pipeline(call, kind)
+        fact, ref = res.factorization, overlapped.factorization
+        assert np.array_equal(fact.perm.forward, ref.perm.forward)
+        assert fact.perm.swaps == ref.perm.swaps and res.k == overlapped.k
+        for name in ("r11", "r12", "r22"):
+            assert np.array_equal(getattr(fact, name), getattr(ref, name))
+        if call == "rank":
+            assert np.array_equal(fact.q, ref.q)
+
+    @pytest.mark.parametrize("kind", ["srht", "gaussian"])
+    @pytest.mark.parametrize("call", ["tol", "rank"])
+    @pytest.mark.parametrize(
+        "rows, aspect", [(250, 4), (ROWS, None)], ids=["short", "below-10-rows-per-column"]
+    )
+    def test_no_spare_core_factors_m_p(self, monkeypatch, kind, call, rows, aspect):
+        # an M with too few rows per column is not reduced, even with a core
+        # to spare: M P is factored as it is, bitwise its QR
+        _spare_core(monkeypatch, "8", 1, aspect)
+        a, res = self._no_worker(monkeypatch, call, kind, rows)
         fact = res.factorization
-        if rows == self.ROWS:
-            _spare_core(monkeypatch)
-            _, overlapped = self._pipeline(call, kind)
-            assert np.array_equal(fact.perm.forward, overlapped.factorization.perm.forward)
-            assert fact.perm.swaps == overlapped.factorization.perm.swaps
-            assert res.k == overlapped.k
         ref = _stable_partial_qr(as_matrix(a[:, fact.perm.forward]), res.k, want_q=call == "rank")
         for name in ("r11", "r12", "r22"):
             assert np.array_equal(getattr(fact, name), getattr(ref, name))
@@ -333,8 +352,11 @@ class TestOverlappedReduction:
         _spare_core(monkeypatch)
 
     @staticmethod
-    def _call(call, kind, want_q):
-        a = np.asfortranarray(rng(21).standard_normal((300, 40)) * 2.0 ** -np.arange(40))
+    def _call(call, kind, want_q, shape=(300, 40)):
+        # graded columns in shuffled order, so that the permutation moves
+        # them: with P = I, the QRs of M P and of R_M P are both bitwise R_M
+        grades = 2.0 ** -rng(22).permutation(shape[1])
+        a = np.asfortranarray(rng(21).standard_normal(shape) * grades)
         if call == "tol":
             return rand_srrqr_tol(a, 2.0, 1e-6, seed=3, kind=kind, want_q=want_q)
         return rand_srrqr_rank(a, 2.0, 25, seed=3, kind=kind, want_q=want_q)
@@ -342,32 +364,39 @@ class TestOverlappedReduction:
     @pytest.mark.parametrize("want_q", [True, False])
     @pytest.mark.parametrize("kind", ["srht", "gaussian"])
     @pytest.mark.parametrize("call", ["tol", "rank"])
-    def test_bitwise_same_for_every_cap(self, monkeypatch, spare_core, call, kind, want_q):
-        # at most 64 columns, M is reduced for its range basis on every path,
-        # on a worker or, with a cap of 1, in the calling thread
-        results = []
-        for cap in ("1", "2", "8"):
-            monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
-            results.append(self._call(call, kind, want_q).factorization)
-        first = results[0]
-        assert first.shape == (300, 40) and (first.q is None) != want_q
-        for fact in results[1:]:
-            assert np.array_equal(fact.perm.forward, first.perm.forward)
-            assert fact.perm.swaps == first.perm.swaps and fact.k == first.k
-            for name in ("r11", "r12", "r22"):
-                assert np.array_equal(getattr(fact, name), getattr(first, name))
-            if want_q:
-                assert np.array_equal(fact.q, first.q)
+    def test_bitwise_same_for_every_cap(self, monkeypatch, call, kind, want_q):
+        # M is reduced on every path, on a worker or, with a cap of 1, in
+        # the calling thread: at most 64 columns for its range basis, above
+        # that for its rows per column, 4 under the test gate (300x70) and
+        # 10 under the library's (800x70)
+        for shape, aspect in (((300, 40), 4), ((300, 70), 4), ((800, 70), None)):
+            # each shape starts from the library's gate
+            monkeypatch.undo()
+            _spare_core(monkeypatch, aspect=aspect)
+            results = []
+            for cap in ("1", "2", "8"):
+                monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+                results.append(self._call(call, kind, want_q, shape).factorization)
+            first = results[0]
+            assert first.shape == shape and (first.q is None) != want_q
+            for fact in results[1:]:
+                assert np.array_equal(fact.perm.forward, first.perm.forward)
+                assert fact.perm.swaps == first.perm.swaps and fact.k == first.k
+                for name in ("r11", "r12", "r22"):
+                    assert np.array_equal(getattr(fact, name), getattr(first, name))
+                if want_q:
+                    assert np.array_equal(fact.q, first.q)
 
     def test_cap_of_one_starts_no_thread(self):
         code = (
             "import threading\n"
             "import numpy as np\n"
             "import spectra_rrqr as s\n"
-            "a = np.random.default_rng(0).standard_normal((3000, 20))\n"
-            "for kind in ('srht', 'gaussian'):\n"
-            "    s.rand_srrqr_tol(a, 2.0, 1e-8, kind=kind)\n"
-            "    s.rand_srrqr_rank(a, 2.0, 5, kind=kind, want_q=False)\n"
+            "g = np.random.default_rng(0)\n"
+            "for a in (g.standard_normal((3000, 20)), g.standard_normal((1000, 70))):\n"
+            "    for kind in ('srht', 'gaussian'):\n"
+            "        s.rand_srrqr_tol(a, 2.0, 1e-8, kind=kind)\n"
+            "        s.rand_srrqr_rank(a, 2.0, 5, kind=kind, want_q=False)\n"
             "print(threading.active_count(), s.sketch._pool is None)\n"
         )
         src = Path(rand_srrqr.__file__).resolve().parents[1]
@@ -483,6 +512,18 @@ class TestToleranceMode:
         with pytest.raises(ValueError, match="representable"):
             rand_srrqr_tol(m, f=2.0, tau=1e-320, d=16, seed=0)
 
+    @pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("algo", ["srrqr", "rand_srrqr_tol"])
+    def test_non_positive_tau_same_error(self, algo, tau):
+        # a tau that is not positive is named as such by both algorithms,
+        # before the randomized one checks it against the scale of m
+        m = rng(12).standard_normal((16, 4))
+        with pytest.raises(ValueError, match=re.escape(f"tolerance must be positive, got {tau}")):
+            if algo == "srrqr":
+                srrqr(m, SrrqrConfig(f=2.0, mode=Tolerance(tau)))
+            else:
+                rand_srrqr_tol(m, f=2.0, tau=tau, d=16, seed=0)
+
 
 class TestCertificates:
     def test_exhaustive_posthoc_bound(self):
@@ -511,6 +552,12 @@ class TestCertificates:
         assert np.all(rep.leading_ratios <= rep.bound)
         assert np.all(defined <= rep.bound)
         assert rep.a_max <= res.f_tilde
+
+    def test_ratio_report_needs_a_threshold(self):
+        # a bare QRCP result has no f: no bound, rather than a NaN one
+        m = rng(13).standard_normal((40, 10))
+        with pytest.raises(ValueError, match="threshold f"):
+            ratio_report(m, SrrqrResult(qrcp(m, 5), 5))
 
     def test_trailing_ratio_undefined_flagging(self):
         g = rng(14)

@@ -426,10 +426,13 @@ class TestGaussianChunks:
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     def test_single_row_operator(self, cap, monkeypatch):
-        # d=1: one entry per column, block and chunk sizes 1000 and 256
+        # d=1: one entry per column, blocks of 1000 columns and chunks of
+        # sk._CHUNK columns; m probes the edges of one chunk and of one
+        # block, and 255-257 end several chunks in
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 1000)
         g = rng(2)
-        for m in (1, 255, 256, 257, 999, 1000, 1001, 2600):
+        chunk = (sk._CHUNK - 1, sk._CHUNK, sk._CHUNK + 1)
+        for m in (1, *chunk, 255, 256, 257, 999, 1000, 1001, 2600):
             op = SketchOperator("gaussian", d=1, m=m, seed=m)
             x = g.standard_normal((m, 2))
             assert np.array_equal(apply(op, x), self._oracle(op, x))

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Print the decisions and factor bytes of 48 benchmark calls, one line each.
+
+    python3 tools/compare_decisions.py SRC_DIR > decisions.txt
+
+``SRC_DIR`` is the ``src/`` directory of the checkout to run; the fixtures
+and the calls are those of the benchmark in ``perfbench/`` next to this
+script, so two checkouts are compared by running each and diffing:
+
+    diff <(python3 tools/compare_decisions.py ../parent/src) \\
+         <(python3 tools/compare_decisions.py src)
+
+The jobs are deterministic ``srrqr`` on the 32 ``swap-det`` pool seeds of
+``perfbench/reference_k.json`` (stewart 2048x256), and the 8 ``paper-tau``
+and 8 ``rank-odd`` jobs of benchmark seed 1.  A line holds the job's
+label, k, ``stop_reason``, ``swap_count``, and the sha1 of the permutation,
+of its swap log, and of the R11, R12 and R22 bytes each.  BLAS runs on one
+thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark;
+``SPECTRA_RRQR_THREADS`` caps the package's threads as usual.  A run takes
+about 15 s on 2 cores.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the swap-det pool (full size) and the benchmark seed of the other jobs
+STEWART = dict(m=2048, n=256, q=0.8)
+BENCH_SEED = 1
+
+
+def sha1(data: bytes) -> str:
+    return hashlib.sha1(data).hexdigest()[:12]
+
+
+def jobs():
+    """(label, job, MatrixSpec) for every comparison call, in print order."""
+    import workloads
+    from spectra_rrqr import testmat
+
+    rec = workloads.load_reference()[workloads.stewart_key(**STEWART)]
+    for s in sorted(int(s) for s in rec["k"]):
+        job = workloads.Job(
+            label=f"stewart/{s}", fixture="m", algo="srrqr-tau",
+            f=rec["f"], tau=rec["tau"], ref_k=frozenset({rec["k"][str(s)]}),
+        )
+        yield f"swap-det:{job.label}", job, testmat.MatrixSpec(testmat.Stewart(**STEWART), seed=s)
+    for name in ("paper-tau", "rank-odd"):
+        wl = workloads.build(name, BENCH_SEED)
+        for job in wl.jobs:
+            yield f"{name}:{job.label}", job, wl.fixtures[job.fixture]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("src_dir", type=Path, help="the src/ directory of the checkout to run")
+    args = p.parse_args(argv)
+    if not (args.src_dir / "spectra_rrqr" / "__init__.py").is_file():
+        p.error(f"no package source under {args.src_dir}")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
+    from run import run_job
+    from spectra_rrqr import testmat
+
+    mat_spec = mat = None
+    for label, job, spec in jobs():
+        # jobs in a row often share a fixture; one is held at a time
+        if spec != mat_spec:
+            mat_spec, mat = spec, testmat.generate(spec)
+        res = run_job(job, {job.fixture: mat})
+        fact = res.factorization
+        hashes = [sha1(fact.perm.forward.tobytes()), sha1(repr(fact.perm.swaps).encode())]
+        hashes += [sha1(getattr(fact, name).tobytes()) for name in ("r11", "r12", "r22")]
+        print(label, res.k, res.stop_reason, res.swap_count, *hashes, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
