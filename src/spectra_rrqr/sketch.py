@@ -8,21 +8,20 @@ generated counter-based from (seed, entry index) so the operator never
 needs dense storage and blocked application reproduces the same matrix.
 
 The Gaussian operator is applied one block of columns at a time, each
-block generated into one buffer and multiplied into the result as one
-matrix product.  A block's columns are generated in chunks of at most
-``_CHUNK``, drained from a queue by the caller and by tasks on a lazily
-created thread pool (Philox and the ufuncs release the GIL).  The caller
-uses one worker per CPU available to the process, itself included,
-capped by the ``SPECTRA_RRQR_THREADS`` environment variable; with a cap
-of 1 it fills every chunk itself and no thread is started.
-Counter-based generation makes the operator bitwise independent of the
-chunking and of the number of workers.
-
-The SRHT is applied as two matrix products through the Kronecker structure
+block generated in chunks of at most ``_CHUNK`` columns into one buffer
+and multiplied into the result as one matrix product.  The SRHT is
+applied as two matrix products through the Kronecker structure
 ``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
 sampled rows; the first runs in panels of columns, so the only
 matrix-sized scratch is its result.  :func:`fwht` is the same transform
 as a butterfly.
+
+The Gaussian chunks, and the SRHT's panels and sampled row blocks when
+numpy's BLAS runs on one thread, are shared out among the caller and a
+lazily created thread pool (:func:`_share`), one worker per available CPU
+capped by the ``SPECTRA_RRQR_THREADS`` environment variable; a cap of 1
+starts no thread.  A piece gives the same bits on any thread, so a sketch
+is bitwise the same for every number of workers.
 """
 from __future__ import annotations
 
@@ -36,8 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from numpy._core import _multiarray_umath
 
-from .dense_core import as_matrix, singular_values
+from .dense_core import _openblas_threads, as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
@@ -46,9 +46,12 @@ _KINDS = ("gaussian", "srht", "identity")
 # each worker's scratch is 3 d _CHUNK doubles, 3.2 MB at d = 2099
 _BLOCK_ENTRIES = 4_000_000
 _CHUNK = 64
-# SRHT input columns per stage-1 product; bounds the sign-flipped scratch
-# to _SRHT_PANEL * m doubles
+# SRHT stage-1 scratch columns, shared out among the workers; bounds the
+# sign-flipped scratch to _SRHT_PANEL * m doubles
 _SRHT_PANEL = 32
+
+# threads a numpy matrix product may use, None if unknown
+_blas_threads = _openblas_threads(_multiarray_umath.__file__, "scipy_openblas_get_num_threads64_")
 
 
 def worker_count(n_jobs: int) -> int:
@@ -80,9 +83,9 @@ _pool_lock = threading.Lock()
 def _sketch_pool(workers: int) -> ThreadPoolExecutor:
     """The shared worker pool, grown to at least ``workers`` threads.
 
-    It generates Gaussian sketch chunks and reduces a tall input of the
-    randomized pipeline to its R factor; no task on it waits on it, and a
-    caller generating the sketch never waits for a task of it to start.
+    It runs the pieces of a sketch (:func:`_share`) and reduces a tall
+    input of the randomized pipeline to its R factor; no task on it waits
+    on it, and no sketching caller waits for a task of it to start.
 
     A replaced pool is dropped, not shut down: a caller still holding it
     keeps it alive, and its idle threads exit once it is collected.
@@ -213,38 +216,46 @@ def _drain(queue: deque):
         return
 
 
+def _share(work, items, workers: int, *args) -> None:
+    """Call ``work(*args, pieces)`` on the caller and ``workers - 1`` pool tasks.
+
+    Every call's ``pieces`` drain one queue of ``items``; Philox, the ufuncs
+    and numpy's matrix products release the GIL.  The caller never waits
+    for a task to start: it then cancels those that never started and
+    waits for the running ones, so a busy pool only slows the work down.
+    """
+    queue = deque(items)
+    tasks = [_sketch_pool(workers).submit(work, *args, _drain(queue)) for _ in range(workers - 1)]
+    try:
+        work(*args, _drain(queue))
+    finally:
+        # on error, no task may go on writing into the caller's arrays; a
+        # cancelled task counts as done only once a pool thread reaches it
+        queue.clear()
+        running = [fut for fut in tasks if not fut.cancel()]
+        wait(running)
+    for fut in running:
+        fut.result()
+
+
 def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """``op @ a`` for a Gaussian operator: one GEMM per block of columns.
 
     Blocks of ``_BLOCK_ENTRIES // d`` operator columns are accumulated into
     the result in order, the same partition and order as
-    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``.  A block's chunks go on
-    a queue that the caller and ``workers - 1`` pool tasks drain into the
-    one buffer; the caller then cancels the tasks that never started, waits
-    for the running ones and multiplies the block in.  It never waits for
-    a task to start, so a busy pool only slows the generation down.
+    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``; the caller and
+    ``workers - 1`` pool tasks fill a block's chunks into the one buffer
+    (:func:`_share`), then the caller multiplies the block in.
     """
     d, m = op.d, op.m
     width = min(m, max(1, _BLOCK_ENTRIES // d))
     workers = worker_count(-(-width // _CHUNK))
-    pool = _sketch_pool(workers) if workers > 1 else None
     buf = np.empty((d, width), order="F")
     out = np.zeros((d, a.shape[1]))
     for j0 in range(0, m, width):
         j1 = min(m, j0 + width)
-        queue = deque((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
-        args = (buf, op.seed, d, j0)
-        tasks = [pool.submit(_fill_gaussian, *args, _drain(queue)) for _ in range(workers - 1)]
-        try:
-            _fill_gaussian(*args, _drain(queue))
-        finally:
-            # on error, no task may go on writing into the buffer; a
-            # cancelled task counts as done only once a pool thread reaches it
-            queue.clear()
-            running = [fut for fut in tasks if not fut.cancel()]
-            wait(running)
-        for fut in running:
-            fut.result()
+        chunks = ((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
+        _share(_fill_gaussian, chunks, workers, buf, op.seed, d, j0)
         out += buf[:, : j1 - j0] @ a[j0:j1, :]
     return out / math.sqrt(d)
 
@@ -311,6 +322,10 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     one add nothing to stage 1, so it contracts only the leading ``live``
     blocks, and the part of a partial last block past ``a``'s end stays
     zero in ``x``.
+
+    With numpy's BLAS on one thread the caller and pool tasks share out
+    stage 1's panels, each with ``_SRHT_PANEL // workers`` columns of
+    scratch, and then stage 2's row blocks (:func:`_share`).
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
@@ -323,21 +338,31 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     rows = live * q
     signs = op.signs[: min(rows, a.shape[0])]
     h_p = scipy.linalg.hadamard(p, dtype=np.float64)[:, :live]
-    x = np.zeros((min(n, _SRHT_PANEL), live, q))
+    # a threaded BLAS already spreads each product over the cores
+    workers = worker_count(min(_SRHT_PANEL, -(-n // _SRHT_PANEL))) if _blas_threads() == 1 else 1
+    width = min(n, _SRHT_PANEL // workers)
+    # a slice of one scratch per worker, made here, not in a pool thread's malloc arena
+    scratch = deque(np.zeros((workers, width, live, q)))
     z = np.empty((n, p, q))
-    for c0 in range(0, n, _SRHT_PANEL):
-        c1 = min(n, c0 + _SRHT_PANEL)
-        head = x[: c1 - c0].reshape(c1 - c0, rows)[:, : signs.size]
-        np.multiply(a[: signs.size, c0:c1].T, signs, out=head)
-        np.matmul(h_p, x[: c1 - c0], out=z[c0:c1])
+
+    def stage_1(panels):
+        x = scratch.pop()
+        for c0, c1 in panels:
+            head = x[: c1 - c0].reshape(c1 - c0, rows)[:, : signs.size]
+            np.multiply(a[: signs.size, c0:c1].T, signs, out=head)
+            np.matmul(h_p, x[: c1 - c0], out=z[c0:c1])
+    _share(stage_1, ((c, min(n, c + width)) for c in range(0, n, width)), workers)
     block, within = np.divmod(op.sample_idx, q)
     # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
     # unnormalized transform
     h_rows = scipy.linalg.hadamard(q)[within] * (1.0 / math.sqrt(op.d))
     out = np.empty((op.d, n))
-    for b in np.unique(block):
-        rows = np.flatnonzero(block == b)
-        out[rows] = h_rows[rows] @ z[:, b, :].T
+
+    def stage_2(blocks):
+        for b in blocks:
+            sel = np.flatnonzero(block == b)
+            out[sel] = h_rows[sel] @ z[:, b, :].T
+    _share(stage_2, np.unique(block), workers)
     return out
 
 
@@ -349,11 +374,10 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     It takes unpadded input, giving bitwise what it gives on
     :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
     The Gaussian path generates each block of counter-based operator
-    columns into one buffer, in chunks of at most ``_CHUNK`` columns on the
-    caller and pool threads, one per available CPU capped by
-    ``SPECTRA_RRQR_THREADS``, and multiplies it into the result (see
-    :func:`_gaussian_rows`); the result is bitwise the same for every
-    worker count.
+    columns into one buffer, in chunks of at most ``_CHUNK`` columns, and
+    multiplies it into the result (see :func:`_gaussian_rows`).  Both paths
+    share their work out among threads; the result is bitwise the same for
+    every worker count.
     """
     return _apply(op, as_matrix(m))
 

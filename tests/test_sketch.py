@@ -367,16 +367,100 @@ class TestSrhtPanels:
         if case == "zero":
             assert not got.any()
 
+    @staticmethod
+    def _cap(monkeypatch, cap, blas_threads=1):
+        # the cap, not the host's CPU count or BLAS threads, sets the workers
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", str(cap))
+        monkeypatch.setattr(sk, "_blas_threads", lambda: blas_threads)
+
+    @pytest.mark.parametrize("case", ["full", "partial-block", "short", "zero-tail", "zero"])
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    def test_bitwise_same_for_every_cap(self, monkeypatch, cap, case):
+        # caps 2 and 3 split the panel into scratches of 16 and 10 columns
+        self._cap(monkeypatch, cap)
+        for n in (1, self.PANEL - 1, self.PANEL, self.PANEL + 1, 2 * self.PANEL + 3, 200):
+            op = SketchOperator("srht", d=300, m=self.M, seed=n)
+            a = np.asfortranarray(self._input(case, n, rng(n)))
+            assert apply(op, a).tobytes() == self._oracle(op, a).tobytes()
+
+    @pytest.mark.parametrize("blas_threads", [2, None])
+    def test_threaded_blas_asks_for_no_worker(self, monkeypatch, blas_threads):
+        self._cap(monkeypatch, 8, blas_threads)
+        asked = []
+        real = sk._sketch_pool
+        monkeypatch.setattr(sk, "_sketch_pool", lambda w: asked.append(w) or real(w))
+        op = SketchOperator("srht", d=300, m=self.M, seed=4)
+        a = np.asfortranarray(rng(4).standard_normal((self.M, 200)))
+        assert apply(op, a).tobytes() == self._oracle(op, a).tobytes()
+        assert asked == []
+
+    def test_concurrent_callers(self, monkeypatch):
+        # four callers share the pool's three threads: each call's pieces
+        # land in its own z and result
+        self._cap(monkeypatch, 3)
+        g = rng(10)
+        cases = []
+        for i, case in enumerate(["full", "partial-block", "short", "zero-tail"]):
+            op = SketchOperator("srht", d=300, m=self.M, seed=i)
+            a = np.asfortranarray(self._input(case, 70 + i, g))
+            cases.append((op, a, self._oracle(op, a)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                futs = [callers.submit(apply, op, a) for op, a, _ in cases * 4]
+                got = [f.result(timeout=120) for f in futs]
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, _, ref), out in zip(cases * 4, got):
+            assert out.tobytes() == ref.tobytes()
+
+    def test_caller_runs_every_piece_when_no_task_starts(self, monkeypatch):
+        # the pool's one thread is blocked, so no task submitted to it runs
+        # until the gate opens: the caller must form every panel and every
+        # row block itself
+        self._cap(monkeypatch, 2)
+        gate = threading.Event()
+        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
+        stuck.submit(gate.wait)
+        asked = []
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: asked.append(workers) or stuck)
+        op = SketchOperator("srht", d=300, m=self.M, seed=8)
+        a = np.asfortranarray(rng(8).standard_normal((1000, 2 * self.PANEL + 3)))
+        helper = ThreadPoolExecutor(1)
+        try:
+            got = helper.submit(apply, op, a).result(timeout=20)
+        finally:
+            gate.set()
+            helper.shutdown()
+            stuck.shutdown()
+        assert asked == [2, 2]  # one task offered for each stage
+        assert got.tobytes() == self._oracle(op, a).tobytes()
+
     @pytest.mark.parametrize("rows", [4096, 3000])
-    def test_peak_memory(self, rows, traced_peak):
-        # stage 1's result z is n m doubles; the panel scratch, H_q's
-        # sampled rows and stage 2's temporaries stay under a quarter of
-        # that (the unpaneled formula took about twice z)
+    def test_peak_memory(self, monkeypatch, rows, traced_peak):
+        # stage 1's result z is n m doubles; the panel scratch, shared out
+        # among the workers, H_q's sampled rows and stage 2's temporaries
+        # stay under a quarter of that (the unpaneled formula took about
+        # twice z)
         n = 512
         a = np.asfortranarray(rng(7).standard_normal((rows, n)))
         op = SketchOperator("srht", d=1200, m=4096, seed=1)
+        for cap in (1, 2, 8):
+            self._cap(monkeypatch, cap)
+            out, peak = traced_peak(lambda: apply(op, a))
+            assert peak <= 1.25 * 8 * n * op.m + out.nbytes, cap
+
+    def test_scratch_is_one_panel_in_all(self, monkeypatch, traced_peak):
+        # eight workers share one panel of scratch: a panel each would add
+        # 7 MB here; a small d keeps stage 2's buffers from hiding it
+        self._cap(monkeypatch, 8)
+        n, m = 512, 4096
+        a = np.asfortranarray(rng(9).standard_normal((m, n)))
+        op = SketchOperator("srht", d=64, m=m, seed=2)
         out, peak = traced_peak(lambda: apply(op, a))
-        assert peak <= 1.25 * 8 * n * op.m + out.nbytes
+        assert peak <= 8 * n * m + 8 * self.PANEL * m + out.nbytes + 2**20
 
 
 class TestGaussianChunks:
@@ -509,10 +593,14 @@ class TestGaussianChunks:
             "print(threading.active_count())\n"
             "op = s.SketchOperator('gaussian', 50, 3000, 1)\n"
             "s.apply(op, np.ones((3000, 2)))\n"
+            "s.apply(s.SketchOperator('srht', 300, 4096, 1), np.ones((3000, 100)))\n"
             "print(threading.active_count(), s.sketch._pool is None)\n"
         )
         src = Path(sk.__file__).resolve().parents[1]
-        env = dict(os.environ, SPECTRA_RRQR_THREADS="1", PYTHONPATH=str(src))
+        # one BLAS thread, at which a higher cap shares the SRHT out
+        env = dict(
+            os.environ, SPECTRA_RRQR_THREADS="1", OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src)
+        )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )

@@ -14,7 +14,10 @@ The jobs are deterministic ``srrqr`` on the 32 ``swap-det`` pool seeds of
 ``perfbench/reference_k.json`` (stewart 2048x256), and the 8 ``paper-tau``
 and 8 ``rank-odd`` jobs of benchmark seed 1.  A line holds the job's
 label, k, ``stop_reason``, ``swap_count``, and the sha1 of the permutation,
-of its swap log, and of the R11, R12 and R22 bytes each.  BLAS runs on one
+of its swap log, and of the R11, R12 and R22 bytes each; a randomized
+job's line ends with the sha1 of its sketch ``sketch.apply(op, M)``, formed
+again from the call's kind, d and seed, so a change to the sketch's bits
+shows even where it moves no decision.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark;
 ``SPECTRA_RRQR_THREADS`` caps the package's threads as usual.  A run takes
 about 15 s on 2 cores.
@@ -65,7 +68,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
     from run import run_job
-    from spectra_rrqr import testmat
+    from spectra_rrqr import sketch, testmat
 
     mat_spec = mat = None
     for label, job, spec in jobs():
@@ -76,6 +79,10 @@ def main(argv=None) -> int:
         fact = res.factorization
         hashes = [sha1(fact.perm.forward.tobytes()), sha1(repr(fact.perm.swaps).encode())]
         hashes += [sha1(getattr(fact, name).tobytes()) for name in ("r11", "r12", "r22")]
+        if res.kind is not None:
+            rows = sketch._operator_rows(res.kind, mat.shape[0])
+            op = sketch.SketchOperator(res.kind, res.d, rows, res.seed)
+            hashes.append(sha1(sketch.apply(op, mat).tobytes()))
         print(label, res.k, res.stop_reason, res.swap_count, *hashes, flush=True)
     return 0
 
