@@ -174,22 +174,19 @@ _DGEQRT_ADDRESS = _capsule_address(cython_lapack.__pyx_capi__["dgeqrt"])
 _DGEQRT = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
 _DGEQRT_GIL = ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
 
-
-def _openblas_threads(module: str, *names: str):
-    """The thread-count query of the OpenBLAS that the extension ``module``
-    links, the first of ``names`` it exports; with another BLAS it gives None."""
-    lib = ctypes.CDLL(module)
-    query = next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
-    if query is None:
-        return lambda: None
-    query.argtypes, query.restype = [], ctypes.c_int
-    return query
-
-
-# threads a LAPACK call of this module may use, None if unknown
-_lapack_threads = _openblas_threads(
-    cython_lapack.__file__, "scipy_openblas_get_num_threads", "openblas_get_num_threads"
+# the thread-count query of the OpenBLAS behind scipy's LAPACK, found
+# through the module that links it; None for any other LAPACK
+_LAPACK_LIB = ctypes.CDLL(cython_lapack.__file__)
+_LAPACK_THREADS = getattr(_LAPACK_LIB, "scipy_openblas_get_num_threads", None) or getattr(
+    _LAPACK_LIB, "openblas_get_num_threads", None
 )
+if _LAPACK_THREADS is not None:
+    _LAPACK_THREADS.argtypes, _LAPACK_THREADS.restype = [], ctypes.c_int
+
+
+def _lapack_threads() -> int | None:
+    """Threads a LAPACK call of this module may use, None if unknown."""
+    return None if _LAPACK_THREADS is None else _LAPACK_THREADS()
 
 
 def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:

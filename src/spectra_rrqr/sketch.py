@@ -16,12 +16,11 @@ sampled rows; the first runs in panels of columns, so the only
 matrix-sized scratch is its result.  :func:`fwht` is the same transform
 as a butterfly.
 
-The Gaussian chunks, and the SRHT's panels and sampled row blocks when
-numpy's BLAS runs on one thread, are shared out among the caller and a
-lazily created thread pool (:func:`_share`), one worker per available CPU
-capped by the ``SPECTRA_RRQR_THREADS`` environment variable; a cap of 1
-starts no thread.  A piece gives the same bits on any thread, so a sketch
-is bitwise the same for every number of workers.
+The Gaussian chunks and the SRHT's panels and sampled row blocks are
+shared out among the caller and a lazily created thread pool
+(:func:`_share`), one worker per available CPU capped by the
+``SPECTRA_RRQR_THREADS`` environment variable (a cap of 1 starts no
+thread).  A sketch is bitwise the same for every number of workers.
 """
 from __future__ import annotations
 
@@ -35,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from numpy._core import _multiarray_umath
 
-from .dense_core import _openblas_threads, as_matrix, singular_values
+from .dense_core import as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
@@ -49,9 +47,6 @@ _CHUNK = 64
 # SRHT stage-1 scratch columns, shared out among the workers; bounds the
 # sign-flipped scratch to _SRHT_PANEL * m doubles
 _SRHT_PANEL = 32
-
-# threads a numpy matrix product may use, None if unknown
-_blas_threads = _openblas_threads(_multiarray_umath.__file__, "scipy_openblas_get_num_threads64_")
 
 
 def worker_count(n_jobs: int) -> int:
@@ -84,8 +79,7 @@ def _sketch_pool(workers: int) -> ThreadPoolExecutor:
     """The shared worker pool, grown to at least ``workers`` threads.
 
     It runs the pieces of a sketch (:func:`_share`) and reduces a tall
-    input of the randomized pipeline to its R factor; no task on it waits
-    on it, and no sketching caller waits for a task of it to start.
+    input of the randomized pipeline to its R factor; no task on it waits on it.
 
     A replaced pool is dropped, not shut down: a caller still holding it
     keeps it alive, and its idle threads exit once it is collected.
@@ -216,6 +210,11 @@ def _drain(queue: deque):
         return
 
 
+def _run(job: list, queue: deque) -> None:
+    for work, args in job[:]:
+        work(*args, _drain(queue))
+
+
 def _share(work, items, workers: int, *args) -> None:
     """Call ``work(*args, pieces)`` on the caller and ``workers - 1`` pool tasks.
 
@@ -224,14 +223,17 @@ def _share(work, items, workers: int, *args) -> None:
     for a task to start: it then cancels those that never started and
     waits for the running ones, so a busy pool only slows the work down.
     """
-    queue = deque(items)
-    tasks = [_sketch_pool(workers).submit(work, *args, _drain(queue)) for _ in range(workers - 1)]
+    queue, job = deque(items), [(work, args)]
+    # a cancelled task stays queued in the pool until a thread reaches it;
+    # it finds work through job, which the caller empties, so it holds no array
+    tasks = [_sketch_pool(workers).submit(_run, job, queue) for _ in range(workers - 1)]
     try:
         work(*args, _drain(queue))
     finally:
         # on error, no task may go on writing into the caller's arrays; a
         # cancelled task counts as done only once a pool thread reaches it
         queue.clear()
+        job.clear()
         running = [fut for fut in tasks if not fut.cancel()]
         wait(running)
     for fut in running:
@@ -311,7 +313,7 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     With ``m = p q`` and row index ``i = i_p q + i_q``, ``H_m = H_p (x) H_q``
     gives ``H_m[i, j] = H_p[i_p, j_p] H_q[i_q, j_q]``.  Stage 1 contracts the
     row-block index against ``H_p`` for every row, one batched product per
-    panel of ``_SRHT_PANEL`` columns on the row-major view ``(n, p, q)``:
+    panel of columns on the row-major view ``(n, p, q)``:
     each panel's sign-flipped columns are copied into one small scratch
     ``x`` and the product is written into its slice of the one ``z``.
     Each column is its own product in the batch, so the panels give the
@@ -321,11 +323,8 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     (it may have fewer than m) are zeros: row blocks past the last nonzero
     one add nothing to stage 1, so it contracts only the leading ``live``
     blocks, and the part of a partial last block past ``a``'s end stays
-    zero in ``x``.
-
-    With numpy's BLAS on one thread the caller and pool tasks share out
-    stage 1's panels, each with ``_SRHT_PANEL // workers`` columns of
-    scratch, and then stage 2's row blocks (:func:`_share`).
+    zero in ``x``.  The caller and pool tasks share out the panels, of
+    ``_SRHT_PANEL // workers`` columns each, then the row blocks (:func:`_share`).
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
@@ -338,8 +337,7 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     rows = live * q
     signs = op.signs[: min(rows, a.shape[0])]
     h_p = scipy.linalg.hadamard(p, dtype=np.float64)[:, :live]
-    # a threaded BLAS already spreads each product over the cores
-    workers = worker_count(min(_SRHT_PANEL, -(-n // _SRHT_PANEL))) if _blas_threads() == 1 else 1
+    workers = worker_count(min(_SRHT_PANEL, -(-n // _SRHT_PANEL)))
     width = min(n, _SRHT_PANEL // workers)
     # a slice of one scratch per worker, made here, not in a pool thread's malloc arena
     scratch = deque(np.zeros((workers, width, live, q)))
