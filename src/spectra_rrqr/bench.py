@@ -4,7 +4,7 @@ Everything here is importable so the test suite can exercise the bench
 logic without spawning subprocesses.  :func:`_factor` is the one place that
 maps an algorithm name to its call, and its result is one type,
 :class:`.srrqr.SrrqrResult`, for all four algorithms.  The factor records
-(:func:`.rand_srrqr.factor_record`, one key set :data:`RECORD_KEYS`), the
+(:func:`.rand_srrqr.export_record`, one key set :data:`RECORD_KEYS`), the
 bound checklist of ``verify`` and both runs of ``timing`` come from it;
 ``verify`` reads every single-swap ratio off one LAPACK QR of ``M P``.
 :func:`resolve_matrix` is the one place that maps a matrix descriptor to a
@@ -28,7 +28,7 @@ from . import testmat
 from .dense_core import PartialQR, _r_factor, log_volume, singular_values
 from .rand_srrqr import (
     RECORD_KEYS,  # noqa: F401  the key set of every record built here
-    factor_record,
+    export_record,
     qlp_values,
     rand_srrqr_rank,
     rand_srrqr_tol,
@@ -194,7 +194,7 @@ def _factor(mat: np.ndarray, cfg: RunConfig, seed: int) -> tuple[SrrqrResult, fl
 
 
 def _record(mat: np.ndarray, cfg: RunConfig, seed: int) -> dict:
-    """One factor record; ``timings_ms["total"]`` is the call's wall time."""
+    """The call's :func:`export_record` plus ``algo``, ``seed`` and wall time ``total``."""
     res, ms = _factor(mat, cfg, seed)
     report = qlp = None
     if cfg.with_ratios:
@@ -202,7 +202,7 @@ def _record(mat: np.ndarray, cfg: RunConfig, seed: int) -> dict:
         # QLP values are reported for a sketched call only
         if res.sketch_result is not None:
             qlp = qlp_values(res)
-    rec = factor_record(res, report, qlp)
+    rec = export_record(res, report, qlp)
     timings = {**rec["timings_ms"], "total": round(ms, 3)}
     rec.update(algo=cfg.algo, seed=seed, timings_ms=timings)
     return rec
@@ -494,6 +494,8 @@ def run_volume_decay(
     n_max = max(n_values)
     if n_max > d:
         raise ValueError(f"column count {n_max} exceeds sketch size {d}")
+    if len(set(n_values)) < 2:
+        raise ValueError(f"a slope needs two distinct column counts, got n={n_max} only")
     rng = np.random.default_rng(seed)
     cols = rng.choice(m_rows, size=n_max, replace=False)
     base = np.zeros((m_rows, n_max), order="F")

@@ -220,12 +220,14 @@ def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarr
     return f, t
 
 
-def _apply_q(f: np.ndarray, t: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """``Q @ c`` for the reflectors and T of :func:`_geqrt` (``dgemqrt``).
+def _apply_q(f: np.ndarray, t: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """``Q @ [top; 0]`` for the reflectors and T of :func:`_geqrt` (``dgemqrt``).
 
-    ``c`` has the row count of ``f``; an F-ordered float64 ``c`` is
-    overwritten.
+    ``top`` has at most the row count of ``f``; the zero-padded buffer the
+    product overwrites is allocated here.
     """
+    c = np.zeros((f.shape[0], top.shape[1]), order="F")
+    c[: top.shape[0]] = top
     out, info = dgemqrt(f[:, : t.shape[1]], t, c, overwrite_c=1)
     if info:
         raise ValueError(f"dgemqrt failed with info={info}")
@@ -246,7 +248,7 @@ def thin_qr(m) -> tuple[np.ndarray, np.ndarray]:
 def _thin_qr(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     k = min(a.shape)
     f, t = _geqrt(a, overwrite)
-    q = _apply_q(f, t, np.eye(a.shape[0], k, order="F"))
+    q = _apply_q(f, t, np.eye(k))
     r, flip = _signed_r(f, k)
     q *= flip
     return q, r
@@ -291,10 +293,16 @@ def partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
     ``want_q=False`` skips it.
     """
     a = as_matrix(m)
-    rows, cols = a.shape
+    _check_rank(k, *a.shape)
+    return _stable_partial_qr(a, k, want_q=want_q)
+
+
+def _check_rank(k, rows: int, cols: int) -> None:
+    """Reject a rank ``k`` that is not a Python or numpy integer in [1, min(rows, cols)]."""
+    if not isinstance(k, (int, np.integer)):
+        raise ValueError(f"k={k!r} is not an integer")
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
-    return _stable_partial_qr(a, k, want_q=want_q)
 
 
 def _stable_partial_qr(
@@ -386,9 +394,7 @@ def _range_basis(m, reduced=None) -> np.ndarray:
     n = a.shape[1]
     q, r, _ = scipy.linalg.qr(np.triu(f[:n]), pivoting=True, check_finite=False)
     rank = int(np.sum(np.abs(np.diag(r)) > 1e-14 * scale))
-    c = np.zeros((a.shape[0], rank), order="F")
-    c[:n] = q[:, :rank]
-    return _apply_q(f, t, c)
+    return _apply_q(f, t, q[:, :rank])
 
 
 def ls_residual(a, b) -> float:

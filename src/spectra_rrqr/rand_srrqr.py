@@ -24,8 +24,8 @@ cap allows two; else in the calling thread after the pivoting.  So the cap,
 the CPU count and LAPACK's reported threads move timings, not factors.
 
 A call returns the package's one result type, :class:`.srrqr.SrrqrResult`,
-with its sketch fields set.  :func:`factor_record` builds the record of any
-result; :func:`export_record` cuts it to its published key set.
+with its sketch fields set.  :func:`export_record`, the one record builder,
+gives any result every key of :data:`RECORD_KEYS`, in order.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ import scipy.linalg
 from .dense_core import (
     PartialQR,
     _apply_q,
+    _check_rank,
     _geqrt,
     _lapack_threads,
     _r_factor,
@@ -231,9 +232,7 @@ def _randomized(a, config, d, seed, kind, want_q):
         r_m, signs = _signed_r(f_m, n)
         fact = stable_partial_qr(perm.apply_cols(r_m), k, want_q=want_q, overwrite=True)
         if want_q:
-            c = np.zeros(a.shape, order="F")
-            c[:n] = fact.q * signs[:, None]
-            fact.q = _apply_q(f_m, t_m, c)
+            fact.q = _apply_q(f_m, t_m, fact.q * signs[:, None])
         fact.rows = a.shape[0]
     else:
         # the permuted copy is F-ordered and ours, so the QR runs in place on it
@@ -276,9 +275,7 @@ def rand_srrqr_rank(
     thin m-by-min(m, n) Q of the final QR.
     """
     a = as_matrix(m)
-    n = a.shape[1]
-    if not (1 <= k <= min(a.shape)):
-        raise ValueError(f"k={k} out of range for a {a.shape[0]}x{n} matrix")
+    _check_rank(k, *a.shape)
     # a default d is at least min(n + 1, rows) >= k, so only a given d is short
     if d is not None and d < k:
         raise ValueError(f"sketch size d={d} is smaller than the target rank {k}")
@@ -368,11 +365,14 @@ def qlp_values(res) -> QlpResult:
     )
 
 
-def factor_record(res: SrrqrResult, report=None, qlp=None) -> dict:
-    """The JSON-ready record of any result, keyed by :data:`RECORD_KEYS`,
-    with ``algo`` left for the caller to name; the ratios and bound come
-    from a :class:`RatioReport`, ``l_values`` and ``r_values`` from a
-    :class:`QlpResult`.  NaN ratios and an infinite ``f_tilde`` are null."""
+def export_record(
+    res: SrrqrResult, report: RatioReport | None = None, qlp: QlpResult | None = None
+) -> dict:
+    """The JSON-ready record of any result, keyed by :data:`RECORD_KEYS` in
+    order, with ``algo`` left null for the caller to name; the ratios and
+    bound come from a :class:`RatioReport`, ``l_values`` and ``r_values``
+    from a :class:`QlpResult`.  NaN ratios and an infinite ``f_tilde`` are
+    null."""
     measured = res.distortion_is_measured
     rec = dict.fromkeys(RECORD_KEYS)
     rec.update(
@@ -394,17 +394,6 @@ def factor_record(res: SrrqrResult, report=None, qlp=None) -> dict:
         rec["l_values"] = [float(x) for x in qlp.l_values]
         rec["r_values"] = [float(x) for x in qlp.r_values]
     return rec
-
-
-def export_record(
-    res: SrrqrResult,
-    report: RatioReport | None = None,
-    qlp: QlpResult | None = None,
-) -> dict:
-    """JSON-ready record of one run (the published key set of a randomized
-    one): :func:`factor_record` without the keys only ``bench`` publishes."""
-    rec = factor_record(res, report, qlp)
-    return {k: v for k, v in rec.items() if k not in ("algo", "rho", "stop_reason")}
 
 
 def export_json(res, report=None, qlp=None) -> str:

@@ -64,6 +64,7 @@ from .dense_core import (
     PartialQR,
     PermutationSeq,
     SingularMatrixError,
+    _check_rank,
     _diag_signs,
     _r_factor,
     _stable_partial_qr,
@@ -103,6 +104,8 @@ class SrrqrConfig:
         if not self.f > 1.0:
             raise ValueError(f"interchange threshold f must exceed 1, got {self.f}")
         if isinstance(self.mode, TargetRank):
+            if not isinstance(self.mode.k, (int, np.integer)):
+                raise ValueError(f"target rank {self.mode.k!r} is not an integer")
             if self.mode.k < 1:
                 raise ValueError(f"target rank must be >= 1, got {self.mode.k}")
         elif isinstance(self.mode, Tolerance):
@@ -463,9 +466,7 @@ def _fresh_state(a: np.ndarray) -> SrrqrState:
 def srrqr_state(m, k: int) -> SrrqrState:
     """State of the unpivoted k-step factorization of ``m`` (identity permutation)."""
     a = as_matrix(m)
-    rows, cols = a.shape
-    if not (1 <= k <= min(rows, cols)):
-        raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
+    _check_rank(k, *a.shape)
     state = _fresh_state(a)
     for _ in range(k):
         state._advance()
@@ -686,8 +687,7 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
     """
     a = as_matrix(m)
     rows, cols = a.shape
-    if not (1 <= k <= min(rows, cols)):
-        raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")
+    _check_rank(k, rows, cols)
     # one working copy and R of min(m, n) rows; the optimal lwork keeps
     # LAPACK on the blocked path that scipy.linalg.qr takes
     q, work = None, np.array(a, order="F")

@@ -1,5 +1,7 @@
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,14 @@ from spectra_rrqr import (
     SrrqrConfig,
     SrrqrResult,
     Tolerance,
+    export_record,
     load_matrix_binary,
     load_matrix_text,
+    qlp_values,
     qrcp,
     rand_srrqr_rank,
     rand_srrqr_tol,
+    ratio_report,
     srrqr,
 )
 from spectra_rrqr.bench import (
@@ -118,6 +123,7 @@ COMMAND_ERRORS = {
     "decay-empty-range": ["volume-decay", "--n", "30:10"],
     "decay-zero-step": ["volume-decay", "--n", "10:30:0"],
     "decay-big-n": ["volume-decay", "--m", "64", "--d", "32", "--n", "40"],
+    "decay-one-count": ["volume-decay", "--m", "256", "--d", "64", "--n", "16"],
     "no-seeds": ["verify", "--matrix", "random:64x12", "--algo", "rand-rank"]
     + ["--k", "6", "--seeds", "0"],
     "negative-seeds": ["factor", "--matrix", "random:64x12", "--algo", "rand-rank"]
@@ -254,6 +260,36 @@ class TestRunFactor:
             (rec,) = run_factor(cfg)
             assert rec["algo"] == algo
             assert rec["timings_ms"]["total"] > 0
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_record_is_export_record(self, algo, monkeypatch):
+        # bench sets algo, seed and the total time; export_record builds the rest
+        results, factor = [], bench._factor
+
+        def keep(mat, cfg, seed):
+            res, ms = factor(mat, cfg, seed)
+            results.append(res)
+            return res, ms
+
+        monkeypatch.setattr(bench, "_factor", keep)
+        kw = HC_RUNS[algo]
+        cfg = RunConfig(matrix="hc:64x16", algo=algo, seeds=[3], with_ratios=True, **kw)
+        (rec,) = run_factor(cfg)
+        (res,) = results
+        mat = resolve_matrix("hc:64x16")
+        qlp = qlp_values(res) if res.sketch_result is not None else None
+        want = export_record(res, ratio_report(mat, res), qlp)
+        assert rec["timings_ms"].pop("total") > 0
+        assert rec == {**want, "algo": algo, "seed": 3}
+
+    def test_readme_record_schema(self):
+        # the README's record paragraph lists RECORD_KEYS in order and names
+        # the one builder
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        para = text[text.index("- Factor records") : text.index("## Library example")]
+        listed = re.search(r"`bench\.RECORD_KEYS` = `\{(.*?)\}`", para, re.S).group(1)
+        assert re.split(r",\s*", listed) == list(RECORD_KEYS)
+        assert "`rand_srrqr.export_record`" in para and "factor_record" not in para
 
     @pytest.mark.parametrize("with_ratios", [False, True])
     def test_one_key_set_for_every_algo(self, with_ratios):
@@ -603,6 +639,12 @@ class TestVolumeDecay:
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError, match="no column counts"):
             run_volume_decay(512, 96, range(40, 20), seed=0)
+
+    @pytest.mark.parametrize("n_values", [[16], [16, 16]])
+    def test_one_count_rejected(self, n_values):
+        # a line through one point has no meaningful slope
+        with pytest.raises(ValueError, match="two distinct column counts"):
+            run_volume_decay(256, 64, n_values, seed=0)
 
     def test_saturated_sketch_rejected(self):
         with pytest.raises(ValueError, match="exceeds sketch size"):

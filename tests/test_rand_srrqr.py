@@ -38,7 +38,7 @@ from spectra_rrqr import (
 )
 from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
 from spectra_rrqr import dense_core, rand_srrqr, sketch
-from spectra_rrqr.bench import RunConfig, run_factor
+from spectra_rrqr.bench import RECORD_KEYS, RunConfig, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 
 from oracles import exhaustive_det_ratios, swap_subspace_distortion
@@ -116,6 +116,11 @@ class TestRankMode:
         m = rng(5).standard_normal((16, 8))
         with pytest.raises(ValueError, match="smaller than the target rank"):
             rand_srrqr_rank(m, f=2.0, k=6, d=4, seed=0)
+
+    def test_d_must_be_an_integer(self):
+        m = rng(5).standard_normal((64, 8))
+        with pytest.raises(ValueError, match="must be integers"):
+            rand_srrqr_rank(m, f=2.0, k=3, d=40.5, seed=0)
 
     def test_d_exceeding_rows(self):
         m = rng(6).standard_normal((16, 8))
@@ -613,6 +618,7 @@ class TestExport:
         res = rand_srrqr_rank(m, f=2.0, k=4, d=48, seed=5)
         rec = export_record(res, ratio_report(m, res), qlp_values(res))
         assert sorted(rec.keys()) == [
+            "algo",
             "bound",
             "d",
             "epsilon_measured",
@@ -624,7 +630,9 @@ class TestExport:
             "l_values",
             "r_values",
             "ratios",
+            "rho",
             "seed",
+            "stop_reason",
             "swap_count",
             "timings_ms",
         ]
@@ -632,6 +640,22 @@ class TestExport:
         assert rec["epsilon_measured"] is not None
         parsed = json.loads(export_json(res, ratio_report(m, res)))
         assert parsed["d"] == 48
+
+    def test_every_algorithm_exports_every_key(self):
+        m = rng(20).standard_normal((64, 12))
+        results = {
+            "srrqr-rank": srrqr(m, SrrqrConfig(2.0, TargetRank(4)), want_q=False),
+            "srrqr-tau": srrqr(m, SrrqrConfig(2.0, Tolerance(1e-8)), want_q=False),
+            "qrcp": SrrqrResult(qrcp(m, 4), 4),
+            "rand-rank": rand_srrqr_rank(m, 2.0, 4, d=48, want_q=False),
+            "rand-tau": rand_srrqr_tol(m, 2.0, 1e-8, d=48, want_q=False),
+        }
+        for name, res in results.items():
+            rec = export_record(res)
+            assert list(rec) == list(RECORD_KEYS), name
+            assert rec["algo"] is None, name
+            assert (rec["rho"], rec["stop_reason"]) == (res.rho, res.stop_reason), name
+            json.dumps(rec)
 
     def test_numpy_integer_arguments_export(self):
         # seed and d are stored as Python ints, which json can write

@@ -126,6 +126,12 @@ class TestOperator:
         with pytest.raises(ValueError, match="power-of-two"):
             SketchOperator("srht", d=4, m=12, seed=0)
 
+    @pytest.mark.parametrize("dims", [{"d": 4.5, "m": 8}, {"d": 4, "m": 8.0}])
+    def test_dimensions_must_be_integers(self, dims):
+        with pytest.raises(ValueError, match="must be integers"):
+            SketchOperator("gaussian", seed=0, **dims)
+        assert SketchOperator("gaussian", d=np.int64(4), m=np.int64(8), seed=0).d == 4
+
     def test_d_cannot_exceed_m(self):
         with pytest.raises(ValueError, match="exceeds"):
             SketchOperator("gaussian", d=10, m=5, seed=0)

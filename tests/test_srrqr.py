@@ -140,6 +140,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="exceeds"):
             srrqr(np.eye(3), SrrqrConfig(f=2.0, mode=TargetRank(4)))
 
+    def test_rank_must_be_integer(self):
+        # a fractional target rank would let the driver grow to its ceiling
+        with pytest.raises(ValueError, match="not an integer"):
+            SrrqrConfig(f=2.0, mode=TargetRank(2.5))
+        res = srrqr(np.eye(4), SrrqrConfig(f=2.0, mode=TargetRank(np.int64(3))))
+        assert res.k == 3
+
+
+RANK_CALLS = {
+    "qrcp": qrcp,
+    "partial_qr": partial_qr,
+    "srrqr_state": srrqr_state,
+    "rand_srrqr_rank": lambda m, k: rand_srrqr_rank(m, 2.0, k, want_q=False),
+}
+
+
+@pytest.mark.parametrize("call", RANK_CALLS.values(), ids=RANK_CALLS.keys())
+def test_rank_argument_is_an_integer(call):
+    m = rng(7).standard_normal((16, 6))
+    for k in (2.5, 2.0):
+        with pytest.raises(ValueError, match="not an integer"):
+            call(m, k)
+    for k, text in ((0, "k=0 out of range"), (7, "k=7 out of range for a 16x6 matrix")):
+        with pytest.raises(ValueError, match=text):
+            call(m, k)
+    assert call(m, np.int32(3)).k == 3
+
 
 class TestDetRatio:
     def test_diagonal_case(self):
