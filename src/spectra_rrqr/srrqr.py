@@ -43,7 +43,9 @@ An interchange rotates leading column i to the block boundary, swaps the
 boundary pair with one ``dlarfg`` reflector and rotates the incoming column
 back; each rotation is a Givens update (``qr_delete``/``qr_insert``) of rows
 i..k-1, so omega and ``a`` only permute; no Householder code is written in
-Python.  The screen squares ratios; :func:`swap_ratios` uses hypot.
+Python.  The state owns copies of the arrays it is built from, and an
+interchange updates ``a`` in place.  The screen squares ratios;
+:func:`swap_ratios` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
@@ -69,7 +71,6 @@ from .dense_core import (
     _r_factor,
     _stable_partial_qr,
     as_matrix,
-    column_norms,
     inverse_row_norms,
 )
 
@@ -120,6 +121,14 @@ def _swap_columns(x: np.ndarray, i: int, j: int) -> None:
     t = x[:, i].copy()
     x[:, i] = x[:, j]
     x[:, j] = t
+
+
+def _roll_one(x: np.ndarray, shift: int) -> None:
+    """``x[:] = np.roll(x, shift, axis=0)`` in place, for ``shift`` of -1 or 1."""
+    if shift < 0:
+        x[:-1], x[-1:] = x[1:], x[:1].copy()
+    else:
+        x[1:], x[:1] = x[:-1], x[-1:].copy()
 
 
 def recompute(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,8 +186,10 @@ class SrrqrState:
     _pending: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
-        # row-major, so blocks of whole rows are BLAS-contiguous (``dger``)
-        self.r = np.ascontiguousarray(self.r, dtype=np.float64)
+        # own row-major copies: ``dger`` updates blocks of whole rows in place
+        for name in ("r", "omega", "gamma", "a"):
+            setattr(self, name, np.array(getattr(self, name), dtype=np.float64, order="C"))
+        self.perm = self.perm.copy()
         rows, cols = self.r.shape
         self._v = np.empty((rows, _PANEL), order="F")
         self._f = np.empty((cols, _PANEL), order="F")
@@ -191,12 +202,12 @@ class SrrqrState:
     def copy(self) -> "SrrqrState":
         self._flush()
         out = type(self)(
-            r=self.r.copy(),
-            perm=self.perm.copy(),
+            r=self.r,
+            perm=self.perm,
             k=self.k,
-            omega=self.omega.copy(),
-            gamma=self.gamma.copy(),
-            a=self.a.copy(),
+            omega=self.omega,
+            gamma=self.gamma,
+            a=self.a,
             swap_count=self.swap_count,
         )
         out._gamma2_floor = self._gamma2_floor.copy()
@@ -308,7 +319,9 @@ class SrrqrState:
         if np.any(bad):
             cols = self.k + np.nonzero(bad)[0]
             p = self._pending
-            fresh = r[self.k :, cols] - self._v[self.k :, :p] @ self._f[cols, :p].T
+            # row-major: the column sums below run row by row (bits rely on it)
+            fresh = np.take(r[self.k :], cols, axis=1)
+            fresh -= self._v[self.k :, :p] @ self._f[cols, :p].T
             g2[bad] = np.sum(fresh**2, axis=0)
             floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
@@ -331,25 +344,28 @@ class SrrqrState:
         leaves omega and ``a`` exactly permuted with the columns.
         """
         k, r, w = self.k, self.r, self.k - i
-        order = i + (np.arange(w) - shift) % w
         if shift < 0:
             q, blk = scipy.linalg.qr_delete(
                 np.eye(w), np.array(r[i:k, i:], order="F"), 0,
                 which="col", overwrite_qr=True, check_finite=False,
             )
             # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
-            r[i:k, i:] = np.insert(blk, w - 1, r[i, i] * q[0], axis=1)
+            r[i:k, k - 1] = r[i, i] * q[0]
+            r[i:k, i : k - 1] = blk[:, : w - 1]
+            r[i:k, k:] = blk[:, w - 1 :]
         else:
+            blk = np.empty((w, r.shape[1] - i - 1), order="F")
+            blk[:, : w - 1] = r[i:k, i : k - 1]
+            blk[:, w - 1 :] = r[i:k, k:]
             r[i:k, i:] = scipy.linalg.qr_insert(
-                np.eye(w), np.delete(r[i:k, i:], w - 1, axis=1), r[i:k, k - 1], 0,
+                np.eye(w), blk, r[i:k, k - 1], 0,
                 which="col", overwrite_qru=True, check_finite=False,
             )[1]
         # rows >= k of the leading columns are zero, so they need no permuting;
         # the updates write exact zeros below the diagonal, so no triu either
-        r[:i, i:k] = r[:i, order]
+        for x in (r[:i, i:k].T, self.omega[i:k], self.a[i:k]):
+            _roll_one(x, shift)
         r[i + np.flatnonzero(np.diagonal(r)[i:k] < 0.0), i:] *= -1.0
-        self.omega[i:k] = self.omega[order]
-        self.a[i:k] = self.a[order]
 
     def _swap_boundary(self) -> None:
         """Interchange columns k-1 and k, then restore the triangular form."""
@@ -401,18 +417,18 @@ class SrrqrState:
                 o2[bad] = np.sum(sol**2, axis=0)
             omega_new[:km1] = np.sqrt(np.maximum(o2, 0.0))
         self.omega = omega_new
-        # coupling block: rank-two update driven by the old and new row k-1
-        a_new = np.empty(self.a.shape)
-        a_new[km1, :] = new_rowk / beta_bar
+        # coupling block: rank-two update driven by the old and new row k-1,
+        # in place on a row-major ``a`` (copied into one if assigned otherwise)
+        a = self.a = np.ascontiguousarray(self.a)
+        old_row = a[km1].copy()
+        a[km1] = new_rowk / beta_bar
         if km1:
-            # a_new[:km1].T is F-contiguous, so dger updates it in place;
+            # a[:km1].T is F-contiguous, so dger updates it in place;
             # column 0 is then set from its own closed form
-            lead = a_new[:km1]
-            lead[...] = self.a[:km1]
-            scipy.linalg.blas.dger(1.0, self.a[km1], w, a=lead.T, overwrite_a=1)
-            scipy.linalg.blas.dger(-1.0, a_new[km1], w_bar, a=lead.T, overwrite_a=1)
-            lead[:, 0] = w - w_bar * a_new[km1, 0]
-        self.a = a_new
+            lead = a[:km1]
+            scipy.linalg.blas.dger(1.0, old_row, w, a=lead.T, overwrite_a=1)
+            scipy.linalg.blas.dger(-1.0, a[km1], w_bar, a=lead.T, overwrite_a=1)
+            lead[:, 0] = w - w_bar * a[km1, 0]
         # trailing norms: the reflector moved mass between row k-1 and R22
         gamma_new = self.gamma.copy()
         gamma_new[0] = beta * nu / beta_bar
@@ -423,6 +439,7 @@ class SrrqrState:
             bad = g2 < np.maximum(0.5 * self.gamma[1:] ** 2, floor[1:])
             if np.any(bad):
                 cols = k + 1 + np.nonzero(bad)[0]
+                # column-major, unlike np.take's: each column sums pairwise (bits rely on it)
                 g2[bad] = np.sum(r[k:, cols] ** 2, axis=0)
                 floor[1:][bad] = _DOWNDATE_TOL * g2[bad]
             gamma_new[1:] = np.sqrt(np.maximum(g2, 0.0))
@@ -452,13 +469,14 @@ class SrrqrState:
 
 
 def _fresh_state(a: np.ndarray) -> SrrqrState:
-    """State of ``a`` before its first pivot (k = 0, identity permutation)."""
+    """State of the validated ``a`` before its first pivot (k = 0, identity
+    permutation); the state's copy of ``a`` is the only one."""
     return SrrqrState(
-        r=a.copy(),
+        r=a,
         perm=PermutationSeq.identity(a.shape[1]),
         k=0,
         omega=np.zeros(0),
-        gamma=column_norms(a),
+        gamma=np.linalg.norm(a, axis=0),
         a=np.zeros((0, a.shape[1])),
     )
 
@@ -522,12 +540,23 @@ def rho(state: SrrqrState) -> float:
 
 
 def rho_hat(state: SrrqrState) -> float:
-    """max(max |a|, max omega_i gamma_j); bounds :func:`rho` within sqrt(2)."""
+    """max(max |a|, max omega_i gamma_j), NaN if a term is; bounds :func:`rho`
+    within sqrt(2)."""
     if state.omega.size == 0 or state.gamma.size == 0:
         return 0.0
     a = state.a
     # max(a.max(), -a.min()) is max |a| exactly, without an |a| temporary
-    return float(max(a.max(), -a.min(), np.max(state.omega) * np.max(state.gamma)))
+    return float(np.max([a.max(), -a.min(), np.max(state.omega) * np.max(state.gamma)]))
+
+
+def _rho_hat_at_most(state: SrrqrState, bound: float) -> bool:
+    """``rho_hat(state) <= bound``, computing its terms only up to the first
+    one above ``bound``; a NaN term is never at most ``bound``."""
+    if state.omega.size == 0 or state.gamma.size == 0:
+        return 0.0 <= bound
+    a = state.a
+    return bool(a.max() <= bound and -a.min() <= bound
+                and np.max(state.omega) * np.max(state.gamma) <= bound)
 
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:
@@ -582,7 +611,7 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
             state.perm.swap(state.k, state.k + jmax)
         state._advance()
         while state.gamma.size:
-            if rho_hat(state) <= early_exit:
+            if _rho_hat_at_most(state, early_exit):
                 break
             if (hit := _first_swap(state, f_swap)) is None:
                 break

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from spectra_rrqr import (
     DevilsStairs,
@@ -43,9 +44,11 @@ from spectra_rrqr.srrqr import (
     SrrqrResult,
     _drive,
     _first_swap,
+    _fresh_state,
+    _rho_hat_at_most,
 )
 
-from oracles import exhaustive_det_ratios
+from oracles import ReferenceInterchangeState, exhaustive_det_ratios
 
 # ranks the benchmark's swap-det pool must reproduce; read, never written
 REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
@@ -230,6 +233,33 @@ class TestRho:
         st = srrqr_state(rng(3).standard_normal((6, 4)), 4)
         assert rho(st) == 0.0
         assert rho_hat(st) == 0.0
+
+    @pytest.mark.parametrize("name, index", [("omega", 1), ("gamma", 0), ("a", (0, 1))])
+    def test_nan_term_is_nan(self, name, index):
+        # Python's max() drops a NaN that is not its first argument
+        st = srrqr_state(rng(2).standard_normal((7, 5)), 2)
+        getattr(st, name)[index] = np.nan
+        assert math.isnan(rho_hat(st))
+        # the early exit never takes a NaN state for a certified one
+        assert not _rho_hat_at_most(st, math.inf)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=hst.data(), k=hst.integers(0, 4), t=hst.integers(0, 4))
+    def test_early_exit_is_rho_hat_at_most(self, data, k, t):
+        norms = hst.floats(0.0, 1e6)
+        omega = data.draw(hnp.arrays(np.float64, k, elements=norms))
+        gamma = data.draw(hnp.arrays(np.float64, t, elements=norms))
+        a = data.draw(hnp.arrays(np.float64, (k, t), elements=hst.floats(-1e6, 1e6)))
+        st = SrrqrState(
+            r=np.zeros((k + t, k + t)), perm=PermutationSeq.identity(k + t),
+            k=k, omega=omega, gamma=gamma, a=a,
+        )
+        # bounds equal to a term test the ties
+        terms = [0.0, *np.abs(a).ravel()]
+        if k and t:
+            terms.append(np.max(omega) * np.max(gamma))
+        bound = data.draw(hst.one_of(hst.floats(-1.0, 2e12), hst.sampled_from(terms)))
+        assert _rho_hat_at_most(st, bound) == (rho_hat(st) <= bound)
 
 
 class TestInterchange:
@@ -992,6 +1022,119 @@ class TestCycle:
             r11 = st.r[:k, :k]
             assert np.all(np.tril(r11, -1) == 0.0)
             assert np.all(np.diag(r11) >= 0.0)
+
+
+def _reference_copy(st: SrrqrState) -> ReferenceInterchangeState:
+    """``st`` as the bitwise reference state, norm floors included."""
+    ref = ReferenceInterchangeState(
+        r=st.r.copy(), perm=st.perm.copy(), k=st.k, omega=st.omega.copy(),
+        gamma=st.gamma.copy(), a=st.a.copy(), swap_count=st.swap_count,
+    )
+    ref._gamma2_floor = st._gamma2_floor.copy()
+    return ref
+
+
+def _assert_same_bits(st: SrrqrState, ref: SrrqrState) -> None:
+    assert st.k == ref.k and st.perm.swaps == ref.perm.swaps
+    for name in ("r", "omega", "gamma", "a", "_gamma2_floor"):
+        x, y = getattr(st, name), getattr(ref, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
+
+
+class TestInterchangeReference:
+    """Interchanges end with the bits of :class:`oracles.ReferenceInterchangeState`."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("kind", ["tall", "compressed", "square"])
+    def test_random_sequences(self, kind, seed):
+        st = _state_kinds()[kind]
+        ref = _reference_copy(st)
+        g = rng(seed)
+        for step in range(12):
+            if step % 4 == 3:
+                st._advance()
+                ref._advance()
+            k, n = st.k, st.shape[1]
+            if step % 2:
+                # the best swap, which shrinks omega and takes other branches
+                i, j = divmod(int(np.argmax(det_ratio_matrix(st))), n - k)
+            else:
+                i, j = int(g.integers(k)), int(g.integers(n - k))
+            st._interchange_core(i, j)
+            ref._interchange_core(i, j)
+            _assert_same_bits(st, ref)
+
+    def test_trailing_norm_recompute(self):
+        # the trailing columns nearly parallel the first one, so swapping that
+        # one in takes most of their norms and they are recomputed, over the
+        # 56 rows of a tall state
+        g = rng(13)
+        m = g.standard_normal((60, 10))
+        m[:, 4:] = m[:, 4:5] + 1e-3 * g.standard_normal((60, 6))
+        st = srrqr_state(m, 4)
+        ref = _reference_copy(st)
+        floor = st._gamma2_floor.copy()
+        for s in (st, ref):
+            s._interchange_core(1, 0)
+        _assert_same_bits(st, ref)
+        # a recompute resets the floor, here to a much smaller one
+        assert np.all(st._gamma2_floor[1:] < 1e-4 * floor[1:])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_driven_run(self, seed):
+        m = generate(MatrixSpec(Stewart(m=400, n=64, q=0.8), seed=seed))
+        cfg = SrrqrConfig(f=1.1, mode=Tolerance(1e-10))
+        st = _fresh_state(as_matrix(m))
+        ref = _reference_copy(st)
+        assert _drive(st, cfg) == _drive(ref, cfg)
+        assert st.swap_count == ref.swap_count > 0
+        _assert_same_bits(st, ref)
+
+
+class TestOwnership:
+    """A state works on its own copies of the arrays it is built from."""
+
+    def test_callers_arrays_untouched(self):
+        src = srrqr_state(rng(4).standard_normal((12, 8)), 3)
+        given_ = {name: getattr(src, name).copy() for name in ("r", "omega", "gamma", "a")}
+        # C-ordered float64, the layout a state used to keep without copying
+        assert given_["r"].flags.c_contiguous
+        before = {name: x.copy() for name, x in given_.items()}
+        perm = PermutationSeq.identity(8)
+        st = SrrqrState(perm=perm, k=3, **given_)
+        st._advance()
+        st._interchange_core(0, 1)
+        st._interchange_core(3, 2)
+        for name, x in given_.items():
+            assert np.array_equal(x, before[name]), name
+        assert perm.forward.tolist() == list(range(8)) and perm.swaps == []
+        assert st.swap_count == 2
+
+    def test_any_layout_gives_the_same_bits(self):
+        src = srrqr_state(rng(5).standard_normal((12, 8)), 3)
+        states = [
+            SrrqrState(perm=src.perm, k=3, **{
+                name: order(getattr(src, name)) for name in ("r", "omega", "gamma", "a")
+            })
+            for order in (np.ascontiguousarray, np.asfortranarray)
+        ]
+        for st in states:
+            assert st.r.flags.c_contiguous and st.a.flags.c_contiguous
+        # an ``a`` assigned later in column-major order is updated correctly too
+        states.append(states[0].copy())
+        states[-1].a = np.asfortranarray(states[-1].a)
+        for st in states:
+            st._interchange_core(2, 1)
+            st._interchange_core(0, 4)
+        _assert_same_bits(states[0], states[1])
+        _assert_same_bits(states[0], states[2])
+
+    def test_state_copies_m_once(self, traced_peak):
+        m = np.asfortranarray(rng(6).standard_normal((2048, 256)))
+        st, peak = traced_peak(lambda: _fresh_state(as_matrix(m)))
+        assert st.r.shape == m.shape
+        # the state's copy of M and its (m, _PANEL) reflector buffer
+        assert peak < 1.5 * m.nbytes
 
 
 def _greedy_pivots(m, k):

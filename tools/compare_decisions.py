@@ -14,8 +14,10 @@ The jobs are deterministic ``srrqr`` on the 32 ``swap-det`` pool seeds of
 ``perfbench/reference_k.json`` (stewart 2048x256), and the 8 ``paper-tau``
 and 8 ``rank-odd`` jobs of benchmark seed 1.  A line holds the job's
 label, k, ``stop_reason``, ``swap_count``, and the sha1 of the permutation,
-of its swap log, and of the R11, R12 and R22 bytes each; a randomized
-job's line ends with the sha1 of its sketch ``sketch.apply(op, M)``, formed
+of its swap log, and of the R11, R12 and R22 bytes each.  A deterministic
+job's line ends with the sha1 of the returned state's ``omega``, ``gamma``
+and ``a``, the quantities that drive later decisions.  A randomized job's
+line ends with the sha1 of its sketch ``sketch.apply(op, M)``, formed
 again from the call's kind, d and seed, so a change to the sketch's bits
 shows even where it moves no decision.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark;
@@ -79,6 +81,9 @@ def main(argv=None) -> int:
         fact = res.factorization
         hashes = [sha1(fact.perm.forward.tobytes()), sha1(repr(fact.perm.swaps).encode())]
         hashes += [sha1(getattr(fact, name).tobytes()) for name in ("r11", "r12", "r22")]
+        if res.state is not None:
+            state = res.state
+            hashes += [sha1(getattr(state, name).tobytes()) for name in ("omega", "gamma", "a")]
         if res.kind is not None:
             rows = sketch._operator_rows(res.kind, mat.shape[0])
             op = sketch.SketchOperator(res.kind, res.d, rows, res.seed)
