@@ -251,7 +251,6 @@ def records_to_csv_rows(records: list[dict]) -> list[dict]:
             for i, val in enumerate(ratios["leading"]):
                 rows.append(_csv_row(rec, "leading_ratio", val, i + 1, bound))
             for j, val in enumerate(ratios["trailing"]):
-                val = "" if val is None else val
                 rows.append(_csv_row(rec, "trailing_ratio", val, j + 1, bound))
             rows.append(_csv_row(rec, "coupling_max", ratios["a_max"]))
     return rows
@@ -496,10 +495,7 @@ def run_volume_decay(
         raise ValueError(f"column count {n_max} exceeds sketch size {d}")
     if len(set(n_values)) < 2:
         raise ValueError(f"a slope needs two distinct column counts, got n={n_max} only")
-    rng = np.random.default_rng(seed)
-    cols = rng.choice(m_rows, size=n_max, replace=False)
-    base = np.zeros((m_rows, n_max), order="F")
-    base[cols, np.arange(n_max)] = 1.0
+    base = generate(MatrixSpec(testmat.SampledIdentity(m_rows, n_max), seed))
     op = SketchOperator(kind=kind, d=d, m=m_rows, seed=seed)
     sk = apply(op, base)
     rows = []

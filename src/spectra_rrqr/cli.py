@@ -99,7 +99,7 @@ def _run(args) -> int:
             return report.exit_code
         records = run_factor(cfg)
         if args.format == "json":
-            text = json.dumps(records, indent=2)
+            text = json.dumps(records, indent=2, allow_nan=False)
         else:
             text = write_csv(records_to_csv_rows(records))
         if args.out:

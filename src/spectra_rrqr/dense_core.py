@@ -351,22 +351,22 @@ def inverse_row_norms(r11) -> np.ndarray:
     return np.linalg.norm(x, axis=0)
 
 
-def volume(m) -> float:
-    """Volume of the box spanned by the columns: |det R| from a thin QR."""
+def _abs_r_diag(m, caller: str) -> np.ndarray:
+    """``|diag R|`` of a thin QR of ``m``, whose cols may not exceed its rows."""
     a = as_matrix(m)
     if a.shape[1] > a.shape[0]:
-        raise ValueError("volume requires cols <= rows")
-    fact = partial_qr(a, a.shape[1], want_q=False)
-    return float(np.prod(np.abs(np.diag(fact.r11))))
+        raise ValueError(f"{caller} requires cols <= rows")
+    return np.abs(np.diag(partial_qr(a, a.shape[1], want_q=False).r11))
+
+
+def volume(m) -> float:
+    """Volume of the box spanned by the columns: |det R| from a thin QR."""
+    return float(np.prod(_abs_r_diag(m, "volume")))
 
 
 def log_volume(m) -> float:
     """Natural log of :func:`volume`, -inf for rank-deficient input."""
-    a = as_matrix(m)
-    if a.shape[1] > a.shape[0]:
-        raise ValueError("log_volume requires cols <= rows")
-    fact = partial_qr(a, a.shape[1], want_q=False)
-    d = np.abs(np.diag(fact.r11))
+    d = _abs_r_diag(m, "log_volume")
     if np.any(d == 0.0):
         return float("-inf")
     return float(np.sum(np.log(d)))

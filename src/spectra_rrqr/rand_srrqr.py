@@ -371,30 +371,39 @@ def export_record(
     """The JSON-ready record of any result, keyed by :data:`RECORD_KEYS` in
     order, with ``algo`` left null for the caller to name; the ratios and
     bound come from a :class:`RatioReport`, ``l_values`` and ``r_values``
-    from a :class:`QlpResult`.  NaN ratios and an infinite ``f_tilde`` are
-    null."""
+    from a :class:`QlpResult`.  A non-finite number, such as a NaN ratio or
+    an infinite ``f_tilde`` or ``bound``, is null, so the record is strict
+    JSON."""
     measured = res.distortion_is_measured
     rec = dict.fromkeys(RECORD_KEYS)
     rec.update(
         k=res.k, seed=res.seed, kind=res.kind, d=res.d, f=res.f,
         epsilon_measured=res.distortion if measured else None,
         epsilon_nominal=None if measured else res.distortion,
-        f_tilde=None if res.f_tilde == math.inf else res.f_tilde,
+        f_tilde=res.f_tilde,
         rho=res.rho, swap_count=res.swap_count, stop_reason=res.stop_reason,
         timings_ms={k: round(v, 3) for k, v in res.timings_ms.items()},
     )
     if report is not None:
         lead, trail = (
-            [None if math.isnan(x) else float(x) for x in arr]
-            for arr in (report.leading_ratios, report.trailing_ratios)
+            [float(x) for x in arr] for arr in (report.leading_ratios, report.trailing_ratios)
         )
         ratios = {"leading": lead, "trailing": trail, "a_max": report.a_max}
         rec.update(ratios=ratios, bound=report.bound)
     if qlp is not None:
         rec["l_values"] = [float(x) for x in qlp.l_values]
         rec["r_values"] = [float(x) for x in qlp.r_values]
-    return rec
+    return _finite_or_null(rec)
+
+
+def _finite_or_null(value):
+    """``value`` with every non-finite float in it, nested ones too, made None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def export_json(res, report=None, qlp=None) -> str:
-    return json.dumps(export_record(res, report, qlp), indent=2)
+    return json.dumps(export_record(res, report, qlp), indent=2, allow_nan=False)

@@ -55,7 +55,7 @@ after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -67,8 +67,8 @@ from .dense_core import (
     PermutationSeq,
     SingularMatrixError,
     _check_rank,
-    _diag_signs,
     _r_factor,
+    _signed_r,
     _stable_partial_qr,
     as_matrix,
     inverse_row_norms,
@@ -201,17 +201,18 @@ class SrrqrState:
 
     def copy(self) -> "SrrqrState":
         self._flush()
-        out = type(self)(
-            r=self.r,
-            perm=self.perm,
-            k=self.k,
-            omega=self.omega,
-            gamma=self.gamma,
-            a=self.a,
-            swap_count=self.swap_count,
-        )
+        # __post_init__ copies the init fields; the floor is not one of them
+        out = replace(self)
         out._gamma2_floor = self._gamma2_floor.copy()
         return out
+
+    def _check_pair(self, i: int, j: int) -> None:
+        """Reject a leading index i or a trailing index j out of range."""
+        k, n = self.k, self.r.shape[1]
+        if not (0 <= i < k):
+            raise IndexError(f"leading index i={i} out of range for k={k}")
+        if not (0 <= j < n - k):
+            raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
 
     # -- consistency -----------------------------------------------------
 
@@ -454,18 +455,14 @@ class SrrqrState:
         exactly the transposition (i, k+j).  Each rotation is one Givens
         update (``qr_delete``/``qr_insert``) of rows i..k-1 (:meth:`_cycle`).
         """
-        k, n = self.k, self.r.shape[1]
-        if not (0 <= i < k):
-            raise IndexError(f"leading index i={i} out of range for k={k}")
-        if not (0 <= j < n - k):
-            raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
+        self._check_pair(i, j)
         self._flush()
         self._cycle(i, -1)
         self._swap_trailing(j)
         self._swap_boundary()
         self._swap_trailing(j)
         self._cycle(i, 1)
-        self.perm.swap(i, k + j)
+        self.perm.swap(i, self.k + j)
 
 
 def _fresh_state(a: np.ndarray) -> SrrqrState:
@@ -512,23 +509,26 @@ def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
     """First (i, j), row-major, with ``det_ratio > f_swap``; None if none.
 
     Compares squares; only ratios above 1e154 overflow, and inf is a hit.
+    Raises ``ValueError`` when a NaN ratio comes before the first hit.
     """
     with np.errstate(over="ignore"):
         sq = np.outer(state.omega, state.gamma)
         sq *= sq
         sq += np.multiply(state.a, state.a)
-    hit = sq > f_swap * f_swap
-    first = int(np.argmax(hit))
-    return divmod(first, hit.shape[1]) if hit.flat[first] else None
+    # a NaN is not <= the bound, so the scan stops at it as at a hit
+    ok = sq <= f_swap * f_swap
+    first = int(np.argmin(ok))
+    if ok.flat[first]:
+        return None
+    i, j = divmod(first, ok.shape[1])
+    if math.isnan(sq.flat[first]):
+        raise ValueError(f"swap ratio ({i}, {j}) is NaN at step {state.k}")
+    return i, j
 
 
 def det_ratio(state: SrrqrState, i: int, j: int) -> float:
     """Volume-growth factor of the single interchange (i, j); 0-based indices."""
-    k, n = state.k, state.r.shape[1]
-    if not (0 <= i < k):
-        raise IndexError(f"leading index i={i} out of range for k={k}")
-    if not (0 <= j < n - k):
-        raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
+    state._check_pair(i, j)
     row, col = slice(i, i + 1), slice(j, j + 1)
     return swap_ratios(state.omega[row], state.gamma[col], state.a[row, col]).item()
 
@@ -585,8 +585,11 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     Returns ``"tolerance"`` (every trailing norm below tau),
     ``"target_rank"``, or ``"full_rank"`` (a tolerance run that took every
     column it could), with the state flushed.  Raises ``RuntimeError`` when
-    the interchanges exceed 20 times :func:`swap_budget` (livelock) and, in
-    rank mode, :class:`SingularMatrixError` when the trailing norms underflow.
+    the interchanges exceed 20 times :func:`swap_budget` (livelock), in
+    rank mode :class:`SingularMatrixError` when the trailing norms underflow,
+    and ``ValueError`` naming the step when the pivot norm it picks is not
+    finite or the screen meets a NaN ratio (the column norms of an input
+    near the overflow threshold, about 1e154, are inf).
     """
     cols = state.r.shape[1]
     f = config.f
@@ -597,6 +600,8 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     early_exit = f / math.sqrt(2.0)
     while state.k < stop:
         jmax = int(np.argmax(state.gamma))
+        if not math.isfinite(state.gamma[jmax]):
+            raise ValueError(f"pivot column norm is {state.gamma[jmax]} at step {state.k + 1}")
         if rank_mode:
             if state.gamma[jmax] < _UNDERFLOW_FLOOR:
                 raise SingularMatrixError(
@@ -678,6 +683,10 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
     blocks are the state's own: ``r22`` has n-k rows after an interchange
     on a tall input (the state was compressed), m-k otherwise; ``shape`` is
     (m, n) either way.
+
+    Raises what :func:`_drive` raises, ``ValueError`` among it when a
+    pivoting quantity is not finite: a column norm that overflows (entries
+    of ``m`` near 1e154) or a NaN swap ratio, with the step it happened at.
     """
     a = as_matrix(m)
     rows, mr = a.shape[0], min(a.shape)
@@ -724,10 +733,8 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
     work, piv, tau, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
     if info:
         raise ValueError(f"dgeqp3 failed with info={info}")
-    r = np.triu(work[: min(rows, cols)])
+    r, flip = _signed_r(work, min(rows, cols))
     piv -= 1  # LAPACK's pivots are 1-based
-    flip = _diag_signs(r)
-    r *= flip[:, None]
     if want_q:
         # Q gets its own m-by-min(m, n) array: on a wide input a Q written
         # into ``work`` would keep all n columns of it alive

@@ -251,8 +251,13 @@ class TestRunFactor:
         assert [r["seed"] for r in records] == [0, 1, 2]
         for rec in records:
             assert rec["algo"] == "rand-tau"
-            assert rec["ratios"] is not None and rec["bound"] is not None
-            json.dumps(rec)
+            assert rec["ratios"] is not None
+            # a vacuous eps (>= 1) makes f_tilde and the bound infinite, so null
+            vacuous = rec["epsilon_measured"] >= 1.0
+            assert (rec["bound"] is None) == (rec["f_tilde"] is None) == vacuous
+            json.dumps(rec, allow_nan=False)
+        # seed 2 measures eps 1.09; seeds 0 and 1 keep a finite bound
+        assert [rec["bound"] is None for rec in records] == [False, False, True]
 
     def test_deterministic_and_qrcp_records(self):
         for algo, kw in [("srrqr", {"tau": 1e-8}), ("qrcp", {"k": 5})]:
@@ -740,6 +745,24 @@ class TestCli:
         assert np.allclose(
             [x for x in rec["ratios"]["trailing"] if x is not None], 1.0, atol=1e-12
         )
+
+    def test_records_are_strict_json_when_eps_is_vacuous(self, capsys):
+        # d=13 measures eps 2.56 here, so f_tilde and the bound are infinite
+        argv = ["ratios", "--matrix", "random:64x12", "--algo", "rand-rank"]
+        argv += ["--k", "6", "--d", "13"]
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert main(argv + ["--format", "json"]) == 0
+        (rec,) = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rec["epsilon_measured"] >= 1.0
+        assert rec["f_tilde"] is None and rec["bound"] is None
+        # the CSV cells of a null bound are empty
+        assert main(argv + ["--format", "csv"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+        bound = rows[0].index("bound")
+        assert {row[bound] for row in rows if row[0] == "leading_ratio"} == {""}
 
     def test_verify_exit_codes(self, capsys):
         ok = main(["verify", "--matrix", "identity:16", "--algo", "srrqr", "--k", "8"])

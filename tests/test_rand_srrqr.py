@@ -674,6 +674,21 @@ class TestExport:
         assert any(x is None for x in rec["ratios"]["trailing"])
         json.dumps(rec)
 
+    def test_non_finite_numbers_are_null(self):
+        # a zero column makes R11 singular, so a leading ratio is inf
+        m = rng(21).standard_normal((20, 6))
+        m[:, 2] = 0.0
+        res = SrrqrResult(qrcp(m, 6), 6, f=2.0)
+        report = ratio_report(m, res)
+        assert np.isinf(report.leading_ratios).any()
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rec = json.loads(export_json(res, report), parse_constant=reject)
+        lead = rec["ratios"]["leading"]
+        assert lead == [None if np.isinf(x) else float(x) for x in report.leading_ratios]
+
     def test_minimal_record(self):
         m = rng(19).standard_normal((64, 8))
         res = rand_srrqr_rank(m, f=2.0, k=3, d=32, seed=1, want_q=False)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -1135,6 +1136,90 @@ class TestOwnership:
         assert st.r.shape == m.shape
         # the state's copy of M and its (m, _PANEL) reflector buffer
         assert peak < 1.5 * m.nbytes
+
+
+
+class TestCopy:
+    """``copy`` is ``dataclasses.replace`` plus the gamma floor, carried by hand."""
+
+    @staticmethod
+    def _state():
+        st = srrqr_state(rng(7).standard_normal((20, 12)), 4)
+        st._interchange_core(1, 3)
+        st._advance()
+        # a floor that __post_init__ would not rebuild from gamma
+        st._gamma2_floor = np.arange(1.0, st.gamma.size + 1)
+        assert st._pending == 1
+        return st
+
+    def test_every_init_field_is_equal(self):
+        st = self._state()
+        dup = st.copy()
+        for fld in dataclasses.fields(SrrqrState):
+            if not fld.init:
+                continue
+            got, want = getattr(dup, fld.name), getattr(st, fld.name)
+            if isinstance(want, PermutationSeq):
+                assert np.array_equal(got.forward, want.forward) and got.swaps == want.swaps
+            elif isinstance(want, np.ndarray):
+                assert np.array_equal(got, want), fld.name
+            else:
+                assert got == want, fld.name
+
+    def test_copy_owns_its_arrays_and_permutation(self):
+        st = self._state()
+        dup = st.copy()
+        for name in ("r", "omega", "gamma", "a", "_gamma2_floor", "_v", "_f"):
+            assert not np.shares_memory(getattr(dup, name), getattr(st, name)), name
+        assert dup.perm is not st.perm and dup.perm.swaps is not st.perm.swaps
+        assert not np.shares_memory(dup.perm.forward, st.perm.forward)
+        before = st.copy()
+        dup._interchange_core(0, 0)
+        _assert_same_bits(st, before)
+        assert st.perm.swaps == before.perm.swaps
+
+    def test_floor_is_equal_but_independent(self):
+        st = self._state()
+        dup = st.copy()
+        assert np.array_equal(dup._gamma2_floor, np.arange(1.0, st.gamma.size + 1))
+        dup._gamma2_floor[0] = -1.0
+        assert st._gamma2_floor[0] == 1.0
+
+    def test_no_update_is_pending_after_a_copy(self):
+        st = self._state()
+        dup = st.copy()
+        assert dup._pending == 0 and st._pending == 0
+        assert dup._v.shape == (st.r.shape[0], _PANEL) and dup._f.shape == (st.r.shape[1], _PANEL)
+
+
+class TestNonFinite:
+    """A pivoting quantity that is not finite raises; it never ends the loop."""
+
+    def test_overflowing_column_norms_raise(self):
+        m = np.random.default_rng(0).standard_normal((300, 40))
+        # the column norms overflow to inf (entries near 1e157)
+        with pytest.raises(ValueError, match="pivot column norm is inf at step 1"):
+            srrqr(2.0**520 * m, SrrqrConfig(1.2, TargetRank(20)), want_q=False)
+
+    def test_scale_below_overflow_still_factors(self):
+        m = np.random.default_rng(0).standard_normal((300, 40))
+        res = srrqr(2.0**500 * m, SrrqrConfig(1.2, TargetRank(20)), want_q=False)
+        plain = srrqr(m, SrrqrConfig(1.2, TargetRank(20)), want_q=False)
+        assert np.array_equal(res.factorization.perm.forward, plain.factorization.perm.forward)
+
+    def test_nan_swap_ratio_raises(self):
+        st = srrqr_state(rng(1).standard_normal((7, 5)), 2)
+        st.omega[:] = np.nan
+        st.a[:] = np.nan
+        with pytest.raises(ValueError, match=r"swap ratio \(0, 0\) is NaN at step 2"):
+            _first_swap(st, 1.1)
+
+    def test_hit_before_a_nan_is_taken(self):
+        st = srrqr_state(rng(1).standard_normal((7, 5)), 2)
+        st.a[0, 1] = 10.0
+        st.a[1, :] = np.nan
+        hit = _first_swap(st, 1.1)
+        assert hit is not None and hit[0] == 0
 
 
 def _greedy_pivots(m, k):

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the decisions and factor bytes of 48 benchmark calls, one line each.
+"""Print the decisions and factor bytes of 48 benchmark calls, one line each,
+then of ``qrcp`` on each of their fixtures and of ``run_volume_decay()``.
 
     python3 tools/compare_decisions.py SRC_DIR > decisions.txt
 
@@ -13,16 +14,24 @@ script, so two checkouts are compared by running each and diffing:
 The jobs are deterministic ``srrqr`` on the 32 ``swap-det`` pool seeds of
 ``perfbench/reference_k.json`` (stewart 2048x256), and the 8 ``paper-tau``
 and 8 ``rank-odd`` jobs of benchmark seed 1.  A line holds the job's
-label, k, ``stop_reason``, ``swap_count``, and the sha1 of the permutation,
-of its swap log, and of the R11, R12 and R22 bytes each.  A deterministic
-job's line ends with the sha1 of the returned state's ``omega``, ``gamma``
-and ``a``, the quantities that drive later decisions.  A randomized job's
-line ends with the sha1 of its sketch ``sketch.apply(op, M)``, formed
-again from the call's kind, d and seed, so a change to the sketch's bits
-shows even where it moves no decision.  BLAS runs on one
+label, k, ``stop_reason``, ``swap_count``, ``repr(rho)``, and the sha1 of
+the permutation, of its swap log, and of the R11, R12 and R22 bytes each.
+``rho`` is the result's own for a deterministic job and that of the strong
+RRQR of the sketch for a randomized one.  A deterministic job's line ends
+with the sha1 of the returned state's ``omega``, ``gamma`` and ``a``, the
+quantities that drive later decisions.  A randomized job's line ends with
+the sha1 of its sketch ``sketch.apply(op, M)``, formed again from the
+call's kind, d and seed, so a change to the sketch's bits shows even where
+it moves no decision.
+
+Then comes one ``qrcp`` line for each of the 35 distinct fixtures, labelled
+by the first job that uses it and run at that job's smallest reference k,
+with Q: the sha1 of the permutation, its swap log, R11, R12, R22 and Q.
+The last line is ``bench.run_volume_decay()`` with its defaults: its slope
+as ``repr`` and the sha1 of the ``repr`` of its rows.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark;
 ``SPECTRA_RRQR_THREADS`` caps the package's threads as usual.  A run takes
-about 15 s on 2 cores.
+about 30 s on 2 cores.
 """
 from __future__ import annotations
 
@@ -40,6 +49,12 @@ BENCH_SEED = 1
 
 def sha1(data: bytes) -> str:
     return hashlib.sha1(data).hexdigest()[:12]
+
+
+def factor_hashes(fact) -> list[str]:
+    """sha1 of a factorization's permutation, its swap log, R11, R12 and R22."""
+    hashes = [sha1(fact.perm.forward.tobytes()), sha1(repr(fact.perm.swaps).encode())]
+    return hashes + [sha1(getattr(fact, name).tobytes()) for name in ("r11", "r12", "r22")]
 
 
 def jobs():
@@ -70,7 +85,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
     from run import run_job
-    from spectra_rrqr import sketch, testmat
+    from spectra_rrqr import bench, qrcp, sketch, testmat
 
     mat_spec = mat = None
     for label, job, spec in jobs():
@@ -78,18 +93,27 @@ def main(argv=None) -> int:
         if spec != mat_spec:
             mat_spec, mat = spec, testmat.generate(spec)
         res = run_job(job, {job.fixture: mat})
-        fact = res.factorization
-        hashes = [sha1(fact.perm.forward.tobytes()), sha1(repr(fact.perm.swaps).encode())]
-        hashes += [sha1(getattr(fact, name).tobytes()) for name in ("r11", "r12", "r22")]
+        hashes = factor_hashes(res.factorization)
         if res.state is not None:
             state = res.state
             hashes += [sha1(getattr(state, name).tobytes()) for name in ("omega", "gamma", "a")]
+        rho = res.rho if res.sketch_result is None else res.sketch_result.rho
         if res.kind is not None:
             rows = sketch._operator_rows(res.kind, mat.shape[0])
             op = sketch.SketchOperator(res.kind, res.d, rows, res.seed)
             hashes.append(sha1(sketch.apply(op, mat).tobytes()))
-        print(label, res.k, res.stop_reason, res.swap_count, *hashes, flush=True)
+        print(label, res.k, res.stop_reason, res.swap_count, repr(rho), *hashes, flush=True)
+    seen = set()
+    for label, job, spec in jobs():
+        if spec not in seen:
+            seen.add(spec)
+            k = min(job.ref_k)
+            fact = qrcp(testmat.generate(spec), k)
+            print(f"qrcp:{label}", k, *factor_hashes(fact), sha1(fact.q.tobytes()), flush=True)
+    decay = bench.run_volume_decay()
+    print("volume-decay", repr(decay["slope"]), sha1(repr(decay["rows"]).encode()), flush=True)
     return 0
+
 
 
 if __name__ == "__main__":
