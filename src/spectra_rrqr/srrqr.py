@@ -20,17 +20,9 @@ computation, the rule of LAPACK's xLAQP2 (Drmač & Bujanović, ACM TOMS
 roundoff floor.  This is the only path; the tests check it against a state
 that rebuilds all three from scratch after every structural change.
 
-Growth defers the Householder updates of the trailing block over a panel of
-up to ``_PANEL`` steps, as LAPACK's xLAQPS does (Quintana-Orti, Sun &
-Bischof, SISC 1998).  Each step brings only the pivot column and the pivot
-row up to date and records its reflector ``v``, built by LAPACK's
-``dlarfg``, with ``F = tau A^T v``; one GEMM applies the whole panel when it
-is full and before anything that reads the trailing block as a whole
-(interchanges, ``copy``, recomputation, and the end of :func:`srrqr` and
-:func:`srrqr_state`).  Pivots, interchanges and the stopping test are still
-decided after every step, from the same quantities; only the order of
-floating-point operations changes, so a decision can move only where
-rounding already settles it (exact ties).
+Each growth step builds its reflector with LAPACK's ``dlarfg`` and applies
+it to the trailing block at once, with one matrix-vector product and one
+rank-one update, so the state is fully updated after every step.
 
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 ``>= k``.  So on a tall input, just before its first interchange,
@@ -75,8 +67,6 @@ from .dense_core import (
 )
 
 _UNDERFLOW_FLOOR = 1e-300
-# growth steps whose trailing-block updates are deferred and applied together
-_PANEL = 32
 # a squared norm downdated below this fraction of its last exact value is
 # recomputed (LAPACK xLAQP2's tol3z); strictly below, so a zero one is not
 _DOWNDATE_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -154,20 +144,9 @@ class SrrqrState:
     :meth:`_compress` has run (in :func:`srrqr`, at the first interchange of
     a tall input) ``r`` has n rows, and its trailing block n-k.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
-    in the module docstring; they are always current.  Interchanges
-    retriangularize R11 with Givens updates of rows i..k-1 (:meth:`_cycle`).
-
-    Growth steps may leave up to ``_PANEL`` Householder updates pending:
-    ``dlarfg`` reflectors ``V`` (one column each, unit first entry) and
-    ``F = tau A^T v`` (a column per reflector, a row per column of ``r``).
-    While updates are pending, rows ``>= k`` of the trailing columns of
-    ``r`` are stale, and their true value is ``r[k:, k:] - V[k:] F[k:].T``;
-    the rows above ``k`` (the pivot rows, ``R11`` and ``R12``) and the
-    leading columns are final.  Trailing column swaps swap the matching rows
-    of ``F``.  :meth:`_flush` applies the pending updates; it runs when the
-    panel is full and before interchanges, :meth:`copy` and
-    :meth:`recomputed`, so every state returned to a caller has a fully
-    updated ``r``.
+    in the module docstring.  All four are current after every step, so
+    reading a state never writes to it.  Interchanges retriangularize R11
+    with Givens updates of rows i..k-1 (:meth:`_cycle`).
     """
 
     r: np.ndarray
@@ -180,19 +159,12 @@ class SrrqrState:
     # _DOWNDATE_TOL times gamma**2 at its last exact computation (LAPACK
     # xLAQP2 keeps that norm as vn2); a downdated square below it is redone
     _gamma2_floor: np.ndarray = field(init=False, repr=False)
-    # pending panel: reflectors (V) and F = tau * A^T v columns, see above
-    _v: np.ndarray = field(init=False, repr=False)
-    _f: np.ndarray = field(init=False, repr=False)
-    _pending: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         # own row-major copies: ``dger`` updates blocks of whole rows in place
         for name in ("r", "omega", "gamma", "a"):
             setattr(self, name, np.array(getattr(self, name), dtype=np.float64, order="C"))
         self.perm = self.perm.copy()
-        rows, cols = self.r.shape
-        self._v = np.empty((rows, _PANEL), order="F")
-        self._f = np.empty((cols, _PANEL), order="F")
         self._gamma2_floor = _DOWNDATE_TOL * self.gamma**2
 
     @property
@@ -200,7 +172,6 @@ class SrrqrState:
         return self.r.shape
 
     def copy(self) -> "SrrqrState":
-        self._flush()
         # __post_init__ copies the init fields; the floor is not one of them
         out = replace(self)
         out._gamma2_floor = self._gamma2_floor.copy()
@@ -218,7 +189,6 @@ class SrrqrState:
 
     def recomputed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fresh (omega, gamma, a) from the current factor."""
-        self._flush()
         return recompute(self.r, self.k)
 
     def consistency_errors(self) -> dict[str, float]:
@@ -243,18 +213,16 @@ class SrrqrState:
         ``omega``, ``gamma`` and ``a`` do not change under an orthogonal
         transform of rows ``>= k``, so rows ``k:`` of the trailing columns
         can be swapped for the (n-k)-by-(n-k) R factor of that block (one
-        blocked ``dgeqrt``); ``r`` then has n rows.  A no-op, pending
-        updates included, when ``r`` has no more rows than columns.
+        blocked ``dgeqrt``); ``r`` then has n rows.  A no-op when ``r`` has
+        no more rows than columns.
         """
         rows, cols = self.r.shape
         if rows <= cols:
             return
-        self._flush()
         k = self.k
         r = self.r[:cols].copy()
         r[k:, k:] = _r_factor(self.r[k:, k:])
         self.r = r
-        self._v = np.empty((cols, _PANEL), order="F")
 
     def _flip_row(self, t: int) -> None:
         if self.r[t, t] < 0.0:
@@ -266,7 +234,6 @@ class SrrqrState:
         if j == 0:
             return
         _swap_columns(self.r, k, k + j)
-        _swap_columns(self._f[:, : self._pending].T, k, k + j)
         for g in (self.gamma, self._gamma2_floor):
             g[0], g[j] = g[j], g[0]
         if self.a.size:
@@ -275,28 +242,24 @@ class SrrqrState:
     def _advance(self) -> None:
         """Triangularize the column at position k and grow the leading block.
 
-        The reflector's update of the trailing block is deferred: it joins
-        the pending panel, and only the next pivot column, pivot row k and
-        the ``F`` column are brought up to date (see the class docstring).
+        The ``dlarfg`` reflector is applied to rows k onward at once: one
+        GEMV ``w = v^T R[k:, k+1:]``, then one in-place ``dger`` of whole
+        rows, as in :meth:`_swap_boundary`, with ``w`` zero on the leading
+        k+1 columns.  An identity reflector (``tau == 0``) is skipped.
         """
         k = self.k
         r = self.r
-        t = self._pending
-        vp, fp = self._v[:, :t], self._f[:, :t]
-        if t:
-            r[k:, k] -= vp[k:] @ fp[k]
         u = self.a[:, 0].copy() if k else np.zeros(0)
-        beta, self._v[k + 1 :, t], tau = dlarfg(r.shape[0] - k, r[k, k], r[k + 1 :, k])
-        self._v[k, t] = 1.0
-        v = self._v[k:, t]
-        # F column: tau * (true trailing block)^T v, from the stale block
-        self._f[k + 1 :, t] = tau * (v @ r[k:, k + 1 :])
-        if t:
-            self._f[k + 1 :, t] -= fp[k + 1 :] @ (tau * (v @ vp[k:]))
-        self._pending = t + 1
+        beta, v_tail, tau = dlarfg(r.shape[0] - k, r[k, k], r[k + 1 :, k])
+        if tau:
+            v = np.concatenate(([1.0], v_tail))
+            w = np.zeros(r.shape[1])
+            w[k + 1 :] = v @ r[k:, k + 1 :]
+            # rows k onward, in place (their transpose is F-contiguous)
+            tail = r[k:]
+            scipy.linalg.blas.dger(-tau, w, v, a=tail.T, overwrite_a=1)
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
-        r[k, k + 1 :] -= self._f[k + 1 :, : t + 1] @ self._v[k, : t + 1]
         self._flip_row(k)
         diag = r[k, k]
         if diag <= 0.0:
@@ -319,22 +282,11 @@ class SrrqrState:
         bad = g2 < np.maximum(0.5 * old_tail**2, floor)
         if np.any(bad):
             cols = self.k + np.nonzero(bad)[0]
-            p = self._pending
             # row-major: the column sums below run row by row (bits rely on it)
             fresh = np.take(r[self.k :], cols, axis=1)
-            fresh -= self._v[self.k :, :p] @ self._f[cols, :p].T
             g2[bad] = np.sum(fresh**2, axis=0)
             floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
-        if self._pending == _PANEL:
-            self._flush()
-
-    def _flush(self) -> None:
-        """Apply the pending reflectors to the trailing block (one GEMM)."""
-        p, k = self._pending, self.k
-        if p:
-            self.r[k:, k:] -= self._v[k:, :p] @ self._f[k:, :p].T
-            self._pending = 0
 
     def _cycle(self, i: int, shift: int) -> None:
         """Roll leading columns i..k-1 by ``shift`` and retriangularize.
@@ -456,7 +408,6 @@ class SrrqrState:
         update (``qr_delete``/``qr_insert``) of rows i..k-1 (:meth:`_cycle`).
         """
         self._check_pair(i, j)
-        self._flush()
         self._cycle(i, -1)
         self._swap_trailing(j)
         self._swap_boundary()
@@ -485,7 +436,6 @@ def srrqr_state(m, k: int) -> SrrqrState:
     state = _fresh_state(a)
     for _ in range(k):
         state._advance()
-    state._flush()
     return state
 
 
@@ -584,7 +534,7 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
 
     Returns ``"tolerance"`` (every trailing norm below tau),
     ``"target_rank"``, or ``"full_rank"`` (a tolerance run that took every
-    column it could), with the state flushed.  Raises ``RuntimeError`` when
+    column it could).  Raises ``RuntimeError`` when
     the interchanges exceed 20 times :func:`swap_budget` (livelock), in
     rank mode :class:`SingularMatrixError` when the trailing norms underflow,
     and ``ValueError`` naming the step when the pivot norm it picks is not
@@ -634,7 +584,6 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
             state._interchange_core(i, j)
             if on_swap is not None:
                 on_swap(state.k, i, j, ratio)
-    state._flush()
     return reason
 
 

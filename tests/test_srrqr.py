@@ -41,7 +41,6 @@ from spectra_rrqr import (
 from spectra_rrqr.dense_core import PartialQR, _r_factor, as_matrix
 from spectra_rrqr.srrqr import (
     _DOWNDATE_TOL,
-    _PANEL,
     SrrqrResult,
     _drive,
     _first_swap,
@@ -96,7 +95,7 @@ class _RecomputeState(SrrqrState):
 
 
 def _recompute_state(m, k: int = 0) -> _RecomputeState:
-    """The oracle's flushed state after k unpivoted growth steps of ``m``."""
+    """The oracle's state after k unpivoted growth steps of ``m``."""
     a = as_matrix(m)
     st = _RecomputeState(
         r=a.copy(),
@@ -108,7 +107,6 @@ def _recompute_state(m, k: int = 0) -> _RecomputeState:
     )
     for _ in range(k):
         st._advance()
-    st._flush()
     return st
 
 
@@ -520,7 +518,7 @@ class TestNormDowndate:
 
             def spy(state, *ij, step=step):
                 step(state, *ij)
-                true = np.linalg.norm(_true_trailing(state), axis=0)
+                true = np.linalg.norm(state.r[state.k :, state.k :], axis=0)
                 worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
 
             monkeypatch.setattr(SrrqrState, name, spy)
@@ -546,7 +544,6 @@ class TestNormDowndate:
         st._gamma2_floor *= 1e20
         st._advance()
         assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
-        st._flush()
         st._gamma2_floor *= 1e20
         st._swap_boundary()
         # the closed form of the incoming column's norm is exact too
@@ -568,25 +565,6 @@ class TestNormDowndate:
         assert type(interchange(_recompute_state(m, 10), 0, 0)) is _RecomputeState
 
 
-def _growing_state(m) -> SrrqrState:
-    """Fresh state of ``m`` that grows through ``_advance`` with no forced flush."""
-    a = np.asarray(m, dtype=float)
-    return SrrqrState(
-        r=a.copy(),
-        perm=PermutationSeq.identity(a.shape[1]),
-        k=0,
-        omega=np.zeros(0),
-        gamma=column_norms(a),
-        a=np.zeros((0, a.shape[1])),
-    )
-
-
-def _true_trailing(st: SrrqrState) -> np.ndarray:
-    """Trailing block with the pending updates applied; ``st`` is not touched."""
-    k, p = st.k, st._pending
-    return st.r[k:, k:] - st._v[k:, :p] @ st._f[k:, :p].T
-
-
 def _same_decisions(a, b):
     assert a.k == b.k
     assert a.swap_count == b.swap_count
@@ -594,16 +572,50 @@ def _same_decisions(a, b):
 
 
 class TestDeferredGrowth:
-    """Growth with the trailing-block updates deferred over a panel."""
+    """Growth, and the runs built on it, against the recompute oracle."""
 
-    def test_crosses_panel_boundaries(self):
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide", "triangular", "stairs"])
+    def test_every_step_matches_recompute(self, kind):
+        m = {
+            "tall": lambda: rng(21).standard_normal((150, 80)),
+            "square": lambda: rng(21).standard_normal((70, 70)),
+            "wide": lambda: rng(21).standard_normal((40, 75)),
+            # zero below the diagonal: every reflector is the identity (tau == 0)
+            "triangular": lambda: np.triu(rng(21).standard_normal((60, 45))),
+            # on the flat stairs a column loses more than half its norm at
+            # every stair edge, so the downdate falls back to recomputation
+            "stairs": lambda: generate(MatrixSpec(DevilsStairs(m=200, n=120, stair_len=25), seed=1)),
+        }[kind]()
+        st, ref = _fresh_state(as_matrix(m)), _recompute_state(m)
+        recomputes = 0
+        for step in range(1, min(100, *m.shape) + 1):
+            if kind == "stairs":
+                # pivot as _drive does, the oracle on the same column
+                j = int(np.argmax(st.gamma))
+                for state in (st, ref):
+                    state._swap_trailing(j)
+                    state.perm.swap(state.k, state.k + j)
+            old_tail = st.gamma[1:].copy()
+            st._advance()
+            ref._advance()
+            c2 = st.r[step - 1, step:]
+            recomputes += bool(np.any(old_tail**2 - c2**2 < 0.5 * old_tail**2))
+            assert np.allclose(st.r, ref.r, atol=1e-12)
+            assert np.allclose(st.gamma, ref.gamma, rtol=1e-10, atol=1e-14 * ref.gamma.max(initial=0.0))
+            assert np.allclose(st.a, ref.a, rtol=1e-10, atol=1e-12)
+            assert np.allclose(st.omega, ref.omega, rtol=1e-10)
+        if kind == "triangular":
+            # no reflector touched R: its rows only took the diagonal's sign
+            assert np.array_equal(np.abs(st.r), np.abs(m))
+        if kind == "stairs":
+            assert recomputes > 0
+
+    def test_run_with_q_matches_recompute(self):
         m = rng(20).standard_normal((150, 110))
-        k = 3 * _PANEL + 4
-        cfg = SrrqrConfig(f=1.5, mode=TargetRank(k))
+        cfg = SrrqrConfig(f=1.5, mode=TargetRank(100))
         res = srrqr(m, cfg)
         oracle = _recompute_srrqr(m, cfg)
         _same_decisions(res, oracle)
-        assert res.state._pending == 0
         assert np.allclose(res.state.r, oracle.state.r, atol=1e-11)
         assert res.factorization.reconstruction_error(m) <= 1e-12
         q = res.factorization.q
@@ -611,61 +623,16 @@ class TestDeferredGrowth:
         assert np.max(np.abs(q.T @ q - np.eye(110))) <= 1e-12
         assert max(res.state.consistency_errors().values()) <= 1e-8
 
-    def test_mid_panel_invariant(self):
-        m = rng(21).standard_normal((90, 80))
-        st = _growing_state(m)
-        for step in range(1, 2 * _PANEL + 6):
-            st._advance()
-            assert st._pending == step % _PANEL
-            ref = _recompute_state(m, step)
-            # pivot rows and leading columns are final, the rest is stale
-            assert np.allclose(st.r[:step], ref.r[:step], atol=1e-12)
-            assert np.allclose(_true_trailing(st), ref.r[step:, step:], atol=1e-12)
-            assert np.allclose(st.gamma, ref.gamma, rtol=1e-10, atol=1e-14)
-            assert np.allclose(st.a, ref.a, rtol=1e-10, atol=1e-12)
-            assert np.allclose(st.omega, ref.omega, rtol=1e-10)
-
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_interchange_fires_mid_panel(self, seed, monkeypatch):
+    def test_interchange_run_matches_recompute(self, seed):
         m = generate(MatrixSpec(Stewart(m=256, n=96, q=0.8), seed=seed))
         cfg = SrrqrConfig(f=1.1, mode=Tolerance(1e-10))
         oracle = _recompute_srrqr(m, cfg)
-        pending = []
-        core = SrrqrState._interchange_core
-
-        def spy(state, i, j):
-            pending.append(state._pending)
-            core(state, i, j)
-
-        monkeypatch.setattr(SrrqrState, "_interchange_core", spy)
         res = srrqr(m, cfg, want_q=False)
         assert res.swap_count > 0
-        assert any(p > 0 for p in pending)
         _same_decisions(res, oracle)
         assert abs(res.rho - oracle.rho) <= 1e-8 * oracle.rho
         assert max(res.state.consistency_errors().values()) <= 1e-8
-
-    def test_bad_downdate_recomputed_while_pending(self):
-        # on the flat stairs a column loses more than half its norm at every
-        # stair edge, so the downdate falls back to recomputation
-        m = generate(MatrixSpec(DevilsStairs(m=200, n=120, stair_len=25), seed=1))
-        st = _growing_state(m)
-        recomputed_with_pending = 0
-        for _ in range(100):
-            j = int(np.argmax(st.gamma))
-            st._swap_trailing(j)
-            st.perm.swap(st.k, st.k + j)
-            before = st._pending
-            old_tail = st.gamma[1:].copy()
-            st._advance()
-            c2 = st.r[st.k - 1, st.k :]
-            if before and np.any(old_tail**2 - c2**2 < 0.5 * old_tail**2):
-                recomputed_with_pending += 1
-            norms = np.linalg.norm(_true_trailing(st), axis=0)
-            assert np.allclose(st.gamma, norms, rtol=1e-10, atol=1e-14 * norms.max())
-        assert recomputed_with_pending > 0
-        assert st._pending > 0
-        assert max(st.copy().consistency_errors().values()) <= 1e-8
 
     @pytest.mark.parametrize(
         "shape,mode",
@@ -688,37 +655,16 @@ class TestDeferredGrowth:
         st = srrqr_state(m, min(shape))
         assert st.a.shape == (min(shape), shape[1] - min(shape))
 
-    def test_returned_states_are_flushed(self):
+    def test_returned_states_match_recompute(self):
         m = rng(23).standard_normal((60, 50))
-        k = _PANEL + 7
+        k = 39
         st = srrqr_state(m, k)
         ref = _recompute_state(m, k)
-        assert st._pending == 0
-        assert np.allclose(st.r, ref.r, atol=1e-12)
-        assert max(st.consistency_errors().values()) <= 1e-10
-
-        grown = _growing_state(m)
-        for _ in range(k):
-            grown._advance()
-        assert grown._pending == 7
-        true = _true_trailing(grown).copy()
-        dup = grown.copy()
-        for state in (grown, dup):
-            assert state._pending == 0
-            assert np.allclose(state.r[k:, k:], true, atol=1e-13)
+        for state in (st, st.copy()):
             assert np.allclose(state.r, ref.r, atol=1e-12)
-
-        grown = _growing_state(m)
-        for _ in range(k):
-            grown._advance()
-        assert max(grown.consistency_errors().values()) <= 1e-10
-        assert grown._pending == 0
-
+            assert max(state.consistency_errors().values()) <= 1e-10
         for i, j in [(3, 5), (k - 1, 0), (0, 50 - k - 1)]:
-            grown = _growing_state(m)
-            for _ in range(k):
-                grown._advance()
-            out = interchange(grown, i, j)
+            out = interchange(st, i, j)
             want = interchange(ref, i, j)
             assert np.allclose(out.r, want.r, atol=1e-11)
             assert max(out.consistency_errors().values()) <= 1e-8
@@ -867,7 +813,6 @@ class TestCompression:
         oracle = _recompute_srrqr(m, cfg)
         assert res.swap_count > 0
         assert res.state.r.shape == (cols, cols)
-        assert res.state._v.shape[0] == cols
         _same_decisions(res, oracle)
         assert max(res.state.consistency_errors().values()) <= 1e-8
         with_q = srrqr(m, cfg)
@@ -929,13 +874,10 @@ class TestCompression:
 
     def test_compress_is_a_noop_without_extra_rows(self):
         m = rng(31).standard_normal((30, 30))
-        st = _growing_state(m)
-        for _ in range(5):
-            st._advance()
-        r = st.r
+        st = srrqr_state(m, 5)
+        r, bits = st.r, st.r.tobytes()
         st._compress()
-        assert st.r is r
-        assert st._pending == 5
+        assert st.r is r and r.tobytes() == bits
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_first_hit_in_row_major_order(self, seed, monkeypatch):
@@ -1035,9 +977,13 @@ def _reference_copy(st: SrrqrState) -> ReferenceInterchangeState:
     return ref
 
 
+# every array a state holds
+_STATE_ARRAYS = ("r", "omega", "gamma", "a", "_gamma2_floor")
+
+
 def _assert_same_bits(st: SrrqrState, ref: SrrqrState) -> None:
     assert st.k == ref.k and st.perm.swaps == ref.perm.swaps
-    for name in ("r", "omega", "gamma", "a", "_gamma2_floor"):
+    for name in _STATE_ARRAYS:
         x, y = getattr(st, name), getattr(ref, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
 
@@ -1134,8 +1080,8 @@ class TestOwnership:
         m = np.asfortranarray(rng(6).standard_normal((2048, 256)))
         st, peak = traced_peak(lambda: _fresh_state(as_matrix(m)))
         assert st.r.shape == m.shape
-        # the state's copy of M and its (m, _PANEL) reflector buffer
-        assert peak < 1.5 * m.nbytes
+        # the state's copy of M and nothing else of that size
+        assert peak < 1.05 * m.nbytes
 
 
 
@@ -1149,7 +1095,6 @@ class TestCopy:
         st._advance()
         # a floor that __post_init__ would not rebuild from gamma
         st._gamma2_floor = np.arange(1.0, st.gamma.size + 1)
-        assert st._pending == 1
         return st
 
     def test_every_init_field_is_equal(self):
@@ -1169,7 +1114,7 @@ class TestCopy:
     def test_copy_owns_its_arrays_and_permutation(self):
         st = self._state()
         dup = st.copy()
-        for name in ("r", "omega", "gamma", "a", "_gamma2_floor", "_v", "_f"):
+        for name in _STATE_ARRAYS:
             assert not np.shares_memory(getattr(dup, name), getattr(st, name)), name
         assert dup.perm is not st.perm and dup.perm.swaps is not st.perm.swaps
         assert not np.shares_memory(dup.perm.forward, st.perm.forward)
@@ -1185,11 +1130,36 @@ class TestCopy:
         dup._gamma2_floor[0] = -1.0
         assert st._gamma2_floor[0] == 1.0
 
-    def test_no_update_is_pending_after_a_copy(self):
-        st = self._state()
-        dup = st.copy()
-        assert dup._pending == 0 and st._pending == 0
-        assert dup._v.shape == (st.r.shape[0], _PANEL) and dup._f.shape == (st.r.shape[1], _PANEL)
+
+class TestReaders:
+    """``copy``, ``recomputed`` and ``consistency_errors`` write nothing."""
+
+    @staticmethod
+    def _read(st):
+        before = {name: getattr(st, name).tobytes() for name in _STATE_ARRAYS}
+        st.copy()
+        st.recomputed()
+        st.consistency_errors()
+        for name, bits in before.items():
+            assert getattr(st, name).tobytes() == bits, name
+
+    def test_reading_a_state_writes_nothing(self):
+        m = rng(8).standard_normal((200, 120))
+        quiet, watched = _fresh_state(as_matrix(m)), _fresh_state(as_matrix(m))
+        for step in range(1, 61):
+            quiet._advance()
+            watched._advance()
+            if step in (6, 31, 45):
+                self._read(watched)
+        _assert_same_bits(watched, quiet)
+        # read at every interchange of a driven run, which compresses
+        m = _tall_stewart(0)
+        cfg = SrrqrConfig(f=1.1, mode=Tolerance(1e-10))
+        quiet, watched = _fresh_state(as_matrix(m)), _fresh_state(as_matrix(m))
+        _drive(quiet, cfg, on_swap=lambda *_: None)
+        _drive(watched, cfg, on_swap=lambda *_: self._read(watched))
+        assert watched.swap_count > 0 and watched.r.shape == (64, 64)
+        _assert_same_bits(watched, quiet)
 
 
 class TestNonFinite:
