@@ -78,7 +78,8 @@ class PermutationSeq:
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"swap indices ({i}, {j}) out of range for size {n}")
         if i != j:
-            self.forward[[i, j]] = self.forward[[j, i]]
+            fwd = self.forward
+            fwd[i], fwd[j] = fwd[j], fwd[i]
         self.swaps.append((int(i), int(j)))
 
     def apply_cols(self, m: np.ndarray) -> np.ndarray:
@@ -298,8 +299,9 @@ def partial_qr(m, k: int, *, want_q: bool = True) -> PartialQR:
 
 
 def _check_rank(k, rows: int, cols: int) -> None:
-    """Reject a rank ``k`` that is not a Python or numpy integer in [1, min(rows, cols)]."""
-    if not isinstance(k, (int, np.integer)):
+    """Reject a rank ``k`` that is not a Python or numpy integer in [1, min(rows, cols)];
+    a ``bool`` is not one."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError(f"k={k!r} is not an integer")
     if not (1 <= k <= min(rows, cols)):
         raise ValueError(f"k={k} out of range for a {rows}x{cols} matrix")

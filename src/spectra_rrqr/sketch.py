@@ -278,7 +278,8 @@ class SketchOperator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown sketch kind {self.kind!r}")
-        if not all(isinstance(x, (int, np.integer)) for x in (self.d, self.m)):
+        if not all(isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+                   for x in (self.d, self.m)):
             raise ValueError(f"dimensions must be integers, got d={self.d!r}, m={self.m!r}")
         if self.d < 1 or self.m < 1:
             raise ValueError("dimensions must be positive")

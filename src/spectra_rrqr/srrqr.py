@@ -95,7 +95,7 @@ class SrrqrConfig:
         if not self.f > 1.0:
             raise ValueError(f"interchange threshold f must exceed 1, got {self.f}")
         if isinstance(self.mode, TargetRank):
-            if not isinstance(self.mode.k, (int, np.integer)):
+            if isinstance(self.mode.k, bool) or not isinstance(self.mode.k, (int, np.integer)):
                 raise ValueError(f"target rank {self.mode.k!r} is not an integer")
             if self.mode.k < 1:
                 raise ValueError(f"target rank must be >= 1, got {self.mode.k}")
@@ -249,44 +249,51 @@ class SrrqrState:
         """
         k = self.k
         r = self.r
-        u = self.a[:, 0].copy() if k else np.zeros(0)
+        n = r.shape[1]
+        u = self.a[:, 0].copy()
         beta, v_tail, tau = dlarfg(r.shape[0] - k, r[k, k], r[k + 1 :, k])
         if tau:
-            v = np.concatenate(([1.0], v_tail))
-            w = np.zeros(r.shape[1])
-            w[k + 1 :] = v @ r[k:, k + 1 :]
+            v = np.empty(v_tail.size + 1)
+            v[0], v[1:] = 1.0, v_tail
+            w = np.zeros(n)
+            np.matmul(v, r[k:, k + 1 :], out=w[k + 1 :])
             # rows k onward, in place (their transpose is F-contiguous)
-            tail = r[k:]
-            scipy.linalg.blas.dger(-tau, w, v, a=tail.T, overwrite_a=1)
+            scipy.linalg.blas.dger(-tau, w, v, a=r[k:].T, overwrite_a=1)
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
-        self._flip_row(k)
+        if beta < 0.0:
+            r[k, k:] *= -1.0
         diag = r[k, k]
         if diag <= 0.0:
             raise SingularMatrixError(f"pivot column at step {k + 1} has zero norm")
-        c2 = r[k, k + 1 :].copy()
-        old_tail = self.gamma[1:]
+        c2 = r[k, k + 1 :]  # a view: nothing below writes to row k
         self.k = k + 1
-        self.omega = np.concatenate(
-            [np.sqrt(self.omega**2 + (u / diag) ** 2), [1.0 / diag]]
-        )
-        a_new = np.empty((k + 1, c2.size))
-        a_new[k] = c2 / diag
+        # omega = [sqrt(omega**2 + (u / diag)**2), 1 / diag]
+        t = u / diag
+        omega = np.empty(k + 1)
+        np.sqrt(np.add(np.square(self.omega, out=omega[:k]), t * t, out=t), out=omega[:k])
+        omega[k] = 1.0 / diag
+        self.omega = omega
+        a_new = np.empty((k + 1, n - k - 1))
+        np.divide(c2, diag, out=a_new[k])
         if k and c2.size:
             a_new[:k] = self.a[:, 1:]
             # a_new[:k].T is F-contiguous, so dger updates it in place
             scipy.linalg.blas.dger(-1.0 / diag, c2, u, a=a_new[:k].T, overwrite_a=1)
         self.a = a_new
-        g2 = old_tail**2 - c2**2
+        old2 = np.square(self.gamma[1:])
+        g2 = old2 - np.square(c2)
         floor = self._gamma2_floor = self._gamma2_floor[1:]
-        bad = g2 < np.maximum(0.5 * old_tail**2, floor)
-        if np.any(bad):
-            cols = self.k + np.nonzero(bad)[0]
+        old2 *= 0.5
+        bad = g2 < np.maximum(old2, floor, out=old2)
+        if bad.any():
+            cols = self.k + bad.nonzero()[0]
             # row-major: the column sums below run row by row (bits rely on it)
-            fresh = np.take(r[self.k :], cols, axis=1)
-            g2[bad] = np.sum(fresh**2, axis=0)
+            fresh = r[self.k :].take(cols, axis=1)
+            fresh *= fresh
+            g2[bad] = fresh.sum(axis=0)
             floor[bad] = _DOWNDATE_TOL * g2[bad]
-        self.gamma = np.sqrt(np.maximum(g2, 0.0))
+        self.gamma = np.sqrt(np.maximum(g2, 0.0, out=g2), out=g2)
 
     def _cycle(self, i: int, shift: int) -> None:
         """Roll leading columns i..k-1 by ``shift`` and retriangularize.
@@ -318,7 +325,9 @@ class SrrqrState:
         # the updates write exact zeros below the diagonal, so no triu either
         for x in (r[:i, i:k].T, self.omega[i:k], self.a[i:k]):
             _roll_one(x, shift)
-        r[i + np.flatnonzero(np.diagonal(r)[i:k] < 0.0), i:] *= -1.0
+        neg = r.diagonal()[i:k] < 0.0
+        if neg.any():
+            r[i + neg.nonzero()[0], i:] *= -1.0
 
     def _swap_boundary(self) -> None:
         """Interchange columns k-1 and k, then restore the triangular form."""
@@ -341,8 +350,9 @@ class SrrqrState:
         w_bar = a1[:km1] + w * a1[km1]
         _swap_columns(r, km1, k)
         beta_bar, v_tail, tau = dlarfg(r.shape[0] - km1, r[km1, km1], r[k:, km1])
-        v = np.concatenate(([1.0], v_tail))
         if tau:
+            v = np.empty(v_tail.size + 1)
+            v[0], v[1:] = 1.0, v_tail
             # rows k-1 onward, in place (their transpose is F-contiguous);
             # the columns left of k-1 are zero there and stay zero
             tail = r[km1:]
@@ -354,21 +364,24 @@ class SrrqrState:
         beta_bar = r[km1, km1]
         new_rowk = r[km1, k:]
         # row norms of the inverse: only the last column of R11 changed
-        omega_new = self.omega.copy()
+        omega_new = np.empty(k)
         omega_new[km1] = 1.0 / beta_bar
         if km1:
-            o2 = self.omega[:km1] ** 2 - (w / beta) ** 2 + (w_bar / beta_bar) ** 2
-            bad = o2 < 0.5 * self.omega[:km1] ** 2
-            if np.any(bad):
-                rows = np.nonzero(bad)[0]
+            old2 = np.square(self.omega[:km1])
+            o2 = old2 - (w / beta) ** 2 + (w_bar / beta_bar) ** 2
+            old2 *= 0.5
+            bad = o2 < old2
+            if bad.any():
+                rows = bad.nonzero()[0]
                 rhs = np.zeros((k, rows.size))
                 rhs[rows, np.arange(rows.size)] = 1.0
                 # R^T sol = rhs by the LAPACK call solve_triangular makes for it
                 sol, info = dtrtrs(r[:k, :k], rhs, lower=0, trans=1)
                 if info:
                     raise SingularMatrixError(f"zero diagonal at index {info - 1}")
-                o2[bad] = np.sum(sol**2, axis=0)
-            omega_new[:km1] = np.sqrt(np.maximum(o2, 0.0))
+                sol *= sol
+                o2[bad] = sol.sum(axis=0)
+            np.sqrt(np.maximum(o2, 0.0, out=o2), out=omega_new[:km1])
         self.omega = omega_new
         # coupling block: rank-two update driven by the old and new row k-1,
         # in place on a row-major ``a`` (copied into one if assigned otherwise)
@@ -383,19 +396,23 @@ class SrrqrState:
             scipy.linalg.blas.dger(-1.0, a[km1], w_bar, a=lead.T, overwrite_a=1)
             lead[:, 0] = w - w_bar * a[km1, 0]
         # trailing norms: the reflector moved mass between row k-1 and R22
-        gamma_new = self.gamma.copy()
+        gamma_new = np.empty_like(self.gamma)
         gamma_new[0] = beta * nu / beta_bar
         floor = self._gamma2_floor
         floor[0] = _DOWNDATE_TOL * gamma_new[0] ** 2
         if gamma_new.size > 1:
-            g2 = self.gamma[1:] ** 2 + old_rowk[1:] ** 2 - new_rowk[1:] ** 2
-            bad = g2 < np.maximum(0.5 * self.gamma[1:] ** 2, floor[1:])
-            if np.any(bad):
-                cols = k + 1 + np.nonzero(bad)[0]
+            old2 = np.square(self.gamma[1:])
+            g2 = old2 + old_rowk[1:] ** 2 - new_rowk[1:] ** 2
+            old2 *= 0.5
+            bad = g2 < np.maximum(old2, floor[1:], out=old2)
+            if bad.any():
+                cols = k + 1 + bad.nonzero()[0]
                 # column-major, unlike np.take's: each column sums pairwise (bits rely on it)
-                g2[bad] = np.sum(r[k:, cols] ** 2, axis=0)
+                fresh = r[k:, cols]
+                fresh *= fresh
+                g2[bad] = fresh.sum(axis=0)
                 floor[1:][bad] = _DOWNDATE_TOL * g2[bad]
-            gamma_new[1:] = np.sqrt(np.maximum(g2, 0.0))
+            np.sqrt(np.maximum(g2, 0.0, out=g2), out=gamma_new[1:])
         self.gamma = gamma_new
 
     def _interchange_core(self, i: int, j: int) -> None:
@@ -462,12 +479,12 @@ def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
     Raises ``ValueError`` when a NaN ratio comes before the first hit.
     """
     with np.errstate(over="ignore"):
-        sq = np.outer(state.omega, state.gamma)
+        sq = np.multiply.outer(state.omega, state.gamma)
         sq *= sq
-        sq += np.multiply(state.a, state.a)
+        sq += state.a * state.a
     # a NaN is not <= the bound, so the scan stops at it as at a hit
     ok = sq <= f_swap * f_swap
-    first = int(np.argmin(ok))
+    first = int(ok.argmin())
     if ok.flat[first]:
         return None
     i, j = divmod(first, ok.shape[1])
@@ -506,7 +523,7 @@ def _rho_hat_at_most(state: SrrqrState, bound: float) -> bool:
         return 0.0 <= bound
     a = state.a
     return bool(a.max() <= bound and -a.min() <= bound
-                and np.max(state.omega) * np.max(state.gamma) <= bound)
+                and state.omega.max() * state.gamma.max() <= bound)
 
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:
@@ -549,16 +566,17 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     f_swap = f * (1.0 + 1e-12)
     early_exit = f / math.sqrt(2.0)
     while state.k < stop:
-        jmax = int(np.argmax(state.gamma))
-        if not math.isfinite(state.gamma[jmax]):
-            raise ValueError(f"pivot column norm is {state.gamma[jmax]} at step {state.k + 1}")
+        jmax = int(state.gamma.argmax())
+        top = state.gamma[jmax]
+        if not math.isfinite(top):
+            raise ValueError(f"pivot column norm is {top} at step {state.k + 1}")
         if rank_mode:
-            if state.gamma[jmax] < _UNDERFLOW_FLOOR:
+            if top < _UNDERFLOW_FLOOR:
                 raise SingularMatrixError(
                     f"trailing column norms underflowed at step {state.k + 1}; "
                     f"target rank {stop} exceeds the numerical rank"
                 )
-        elif state.gamma[jmax] < config.mode.tau:
+        elif top < config.mode.tau:
             reason = "tolerance"
             break
         if jmax > 0:

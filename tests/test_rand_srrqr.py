@@ -122,6 +122,12 @@ class TestRankMode:
         with pytest.raises(ValueError, match="must be integers"):
             rand_srrqr_rank(m, f=2.0, k=3, d=40.5, seed=0)
 
+    def test_d_is_not_a_bool(self):
+        # rejected by the operator, not by numpy's sampler inside the sketch
+        m = rng(5).standard_normal((64, 8))
+        with pytest.raises(ValueError, match="must be integers, got d=True"):
+            rand_srrqr_rank(m, f=2.0, k=1, d=True, kind="gaussian")
+
     def test_d_exceeding_rows(self):
         m = rng(6).standard_normal((16, 8))
         with pytest.raises(ValueError, match="exceeds padded"):

@@ -132,6 +132,12 @@ class TestOperator:
             SketchOperator("gaussian", seed=0, **dims)
         assert SketchOperator("gaussian", d=np.int64(4), m=np.int64(8), seed=0).d == 4
 
+    @pytest.mark.parametrize("dims", [{"d": True, "m": 8}, {"d": 1, "m": True}])
+    def test_dimensions_are_not_bools(self, dims):
+        # bool is an int subclass; True would pass as a size of 1
+        with pytest.raises(ValueError, match="must be integers"):
+            SketchOperator("gaussian", seed=0, **dims)
+
     def test_d_cannot_exceed_m(self):
         with pytest.raises(ValueError, match="exceeds"):
             SketchOperator("gaussian", d=10, m=5, seed=0)

@@ -48,7 +48,12 @@ from spectra_rrqr.srrqr import (
     _rho_hat_at_most,
 )
 
-from oracles import ReferenceInterchangeState, exhaustive_det_ratios
+from oracles import (
+    ReferenceState,
+    exhaustive_det_ratios,
+    reference_drive,
+    reference_first_swap,
+)
 
 # ranks the benchmark's swap-det pool must reproduce; read, never written
 REFERENCE_K = Path(__file__).resolve().parents[1] / "perfbench" / "reference_k.json"
@@ -149,6 +154,11 @@ class TestConfig:
         res = srrqr(np.eye(4), SrrqrConfig(f=2.0, mode=TargetRank(np.int64(3))))
         assert res.k == 3
 
+    def test_rank_is_not_a_bool(self):
+        for k in (True, False):
+            with pytest.raises(ValueError, match=f"target rank {k} is not an integer"):
+                SrrqrConfig(f=2.0, mode=TargetRank(k))
+
 
 RANK_CALLS = {
     "qrcp": qrcp,
@@ -168,6 +178,15 @@ def test_rank_argument_is_an_integer(call):
         with pytest.raises(ValueError, match=text):
             call(m, k)
     assert call(m, np.int32(3)).k == 3
+
+
+@pytest.mark.parametrize("call", RANK_CALLS.values(), ids=RANK_CALLS.keys())
+def test_rank_argument_is_not_a_bool(call):
+    # bool is an int subclass: True would run as k = 1
+    m = rng(7).standard_normal((16, 6))
+    for k in (True, False):
+        with pytest.raises(ValueError, match=f"k={k} is not an integer"):
+            call(m, k)
 
 
 class TestDetRatio:
@@ -967,9 +986,9 @@ class TestCycle:
             assert np.all(np.diag(r11) >= 0.0)
 
 
-def _reference_copy(st: SrrqrState) -> ReferenceInterchangeState:
-    """``st`` as the bitwise reference state, norm floors included."""
-    ref = ReferenceInterchangeState(
+def _reference_copy(st: SrrqrState, cls=ReferenceState) -> ReferenceState:
+    """``st`` as a ``cls`` (the bitwise reference state), norm floors included."""
+    ref = cls(
         r=st.r.copy(), perm=st.perm.copy(), k=st.k, omega=st.omega.copy(),
         gamma=st.gamma.copy(), a=st.a.copy(), swap_count=st.swap_count,
     )
@@ -989,7 +1008,7 @@ def _assert_same_bits(st: SrrqrState, ref: SrrqrState) -> None:
 
 
 class TestInterchangeReference:
-    """Interchanges end with the bits of :class:`oracles.ReferenceInterchangeState`."""
+    """Interchanges end with the bits of :class:`oracles.ReferenceState`."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("kind", ["tall", "compressed", "square"])
@@ -1036,6 +1055,157 @@ class TestInterchangeReference:
         assert _drive(st, cfg) == _drive(ref, cfg)
         assert st.swap_count == ref.swap_count > 0
         _assert_same_bits(st, ref)
+
+
+def _graded_triangular():
+    """Upper-triangular 60x40 with a dominant, decreasing diagonal: every
+    growth step pivots the column at k, whose reflector is the identity."""
+    n = 40
+    t = np.zeros((60, n))
+    t[:n] = np.triu(rng(31).uniform(-1e-3, 1e-3, (n, n)))
+    t[np.arange(n), np.arange(n)] = 0.97 ** np.arange(n) * rng(32).choice([-1.0, 1.0], n)
+    return t
+
+
+# (input, config) of whole driven runs; each takes its own branches
+_DRIVE_CASES = {
+    # tall, compressed at its first interchange, tolerance mode
+    "stewart-400x64": (
+        lambda: generate(MatrixSpec(Stewart(m=400, n=64, q=0.8), seed=0)),
+        SrrqrConfig(f=1.1, mode=Tolerance(1e-10)),
+    ),
+    # a square R with flat stairs: 50 interchanges, rank mode
+    "stairs-R-120x120": (
+        lambda: _r_factor(generate(MatrixSpec(DevilsStairs(m=300, n=120, stair_len=25), seed=2))),
+        SrrqrConfig(f=1.05, mode=TargetRank(100)),
+    ),
+    # wide: runs to k = rows, where the trailing norms vanish
+    "wide-30x90": (
+        lambda: rng(30).standard_normal((30, 90)),
+        SrrqrConfig(f=1.05, mode=Tolerance(1e-10)),
+    ),
+    # every reflector has tau == 0
+    "triangular-60x40": (_graded_triangular, SrrqrConfig(f=1.1, mode=Tolerance(1e-10))),
+}
+
+
+class _Logged:
+    """Logs the bytes of the whole state after every growth step and interchange."""
+
+    def _log(self) -> None:
+        parts = [getattr(self, name).tobytes() for name in _STATE_ARRAYS]
+        parts += [self.perm.forward.tobytes(), repr((self.k, self.swap_count, self.perm.swaps))]
+        self.__dict__.setdefault("log", []).append(parts)
+
+    def _advance(self) -> None:
+        super()._advance()
+        self._log()
+
+    def _interchange_core(self, i: int, j: int) -> None:
+        super()._interchange_core(i, j)
+        self._log()
+
+
+class _LoggedState(_Logged, SrrqrState):
+    pass
+
+
+class _LoggedReference(_Logged, ReferenceState):
+    pass
+
+
+class TestHotLoopReference:
+    """The engine's loop ends with the bits of :func:`oracles.reference_drive`.
+
+    The reference is the earlier loop, which makes the same floating-point
+    operations with more NumPy calls and temporaries.
+    """
+
+    @pytest.mark.parametrize("case", _DRIVE_CASES)
+    def test_driven_run_has_the_reference_bits(self, case):
+        make, cfg = _DRIVE_CASES[case]
+        m = as_matrix(make())
+        st = _reference_copy(_fresh_state(m), _LoggedState)
+        ref = _reference_copy(st, _LoggedReference)
+        assert _drive(st, cfg) == reference_drive(ref, cfg)
+        # the same bits after every step, the last being the end state; the
+        # end alone is not enough: a full-rank run has no trailing norms left
+        assert len(st.log) == len(ref.log) > 0
+        for step, (got, want) in enumerate(zip(st.log, ref.log)):
+            assert got == want, f"step {step}"
+        if case == "triangular-60x40":
+            # no reflector touched R: its rows only took the diagonal's sign
+            assert st.swap_count == 0 and st.perm.swaps == []
+            assert np.array_equal(np.abs(st.r), np.abs(m))
+        else:
+            assert st.swap_count > 0
+        if case == "stewart-400x64":
+            assert st.r.shape == (64, 64)
+
+    def test_stairs_run_takes_every_fallback(self, monkeypatch):
+        # so the bits above cover them: omega recomputed by dtrtrs, and
+        # trailing norms gathered again in growth and in interchanges
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        seen = {"dtrtrs": 0, "_advance": 0, "_swap_boundary": 0}
+        dtrtrs = engine.dtrtrs
+
+        def counted(*args, **kwargs):
+            seen["dtrtrs"] += 1
+            return dtrtrs(*args, **kwargs)
+
+        def watch(name, method):
+            def watched(self):
+                old = self._gamma2_floor[1:].copy()
+                method(self)
+                # growth drops the leading floor, an interchange resets it
+                new = self._gamma2_floor[1:] if name == "_swap_boundary" else self._gamma2_floor
+                seen[name] += bool(np.any(new != old))
+
+            return watched
+
+        monkeypatch.setattr(engine, "dtrtrs", counted)
+        for name in ("_advance", "_swap_boundary"):
+            monkeypatch.setattr(SrrqrState, name, watch(name, getattr(SrrqrState, name)))
+        make, cfg = _DRIVE_CASES["stairs-R-120x120"]
+        st = _fresh_state(as_matrix(make()))
+        _drive(st, cfg)
+        # one dtrtrs per interchange, and one more per omega recompute
+        assert seen["dtrtrs"] > st.swap_count
+        assert seen["_advance"] > 0 and seen["_swap_boundary"] > 0
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(data=hst.data(), k=hst.integers(1, 5), t=hst.integers(1, 5), f=hst.floats(1.0001, 4.0))
+    @example(data=None, k=2, t=3, f=1.1)
+    def test_first_swap_matches_reference(self, data, k, t, f):
+        f_swap = f * (1.0 + 1e-12)
+        if data is None:
+            # a tie at f, then a NaN, then an overflowing ratio
+            omega, gamma = np.zeros(k), np.zeros(t)
+            a = np.array([[f_swap, np.nan, 1e200], [0.0, 1.0, 2.0]])
+        else:
+            # ratios exactly at f (with a zero norm), NaN ratios, and ratios
+            # above 1e154, whose squares overflow
+            special = hst.sampled_from([f_swap, -f_swap, np.nan, 1e155, -1e200, 0.0])
+            norms = hst.one_of(hst.floats(0.0, 3.0), hst.sampled_from([0.0, np.nan, 1e160]))
+            omega = data.draw(hnp.arrays(np.float64, k, elements=norms))
+            gamma = data.draw(hnp.arrays(np.float64, t, elements=norms))
+            a = data.draw(hnp.arrays(
+                np.float64, (k, t), elements=hst.one_of(hst.floats(-3.0, 3.0), special)
+            ))
+        with np.errstate(over="ignore"):
+            # the norm floor squares gamma, which 1e160 overflows
+            st = SrrqrState(
+                r=np.zeros((k + t, k + t)), perm=PermutationSeq.identity(k + t),
+                k=k, omega=omega, gamma=gamma, a=a,
+            )
+
+        def outcome(screen):
+            try:
+                return screen(st, f_swap)
+            except ValueError as err:
+                return str(err)
+
+        assert outcome(_first_swap) == outcome(reference_first_swap)
 
 
 class TestOwnership:

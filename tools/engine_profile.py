@@ -1,0 +1,155 @@
+#!/usr/bin/env python3
+"""Time the strong-RRQR engine's kernels on the benchmark's own inputs.
+
+    python3 tools/engine_profile.py SRC_DIR [--seed N] [--repeat R]
+
+``SRC_DIR`` is the ``src/`` directory of the checkout to run, so the
+parent and a change are profiled by the same script, as with
+``compare_decisions.py``.  Two inputs are run, each R times after one
+untimed warm-up call:
+
+- ``swap-det``: deterministic ``srrqr`` (f=1.1, tau=1e-10, no Q) on the 6
+  ``swap-det`` fixtures of benchmark seed N, summed over the 6 calls;
+- ``sketch-R``: ``srrqr`` (f=2, tau=1e-10, no Q) on the n-by-n R factor of
+  the SRHT sketch of the first ``paper-tau`` call of benchmark seed N, the
+  pivoting that ``rand_srrqr_tol`` does on the sketch.
+
+For each input it prints the whole call and each engine kernel: the call
+count and the wall time in ms, each the median over the R repeats.  The
+kernels are ``SrrqrState._advance`` (split by the state's shape: ``tall``
+before a compression, ``square`` once R has no more rows than columns),
+``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
+the screens ``_first_swap`` and ``_rho_hat_at_most``; ``other`` is the call
+less the kernels, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted,
+not timed: one call per interchange, plus one per omega recompute in
+``_swap_boundary``.  The wrappers' own calls and clock reads land in the
+kernels' times and in ``other``.  BLAS runs on one thread unless
+``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark.  It only
+reads ``perfbench/``.
+"""
+from __future__ import annotations
+
+import argparse
+import importlib
+import os
+import statistics
+import sys
+import time
+from collections import Counter
+from functools import wraps
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the kernels timed, in print order: (owner, attribute)
+KERNELS = [
+    ("SrrqrState", "_advance"),
+    ("SrrqrState", "_cycle"),
+    ("SrrqrState", "_swap_boundary"),
+    ("SrrqrState", "_compress"),
+    ("SrrqrState", "_swap_trailing"),
+    ("module", "_first_swap"),
+    ("module", "_rho_hat_at_most"),
+]
+
+
+def instrument(mod, ms: Counter, calls: Counter) -> None:
+    """Wrap the kernels of the ``srrqr`` module ``mod`` to add into ``ms``
+    and ``calls``; ``dtrtrs`` only counts."""
+
+    def timed(fn, name):
+        @wraps(fn)
+        def wrapper(*args, **kwargs):
+            key = name
+            if name == "_advance":
+                rows, cols = args[0].r.shape
+                key = f"_advance[{'tall' if rows > cols else 'square'}]"
+            t0 = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                ms[key] += (time.perf_counter() - t0) * 1e3
+                calls[key] += 1
+
+        return wrapper
+
+    for owner, name in KERNELS:
+        target = mod.SrrqrState if owner == "SrrqrState" else mod
+        setattr(target, name, timed(getattr(target, name), name))
+    dtrtrs = mod.dtrtrs
+
+    def counted(*args, **kwargs):
+        calls["dtrtrs"] += 1
+        return dtrtrs(*args, **kwargs)
+
+    mod.dtrtrs = counted
+
+
+def inputs(seed: int):
+    """(label, [(matrix, config)]) for the swap-det fixtures and the sketch R."""
+    import numpy as np
+    import workloads
+    from spectra_rrqr import sketch, testmat
+    from spectra_rrqr.dense_core import _r_factor
+    from spectra_rrqr.srrqr import SrrqrConfig, Tolerance
+
+    wl = workloads.build("swap-det", seed)
+    det = [
+        (testmat.generate(wl.fixtures[job.fixture]), SrrqrConfig(job.f, Tolerance(job.tau)))
+        for job in wl.jobs
+    ]
+    yield "swap-det", det
+    wl = workloads.build("paper-tau", seed)
+    job = wl.jobs[0]
+    mat = testmat.generate(wl.fixtures[job.fixture])
+    rows = sketch._operator_rows(job.kind, mat.shape[0])
+    op = sketch.SketchOperator(job.kind, sketch.ose_dim(mat.shape[1], rows), rows, job.sketch_seed)
+    # as rand_srrqr does: the sketch's n-by-n R factor, pivoted in tolerance mode
+    r = _r_factor(np.asfortranarray(sketch.apply(op, mat)), overwrite=True)
+    yield "sketch-R", [(r, SrrqrConfig(job.f, Tolerance(job.tau)))]
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("src_dir", type=Path, help="the src/ directory of the checkout to run")
+    p.add_argument("--seed", type=int, default=1, help="benchmark seed of the inputs (default 1)")
+    p.add_argument("--repeat", type=int, default=5, help="timed runs of each input (default 5)")
+    args = p.parse_args(argv)
+    if not (args.src_dir / "spectra_rrqr" / "__init__.py").is_file():
+        p.error(f"no package source under {args.src_dir}")
+    if args.repeat < 1:
+        p.error("--repeat must be at least 1")
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    os.environ.setdefault("OMP_NUM_THREADS", "1")
+    sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
+    # the package exports a function of the same name as the module
+    mod = importlib.import_module("spectra_rrqr.srrqr")
+
+    ms, calls = Counter(), Counter()
+    instrument(mod, ms, calls)
+    print(f"# medians over {args.repeat} repeats, benchmark seed {args.seed}")
+    print(f"{'input':<9} {'kernel':<20} {'calls':>7} {'ms':>9}")
+    for label, calls_in in inputs(args.seed):
+        for mat, config in calls_in:
+            mod.srrqr(mat, config, want_q=False)
+        runs = []
+        for _ in range(args.repeat):
+            ms.clear()
+            calls.clear()
+            for mat, config in calls_in:
+                t0 = time.perf_counter()
+                mod.srrqr(mat, config, want_q=False)
+                ms["call"] += (time.perf_counter() - t0) * 1e3
+                calls["call"] += 1
+            ms["other"] = ms["call"] - sum(v for k, v in ms.items() if k != "call")
+            runs.append((Counter(ms), Counter(calls)))
+        keys = ["call", "_advance[tall]", "_advance[square]"]
+        keys += [name for _, name in KERNELS[1:]] + ["other", "dtrtrs"]
+        for key in keys:
+            n = "-" if key == "other" else f"{statistics.median(c[key] for _, c in runs):g}"
+            t = "-" if key == "dtrtrs" else f"{statistics.median(m[key] for m, _ in runs):.2f}"
+            print(f"{label:<9} {key:<20} {n:>7} {t:>9}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
