@@ -9,8 +9,14 @@ needs dense storage and blocked application reproduces the same matrix.
 
 The Gaussian operator is applied one block of columns at a time, each
 block generated in chunks of at most ``_CHUNK`` columns into one buffer
-and multiplied into the result as one matrix product.  The SRHT is
-applied as two matrix products through the Kronecker structure
+and multiplied into the result: at one BLAS thread in pieces of at most
+``_PIECE`` input columns, one matrix product each, and otherwise as one
+product.  The block partition fixes the sketch's bits, and at one BLAS
+thread for n > ``_PIECE`` so do the pieces: against one product per
+block, one-threaded OpenBLAS gave other bits at n = 257, 260, 300 and 700
+and the same bits at the other 18 of 22 widths from 257 to 1024, 500
+among them.  The BLAS thread count moves the bits in any case.  The SRHT
+is applied as two matrix products through the Kronecker structure
 ``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
 sampled rows; the first runs in panels of columns, so the only
 matrix-sized scratch is its result.  :func:`fwht` is the same transform
@@ -20,7 +26,8 @@ The Gaussian chunks and the SRHT's panels and sampled row blocks are
 shared out among the caller and a lazily created thread pool
 (:func:`_share`), one worker per available CPU capped by the
 ``SPECTRA_RRQR_THREADS`` environment variable (a cap of 1 starts no
-thread).  A sketch is bitwise the same for every number of workers.
+thread).  So are the Gaussian product's pieces, at one BLAS thread.  A
+sketch is bitwise the same for every number of workers.
 """
 from __future__ import annotations
 
@@ -35,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dense_core import as_matrix, singular_values
+from .dense_core import _lapack_threads, as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
@@ -44,6 +51,9 @@ _KINDS = ("gaussian", "srht", "identity")
 # each worker's scratch is 3 d _CHUNK doubles, 3.2 MB at d = 2099
 _BLOCK_ENTRIES = 4_000_000
 _CHUNK = 64
+# input columns per piece of a block's matrix product; the pieces depend on
+# n alone, so they fix the bits for every worker count
+_PIECE = 256
 # SRHT stage-1 scratch columns, shared out among the workers; bounds the
 # sign-flipped scratch to _SRHT_PANEL * m doubles
 _SRHT_PANEL = 32
@@ -201,6 +211,12 @@ def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
         np.multiply(z, arg[:size], out=z)
 
 
+def _multiply_pieces(out: np.ndarray, blk: np.ndarray, a: np.ndarray, pieces) -> None:
+    """Add ``blk @ a[:, c0:c1]`` into ``out[:, c0:c1]`` for each ``(c0, c1)``."""
+    for c0, c1 in pieces:
+        out[:, c0:c1] += blk @ a[:, c0:c1]
+
+
 def _drain(queue: deque):
     """Pop ``queue`` until it is empty; a deque pops atomically across threads."""
     try:
@@ -241,25 +257,38 @@ def _share(work, items, workers: int, *args) -> None:
 
 
 def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
-    """``op @ a`` for a Gaussian operator: one GEMM per block of columns.
+    """``op @ a`` for a Gaussian operator: one GEMM per block and piece.
 
     Blocks of ``_BLOCK_ENTRIES // d`` operator columns are accumulated into
-    the result in order, the same partition and order as
-    ``sum_b _gaussian_block(b) @ a[b] / sqrt(d)``; the caller and
-    ``workers - 1`` pool tasks fill a block's chunks into the one buffer
-    (:func:`_share`), then the caller multiplies the block in.
+    the result in order, each in pieces of input columns: the same
+    partitions and order as ``out[:, p] += _gaussian_block(b) @ a[b, p]``
+    over the blocks ``b`` and, within each, the pieces ``p``, then
+    ``out / sqrt(d)``.  The caller and ``workers - 1`` pool tasks fill a
+    block's chunks into the one buffer (:func:`_share`).  With BLAS on one
+    thread they then share out its pieces of at most ``_PIECE`` columns;
+    otherwise the caller multiplies the block in as one piece.  With
+    n <= ``_PIECE`` the two are the same product.
     """
     d, m = op.d, op.m
+    n = a.shape[1]
     width = min(m, max(1, _BLOCK_ENTRIES // d))
     workers = worker_count(-(-width // _CHUNK))
+    if _lapack_threads() == 1:
+        piece, piece_workers = _PIECE, worker_count(-(-n // _PIECE))
+    else:
+        # a threaded BLAS already spreads each product over the cores, and
+        # one product packs the block once, pieces in turn once per piece
+        piece, piece_workers = n, 1
     buf = np.empty((d, width), order="F")
-    out = np.zeros((d, a.shape[1]))
+    out = np.zeros((d, n))
     for j0 in range(0, m, width):
         j1 = min(m, j0 + width)
         chunks = ((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
         _share(_fill_gaussian, chunks, workers, buf, op.seed, d, j0)
-        out += buf[:, : j1 - j0] @ a[j0:j1, :]
-    return out / math.sqrt(d)
+        pieces = ((c, min(n, c + piece)) for c in range(0, n, piece))
+        _share(_multiply_pieces, pieces, piece_workers, out, buf[:, : j1 - j0], a[j0:j1])
+    out /= math.sqrt(d)
+    return out
 
 
 @dataclass
@@ -285,6 +314,8 @@ class SketchOperator:
             raise ValueError("dimensions must be positive")
         if self.d > self.m:
             raise ValueError(f"sketch size d={self.d} exceeds input rows m={self.m}")
+        if not isinstance(self.seed, (int, np.integer)) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         self.seed = int(self.seed) & (2**64 - 1)
         if self.kind == "srht":
             if self.m & (self.m - 1):
@@ -376,7 +407,9 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
     The Gaussian path generates each block of counter-based operator
     columns into one buffer, in chunks of at most ``_CHUNK`` columns, and
-    multiplies it into the result (see :func:`_gaussian_rows`).  Both paths
+    multiplies it into the result, at one BLAS thread in pieces of at most
+    ``_PIECE`` input columns (see :func:`_gaussian_rows`); there, for
+    n > ``_PIECE``, the pieces fix the bits, as the blocks do.  Both paths
     share their work out among threads; the result is bitwise the same for
     every worker count.
     """

@@ -128,6 +128,14 @@ class TestRankMode:
         with pytest.raises(ValueError, match="must be integers, got d=True"):
             rand_srrqr_rank(m, f=2.0, k=1, d=True, kind="gaussian")
 
+    @pytest.mark.parametrize("kind", ["gaussian", "srht"])
+    def test_seed_is_not_truncated(self, kind):
+        # int(1.5) would have run, and reported, seed 1
+        m = rng(5).standard_normal((64, 8))
+        with pytest.raises(ValueError, match=r"seed must be an integer, got 1\.5"):
+            rand_srrqr_rank(m, f=2.0, k=3, seed=1.5, kind=kind)
+        assert rand_srrqr_rank(m, f=2.0, k=3, seed=np.int64(7), kind=kind).seed == 7
+
     def test_d_exceeding_rows(self):
         m = rng(6).standard_normal((16, 8))
         with pytest.raises(ValueError, match="exceeds padded"):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -137,6 +138,19 @@ class TestOperator:
         # bool is an int subclass; True would pass as a size of 1
         with pytest.raises(ValueError, match="must be integers"):
             SketchOperator("gaussian", seed=0, **dims)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(2.9), "7", True, np.bool_(True), None])
+    @pytest.mark.parametrize("kind", ["gaussian", "srht"])
+    def test_seed_must_be_an_integer(self, kind, seed):
+        # int() would truncate or parse these into another seed without a word
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SketchOperator(kind, d=4, m=8, seed=seed)
+
+    def test_integer_seeds_are_kept_as_64_bit(self):
+        for seed, kept in [(7, 7), (np.int32(7), 7), (np.uint64(2**64 - 1), 2**64 - 1),
+                           (-1, 2**64 - 1), (2**64 + 3, 3)]:
+            op = SketchOperator("gaussian", d=4, m=8, seed=seed)
+            assert type(op.seed) is int and op.seed == kept
 
     def test_d_cannot_exceed_m(self):
         with pytest.raises(ValueError, match="exceeds"):
@@ -629,6 +643,168 @@ class TestGaussianChunks:
         assert proc.exitcode == 0
 
 
+class TestGaussianPieces:
+    """Each block's product in pieces of ``_PIECE`` input columns.
+
+    The oracle accumulates ``_gaussian_block(b) @ M[b, p]`` into the
+    result's columns ``p`` over the blocks ``b`` in order and, within each,
+    the pieces ``p``.  Most cases shrink the piece width so that n spans
+    several pieces, and report BLAS on one thread, where the caller and the
+    pool share the pieces out.
+    """
+
+    @staticmethod
+    def _oracle(op, x, piece):
+        x = np.asfortranarray(x, dtype=np.float64)
+        n = x.shape[1]
+        out = np.zeros((op.d, n))
+        block = max(1, sk._BLOCK_ENTRIES // op.d)
+        for j0 in range(0, op.m, block):
+            j1 = min(op.m, j0 + block)
+            blk = _gaussian_block(op.seed, op.d, j0, j1)
+            for c0 in range(0, n, piece):
+                c1 = min(n, c0 + piece)
+                out[:, c0:c1] += blk @ x[j0:j1, c0:c1]
+        return out / math.sqrt(op.d)
+
+    @pytest.fixture
+    def cap(self, request, monkeypatch):
+        # the cap, not the host's CPU count, sets the worker count here
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", str(request.param))
+        return request.param
+
+    @pytest.fixture
+    def small_pieces(self, monkeypatch):
+        # 7 rows: blocks of 30 columns, chunks of 4, pieces of 2 columns
+        monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
+        monkeypatch.setattr(sk, "_CHUNK", 4)
+        monkeypatch.setattr(sk, "_PIECE", 2)
+        monkeypatch.setattr(sk, "_lapack_threads", lambda: 1)
+
+    @staticmethod
+    def _on_pool():
+        return threading.current_thread().name.startswith("spectra-sketch")
+
+    @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("m", [7, 30, 31, 61, 97])
+    def test_matches_piece_oracle(self, cap, small_pieces, m):
+        g = rng(m)
+        for n in (3, 4, 5, 8, 9):
+            op = SketchOperator("gaussian", d=7, m=m, seed=m * 31 + n)
+            x = np.asfortranarray(g.standard_normal((m, n)))
+            assert apply(op, x).tobytes() == self._oracle(op, x, 2).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
+    def test_one_piece_is_the_whole_product(self, cap, monkeypatch):
+        # n <= _PIECE: one product per block, the single-product oracle's
+        monkeypatch.setattr(sk, "_lapack_threads", lambda: 1)
+        g = rng(11)
+        for d, m, n in [(7, 97, 1), (40, 300, 255), (40, 300, 256), (300, 700, 256)]:
+            op = SketchOperator("gaussian", d=d, m=m, seed=n)
+            x = np.asfortranarray(g.standard_normal((m, n)))
+            got = apply(op, x)
+            assert got.tobytes() == TestGaussianChunks._oracle(op, x).tobytes()
+            assert got.tobytes() == self._oracle(op, x, sk._PIECE).tobytes()
+
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    @pytest.mark.parametrize("threads, n, workers, pieces", [
+        (1, 5, 2, [(0, 2), (2, 4), (4, 5)]),
+        (1, 2, 1, [(0, 2)]),
+        (2, 5, 1, [(0, 5)]),
+        (None, 5, 1, [(0, 5)]),
+    ])
+    def test_shared_only_when_blas_runs_on_one_thread(self, cap, small_pieces, monkeypatch,
+                                                      threads, n, workers, pieces):
+        # a threaded BLAS (or an unknown one) already spreads each product
+        # over the cores, so the caller multiplies the block in as one
+        # piece; one piece is never shared
+        monkeypatch.setattr(sk, "_lapack_threads", lambda: threads)
+        real, asked = sk._share, []
+
+        def spy(work, items, workers, *args):
+            items = list(items)
+            if work is sk._multiply_pieces:
+                asked.append((workers, items))
+            real(work, items, workers, *args)
+
+        monkeypatch.setattr(sk, "_share", spy)
+        op = SketchOperator("gaussian", d=7, m=61, seed=n)
+        x = np.asfortranarray(rng(n).standard_normal((61, n)))
+        got = apply(op, x)
+        assert asked == [(workers, pieces)] * 3  # one product per block of 30 columns
+        piece = 2 if threads == 1 else n
+        assert got.tobytes() == self._oracle(op, x, piece).tobytes()
+
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    def test_pool_task_error_reaches_caller(self, cap, small_pieces, monkeypatch):
+        # the caller waits until the pool task has taken the first piece
+        real, taken = sk._multiply_pieces, threading.Event()
+
+        def failing(out, blk, a, pieces):
+            if self._on_pool():
+                piece = next(pieces, None)
+                taken.set()
+                raise FloatingPointError(f"piece {piece} failed")
+            taken.wait(timeout=20)
+            real(out, blk, a, pieces)
+
+        monkeypatch.setattr(sk, "_multiply_pieces", failing)
+        op = SketchOperator("gaussian", d=7, m=61, seed=2)
+        x = np.asfortranarray(rng(2).standard_normal((61, 5)))
+        with pytest.raises(FloatingPointError, match=r"piece \(0, 2\) failed"):
+            apply(op, x)
+        monkeypatch.setattr(sk, "_multiply_pieces", real)
+        assert apply(op, x).tobytes() == self._oracle(op, x, 2).tobytes()
+
+    @pytest.mark.parametrize("cap", [2], indirect=True)
+    def test_no_piece_is_written_after_an_error(self, cap, small_pieces, monkeypatch):
+        # the caller fails while the pool task is still multiplying its
+        # piece: apply may raise only once that task has stopped writing
+        real, taken, written = sk._multiply_pieces, threading.Event(), []
+
+        def slow_or_failing(out, blk, a, pieces):
+            if self._on_pool():
+                piece = next(pieces)
+                taken.set()
+                time.sleep(0.3)
+                real(out, blk, a, [piece])
+                written.append(out)
+                return
+            taken.wait(timeout=20)
+            raise FloatingPointError("the caller's piece failed")
+
+        monkeypatch.setattr(sk, "_multiply_pieces", slow_or_failing)
+        op = SketchOperator("gaussian", d=7, m=61, seed=3)
+        x = np.asfortranarray(rng(3).standard_normal((61, 5)))
+        with pytest.raises(FloatingPointError, match="caller's piece"):
+            apply(op, x)
+        assert len(written) == 1
+        snapshot = written[0].copy()
+        time.sleep(0.1)
+        assert written[0].tobytes() == snapshot.tobytes()
+
+    def test_caller_multiplies_every_piece_when_no_task_starts(self, small_pieces, monkeypatch):
+        # the pool's one thread is blocked, so no task submitted to it runs
+        # until the gate opens: the caller must form every piece itself
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
+        gate = threading.Event()
+        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
+        stuck.submit(gate.wait)
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck)
+        op = SketchOperator("gaussian", d=7, m=97, seed=6)
+        x = np.asfortranarray(rng(6).standard_normal((97, 5)))
+        helper = ThreadPoolExecutor(1)
+        try:
+            got = helper.submit(apply, op, x).result(timeout=20)
+        finally:
+            gate.set()
+            helper.shutdown()
+            stuck.shutdown()
+        assert got.tobytes() == self._oracle(op, x, 2).tobytes()
+
+
 class TestGaussianOneBuffer:
     """The Gaussian path's one block buffer, filled by the caller and the pool."""
 
@@ -642,7 +818,8 @@ class TestGaussianOneBuffer:
     @pytest.mark.parametrize("d, m, n", [(2000, 4100, 50), (2099, 6000, 500)])
     def test_peak_memory(self, monkeypatch, traced_peak, cap, d, m, n):
         # one d x width block buffer, one chunk scratch per worker, the
-        # accumulated result and its scaled copy, and 1 MB for the rest
+        # accumulated result, the products of its pieces (d x n in all when
+        # they run at once), and 1 MB for the rest
         self._cap(monkeypatch, cap)
         a = np.asfortranarray(rng(8).standard_normal((m, n)))
         op = SketchOperator("gaussian", d=d, m=m, seed=2)

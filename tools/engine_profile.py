@@ -1,29 +1,37 @@
 #!/usr/bin/env python3
-"""Time the strong-RRQR engine's kernels on the benchmark's own inputs.
+"""Time the strong-RRQR engine's kernels and the Gaussian sketch on the
+benchmark's own inputs.
 
     python3 tools/engine_profile.py SRC_DIR [--seed N] [--repeat R]
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to run, so the
 parent and a change are profiled by the same script, as with
-``compare_decisions.py``.  Two inputs are run, each R times after one
+``compare_decisions.py``.  Three inputs are run, each R times after one
 untimed warm-up call:
 
 - ``swap-det``: deterministic ``srrqr`` (f=1.1, tau=1e-10, no Q) on the 6
   ``swap-det`` fixtures of benchmark seed N, summed over the 6 calls;
 - ``sketch-R``: ``srrqr`` (f=2, tau=1e-10, no Q) on the n-by-n R factor of
   the SRHT sketch of the first ``paper-tau`` call of benchmark seed N, the
-  pivoting that ``rand_srrqr_tol`` does on the sketch.
+  pivoting that ``rand_srrqr_tol`` does on the sketch;
+- ``gauss-sketch``: ``sketch.apply`` of the Gaussian operator of the first
+  ``rank-odd`` Gaussian call of benchmark seed N to its matrix.
 
-For each input it prints the whole call and each engine kernel: the call
-count and the wall time in ms, each the median over the R repeats.  The
-kernels are ``SrrqrState._advance`` (split by the state's shape: ``tall``
-before a compression, ``square`` once R has no more rows than columns),
+For each input it prints the whole call and its parts: the count and the
+wall time in ms, each the median over the R repeats.  The parts of
+``gauss-sketch`` are ``generate``, the shared generation of the operator's
+blocks (its count is the chunks), and ``product``, the shared products of
+the blocks (its count is the pieces); a checkout that multiplies its blocks
+outside ``sketch._share`` counts no piece and puts the products in
+``other``.  The parts of the two ``srrqr`` inputs are the engine kernels:
+``SrrqrState._advance`` (split by the state's shape: ``tall`` before a
+compression, ``square`` once R has no more rows than columns),
 ``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
 the screens ``_first_swap`` and ``_rho_hat_at_most``; ``other`` is the call
-less the kernels, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted,
+less the parts, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted,
 not timed: one call per interchange, plus one per omega recompute in
 ``_swap_boundary``.  The wrappers' own calls and clock reads land in the
-kernels' times and in ``other``.  BLAS runs on one thread unless
+parts' times and in ``other``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark.  It only
 reads ``perfbench/``.
 """
@@ -36,7 +44,7 @@ import statistics
 import sys
 import time
 from collections import Counter
-from functools import wraps
+from functools import partial, wraps
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -84,28 +92,59 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
     mod.dtrtrs = counted
 
 
-def inputs(seed: int):
-    """(label, [(matrix, config)]) for the swap-det fixtures and the sketch R."""
+def instrument_sketch(sk, ms: Counter, calls: Counter) -> None:
+    """Time the Gaussian sketch's shared generation and products in the
+    ``sketch`` module ``sk``; their counts are the chunks and the pieces."""
+    share = sk._share
+    parts = {"_fill_gaussian": "generate", "_multiply_pieces": "product"}
+
+    def timed(work, items, workers, *args):
+        items = list(items)
+        key = parts.get(work.__name__, work.__name__)
+        t0 = time.perf_counter()
+        try:
+            return share(work, items, workers, *args)
+        finally:
+            ms[key] += (time.perf_counter() - t0) * 1e3
+            calls[key] += len(items)
+
+    sk._share = timed
+
+
+def _sketch_of(job, mat):
+    from spectra_rrqr import sketch
+
+    rows = sketch._operator_rows(job.kind, mat.shape[0])
+    return sketch.SketchOperator(job.kind, sketch.ose_dim(mat.shape[1], rows), rows, job.sketch_seed)
+
+
+def inputs(seed: int, srrqr):
+    """(label, parts, [call]) for the swap-det fixtures, the sketch R and
+    the Gaussian sketch."""
     import numpy as np
     import workloads
     from spectra_rrqr import sketch, testmat
     from spectra_rrqr.dense_core import _r_factor
     from spectra_rrqr.srrqr import SrrqrConfig, Tolerance
 
+    kernels = ["_advance[tall]", "_advance[square]"] + [name for _, name in KERNELS[1:]]
     wl = workloads.build("swap-det", seed)
     det = [
         (testmat.generate(wl.fixtures[job.fixture]), SrrqrConfig(job.f, Tolerance(job.tau)))
         for job in wl.jobs
     ]
-    yield "swap-det", det
+    yield "swap-det", kernels, [partial(srrqr, mat, cfg, want_q=False) for mat, cfg in det]
     wl = workloads.build("paper-tau", seed)
     job = wl.jobs[0]
     mat = testmat.generate(wl.fixtures[job.fixture])
-    rows = sketch._operator_rows(job.kind, mat.shape[0])
-    op = sketch.SketchOperator(job.kind, sketch.ose_dim(mat.shape[1], rows), rows, job.sketch_seed)
     # as rand_srrqr does: the sketch's n-by-n R factor, pivoted in tolerance mode
-    r = _r_factor(np.asfortranarray(sketch.apply(op, mat)), overwrite=True)
-    yield "sketch-R", [(r, SrrqrConfig(job.f, Tolerance(job.tau)))]
+    r = _r_factor(np.asfortranarray(sketch.apply(_sketch_of(job, mat), mat)), overwrite=True)
+    cfg = SrrqrConfig(job.f, Tolerance(job.tau))
+    yield "sketch-R", kernels, [partial(srrqr, r, cfg, want_q=False)]
+    wl = workloads.build("rank-odd", seed)
+    job = next(job for job in wl.jobs if job.kind == "gaussian")
+    mat = testmat.generate(wl.fixtures[job.fixture])
+    yield "gauss-sketch", ["generate", "product"], [partial(sketch.apply, _sketch_of(job, mat), mat)]
 
 
 def main(argv=None) -> int:
@@ -123,31 +162,32 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
     # the package exports a function of the same name as the module
     mod = importlib.import_module("spectra_rrqr.srrqr")
+    sk = importlib.import_module("spectra_rrqr.sketch")
 
     ms, calls = Counter(), Counter()
     instrument(mod, ms, calls)
+    instrument_sketch(sk, ms, calls)
     print(f"# medians over {args.repeat} repeats, benchmark seed {args.seed}")
-    print(f"{'input':<9} {'kernel':<20} {'calls':>7} {'ms':>9}")
-    for label, calls_in in inputs(args.seed):
-        for mat, config in calls_in:
-            mod.srrqr(mat, config, want_q=False)
+    print(f"{'input':<12} {'part':<20} {'count':>7} {'ms':>9}")
+    for label, parts, calls_in in inputs(args.seed, mod.srrqr):
+        for call in calls_in:
+            call()
         runs = []
         for _ in range(args.repeat):
             ms.clear()
             calls.clear()
-            for mat, config in calls_in:
+            for call in calls_in:
                 t0 = time.perf_counter()
-                mod.srrqr(mat, config, want_q=False)
+                call()
                 ms["call"] += (time.perf_counter() - t0) * 1e3
                 calls["call"] += 1
             ms["other"] = ms["call"] - sum(v for k, v in ms.items() if k != "call")
             runs.append((Counter(ms), Counter(calls)))
-        keys = ["call", "_advance[tall]", "_advance[square]"]
-        keys += [name for _, name in KERNELS[1:]] + ["other", "dtrtrs"]
+        keys = ["call", *parts, "other"] + (["dtrtrs"] if label != "gauss-sketch" else [])
         for key in keys:
             n = "-" if key == "other" else f"{statistics.median(c[key] for _, c in runs):g}"
             t = "-" if key == "dtrtrs" else f"{statistics.median(m[key] for m, _ in runs):.2f}"
-            print(f"{label:<9} {key:<20} {n:>7} {t:>9}", flush=True)
+            print(f"{label:<12} {key:<20} {n:>7} {t:>9}", flush=True)
     return 0
 
 
