@@ -3,24 +3,25 @@
 An operator maps length-m vectors to length-d vectors (d <= m) while
 approximately preserving inner products on low-dimensional subspaces.  Both
 kinds are fully determined by ``(kind, d, m, seed)``: the SRHT re-derives
-its sign flips and row samples from the seed, and the Gaussian entries are
-generated counter-based from (seed, entry index) so the operator never
-needs dense storage and blocked application reproduces the same matrix.
+its sign flips and row samples from the seed, and the Gaussian operator's
+columns come in chunks of ``_CHUNK``, chunk c drawn by numpy's ziggurat
+sampler from the Philox stream of key ``seed`` and counter ``[0, 0, c,
+0]`` (:func:`_gaussian_block`).  So the operator never needs dense storage
+and blocked application reproduces the same matrix.
 
-The Gaussian operator is applied one block of columns at a time, each
-block generated in chunks of at most ``_CHUNK`` columns into one buffer
-and multiplied into the result: at one BLAS thread in pieces of at most
-``_PIECE`` input columns, one matrix product each, and otherwise as one
-product.  The block partition fixes the sketch's bits, and at one BLAS
-thread for n > ``_PIECE`` so do the pieces: against one product per
-block, one-threaded OpenBLAS gave other bits at n = 257, 260, 300 and 700
-and the same bits at the other 18 of 22 widths from 257 to 1024, 500
-among them.  The BLAS thread count moves the bits in any case.  The SRHT
-is applied as two matrix products through the Kronecker structure
-``H_m = H_p (x) H_q`` of the Sylvester Hadamard matrix, computing only the
-sampled rows; the first runs in panels of columns, so the only
-matrix-sized scratch is its result.  :func:`fwht` is the same transform
-as a butterfly.
+The Gaussian operator is applied one block of whole chunks at a time, the
+block's chunks drawn into one buffer and multiplied into the result: at
+one BLAS thread in pieces of at most ``_PIECE`` input columns, one matrix
+product each, and otherwise as one product.  The block partition fixes
+the sketch's bits, and at one BLAS thread for n > ``_PIECE`` so do the
+pieces: against one product per block, one-threaded OpenBLAS gave other
+bits at n = 257, 260, 300 and 700 and the same bits at the other 18 of 22
+widths from 257 to 1024, 500 among them.  The BLAS thread count moves the
+bits in any case.  The SRHT is applied as two matrix products through the
+Kronecker structure ``H_m = H_p (x) H_q`` of the Sylvester Hadamard
+matrix, computing only the sampled rows; the first runs in panels of
+columns, so the only matrix-sized scratch is its result.  :func:`fwht` is
+the same transform as a butterfly.
 
 The Gaussian chunks and the SRHT's panels and sampled row blocks are
 shared out among the caller and a lazily created thread pool
@@ -46,9 +47,9 @@ from .dense_core import _lapack_threads, as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
-# Gaussian operator entries per matrix product (the block of _BLOCK_ENTRIES // d
-# columns fixes the sketch's bits) and operator columns per generation chunk;
-# each worker's scratch is 3 d _CHUNK doubles, 3.2 MB at d = 2099
+# Gaussian operator entries per matrix product (the block, _BLOCK_ENTRIES // d
+# columns rounded down to whole chunks, fixes the sketch's bits) and operator
+# columns per chunk, one random stream each (the chunks fix the entries)
 _BLOCK_ENTRIES = 4_000_000
 _CHUNK = 64
 # input columns per piece of a block's matrix product; the pieces depend on
@@ -162,53 +163,34 @@ def fwht(x) -> np.ndarray:
 
 
 def _gaussian_block(seed: int, d: int, j0: int, j1: int) -> np.ndarray:
-    """Standard-normal entries for operator columns [j0, j1), counter-based.
+    """Standard-normal entries of the operator's columns [j0, j1).
 
-    Entry (i, j) consumes the two 64-bit words at counter 2*(j*d + i), so
-    any blocking of the generation yields identical values.
+    Chunk c, the columns ``[c _CHUNK, (c + 1) _CHUNK)``, is the stream
+    ``Generator(Philox(key=seed, counter=[0, 0, c, 0])).standard_normal``
+    read column by column; a chunk cut short by ``j1`` or by the operator's
+    end is a prefix of its stream.  This fills the chunks that cover the
+    range and slices, so any blocking yields the same entries.
     """
-    bg = np.random.Philox(key=seed & (2**64 - 1))
-    # Philox.advance steps the counter in blocks of four 64-bit words
-    words = 2 * d * j0
-    bg.advance(words // 4)
-    if words % 4:
-        bg.random_raw(words % 4)
-    raw = bg.random_raw(2 * d * (j1 - j0))
-    u = (raw >> np.uint64(11)) * 2.0**-53
-    u1, u2 = u[0::2], u[1::2]
-    z = np.sqrt(-2.0 * np.log1p(-u1)) * np.cos(2.0 * np.pi * u2)
-    return z.reshape((d, j1 - j0), order="F")
+    c0 = j0 - j0 % _CHUNK
+    buf = np.empty((d, j1 - c0), order="F")
+    chunks = ((c, min(j1, c + _CHUNK)) for c in range(c0, j1, _CHUNK))
+    _fill_gaussian(buf, seed & (2**64 - 1), d, c0, chunks)
+    return buf[:, j0 - c0 :]
 
 
 def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
     """Write operator columns ``[c0, c1)`` into ``buf[:, c0 - j0 : c1 - j0]``.
 
-    The pairs are at most ``_CHUNK`` apart and share one scratch.  ``buf``
-    is F-ordered with ``d`` rows, so each chunk is one contiguous run that
-    the transform fills in place.  The arithmetic is that of
-    :func:`_gaussian_block`, operation for operation, with ``log1p`` and
-    ``cos`` on contiguous operands as there, so the entries are bitwise
-    the same.
+    Each ``c0`` starts a chunk, and its entries are drawn from that chunk's
+    stream (:func:`_gaussian_block`) by numpy's ziggurat straight into
+    ``buf``: F-ordered with ``d`` rows, so a chunk is one contiguous run.
+    A chunk takes about ``d _CHUNK / 4`` counter steps in word 0 of the
+    counter, so the streams never overlap.
     """
     flat = buf.reshape(-1, order="F")
-    u, arg = np.empty(2 * d * _CHUNK), np.empty(d * _CHUNK)
     for c0, c1 in chunks:
-        bg = np.random.Philox(key=seed)
-        words = 2 * d * c0
-        bg.advance(words // 4)
-        if words % 4:
-            bg.random_raw(words % 4)
-        size = d * (c1 - c0)
-        # Generator.random draws (next 64-bit word >> 11) * 2**-53 in place
-        np.random.Generator(bg).random(out=u[: 2 * size])
-        z = flat[d * (c0 - j0) : d * (c1 - j0)]
-        np.negative(u[0 : 2 * size : 2], out=z)
-        np.log1p(z, out=z)
-        np.multiply(z, -2.0, out=z)
-        np.sqrt(z, out=z)
-        np.multiply(u[1 : 2 * size : 2], 2.0 * np.pi, out=arg[:size])
-        np.cos(arg[:size], out=arg[:size])
-        np.multiply(z, arg[:size], out=z)
+        bg = np.random.Philox(key=seed, counter=[0, 0, c0 // _CHUNK, 0])
+        np.random.Generator(bg).standard_normal(out=flat[d * (c0 - j0) : d * (c1 - j0)])
 
 
 def _multiply_pieces(out: np.ndarray, blk: np.ndarray, a: np.ndarray, pieces) -> None:
@@ -259,19 +241,21 @@ def _share(work, items, workers: int, *args) -> None:
 def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """``op @ a`` for a Gaussian operator: one GEMM per block and piece.
 
-    Blocks of ``_BLOCK_ENTRIES // d`` operator columns are accumulated into
-    the result in order, each in pieces of input columns: the same
-    partitions and order as ``out[:, p] += _gaussian_block(b) @ a[b, p]``
-    over the blocks ``b`` and, within each, the pieces ``p``, then
-    ``out / sqrt(d)``.  The caller and ``workers - 1`` pool tasks fill a
-    block's chunks into the one buffer (:func:`_share`).  With BLAS on one
-    thread they then share out its pieces of at most ``_PIECE`` columns;
-    otherwise the caller multiplies the block in as one piece.  With
-    n <= ``_PIECE`` the two are the same product.
+    Blocks of ``_BLOCK_ENTRIES // d`` operator columns, rounded down to
+    whole chunks (at least one) so that each starts on a chunk boundary,
+    are accumulated into the result in order, each in pieces of input
+    columns: the same partitions and order as ``out[:, p] +=
+    _gaussian_block(b) @ a[b, p]`` over the blocks ``b`` and, within each,
+    the pieces ``p``, then ``out / sqrt(d)``.  The caller and ``workers -
+    1`` pool tasks draw a block's chunks into the one buffer, one stream
+    each and no scratch (:func:`_share`).  With BLAS on one thread they
+    then share out its pieces of at most ``_PIECE`` columns; otherwise the
+    caller multiplies the block in as one piece.  With n <= ``_PIECE`` the
+    two are the same product.
     """
     d, m = op.d, op.m
     n = a.shape[1]
-    width = min(m, max(1, _BLOCK_ENTRIES // d))
+    width = min(m, max(_CHUNK, _BLOCK_ENTRIES // d // _CHUNK * _CHUNK))
     workers = worker_count(-(-width // _CHUNK))
     if _lapack_threads() == 1:
         piece, piece_workers = _PIECE, worker_count(-(-n // _PIECE))
@@ -405,8 +389,8 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     the Hadamard transform, as two matrix products (see :func:`_srht_rows`).
     It takes unpadded input, giving bitwise what it gives on
     :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
-    The Gaussian path generates each block of counter-based operator
-    columns into one buffer, in chunks of at most ``_CHUNK`` columns, and
+    The Gaussian path draws each block of whole chunks of operator columns,
+    one Philox stream per chunk of ``_CHUNK`` columns, into one buffer and
     multiplies it into the result, at one BLAS thread in pieces of at most
     ``_PIECE`` input columns (see :func:`_gaussian_rows`); there, for
     n > ``_PIECE``, the pieces fix the bits, as the blocks do.  Both paths

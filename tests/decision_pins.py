@@ -23,45 +23,47 @@ import hashlib
 from functools import lru_cache
 from pathlib import Path
 
+from spectra_rrqr import (
+    SrrqrConfig,
+    TargetRank,
+    Tolerance,
+    qrcp,
+    rand_srrqr_rank,
+    rand_srrqr_tol,
+    srrqr,
+    testmat,
+)
+
 GOLDEN = Path(__file__).resolve().parent / "decision_pins.txt"
 F, F_SWAP, TAU = 2.0, 1.1, 1e-10
+FIXTURES = {
+    "stairs2048": testmat.MatrixSpec(testmat.DevilsStairs(m=2048, n=125, stair_len=25), seed=11),
+    "stairs1500": testmat.MatrixSpec(testmat.DevilsStairs(m=1500, n=125, stair_len=25), seed=12),
+    "hc1500": testmat.MatrixSpec(testmat.HC(m=1500, n=125), seed=13),
+    "stewart0": testmat.MatrixSpec(testmat.Stewart(m=1024, n=128, q=0.6), seed=0),
+    "stewart1": testmat.MatrixSpec(testmat.Stewart(m=1024, n=128, q=0.6), seed=1),
+}
 
 
 @lru_cache(maxsize=None)
 def fixture(name: str):
-    from spectra_rrqr import testmat
-
-    specs = {
-        "stairs2048": testmat.DevilsStairs(m=2048, n=125, stair_len=25),
-        "stairs1500": testmat.DevilsStairs(m=1500, n=125, stair_len=25),
-        "hc1500": testmat.HC(m=1500, n=125),
-        "stewart0": testmat.Stewart(m=1024, n=128, q=0.6),
-        "stewart1": testmat.Stewart(m=1024, n=128, q=0.6),
-    }
-    seeds = {"stairs2048": 11, "stairs1500": 12, "hc1500": 13, "stewart0": 0, "stewart1": 1}
-    mat = testmat.generate(testmat.MatrixSpec(specs[name], seed=seeds[name]))
+    mat = testmat.generate(FIXTURES[name])
     mat.flags.writeable = False
     return mat
 
 
 def _srrqr(name, f, mode):
-    from spectra_rrqr import SrrqrConfig, TargetRank, Tolerance, srrqr
-
     kind, value = mode
     rule = Tolerance(value) if kind == "tol" else TargetRank(value)
     return srrqr(fixture(name), SrrqrConfig(f, rule), want_q=False)
 
 
 def _rand(name, f, mode, kind, seed):
-    from spectra_rrqr import rand_srrqr_rank, rand_srrqr_tol
-
     call = rand_srrqr_tol if mode[0] == "tol" else rand_srrqr_rank
     return call(fixture(name), f, mode[1], seed=seed, kind=kind, want_q=False)
 
 
 def _qrcp(name, k):
-    from spectra_rrqr import qrcp
-
     return qrcp(fixture(name), k, want_q=False)
 
 

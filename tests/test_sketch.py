@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +38,11 @@ from spectra_rrqr.sketch import _gaussian_block
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def _gaussian_width(d):
+    # the Gaussian path's block: _BLOCK_ENTRIES // d columns in whole chunks
+    return max(sk._CHUNK, sk._BLOCK_ENTRIES // d // sk._CHUNK * sk._CHUNK)
 
 
 class TestFwht:
@@ -211,8 +217,8 @@ class TestApply:
             apply(op, np.ones((8, 2)))
 
     def test_gaussian_blocking_invariant(self):
-        # counter-based generation: splitting the column range anywhere
-        # yields the same operator entries
+        # one stream per chunk of columns: splitting the column range
+        # anywhere, inside a chunk too, yields the same operator entries
         full = _gaussian_block(11, 7, 0, 60)
         split = np.hstack(
             [_gaussian_block(11, 7, 0, 13), _gaussian_block(11, 7, 13, 60)]
@@ -482,9 +488,11 @@ class TestGaussianChunks:
     """The chunked, threaded Gaussian path against the block oracle.
 
     The oracle is ``sum_b _gaussian_block(b) @ M[b] / sqrt(d)`` over the
-    GEMM blocks of ``_BLOCK_ENTRIES // d`` columns, accumulated in block
-    order; the arithmetic is unchanged, so equality is bitwise.  Most cases
-    shrink the block and chunk sizes so their boundaries fall at small m.
+    GEMM blocks of ``_BLOCK_ENTRIES // d`` columns rounded down to whole
+    chunks, accumulated in block order; the arithmetic is the same, so
+    equality is bitwise.  Most cases shrink the block and chunk sizes so
+    their boundaries fall at small m; the chunks are the operator's
+    streams, so the oracle's ``_gaussian_block`` draws on the same grid.
     """
 
     @staticmethod
@@ -492,7 +500,7 @@ class TestGaussianChunks:
         # column-major, as apply's input validation makes it
         x = np.asfortranarray(x, dtype=np.float64)
         out = np.zeros((op.d, x.shape[1]))
-        block = max(1, sk._BLOCK_ENTRIES // op.d)
+        block = _gaussian_width(op.d)
         for j0 in range(0, op.m, block):
             j1 = min(op.m, j0 + block)
             out += _gaussian_block(op.seed, op.d, j0, j1) @ x[j0:j1, :]
@@ -507,14 +515,15 @@ class TestGaussianChunks:
 
     @pytest.fixture
     def small_blocks(self, monkeypatch):
-        # 7 rows: blocks of 30 columns, chunks of 4
+        # 7 rows: 30 columns round down to blocks of 28, chunks of 4
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     @pytest.mark.parametrize(
-        # below, at and across chunk (4) and block (30) boundaries
-        "m", [7, 8, 9, 12, 29, 30, 31, 33, 60, 61, 97],
+        # below, at and across chunk (4) and block (28) boundaries, and
+        # at the 30 columns that round down to a block
+        "m", [7, 8, 9, 12, 27, 28, 29, 30, 31, 33, 56, 57, 60, 61, 97],
     )
     def test_matches_block_oracle(self, cap, small_blocks, m):
         g = rng(m)
@@ -525,21 +534,23 @@ class TestGaussianChunks:
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     def test_single_row_operator(self, cap, monkeypatch):
-        # d=1: one entry per column, blocks of 1000 columns and chunks of
-        # sk._CHUNK columns; m probes the edges of one chunk and of one
-        # block, and 255-257 end several chunks in
+        # d=1: one entry per column, 1000 columns round down to blocks of
+        # 960 in chunks of sk._CHUNK (64) columns; m probes the edges of one
+        # chunk and of one block, 255-257 end several chunks in, and
+        # 999-1001 end a chunk cut short in the second block
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 1000)
         g = rng(2)
         chunk = (sk._CHUNK - 1, sk._CHUNK, sk._CHUNK + 1)
-        for m in (1, *chunk, 255, 256, 257, 999, 1000, 1001, 2600):
+        for m in (1, *chunk, 255, 256, 257, 959, 960, 961, 999, 1000, 1001, 2600):
             op = SketchOperator("gaussian", d=1, m=m, seed=m)
             x = g.standard_normal((m, 2))
             assert np.array_equal(apply(op, x), self._oracle(op, x))
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     def test_default_partition(self, cap):
-        # the shipped sizes: blocks of 2000 columns at d=2000, so m=4100
-        # has two full blocks, a partial one and a partial last chunk
+        # the shipped sizes: blocks of 1984 columns (31 chunks) at d=2000,
+        # so m=4100 has two full blocks, a partial one and a partial last
+        # chunk
         g = rng(3)
         op = SketchOperator("gaussian", d=2000, m=4100, seed=9)
         x = np.asfortranarray(g.standard_normal((4100, 2)))
@@ -647,10 +658,10 @@ class TestGaussianPieces:
     """Each block's product in pieces of ``_PIECE`` input columns.
 
     The oracle accumulates ``_gaussian_block(b) @ M[b, p]`` into the
-    result's columns ``p`` over the blocks ``b`` in order and, within each,
-    the pieces ``p``.  Most cases shrink the piece width so that n spans
-    several pieces, and report BLAS on one thread, where the caller and the
-    pool share the pieces out.
+    result's columns ``p`` over the blocks ``b`` (whole chunks) in order
+    and, within each, the pieces ``p``.  Most cases shrink the piece width
+    so that n spans several pieces, and report BLAS on one thread, where
+    the caller and the pool share the pieces out.
     """
 
     @staticmethod
@@ -658,7 +669,7 @@ class TestGaussianPieces:
         x = np.asfortranarray(x, dtype=np.float64)
         n = x.shape[1]
         out = np.zeros((op.d, n))
-        block = max(1, sk._BLOCK_ENTRIES // op.d)
+        block = _gaussian_width(op.d)
         for j0 in range(0, op.m, block):
             j1 = min(op.m, j0 + block)
             blk = _gaussian_block(op.seed, op.d, j0, j1)
@@ -676,7 +687,7 @@ class TestGaussianPieces:
 
     @pytest.fixture
     def small_pieces(self, monkeypatch):
-        # 7 rows: blocks of 30 columns, chunks of 4, pieces of 2 columns
+        # 7 rows: blocks of 28 columns, chunks of 4, pieces of 2 columns
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
         monkeypatch.setattr(sk, "_PIECE", 2)
@@ -687,7 +698,7 @@ class TestGaussianPieces:
         return threading.current_thread().name.startswith("spectra-sketch")
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
-    @pytest.mark.parametrize("m", [7, 30, 31, 61, 97])
+    @pytest.mark.parametrize("m", [7, 28, 29, 30, 31, 57, 61, 97])
     def test_matches_piece_oracle(self, cap, small_pieces, m):
         g = rng(m)
         for n in (3, 4, 5, 8, 9):
@@ -732,7 +743,7 @@ class TestGaussianPieces:
         op = SketchOperator("gaussian", d=7, m=61, seed=n)
         x = np.asfortranarray(rng(n).standard_normal((61, n)))
         got = apply(op, x)
-        assert asked == [(workers, pieces)] * 3  # one product per block of 30 columns
+        assert asked == [(workers, pieces)] * 3  # one product per block of 28 columns
         piece = 2 if threads == 1 else n
         assert got.tobytes() == self._oracle(op, x, piece).tobytes()
 
@@ -805,6 +816,45 @@ class TestGaussianPieces:
         assert got.tobytes() == self._oracle(op, x, 2).tobytes()
 
 
+class TestGaussianOperator:
+    """What fixes the Gaussian operator: its distribution and its bits.
+
+    The oracles above draw from the same generator as the sketch, so only
+    the first test here checks that the entries are N(0, 1).
+    """
+
+    def test_entries_are_standard_normal(self):
+        # 10^6 entries of one seed's operator, 16 chunk streams; each limit
+        # is about 5 standard errors at n = 10^6, the KS one the 0.1%
+        # critical value
+        x = _gaussian_block(2024, 1000, 0, 1000)
+        v = x.ravel(order="F")
+        n = v.size
+        assert abs(v.mean()) < 5 / math.sqrt(n)
+        assert abs(v.var() - 1.0) < 5 * math.sqrt(2 / n)
+        assert abs(scipy.stats.skew(v)) < 5 * math.sqrt(6 / n)
+        assert abs(scipy.stats.kurtosis(v)) < 5 * math.sqrt(24 / n)
+        assert scipy.stats.kstest(v, "norm").statistic < 1.95 / math.sqrt(n)
+        # neighbouring chunks are distinct streams, not one stream twice
+        a, b = x[:, : sk._CHUNK].ravel(), x[:, sk._CHUNK : 2 * sk._CHUNK].ravel()
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / math.sqrt(a.size)
+
+    @pytest.mark.parametrize("cap", [1, 2, 3])
+    @pytest.mark.parametrize("chunks", [1, 3])
+    def test_materialize_is_fixed_by_kind_d_m_seed(self, monkeypatch, cap, chunks):
+        # a product with the identity is exact for any blocking, so the
+        # dense operator is the entries over sqrt(d) whatever the worker
+        # count and the (chunk-aligned) block width
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        monkeypatch.setenv("SPECTRA_RRQR_THREADS", str(cap))
+        d, m = 7, 300
+        monkeypatch.setattr(sk, "_BLOCK_ENTRIES", d * chunks * sk._CHUNK)
+        assert _gaussian_width(d) == chunks * sk._CHUNK
+        op = SketchOperator("gaussian", d=d, m=m, seed=-5)
+        want = _gaussian_block(op.seed, d, 0, m) / math.sqrt(d)
+        assert materialize(op).tobytes() == want.tobytes()
+
+
 class TestGaussianOneBuffer:
     """The Gaussian path's one block buffer, filled by the caller and the pool."""
 
@@ -817,16 +867,15 @@ class TestGaussianOneBuffer:
     @pytest.mark.parametrize("cap", [1, 2])
     @pytest.mark.parametrize("d, m, n", [(2000, 4100, 50), (2099, 6000, 500)])
     def test_peak_memory(self, monkeypatch, traced_peak, cap, d, m, n):
-        # one d x width block buffer, one chunk scratch per worker, the
-        # accumulated result, the products of its pieces (d x n in all when
-        # they run at once), and 1 MB for the rest
+        # one d x width block buffer, into which the chunks are drawn with
+        # no scratch, the accumulated result, the products of its pieces
+        # (d x n in all when they run at once), and 1 MB for the rest
         self._cap(monkeypatch, cap)
         a = np.asfortranarray(rng(8).standard_normal((m, n)))
         op = SketchOperator("gaussian", d=d, m=m, seed=2)
         out, peak = traced_peak(lambda: apply(op, a))
-        width = min(m, sk._BLOCK_ENTRIES // d)
-        scratch = cap * 3 * 8 * d * sk._CHUNK
-        assert peak <= 8 * d * width + scratch + 2 * out.nbytes + 2**20
+        width = min(m, _gaussian_width(d))
+        assert peak <= 8 * d * width + 2 * out.nbytes + 2**20
 
     def test_caller_fills_the_block_when_no_task_starts(self, monkeypatch):
         # the pool's one thread is blocked, so no task submitted to it runs
