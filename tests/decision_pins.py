@@ -1,9 +1,14 @@
 """The pinned calls of ``test_decision_pins.py``: what each decides.
 
-Twenty calls on the smoke-size fixtures of the benchmark's workloads
-(stairs 2048x125, stairs and hc 1500x125, stewart 1024x128): ``srrqr`` in
-both modes, ``qrcp``, and ``rand_srrqr_rank`` and ``rand_srrqr_tol`` with
-both sketch kinds.  A call's line is its label, k, ``stop_reason``,
+Twenty-four calls.  Twenty run on the smoke-size fixtures of the
+benchmark's workloads (stairs 2048x125, stairs and hc 1500x125, stewart
+1024x128): ``srrqr`` in both modes, ``qrcp``, and ``rand_srrqr_rank`` and
+``rand_srrqr_tol`` with both sketch kinds.  Four run ``srrqr`` on square
+inputs, the shape of a randomized call's sketch R: stairs 125x125, stewart
+128x128 (seeds 0 and 1) and Kahan(96, s=0.99), whose first interchanges
+come at no step, step 5, step 7 and step 16.  The Kahan fixture's diagonal
+perturbation is 1e5 ulps, not 25: at 25 its equal column norms are a tie
+that 1e-13 input noise breaks another way.  A call's line is its label, k, ``stop_reason``,
 ``swap_count`` and the sha1 of its permutation and of its swap log.  A
 ``qrcp`` line has ``-`` for the two fields it lacks, and hashes only the
 leading k columns and the transpositions that placed them: past the
@@ -42,6 +47,11 @@ FIXTURES = {
     "hc1500": testmat.MatrixSpec(testmat.HC(m=1500, n=125), seed=13),
     "stewart0": testmat.MatrixSpec(testmat.Stewart(m=1024, n=128, q=0.6), seed=0),
     "stewart1": testmat.MatrixSpec(testmat.Stewart(m=1024, n=128, q=0.6), seed=1),
+    # square inputs, as a randomized call's sketch R is
+    "sq-stairs125": testmat.MatrixSpec(testmat.DevilsStairs(m=125, n=125, stair_len=25), seed=11),
+    "sq-stewart0": testmat.MatrixSpec(testmat.Stewart(m=128, n=128, q=0.6), seed=0),
+    "sq-stewart1": testmat.MatrixSpec(testmat.Stewart(m=128, n=128, q=0.6), seed=1),
+    "sq-kahan96": testmat.MatrixSpec(testmat.Kahan(n=96, s=0.99, diag_perturb=1e5)),
 }
 
 
@@ -75,6 +85,11 @@ CALLS = {
     "srrqr/tol/stewart0": (_srrqr, ("stewart0", F_SWAP, ("tol", TAU))),
     "srrqr/tol/stewart1": (_srrqr, ("stewart1", F_SWAP, ("tol", TAU))),
     "srrqr/rank/stewart1": (_srrqr, ("stewart1", F_SWAP, ("rank", 40))),
+    # square calls; the comment names the step of the first interchange
+    "srrqr/tol/sq-stairs125": (_srrqr, ("sq-stairs125", F, ("tol", TAU))),  # none
+    "srrqr/tol/sq-stewart0": (_srrqr, ("sq-stewart0", F_SWAP, ("tol", TAU))),  # k = 5
+    "srrqr/rank/sq-stewart1": (_srrqr, ("sq-stewart1", F_SWAP, ("rank", 40))),  # k = 7
+    "srrqr/rank/sq-kahan96": (_srrqr, ("sq-kahan96", F, ("rank", 95))),  # k = 16
     "qrcp/stairs2048": (_qrcp, ("stairs2048", 100)),
     "qrcp/hc1500": (_qrcp, ("hc1500", 83)),
     "qrcp/stewart0": (_qrcp, ("stewart0", 45)),
