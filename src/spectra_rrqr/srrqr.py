@@ -17,12 +17,15 @@ half its magnitude; a trailing norm is also recomputed once its downdated
 square falls below ``sqrt(eps)`` times its square at the last exact
 computation, the rule of LAPACK's xLAQP2 (Drmač & Bujanović, ACM TOMS
 2008), so a norm that shrinks a little at every step cannot freeze at its
-roundoff floor.  This is the only path; the tests check it against a state
-that rebuilds all three from scratch after every structural change.
+roundoff floor.  The tests check them against a state that rebuilds all
+three from scratch after every structural change.
 
 Each growth step builds its reflector with LAPACK's ``dlarfg`` and applies
 it to the trailing block at once, with one matrix-vector product and one
-rank-one update, so the state is fully updated after every step.
+rank-one update, so the state is fully updated after every step.  An input
+with no more rows than columns, such as a randomized call's sketch R, grows
+to its first interchange by one ``dgeqp3`` (BLAS-3 panels) instead, along
+whose rows :func:`_qrcp_prefix` replays omega, gamma and ``a``.
 
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 ``>= k``.  So on a tall input, just before its first interchange,
@@ -48,11 +51,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
-from scipy.linalg.lapack import dgeqp3, dlarfg, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dlarfg, dormqr, dorgqr, dtrtrs
 
 from .dense_core import (
     PartialQR,
@@ -67,6 +71,7 @@ from .dense_core import (
 )
 
 _UNDERFLOW_FLOOR = 1e-300
+_F_SLACK = 1.0 + 1e-12  # a swap must grow the volume by more than f times this
 # a squared norm downdated below this fraction of its last exact value is
 # recomputed (LAPACK xLAQP2's tol3z); strictly below, so a zero one is not
 _DOWNDATE_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -547,7 +552,7 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     volume by at least ``f`` and at termination no swap can beat ``f``.
     A cheap early exit fires when ``rho_hat <= f/sqrt(2)``, which already
     certifies ``rho <= f``.  ``on_swap(k, i, j, ratio)`` is invoked after
-    every interchange.
+    every interchange, and a state :func:`_qrcp_prefix` grew is screened first.
 
     Returns ``"tolerance"`` (every trailing norm below tau),
     ``"target_rank"``, or ``"full_rank"`` (a tolerance run that took every
@@ -558,13 +563,10 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     finite or the screen meets a NaN ratio (the column norms of an input
     near the overflow threshold, about 1e154, are inf).
     """
-    cols = state.r.shape[1]
-    f = config.f
     rank_mode = isinstance(config.mode, TargetRank)
     stop = config.mode.k if rank_mode else min(state.r.shape)
     reason = "target_rank" if rank_mode else "full_rank"
-    f_swap = f * (1.0 + 1e-12)
-    early_exit = f / math.sqrt(2.0)
+    _interchanges(state, config.f, on_swap)
     while state.k < stop:
         jmax = int(state.gamma.argmax())
         top = state.gamma[jmax]
@@ -583,26 +585,118 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
             state._swap_trailing(jmax)
             state.perm.swap(state.k, state.k + jmax)
         state._advance()
-        while state.gamma.size:
-            if _rho_hat_at_most(state, early_exit):
-                break
-            if (hit := _first_swap(state, f_swap)) is None:
-                break
-            if state.swap_count >= 20 * swap_budget(max(state.k, 1), cols, f):
-                raise RuntimeError(
-                    f"interchange budget exhausted at k={state.k} after "
-                    f"{state.swap_count} swaps; threshold f={f} appears to "
-                    "livelock in floating point"
-                )
-            i, j = hit
-            # the growth factor is only reported, to a monitor
-            ratio = det_ratio(state, i, j) if on_swap is not None else None
-            # a tall state drops to n rows here, at its first interchange
-            state._compress()
-            state._interchange_core(i, j)
-            if on_swap is not None:
-                on_swap(state.k, i, j, ratio)
+        _interchanges(state, config.f, on_swap)
     return reason
+
+
+def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
+    """:func:`_drive`'s inner loop: interchange while the screen finds a pair."""
+    while state.gamma.size and not _rho_hat_at_most(state, f / math.sqrt(2.0)):
+        if (hit := _first_swap(state, f * _F_SLACK)) is None:
+            break
+        if state.swap_count >= 20 * swap_budget(max(state.k, 1), state.r.shape[1], f):
+            raise RuntimeError(
+                f"interchange budget exhausted at k={state.k} after "
+                f"{state.swap_count} swaps; threshold f={f} appears to "
+                "livelock in floating point"
+            )
+        i, j = hit
+        # the growth factor is only reported, to a monitor
+        ratio = det_ratio(state, i, j) if on_swap is not None else None
+        # a tall state drops to n rows here, at its first interchange
+        state._compress()
+        state._interchange_core(i, j)
+        if on_swap is not None:
+            on_swap(state.k, i, j, ratio)
+
+
+def _geqp3(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blocked ``dgeqp3`` of a copy of ``a``: the factored copy, 0-based pivots, tau."""
+    work = np.array(a, order="F")
+    lwork = int(dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
+    work, piv, tau, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
+    if info:
+        raise ValueError(f"dgeqp3 failed with info={info}")
+    return work, piv - 1, tau
+
+
+def _transpositions(piv: np.ndarray, count: int) -> PermutationSeq:
+    """The first ``count`` transpositions by which LAPACK reached its pivots ``piv``."""
+    perm, where = PermutationSeq.identity(piv.size), np.arange(piv.size)  # where[c]: c's place
+    for t, c in enumerate(piv[:count]):
+        p = where[c]
+        if p != t:
+            where[perm.forward[t]], where[c] = p, t
+            perm.swap(t, p)
+    return perm
+
+
+def _qrcp_prefix(a: np.ndarray, config: SrrqrConfig) -> SrrqrState:
+    """The state :func:`_drive`'s swap-free growth reaches on a fresh ``a``
+    with no more rows than columns, grown by one ``dgeqp3``; the fresh state
+    when a pivot quantity is not finite, underflows or is zero, so that the
+    engine raises what it raises."""
+    rows, cols = a.shape
+    work, piv, tau = _geqp3(a)
+    if (grown := _replay(work, config)) is None:  # its O(mn) scratch is freed here
+        return _fresh_state(a)
+    k, omega, gamma, coup = grown
+    # rows above k: the QRCP's, diagonal made nonnegative; below: its later
+    # reflectors on its trailing triangle; columns as k transpositions leave them
+    perm = _transpositions(piv, k)
+    idx = np.argsort(piv)[perm.forward[k:]]  # QRCP positions, in that order
+    r = np.zeros((rows, cols))
+    r[:k] = _signed_r(work, k)[0][:, np.r_[:k, idx]]
+    if k < rows:
+        refl, tri = work[k:, k:rows], np.triu(work[k:, k:])[:, idx - k]
+        lwork = int(dormqr("L", "N", refl, tau[k:], tri, -1)[1][0])
+        r[k:, k:], _, info = dormqr("L", "N", refl, tau[k:], tri, lwork, overwrite_c=1)
+        if info:
+            raise ValueError(f"dormqr failed with info={info}")
+    return SrrqrState(r, perm, k, omega, gamma[idx - k], coup[:, idx - k])
+
+
+def _replay(work: np.ndarray, config: SrrqrConfig):
+    """(k > 0, omega, gamma, a) in QRCP column order where ``_drive``'s growth
+    along the QRCP ``work`` stops (the mode's stop or the screen's first
+    swap), else None.  omega and ``a`` follow ``_advance``'s recurrences,
+    gamma the reverse cumulative sums of the squared R; ``b[j, i] = a[i, j]``
+    drops a row for free and takes one ``dger`` a step."""
+    rows, cols = work.shape
+    rank_mode = isinstance(config.mode, TargetRank)
+    stop = config.mode.k if rank_mode else rows
+    omega, b, k = np.zeros(rows), np.zeros((cols, 0)), 0
+    with np.errstate(all="ignore"):
+        # gam[t, j]: norm of rows t onward of column j of the R; row ``rows`` is 0
+        gam = np.zeros((rows + 1, cols))
+        np.square(work, out=gam[:rows], where=~np.tri(rows, cols, -1, dtype=bool))
+        np.cumsum(gam[::-1], axis=0, out=gam[::-1])
+        np.sqrt(gam, out=gam)
+        while k < stop:
+            top = gam[k, k:].max()
+            if not math.isfinite(top) or (rank_mode and top < _UNDERFLOW_FLOOR):
+                return None
+            if not rank_mode and top < config.mode.tau:
+                break
+            d, c2 = work[k, k], work[k, k + 1 :]
+            if k == b.shape[1]:  # full: copy it into one 32 columns wider
+                b = np.hstack([b, np.zeros((b.shape[0], min(32, stop - k)))])
+            omega[:k], omega[k] = np.hypot(omega[:k], b[0, :k] / d), 1.0 / abs(d)
+            x, b = b[0], b[1:]
+            if k and c2.size:
+                scipy.linalg.blas.dger(-1.0 / d, x, c2, a=b.T, overwrite_a=1)
+            b[:, k] = c2 / d
+            k += 1
+            # b's zero columns pass the positive bound; inf or NaN never does
+            view = SimpleNamespace(k=k, omega=omega[:k], gamma=gam[k, k:], a=b.T)
+            if not view.gamma.size or _rho_hat_at_most(view, config.f / math.sqrt(2.0)):
+                continue
+            if not (np.isfinite(omega[:k]).all() and np.isfinite(b).all()):
+                return None
+            view.a = b[:, :k].T
+            if _first_swap(view, config.f * _F_SLACK) is not None:
+                break
+    return (k, omega[:k].copy(), gam[k, k:].copy(), b[:, :k].T.copy()) if k else None
 
 
 @dataclass
@@ -639,10 +733,10 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
     """Strong rank-revealing QR factorization (rank or tolerance driven).
 
     Validates ``config`` against ``m``, then :func:`_drive` grows and
-    interchanges a fresh state (its docstring has the loop); the result's
-    ``stop_reason`` is what ``_drive`` returned.  ``on_swap(k, i, j,
-    ratio)`` is invoked after every interchange; handy for monitoring the
-    volume growth.
+    interchanges a fresh state, or the one :func:`_qrcp_prefix` grew on an
+    input with no more rows than columns (``_drive`` has the loop); the
+    result's ``stop_reason`` is what ``_drive`` returned.  ``on_swap(k, i,
+    j, ratio)`` is invoked after every interchange, to monitor the volume.
 
     With ``want_q`` the factorization, its thin m-by-min(m, n) Q included,
     is one LAPACK QR of ``M P``: R11 and R12 match the state's to roundoff,
@@ -661,7 +755,7 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
         raise TypeError("config must be an SrrqrConfig")
     if isinstance(config.mode, TargetRank) and config.mode.k > mr:
         raise ValueError(f"target rank {config.mode.k} exceeds min(rows, cols) = {mr}")
-    state = _fresh_state(a)
+    state = _qrcp_prefix(a, config) if a.shape[0] <= a.shape[1] else _fresh_state(a)
     stop_reason = _drive(state, config, on_swap)
     k = state.k
     if want_q:
@@ -693,15 +787,9 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
     a = as_matrix(m)
     rows, cols = a.shape
     _check_rank(k, rows, cols)
-    # one working copy and R of min(m, n) rows; the optimal lwork keeps
-    # LAPACK on the blocked path that scipy.linalg.qr takes
-    q, work = None, np.array(a, order="F")
-    lwork = int(dgeqp3(work, lwork=-1, overwrite_a=1)[3][0])
-    work, piv, tau, _, info = dgeqp3(work, lwork=lwork, overwrite_a=1)
-    if info:
-        raise ValueError(f"dgeqp3 failed with info={info}")
+    # one working copy and R of min(m, n) rows
+    q, (work, piv, tau) = None, _geqp3(a)
     r, flip = _signed_r(work, min(rows, cols))
-    piv -= 1  # LAPACK's pivots are 1-based
     if want_q:
         # Q gets its own m-by-min(m, n) array: on a wide input a Q written
         # into ``work`` would keep all n columns of it alive
@@ -711,12 +799,4 @@ def qrcp(m, k: int, *, want_q: bool = True) -> PartialQR:
         if info:
             raise ValueError(f"dorgqr failed with info={info}")
         q *= flip
-    # LAPACK's pivot order as transpositions, so replay() reproduces it
-    perm = PermutationSeq.identity(cols)
-    where = np.arange(cols)  # where[c]: current position of column c
-    for t, c in enumerate(piv):
-        p = where[c]
-        if p != t:
-            where[perm.forward[t]], where[c] = p, t
-            perm.swap(t, p)
-    return PartialQR.from_r(q, r, k, perm, rows)
+    return PartialQR.from_r(q, r, k, _transpositions(piv, cols), rows)

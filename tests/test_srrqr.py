@@ -46,6 +46,7 @@ from spectra_rrqr.srrqr import (
     _first_swap,
     _fresh_state,
     _rho_hat_at_most,
+    swap_ratios,
 )
 
 from oracles import (
@@ -517,12 +518,21 @@ class TestNormDowndate:
         oracle = _recompute_srrqr(m, cfg)
         admitted = []
         grow = SrrqrState._advance
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        prefix = engine._qrcp_prefix
 
         def spy(state):
             grow(state)
             admitted.append(state.r[state.k - 1, state.k - 1])
 
+        def spy_prefix(a, config):
+            # a square input grows its swap-free pivots here, not in _advance
+            state = prefix(a, config)
+            admitted.extend(state.r.diagonal()[: state.k])
+            return state
+
         monkeypatch.setattr(SrrqrState, "_advance", spy)
+        monkeypatch.setattr(engine, "_qrcp_prefix", spy_prefix)
         res = srrqr(m, cfg, want_q=False)
         assert res.k == oracle.k
         assert len(admitted) == res.k
@@ -531,19 +541,34 @@ class TestNormDowndate:
     def test_maintained_norms_track_the_trailing_block(self, monkeypatch):
         # without the rule the maintained norms are off by up to 1e33 here
         m = generate(MatrixSpec(Kahan(n=300, s=0.95)))
-        worst = []
+        worst, steps = [], []
+
+        def check(state, count):
+            true = np.linalg.norm(state.r[state.k :, state.k :], axis=0)
+            worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
+            steps.append(count)
+
         for name in ("_advance", "_interchange_core"):
             step = getattr(SrrqrState, name)
 
             def spy(state, *ij, step=step):
                 step(state, *ij)
-                true = np.linalg.norm(state.r[state.k :, state.k :], axis=0)
-                worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
+                check(state, 1)
 
             monkeypatch.setattr(SrrqrState, name, spy)
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        prefix = engine._qrcp_prefix
+
+        def spy_prefix(a, config):
+            # the square input's swap-free pivots arrive as one state
+            state = prefix(a, config)
+            check(state, state.k)
+            return state
+
+        monkeypatch.setattr(engine, "_qrcp_prefix", spy_prefix)
         res = srrqr(m, SrrqrConfig(f=1.02, mode=Tolerance(1e-10)), want_q=False)
         assert res.swap_count > 0
-        assert len(worst) == res.k + res.swap_count
+        assert sum(steps) == res.k + res.swap_count
         assert max(worst) <= 1e-6
 
     def test_floor_governs_recomputes_and_resets(self):
@@ -1436,3 +1461,164 @@ class TestQrcp:
         m = rng(17).standard_normal((9, 6))
         fact = qrcp(m, 4)
         assert fact.reconstruction_error(m) <= 1e-12
+
+
+def _oracle_growth(m, steps):
+    """The oracle's state after ``steps`` pivoted growth steps of ``_drive``,
+    no interchange among them."""
+    st = _recompute_state(m)
+    for _ in range(steps):
+        j = int(st.gamma.argmax())
+        if j:
+            st._swap_trailing(j)
+            st.perm.swap(st.k, st.k + j)
+        st._advance()
+    return st
+
+
+def _oracle_first_swap(m, cfg):
+    """The step of the oracle's first interchange, None if it makes none."""
+    st, seen = _recompute_state(m), []
+    _drive(st, cfg, on_swap=lambda k, i, j, ratio: seen.append(k))
+    return seen[0] if seen else None
+
+
+def _rel_gap(x, y):
+    return np.max(np.abs(x - y), initial=0.0) / max(np.max(np.abs(y), initial=0.0), 1e-300)
+
+
+# label -> (input, config, the step of the first interchange or None)
+_PREFIX_CASES = {
+    "stairs-125": ("sq-stairs125", SrrqrConfig(2.0, Tolerance(1e-10)), None),
+    "stewart-128-tol": ("sq-stewart0", SrrqrConfig(1.1, Tolerance(1e-10)), 5),
+    "stewart-128-rank": ("sq-stewart1", SrrqrConfig(1.1, TargetRank(40)), 7),
+    "kahan-96": ("sq-kahan96", SrrqrConfig(2.0, TargetRank(95)), 16),
+    "wide-40x70": ("wide", SrrqrConfig(1.1, Tolerance(1e-10)), 38),
+}
+
+
+def _prefix_input(name):
+    import decision_pins
+
+    if name == "wide":
+        return rng(41).standard_normal((40, 70)) @ np.diag(0.9 ** np.arange(70))
+    return decision_pins.fixture(name)
+
+
+class TestQrcpPrefix:
+    """A square or wide input grows its swap-free pivots by one ``dgeqp3``,
+    then the interchanges take over: the decisions are the engine's."""
+
+    @pytest.mark.parametrize("case", _PREFIX_CASES, ids=list(_PREFIX_CASES))
+    def test_handover_state_matches_recompute(self, case):
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        name, cfg, first = _PREFIX_CASES[case]
+        m = as_matrix(_prefix_input(name))
+        assert _oracle_first_swap(m, cfg) == first
+        st = engine._qrcp_prefix(m, cfg)
+        assert st.k == (first or _recompute_srrqr(m, cfg).k)
+        ref = _oracle_growth(m, st.k)
+        assert np.array_equal(st.perm.forward, ref.perm.forward)
+        assert st.perm.swaps == ref.perm.swaps
+        assert st.r.shape == ref.r.shape == m.shape
+        assert _rel_gap(st.r, ref.r) <= 1e-12
+        assert np.all(np.diagonal(st.r)[: st.k] > 0.0)
+        assert np.all(np.tril(st.r[:, : st.k], -1) == 0.0)
+        # omega and a move with the last bits of R by up to cond(R11) u
+        # (1e9 u on stairs), so they are held to the state's own R
+        assert max(st.consistency_errors().values()) <= 1e-12
+
+    @pytest.mark.parametrize("case", _PREFIX_CASES, ids=list(_PREFIX_CASES))
+    def test_same_decisions_as_recompute(self, case):
+        name, cfg, first = _PREFIX_CASES[case]
+        m = _prefix_input(name)
+        swaps = []
+        res = srrqr(m, cfg, want_q=False, on_swap=lambda k, i, j, r: swaps.append((k, i, j, r)))
+        oracle = _recompute_srrqr(m, cfg)
+        _same_decisions(res, oracle)
+        assert res.factorization.perm.swaps == oracle.factorization.perm.swaps
+        assert res.stop_reason == oracle.stop_reason
+        assert _rel_gap(res.state.r, oracle.state.r) <= 1e-12
+        fresh = swap_ratios(*res.state.recomputed())
+        assert res.rho == pytest.approx(fresh.max(initial=0.0), rel=1e-12)
+        assert res.rho == pytest.approx(oracle.rho, rel=1e-7)
+        # on_swap fires once per interchange, the first at the handover
+        assert len(swaps) == res.swap_count
+        assert (swaps[0][0] if swaps else None) == first
+        assert all(r > cfg.f for *_, r in swaps)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_inputs_make_the_oracles_decisions(self, seed):
+        # small square and wide shapes, graded columns or low-rank products,
+        # every f and both modes; no exact ties among the column norms
+        for g in (rng(100 * seed + i) for i in range(8)):
+            rows = int(g.integers(1, 30))
+            cols = int(g.integers(rows, 45))
+            grade = g.uniform(0.5, 1.0) ** g.permutation(cols)
+            m = g.standard_normal((rows, cols)) * grade
+            if g.random() < 0.3:
+                m = g.standard_normal((rows, rows)) @ m[:, :rows] @ g.standard_normal((rows, cols))
+            mode = (TargetRank(int(g.integers(1, rows + 1))) if g.random() < 0.5
+                    else Tolerance(float(10.0 ** g.uniform(-12, -1))))
+            cfg = SrrqrConfig(float(g.choice([1.01, 1.1, 1.5, 2.0])), mode)
+            res = srrqr(m, cfg, want_q=False)
+            oracle = _recompute_srrqr(m, cfg)
+            _same_decisions(res, oracle)
+            assert res.factorization.perm.swaps == oracle.factorization.perm.swaps
+            assert res.stop_reason == oracle.stop_reason
+
+    def test_is_used_for_square_and_wide_only(self, monkeypatch):
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        prefix, seen = engine._qrcp_prefix, []
+
+        def spy(a, config):
+            seen.append(a.shape)
+            return prefix(a, config)
+
+        monkeypatch.setattr(engine, "_qrcp_prefix", spy)
+        cfg = SrrqrConfig(2.0, TargetRank(3))
+        for shape in [(6, 6), (5, 9), (9, 5)]:
+            srrqr(rng(42).standard_normal(shape), cfg, want_q=False)
+        assert seen == [(6, 6), (5, 9)]
+
+
+class TestQrcpPrefixErrors:
+    """Where a pivot quantity is not finite, underflows or is zero, the
+    prefix falls back to the engine, which raises or returns as it always has."""
+
+    @pytest.mark.parametrize("shape", [(40, 40), (30, 45)], ids=["square", "wide"])
+    def test_overflowing_column_norms_raise(self, shape):
+        m = 2.0**520 * rng(43).standard_normal(shape)
+        with pytest.raises(ValueError, match="^pivot column norm is inf at step 1$"):
+            srrqr(m, SrrqrConfig(1.2, TargetRank(20)), want_q=False)
+        with pytest.raises(ValueError, match="^pivot column norm is inf at step 1$"):
+            srrqr(m, SrrqrConfig(1.2, Tolerance(1e-10)), want_q=False)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 6)], ids=["square", "wide"])
+    def test_rank_above_numerical_rank_raises(self, shape):
+        m = np.zeros(shape)
+        m[0, 0], m[1, 1] = 3.0, 2.0
+        with pytest.raises(
+            SingularMatrixError,
+            match=r"^trailing column norms underflowed at step 3; "
+            r"target rank 3 exceeds the numerical rank$",
+        ):
+            srrqr(m, SrrqrConfig(2.0, TargetRank(3)), want_q=False)
+
+    @pytest.mark.parametrize("shape", [(5, 5), (3, 7)], ids=["square", "wide"])
+    def test_all_zero_input(self, shape):
+        m = np.zeros(shape)
+        res = srrqr(m, SrrqrConfig(2.0, Tolerance(1e-10)), want_q=False)
+        assert (res.k, res.stop_reason, res.swap_count, res.rho) == (0, "tolerance", 0, 0.0)
+        assert np.array_equal(res.state.r, m)
+        assert res.factorization.perm.swaps == []
+        with pytest.raises(SingularMatrixError, match="underflowed at step 1"):
+            srrqr(m, SrrqrConfig(2.0, TargetRank(1)), want_q=False)
+
+    def test_zero_pivot_falls_back(self):
+        # a zero diagonal under a column norm above tau (not a QRCP that
+        # LAPACK returns) is left to the engine
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        work = np.array([[0.0, 1.0], [0.0, 0.0]], order="F")
+        assert engine._replay(work, SrrqrConfig(2.0, Tolerance(1e-10))) is None
+        assert engine._replay(work, SrrqrConfig(2.0, TargetRank(1))) is None

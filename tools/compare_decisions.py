@@ -26,7 +26,13 @@ it moves no decision.
 
 Then comes one ``qrcp`` line for each of the 35 distinct fixtures, labelled
 by the first job that uses it and run at that job's smallest reference k,
-with Q: the sha1 of the permutation, its swap log, R11, R12, R22 and Q.
+with Q: the sha1 of the leading k columns of the permutation, of the
+transpositions that placed them, of R11, of R12 with its columns in the
+input's order, and of Q's leading k columns.  Past the numerical rank
+LAPACK orders noise-level columns, a rounding tie that 1e-13 of input
+noise breaks another way, so nothing that depends on that order (the rest
+of the permutation, R22, the rest of Q) is hashed; ``tests/decision_pins.py``
+pins ``qrcp`` the same way.
 The last line is ``bench.run_volume_decay()`` with its defaults: its slope
 as ``repr`` and the sha1 of the ``repr`` of its rows.  BLAS runs on one
 thread unless ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark;
@@ -84,6 +90,7 @@ def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     os.environ.setdefault("OMP_NUM_THREADS", "1")
     sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
+    import numpy as np
     from run import run_job
     from spectra_rrqr import bench, qrcp, sketch, testmat
 
@@ -109,7 +116,11 @@ def main(argv=None) -> int:
             seen.add(spec)
             k = min(job.ref_k)
             fact = qrcp(testmat.generate(spec), k)
-            print(f"qrcp:{label}", k, *factor_hashes(fact), sha1(fact.q.tobytes()), flush=True)
+            lead, swaps = fact.perm.forward[:k], [s for s in fact.perm.swaps if s[0] < k]
+            r12 = fact.r12[:, np.argsort(fact.perm.forward[k:])]
+            hashes = [lead.tobytes(), repr(swaps).encode(), fact.r11.tobytes(),
+                      r12.tobytes(), fact.q[:, :k].tobytes()]
+            print(f"qrcp:{label}", k, *map(sha1, hashes), flush=True)
     decay = bench.run_volume_decay()
     print("volume-decay", repr(decay["slope"]), sha1(repr(decay["rows"]).encode()), flush=True)
     return 0

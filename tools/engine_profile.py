@@ -6,7 +6,7 @@ benchmark's own inputs.
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to run, so the
 parent and a change are profiled by the same script, as with
-``compare_decisions.py``.  Three inputs are run, each R times after one
+``compare_decisions.py``.  Four inputs are run, each R times after one
 untimed warm-up call:
 
 - ``swap-det``: deterministic ``srrqr`` (f=1.1, tau=1e-10, no Q) on the 6
@@ -14,6 +14,10 @@ untimed warm-up call:
 - ``sketch-R``: ``srrqr`` (f=2, tau=1e-10, no Q) on the n-by-n R factor of
   the SRHT sketch of the first ``paper-tau`` call of benchmark seed N, the
   pivoting that ``rand_srrqr_tol`` does on the sketch;
+- ``hc-R``: the same for the first ``rank-odd`` SRHT call on hc (f=2,
+  target rank 333), the pivoting that ``rand_srrqr_rank`` does; its pivots
+  come in natural order, so the engine skips every reflector and the QRCP
+  prefix below costs the most relative to it;
 - ``gauss-sketch``: ``sketch.apply`` of the Gaussian operator of the first
   ``rank-odd`` Gaussian call of benchmark seed N to its matrix.
 
@@ -23,13 +27,19 @@ wall time in ms, each the median over the R repeats.  The parts of
 blocks (its count is the chunks), and ``product``, the shared products of
 the blocks (its count is the pieces); a checkout that multiplies its blocks
 outside ``sketch._share`` counts no piece and puts the products in
-``other``.  The parts of the two ``srrqr`` inputs are the engine kernels:
+``other``.  The parts of the three ``srrqr`` inputs are the engine kernels:
 ``SrrqrState._advance`` (split by the state's shape: ``tall`` before a
 compression, ``square`` once R has no more rows than columns),
 ``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
-the screens ``_first_swap`` and ``_rho_hat_at_most``; ``other`` is the call
-less the parts, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted,
-not timed: one call per interchange, plus one per omega recompute in
+the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
+prefix that grows a square or wide state's swap-free pivots: ``dgeqp3``
+(``_geqp3``), ``replay`` (``_replay``, its own screens included) and
+``state``, the rest of ``_qrcp_prefix``: building the state where the
+replay stopped; and ``handover``, the count of prefixes that stopped at a
+swap and handed their state to the interchanges.  A checkout without the
+prefix counts none of it.  ``other`` is the call less
+the parts, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted, not
+timed: one call per interchange, plus one per omega recompute in
 ``_swap_boundary``.  The wrappers' own calls and clock reads land in the
 parts' times and in ``other``.  BLAS runs on one thread unless
 ``OPENBLAS_NUM_THREADS`` says otherwise, as in the benchmark.  It only
@@ -58,15 +68,27 @@ KERNELS = [
     ("module", "_first_swap"),
     ("module", "_rho_hat_at_most"),
 ]
+# the QRCP prefix's parts: (attribute, printed name); "state" is the whole
+# prefix less the other two
+PREFIX = [("_geqp3", "dgeqp3"), ("_replay", "replay"), ("_qrcp_prefix", "state")]
 
 
 def instrument(mod, ms: Counter, calls: Counter) -> None:
     """Wrap the kernels of the ``srrqr`` module ``mod`` to add into ``ms``
-    and ``calls``; ``dtrtrs`` only counts."""
+    and ``calls``; ``dtrtrs`` and handovers only count.  The screens that
+    the replay runs count in ``replay``."""
+    replaying = []  # non-empty inside the replay
+    grown = []  # non-empty from a prefix that grew pivots to the next step
 
     def timed(fn, name):
         @wraps(fn)
         def wrapper(*args, **kwargs):
+            if replaying and name in ("_first_swap", "_rho_hat_at_most"):
+                return fn(*args, **kwargs)
+            if grown and name in ("_advance", "_cycle"):
+                # an interchange before any growth: the prefix stopped at a swap
+                calls["handover"] += name == "_cycle"
+                grown.clear()
             key = name
             if name == "_advance":
                 rows, cols = args[0].r.shape
@@ -83,6 +105,27 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
     for owner, name in KERNELS:
         target = mod.SrrqrState if owner == "SrrqrState" else mod
         setattr(target, name, timed(getattr(target, name), name))
+    for name, key in PREFIX:
+        if hasattr(mod, name):
+            setattr(mod, name, timed(getattr(mod, name), key))
+    if hasattr(mod, "_qrcp_prefix"):
+        prefix, replay = mod._qrcp_prefix, mod._replay
+
+        def replay_flagged(*args):
+            replaying.append(True)
+            try:
+                return replay(*args)
+            finally:
+                replaying.clear()
+
+        def prefix_flagged(*args):
+            grown.clear()
+            state = prefix(*args)
+            if state.k:
+                grown.append(True)
+            return state
+
+        mod._replay, mod._qrcp_prefix = replay_flagged, prefix_flagged
     dtrtrs = mod.dtrtrs
 
     def counted(*args, **kwargs):
@@ -125,9 +168,10 @@ def inputs(seed: int, srrqr):
     import workloads
     from spectra_rrqr import sketch, testmat
     from spectra_rrqr.dense_core import _r_factor
-    from spectra_rrqr.srrqr import SrrqrConfig, Tolerance
+    from spectra_rrqr.srrqr import SrrqrConfig, TargetRank, Tolerance
 
     kernels = ["_advance[tall]", "_advance[square]"] + [name for _, name in KERNELS[1:]]
+    kernels += [key for _, key in PREFIX]
     wl = workloads.build("swap-det", seed)
     det = [
         (testmat.generate(wl.fixtures[job.fixture]), SrrqrConfig(job.f, Tolerance(job.tau)))
@@ -142,6 +186,10 @@ def inputs(seed: int, srrqr):
     cfg = SrrqrConfig(job.f, Tolerance(job.tau))
     yield "sketch-R", kernels, [partial(srrqr, r, cfg, want_q=False)]
     wl = workloads.build("rank-odd", seed)
+    job = next(job for job in wl.jobs if job.fixture == "hc" and job.kind == "srht")
+    mat = testmat.generate(wl.fixtures[job.fixture])
+    r = _r_factor(np.asfortranarray(sketch.apply(_sketch_of(job, mat), mat)), overwrite=True)
+    yield "hc-R", kernels, [partial(srrqr, r, SrrqrConfig(job.f, TargetRank(job.k)), want_q=False)]
     job = next(job for job in wl.jobs if job.kind == "gaussian")
     mat = testmat.generate(wl.fixtures[job.fixture])
     yield "gauss-sketch", ["generate", "product"], [partial(sketch.apply, _sketch_of(job, mat), mat)]
@@ -181,12 +229,13 @@ def main(argv=None) -> int:
                 call()
                 ms["call"] += (time.perf_counter() - t0) * 1e3
                 calls["call"] += 1
+            ms["state"] -= ms["dgeqp3"] + ms["replay"]
             ms["other"] = ms["call"] - sum(v for k, v in ms.items() if k != "call")
             runs.append((Counter(ms), Counter(calls)))
-        keys = ["call", *parts, "other"] + (["dtrtrs"] if label != "gauss-sketch" else [])
-        for key in keys:
+        counted = ["handover", "dtrtrs"] if label != "gauss-sketch" else []
+        for key in ["call", *parts, "other", *counted]:
             n = "-" if key == "other" else f"{statistics.median(c[key] for _, c in runs):g}"
-            t = "-" if key == "dtrtrs" else f"{statistics.median(m[key] for m, _ in runs):.2f}"
+            t = "-" if key in counted else f"{statistics.median(m[key] for m, _ in runs):.2f}"
             print(f"{label:<12} {key:<20} {n:>7} {t:>9}", flush=True)
     return 0
 
