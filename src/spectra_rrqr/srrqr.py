@@ -22,10 +22,10 @@ three from scratch after every structural change.
 
 Each growth step builds its reflector with LAPACK's ``dlarfg`` and applies
 it to the trailing block at once, with one matrix-vector product and one
-rank-one update, so the state is fully updated after every step.  An input
-with no more rows than columns, such as a randomized call's sketch R, grows
-to its first interchange by one ``dgeqp3`` (BLAS-3 panels) instead, along
-whose rows :func:`_qrcp_prefix` replays omega, gamma and ``a``.
+rank-one update, so the state is fully updated after every step.  Once it
+has applied n/8 reflectors to a sketch R or other input with no more rows
+than columns without an interchange, at f >= sqrt(2), one ``dgeqp3`` of
+the trailing block grows the swap-free steps after (:func:`_qrcp_prefix`).
 
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 ``>= k``.  So on a tall input, just before its first interchange,
@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg
@@ -72,6 +71,9 @@ from .dense_core import (
 
 _UNDERFLOW_FLOOR = 1e-300
 _F_SLACK = 1.0 + 1e-12  # a swap must grow the volume by more than f times this
+# below this f the screen's early exit f/sqrt(2) is under 1, and interchanges
+# came too early for the QRCP prefix to pay; it waits for this many reflectors
+_PREFIX_MIN_F, _PREFIX_AFTER = math.sqrt(2.0), 32
 # a squared norm downdated below this fraction of its last exact value is
 # recomputed (LAPACK xLAQP2's tol3z); strictly below, so a zero one is not
 _DOWNDATE_TOL = math.sqrt(np.finfo(np.float64).eps)
@@ -244,13 +246,13 @@ class SrrqrState:
         if self.a.size:
             _swap_columns(self.a, 0, j)
 
-    def _advance(self) -> None:
+    def _advance(self) -> bool:
         """Triangularize the column at position k and grow the leading block.
 
         The ``dlarfg`` reflector is applied to rows k onward at once: one
         GEMV ``w = v^T R[k:, k+1:]``, then one in-place ``dger`` of whole
         rows, as in :meth:`_swap_boundary`, with ``w`` zero on the leading
-        k+1 columns.  An identity reflector (``tau == 0``) is skipped.
+        k+1 columns.  An identity reflector (``tau == 0``) is skipped: False.
         """
         k = self.k
         r = self.r
@@ -299,6 +301,7 @@ class SrrqrState:
             g2[bad] = fresh.sum(axis=0)
             floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0, out=g2), out=g2)
+        return bool(tau)
 
     def _cycle(self, i: int, shift: int) -> None:
         """Roll leading columns i..k-1 by ``shift`` and retriangularize.
@@ -477,16 +480,17 @@ def det_ratio_matrix(state: SrrqrState) -> np.ndarray:
     return swap_ratios(state.omega, state.gamma, state.a)
 
 
-def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
-    """First (i, j), row-major, with ``det_ratio > f_swap``; None if none.
+def _first_swap(omega, gamma, a, f_swap: float) -> tuple[int, int] | None:
+    """First (i, j), row-major, whose :func:`swap_ratios` entry exceeds
+    ``f_swap``; None if none.
 
     Compares squares; only ratios above 1e154 overflow, and inf is a hit.
     Raises ``ValueError`` when a NaN ratio comes before the first hit.
     """
     with np.errstate(over="ignore"):
-        sq = np.multiply.outer(state.omega, state.gamma)
+        sq = np.multiply.outer(omega, gamma)
         sq *= sq
-        sq += state.a * state.a
+        sq += a * a
     # a NaN is not <= the bound, so the scan stops at it as at a hit
     ok = sq <= f_swap * f_swap
     first = int(ok.argmin())
@@ -494,7 +498,7 @@ def _first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
         return None
     i, j = divmod(first, ok.shape[1])
     if math.isnan(sq.flat[first]):
-        raise ValueError(f"swap ratio ({i}, {j}) is NaN at step {state.k}")
+        raise ValueError(f"swap ratio ({i}, {j}) is NaN at step {omega.size}")
     return i, j
 
 
@@ -521,14 +525,12 @@ def rho_hat(state: SrrqrState) -> float:
     return float(np.max([a.max(), -a.min(), np.max(state.omega) * np.max(state.gamma)]))
 
 
-def _rho_hat_at_most(state: SrrqrState, bound: float) -> bool:
-    """``rho_hat(state) <= bound``, computing its terms only up to the first
-    one above ``bound``; a NaN term is never at most ``bound``."""
-    if state.omega.size == 0 or state.gamma.size == 0:
+def _rho_hat_at_most(omega, gamma, a, bound: float) -> bool:
+    """:func:`rho_hat` of (omega, gamma, a) ``<= bound``, computing its terms
+    only up to the first one above ``bound``; a NaN term never is."""
+    if omega.size == 0 or gamma.size == 0:
         return 0.0 <= bound
-    a = state.a
-    return bool(a.max() <= bound and -a.min() <= bound
-                and state.omega.max() * state.gamma.max() <= bound)
+    return bool(a.max() <= bound and -a.min() <= bound and omega.max() * gamma.max() <= bound)
 
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:
@@ -543,7 +545,7 @@ def swap_budget(k: int, n: int, f: float) -> float:
     return k * math.log(math.sqrt(max(n, 2))) / math.log(f)
 
 
-def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
+def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf) -> str | None:
     """Grow and interchange ``state`` until ``config`` stops it; say why.
 
     Each outer step pivots the max-norm trailing column to the front; the
@@ -552,11 +554,12 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     volume by at least ``f`` and at termination no swap can beat ``f``.
     A cheap early exit fires when ``rho_hat <= f/sqrt(2)``, which already
     certifies ``rho <= f``.  ``on_swap(k, i, j, ratio)`` is invoked after
-    every interchange, and a state :func:`_qrcp_prefix` grew is screened first.
+    every interchange; ``state`` is screened first.
 
     Returns ``"tolerance"`` (every trailing norm below tau),
-    ``"target_rank"``, or ``"full_rank"`` (a tolerance run that took every
-    column it could).  Raises ``RuntimeError`` when
+    ``"target_rank"``, ``"full_rank"`` (a tolerance run that took every
+    column it could), or None after ``steps`` reflectors short of those.
+    Raises ``RuntimeError`` when
     the interchanges exceed 20 times :func:`swap_budget` (livelock), in
     rank mode :class:`SingularMatrixError` when the trailing norms underflow,
     and ``ValueError`` naming the step when the pivot norm it picks is not
@@ -565,9 +568,10 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
     """
     rank_mode = isinstance(config.mode, TargetRank)
     stop = config.mode.k if rank_mode else min(state.r.shape)
-    reason = "target_rank" if rank_mode else "full_rank"
     _interchanges(state, config.f, on_swap)
     while state.k < stop:
+        if steps <= 0:
+            return None
         jmax = int(state.gamma.argmax())
         top = state.gamma[jmax]
         if not math.isfinite(top):
@@ -579,20 +583,21 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None) -> str:
                     f"target rank {stop} exceeds the numerical rank"
                 )
         elif top < config.mode.tau:
-            reason = "tolerance"
-            break
+            return "tolerance"
         if jmax > 0:
             state._swap_trailing(jmax)
             state.perm.swap(state.k, state.k + jmax)
-        state._advance()
+        # a pivot column already zero below the diagonal needs no reflector
+        steps -= bool(state._advance())
         _interchanges(state, config.f, on_swap)
-    return reason
+    return "target_rank" if rank_mode else "full_rank"
 
 
 def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
     """:func:`_drive`'s inner loop: interchange while the screen finds a pair."""
-    while state.gamma.size and not _rho_hat_at_most(state, f / math.sqrt(2.0)):
-        if (hit := _first_swap(state, f * _F_SLACK)) is None:
+    while state.gamma.size:
+        q = state.omega, state.gamma, state.a
+        if _rho_hat_at_most(*q, f / math.sqrt(2.0)) or (hit := _first_swap(*q, f * _F_SLACK)) is None:
             break
         if state.swap_count >= 20 * swap_budget(max(state.k, 1), state.r.shape[1], f):
             raise RuntimeError(
@@ -631,41 +636,46 @@ def _transpositions(piv: np.ndarray, count: int) -> PermutationSeq:
     return perm
 
 
-def _qrcp_prefix(a: np.ndarray, config: SrrqrConfig) -> SrrqrState:
-    """The state :func:`_drive`'s swap-free growth reaches on a fresh ``a``
-    with no more rows than columns, grown by one ``dgeqp3``; the fresh state
-    when a pivot quantity is not finite, underflows or is zero, so that the
-    engine raises what it raises."""
-    rows, cols = a.shape
-    work, piv, tau = _geqp3(a)
-    if (grown := _replay(work, config)) is None:  # its O(mn) scratch is freed here
-        return _fresh_state(a)
+def _qrcp_prefix(state: SrrqrState, config: SrrqrConfig) -> SrrqrState | None:
+    """``_drive``'s swap-free growth of ``state`` (no more rows than columns,
+    left unchanged) by one ``dgeqp3`` of its trailing block; None where
+    :func:`_replay` is or where its t steps cost fewer flops than the build."""
+    k0, (rows, cols) = state.k, state.r.shape
+    work, piv, tau = _geqp3(state.r[k0:, k0:])
+    if (grown := _replay(work, state.omega, state.a[:, piv], config)) is None:
+        return None  # the replay's O(n^2) scratch is freed with it
     k, omega, gamma, coup = grown
-    # rows above k: the QRCP's, diagonal made nonnegative; below: its later
-    # reflectors on its trailing triangle; columns as k transpositions leave them
-    perm = _transpositions(piv, k)
-    idx = np.argsort(piv)[perm.forward[k:]]  # QRCP positions, in that order
+    if 2 * (rows - k) ** 2 * (cols - k) > 4 * (t := k - k0) * (rows - k0) * (cols - k0):
+        return None
+    # rows: the state's, the QRCP's (diagonal >= 0), its later reflectors on
+    # its trailing triangle; columns as t transpositions leave them
+    local, perm = _transpositions(piv, t), state.perm.copy()
+    for i, j in local.swaps:
+        perm.swap(k0 + i, k0 + j)
+    idx = np.argsort(piv)[local.forward[t:]]
     r = np.zeros((rows, cols))
-    r[:k] = _signed_r(work, k)[0][:, np.r_[:k, idx]]
+    r[:k0] = state.r[:k0, np.r_[:k0, k0 + local.forward]]
+    r[k0:k, k0:] = _signed_r(work, t)[0][:, np.r_[:t, idx]]
     if k < rows:
-        refl, tri = work[k:, k:rows], np.triu(work[k:, k:])[:, idx - k]
-        lwork = int(dormqr("L", "N", refl, tau[k:], tri, -1)[1][0])
-        r[k:, k:], _, info = dormqr("L", "N", refl, tau[k:], tri, lwork, overwrite_c=1)
+        refl, tri = work[t:, t : rows - k0], np.triu(work[t:, t:])[:, idx - t]
+        lwork = int(dormqr("L", "N", refl, tau[t:], tri, -1)[1][0])
+        r[k:, k:], _, info = dormqr("L", "N", refl, tau[t:], tri, lwork, overwrite_c=1)
         if info:
             raise ValueError(f"dormqr failed with info={info}")
-    return SrrqrState(r, perm, k, omega, gamma[idx - k], coup[:, idx - k])
+    return SrrqrState(r, perm, k, omega, gamma[idx - t], coup[:, idx - t], state.swap_count)
 
 
-def _replay(work: np.ndarray, config: SrrqrConfig):
-    """(k > 0, omega, gamma, a) in QRCP column order where ``_drive``'s growth
-    along the QRCP ``work`` stops (the mode's stop or the screen's first
-    swap), else None.  omega and ``a`` follow ``_advance``'s recurrences,
-    gamma the reverse cumulative sums of the squared R; ``b[j, i] = a[i, j]``
-    drops a row for free and takes one ``dger`` a step."""
-    rows, cols = work.shape
-    rank_mode = isinstance(config.mode, TargetRank)
-    stop = config.mode.k if rank_mode else rows
-    omega, b, k = np.zeros(rows), np.zeros((cols, 0)), 0
+def _replay(work: np.ndarray, omega0: np.ndarray, a0: np.ndarray, config: SrrqrConfig):
+    """(k, omega, gamma, a) in QRCP column order where ``_drive`` stops
+    growing a state with ``omega0``, ``a0`` along the QRCP ``work`` of its
+    trailing block; None at no step on, at a pivot quantity not finite or
+    underflowing, or where a downdated norm could decide otherwise: a pivot
+    near a tie, a top norm near tau.  ``b[j, i] = a[i, j]`` drops a row for
+    free and takes one ``dger`` a step."""
+    (rows, cols), k0 = work.shape, omega0.size
+    rank_mode, k = isinstance(config.mode, TargetRank), k0
+    stop, tau = (config.mode.k, 0.0) if rank_mode else (k0 + rows, config.mode.tau)
+    omega, b = np.r_[omega0, np.zeros(stop - k0)], np.ascontiguousarray(a0.T)
     with np.errstate(all="ignore"):
         # gam[t, j]: norm of rows t onward of column j of the R; row ``rows`` is 0
         gam = np.zeros((rows + 1, cols))
@@ -673,12 +683,16 @@ def _replay(work: np.ndarray, config: SrrqrConfig):
         np.cumsum(gam[::-1], axis=0, out=gam[::-1])
         np.sqrt(gam, out=gam)
         while k < stop:
-            top = gam[k, k:].max()
-            if not math.isfinite(top) or (rank_mode and top < _UNDERFLOW_FLOOR):
+            top = gam[t := k - k0, t:].max()
+            if not math.isfinite(top) or top < _UNDERFLOW_FLOOR and rank_mode:
                 return None
-            if not rank_mode and top < config.mode.tau:
+            # a downdated norm is off by up to _DOWNDATE_TOL of itself
+            tie = gam[t, t + 1 :].max(initial=0.0) >= (1.0 - _DOWNDATE_TOL) * gam[t, t]
+            if abs(top - tau) <= _DOWNDATE_TOL * tau or tie and top >= tau:
+                return None
+            if top < tau:
                 break
-            d, c2 = work[k, k], work[k, k + 1 :]
+            d, c2 = work[t, t], work[t, t + 1 :]
             if k == b.shape[1]:  # full: copy it into one 32 columns wider
                 b = np.hstack([b, np.zeros((b.shape[0], min(32, stop - k)))])
             omega[:k], omega[k] = np.hypot(omega[:k], b[0, :k] / d), 1.0 / abs(d)
@@ -688,15 +702,15 @@ def _replay(work: np.ndarray, config: SrrqrConfig):
             b[:, k] = c2 / d
             k += 1
             # b's zero columns pass the positive bound; inf or NaN never does
-            view = SimpleNamespace(k=k, omega=omega[:k], gamma=gam[k, k:], a=b.T)
-            if not view.gamma.size or _rho_hat_at_most(view, config.f / math.sqrt(2.0)):
+            q = omega[:k], gam[t + 1, t + 1 :]
+            if not c2.size or _rho_hat_at_most(*q, b, config.f / math.sqrt(2.0)):
                 continue
-            if not (np.isfinite(omega[:k]).all() and np.isfinite(b).all()):
+            if not (np.isfinite(q[0]).all() and np.isfinite(b).all()):
                 return None
-            view.a = b[:, :k].T
-            if _first_swap(view, config.f * _F_SLACK) is not None:
+            if _first_swap(*q, b[:, :k].T, config.f * _F_SLACK) is not None:
                 break
-    return (k, omega[:k].copy(), gam[k, k:].copy(), b[:, :k].T.copy()) if k else None
+    t = k - k0
+    return (k, omega[:k].copy(), gam[t, t:].copy(), b[:, :k].T.copy()) if t else None
 
 
 @dataclass
@@ -755,8 +769,12 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
         raise TypeError("config must be an SrrqrConfig")
     if isinstance(config.mode, TargetRank) and config.mode.k > mr:
         raise ValueError(f"target rank {config.mode.k} exceeds min(rows, cols) = {mr}")
-    state = _qrcp_prefix(a, config) if a.shape[0] <= a.shape[1] else _fresh_state(a)
-    stop_reason = _drive(state, config, on_swap)
+    state, stop_reason = _fresh_state(a), None
+    if rows <= a.shape[1] and config.f >= _PREFIX_MIN_F:
+        after = max(_PREFIX_AFTER, a.shape[1] // 8)
+        if (stop_reason := _drive(state, config, on_swap, after)) is None and not state.swap_count:
+            state = _qrcp_prefix(state, config) or state
+    stop_reason = stop_reason or _drive(state, config, on_swap)
     k = state.k
     if want_q:
         # the state carries no Q: factor M P once, with LAPACK, for Q and R

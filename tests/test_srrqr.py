@@ -260,7 +260,7 @@ class TestRho:
         getattr(st, name)[index] = np.nan
         assert math.isnan(rho_hat(st))
         # the early exit never takes a NaN state for a certified one
-        assert not _rho_hat_at_most(st, math.inf)
+        assert not _rho_hat_at_most(st.omega, st.gamma, st.a, math.inf)
 
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(data=hst.data(), k=hst.integers(0, 4), t=hst.integers(0, 4))
@@ -278,7 +278,7 @@ class TestRho:
         if k and t:
             terms.append(np.max(omega) * np.max(gamma))
         bound = data.draw(hst.one_of(hst.floats(-1.0, 2e12), hst.sampled_from(terms)))
-        assert _rho_hat_at_most(st, bound) == (rho_hat(st) <= bound)
+        assert _rho_hat_at_most(st.omega, st.gamma, st.a, bound) == (rho_hat(st) <= bound)
 
 
 class TestInterchange:
@@ -518,21 +518,12 @@ class TestNormDowndate:
         oracle = _recompute_srrqr(m, cfg)
         admitted = []
         grow = SrrqrState._advance
-        engine = importlib.import_module("spectra_rrqr.srrqr")
-        prefix = engine._qrcp_prefix
 
         def spy(state):
             grow(state)
             admitted.append(state.r[state.k - 1, state.k - 1])
 
-        def spy_prefix(a, config):
-            # a square input grows its swap-free pivots here, not in _advance
-            state = prefix(a, config)
-            admitted.extend(state.r.diagonal()[: state.k])
-            return state
-
         monkeypatch.setattr(SrrqrState, "_advance", spy)
-        monkeypatch.setattr(engine, "_qrcp_prefix", spy_prefix)
         res = srrqr(m, cfg, want_q=False)
         assert res.k == oracle.k
         assert len(admitted) == res.k
@@ -541,34 +532,19 @@ class TestNormDowndate:
     def test_maintained_norms_track_the_trailing_block(self, monkeypatch):
         # without the rule the maintained norms are off by up to 1e33 here
         m = generate(MatrixSpec(Kahan(n=300, s=0.95)))
-        worst, steps = [], []
-
-        def check(state, count):
-            true = np.linalg.norm(state.r[state.k :, state.k :], axis=0)
-            worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
-            steps.append(count)
-
+        worst = []
         for name in ("_advance", "_interchange_core"):
             step = getattr(SrrqrState, name)
 
             def spy(state, *ij, step=step):
                 step(state, *ij)
-                check(state, 1)
+                true = np.linalg.norm(state.r[state.k :, state.k :], axis=0)
+                worst.append(np.max(np.abs(state.gamma - true) / true, initial=0.0))
 
             monkeypatch.setattr(SrrqrState, name, spy)
-        engine = importlib.import_module("spectra_rrqr.srrqr")
-        prefix = engine._qrcp_prefix
-
-        def spy_prefix(a, config):
-            # the square input's swap-free pivots arrive as one state
-            state = prefix(a, config)
-            check(state, state.k)
-            return state
-
-        monkeypatch.setattr(engine, "_qrcp_prefix", spy_prefix)
         res = srrqr(m, SrrqrConfig(f=1.02, mode=Tolerance(1e-10)), want_q=False)
         assert res.swap_count > 0
-        assert sum(steps) == res.k + res.swap_count
+        assert len(worst) == res.k + res.swap_count
         assert max(worst) <= 1e-6
 
     def test_floor_governs_recomputes_and_resets(self):
@@ -973,7 +949,7 @@ class TestSwapScreen:
         hit = det_ratio_matrix(state) > f_swap
         first = int(np.argmax(hit))
         want = divmod(first, hit.shape[1]) if hit.flat[first] else None
-        assert _first_swap(state, f_swap) == want
+        assert _first_swap(state.omega, state.gamma, state.a, f_swap) == want
 
 
 def _state_kinds():
@@ -1230,7 +1206,9 @@ class TestHotLoopReference:
             except ValueError as err:
                 return str(err)
 
-        assert outcome(_first_swap) == outcome(reference_first_swap)
+        assert outcome(lambda s, f: _first_swap(s.omega, s.gamma, s.a, f)) == outcome(
+            reference_first_swap
+        )
 
 
 class TestOwnership:
@@ -1377,13 +1355,13 @@ class TestNonFinite:
         st.omega[:] = np.nan
         st.a[:] = np.nan
         with pytest.raises(ValueError, match=r"swap ratio \(0, 0\) is NaN at step 2"):
-            _first_swap(st, 1.1)
+            _first_swap(st.omega, st.gamma, st.a, 1.1)
 
     def test_hit_before_a_nan_is_taken(self):
         st = srrqr_state(rng(1).standard_normal((7, 5)), 2)
         st.a[0, 1] = 10.0
         st.a[1, :] = np.nan
-        hit = _first_swap(st, 1.1)
+        hit = _first_swap(st.omega, st.gamma, st.a, 1.1)
         assert hit is not None and hit[0] == 0
 
 
@@ -1492,8 +1470,21 @@ _PREFIX_CASES = {
     "stairs-125": ("sq-stairs125", SrrqrConfig(2.0, Tolerance(1e-10)), None),
     "stewart-128-tol": ("sq-stewart0", SrrqrConfig(1.1, Tolerance(1e-10)), 5),
     "stewart-128-rank": ("sq-stewart1", SrrqrConfig(1.1, TargetRank(40)), 7),
+    "stewart-128-f1.5": ("sq-stewart0", SrrqrConfig(1.5, Tolerance(1e-10)), 30),
     "kahan-96": ("sq-kahan96", SrrqrConfig(2.0, TargetRank(95)), 16),
     "wide-40x70": ("wide", SrrqrConfig(1.1, Tolerance(1e-10)), 38),
+}
+# label -> (case, the step the prefix starts from, the step its state is
+# at, or None when it leaves the growth to the engine)
+_PREFIX_RUNS = {
+    "stairs-125/0": ("stairs-125", 0, 100),  # the mode's stop
+    "stairs-125/32": ("stairs-125", 32, 100),
+    "stewart-128-f1.5/0": ("stewart-128-f1.5", 0, 30),  # the first swap
+    "stewart-128-f1.5/20": ("stewart-128-f1.5", 20, None),  # 10 engine steps cost less
+    "stewart-128-tol/0": ("stewart-128-tol", 0, None),  # likewise for 5
+    "kahan-96/0": ("kahan-96", 0, None),  # equal column norms: a tie
+    "wide-40x70/0": ("wide-40x70", 0, 38),
+    "wide-40x70/10": ("wide-40x70", 10, 38),
 }
 
 
@@ -1506,17 +1497,27 @@ def _prefix_input(name):
 
 
 class TestQrcpPrefix:
-    """A square or wide input grows its swap-free pivots by one ``dgeqp3``,
-    then the interchanges take over: the decisions are the engine's."""
+    """Once the engine has grown a square or wide state for a while without
+    an interchange, one ``dgeqp3`` of its trailing block grows the swap-free
+    steps after that; the decisions stay the engine's."""
 
-    @pytest.mark.parametrize("case", _PREFIX_CASES, ids=list(_PREFIX_CASES))
-    def test_handover_state_matches_recompute(self, case):
+    @pytest.mark.parametrize("run", _PREFIX_RUNS, ids=list(_PREFIX_RUNS))
+    def test_grown_state_matches_recompute(self, run):
         engine = importlib.import_module("spectra_rrqr.srrqr")
+        case, k0, end = _PREFIX_RUNS[run]
         name, cfg, first = _PREFIX_CASES[case]
         m = as_matrix(_prefix_input(name))
         assert _oracle_first_swap(m, cfg) == first
-        st = engine._qrcp_prefix(m, cfg)
-        assert st.k == (first or _recompute_srrqr(m, cfg).k)
+        start = _oracle_growth(m, k0)
+        before = (start.r.copy(), start.perm.copy(), start.omega.copy(), start.a.copy())
+        st = engine._qrcp_prefix(start, cfg)
+        # the state it starts from is left as it was
+        assert np.array_equal(start.r, before[0]) and start.perm.swaps == before[1].swaps
+        assert np.array_equal(start.omega, before[2]) and np.array_equal(start.a, before[3])
+        if end is None:
+            assert st is None
+            return
+        assert st.k == end == (first or _recompute_srrqr(m, cfg).k)
         ref = _oracle_growth(m, st.k)
         assert np.array_equal(st.perm.forward, ref.perm.forward)
         assert st.perm.swaps == ref.perm.swaps
@@ -1529,7 +1530,12 @@ class TestQrcpPrefix:
         assert max(st.consistency_errors().values()) <= 1e-12
 
     @pytest.mark.parametrize("case", _PREFIX_CASES, ids=list(_PREFIX_CASES))
-    def test_same_decisions_as_recompute(self, case):
+    @pytest.mark.parametrize("after", [1, None], ids=["after-1", "default"])
+    def test_same_decisions_as_recompute(self, case, after, monkeypatch):
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        if after:
+            monkeypatch.setattr(engine, "_PREFIX_AFTER", after)
+            monkeypatch.setattr(engine, "_PREFIX_MIN_F", 1.0)
         name, cfg, first = _PREFIX_CASES[case]
         m = _prefix_input(name)
         swaps = []
@@ -1542,16 +1548,20 @@ class TestQrcpPrefix:
         fresh = swap_ratios(*res.state.recomputed())
         assert res.rho == pytest.approx(fresh.max(initial=0.0), rel=1e-12)
         assert res.rho == pytest.approx(oracle.rho, rel=1e-7)
-        # on_swap fires once per interchange, the first at the handover
+        # on_swap fires once per interchange, the first where the oracle's does
         assert len(swaps) == res.swap_count
         assert (swaps[0][0] if swaps else None) == first
         assert all(r > cfg.f for *_, r in swaps)
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_random_inputs_make_the_oracles_decisions(self, seed):
+    def test_random_inputs_make_the_oracles_decisions(self, seed, monkeypatch):
         # small square and wide shapes, graded columns or low-rank products,
-        # every f and both modes; no exact ties among the column norms
+        # every f and both modes; no exact ties among the column norms.  The
+        # prefix may start after 1 to 5 reflectors (n/8), at every f
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        monkeypatch.setattr(engine, "_PREFIX_MIN_F", 1.0)
         for g in (rng(100 * seed + i) for i in range(8)):
+            monkeypatch.setattr(engine, "_PREFIX_AFTER", int(g.integers(1, 3)))
             rows = int(g.integers(1, 30))
             cols = int(g.integers(rows, 45))
             grade = g.uniform(0.5, 1.0) ** g.permutation(cols)
@@ -1567,19 +1577,31 @@ class TestQrcpPrefix:
             assert res.factorization.perm.swaps == oracle.factorization.perm.swaps
             assert res.stop_reason == oracle.stop_reason
 
-    def test_is_used_for_square_and_wide_only(self, monkeypatch):
+    def test_is_tried_on_square_and_wide_states_only(self, monkeypatch):
         engine = importlib.import_module("spectra_rrqr.srrqr")
         prefix, seen = engine._qrcp_prefix, []
 
-        def spy(a, config):
-            seen.append(a.shape)
-            return prefix(a, config)
+        def spy(state, config):
+            seen.append((state.r.shape, state.k, config.f))
+            return prefix(state, config)
 
         monkeypatch.setattr(engine, "_qrcp_prefix", spy)
-        cfg = SrrqrConfig(2.0, TargetRank(3))
-        for shape in [(6, 6), (5, 9), (9, 5)]:
-            srrqr(rng(42).standard_normal(shape), cfg, want_q=False)
-        assert seen == [(6, 6), (5, 9)]
+        monkeypatch.setattr(engine, "_PREFIX_AFTER", 2)
+        for f in (2.0, 1.2):
+            for shape in [(6, 6), (5, 9), (9, 5)]:
+                srrqr(rng(42).standard_normal(shape), SrrqrConfig(f, TargetRank(4)), want_q=False)
+        # after two reflectors, and only at f >= sqrt(2)
+        assert seen == [((6, 6), 2, 2.0), ((5, 9), 2, 2.0)]
+
+    def test_waits_for_the_engines_reflectors(self, monkeypatch):
+        # an upper-triangular input in natural pivot order grows without a
+        # reflector, so the engine takes it whole and the prefix never starts
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        monkeypatch.setattr(engine, "_qrcp_prefix", lambda *args: pytest.fail("prefix tried"))
+        m = np.triu(1e-4 * rng(44).standard_normal((60, 60))) + np.diag(0.9 ** np.arange(60))
+        res = srrqr(m, SrrqrConfig(2.0, TargetRank(50)), want_q=False)
+        assert res.k == 50 and res.swap_count == 0
+        assert np.array_equal(res.factorization.perm.forward, np.arange(60))
 
 
 class TestQrcpPrefixErrors:
@@ -1619,6 +1641,6 @@ class TestQrcpPrefixErrors:
         # a zero diagonal under a column norm above tau (not a QRCP that
         # LAPACK returns) is left to the engine
         engine = importlib.import_module("spectra_rrqr.srrqr")
-        work = np.array([[0.0, 1.0], [0.0, 0.0]], order="F")
-        assert engine._replay(work, SrrqrConfig(2.0, Tolerance(1e-10))) is None
-        assert engine._replay(work, SrrqrConfig(2.0, TargetRank(1))) is None
+        work, none = np.array([[0.0, 1.0], [0.0, 0.0]], order="F"), np.zeros((0, 2))
+        assert engine._replay(work, np.zeros(0), none, SrrqrConfig(2.0, Tolerance(1e-10))) is None
+        assert engine._replay(work, np.zeros(0), none, SrrqrConfig(2.0, TargetRank(1))) is None

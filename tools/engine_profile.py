@@ -16,8 +16,8 @@ untimed warm-up call:
   pivoting that ``rand_srrqr_tol`` does on the sketch;
 - ``hc-R``: the same for the first ``rank-odd`` SRHT call on hc (f=2,
   target rank 333), the pivoting that ``rand_srrqr_rank`` does; its pivots
-  come in natural order, so the engine skips every reflector and the QRCP
-  prefix below costs the most relative to it;
+  come mostly in natural order, so the engine skips most reflectors and
+  the QRCP prefix below, which waits for n/8 of them, does not start;
 - ``gauss-sketch``: ``sketch.apply`` of the Gaussian operator of the first
   ``rank-odd`` Gaussian call of benchmark seed N to its matrix.
 
@@ -32,11 +32,11 @@ outside ``sketch._share`` counts no piece and puts the products in
 compression, ``square`` once R has no more rows than columns),
 ``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
 the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
-prefix that grows a square or wide state's swap-free pivots: ``dgeqp3``
+prefix that grows a square or wide state's swap-free steps: ``dgeqp3``
 (``_geqp3``), ``replay`` (``_replay``, its own screens included) and
 ``state``, the rest of ``_qrcp_prefix``: building the state where the
-replay stopped; and ``handover``, the count of prefixes that stopped at a
-swap and handed their state to the interchanges.  A checkout without the
+replay stopped; its count is the prefixes tried, and ``handover`` counts
+those whose state went on to an interchange before any growth.  A checkout without the
 prefix counts none of it.  ``other`` is the call less
 the parts, mostly ``_drive``'s own loop.  ``dtrtrs`` is counted, not
 timed: one call per interchange, plus one per omega recompute in
@@ -121,7 +121,7 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
         def prefix_flagged(*args):
             grown.clear()
             state = prefix(*args)
-            if state.k:
+            if state is not None:
                 grown.append(True)
             return state
 
