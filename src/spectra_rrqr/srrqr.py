@@ -595,9 +595,9 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
 
 def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
     """:func:`_drive`'s inner loop: interchange while the screen finds a pair."""
-    while state.gamma.size:
-        q = state.omega, state.gamma, state.a
-        if _rho_hat_at_most(*q, f / math.sqrt(2.0)) or (hit := _first_swap(*q, f * _F_SLACK)) is None:
+    early_exit, f_swap = f / math.sqrt(2.0), f * _F_SLACK
+    while state.gamma.size and not _rho_hat_at_most(state.omega, state.gamma, state.a, early_exit):
+        if (hit := _first_swap(state.omega, state.gamma, state.a, f_swap)) is None:
             break
         if state.swap_count >= 20 * swap_budget(max(state.k, 1), state.r.shape[1], f):
             raise RuntimeError(
@@ -747,8 +747,8 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
     """Strong rank-revealing QR factorization (rank or tolerance driven).
 
     Validates ``config`` against ``m``, then :func:`_drive` grows and
-    interchanges a fresh state, or the one :func:`_qrcp_prefix` grew on an
-    input with no more rows than columns (``_drive`` has the loop); the
+    interchanges a fresh state, in which :func:`_qrcp_prefix` may grow a
+    run of swap-free steps (module docstring; ``_drive`` has the loop); the
     result's ``stop_reason`` is what ``_drive`` returned.  ``on_swap(k, i,
     j, ratio)`` is invoked after every interchange, to monitor the volume.
 
