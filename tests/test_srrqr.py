@@ -1593,6 +1593,28 @@ class TestQrcpPrefix:
         # after two reflectors, and only at f >= sqrt(2)
         assert seen == [((6, 6), 2, 2.0), ((5, 9), 2, 2.0)]
 
+    @pytest.mark.parametrize(
+        "spec, cfg",
+        [
+            # the 81st singular value is 1.0000000000000004e-10: a top norm at tau
+            (HC(m=120, n=120), SrrqrConfig(2.0, Tolerance(1e-10))),
+            # equal column norms: every pivot a tie
+            (Kahan(n=80, s=0.95), SrrqrConfig(2.0, TargetRank(79))),
+        ],
+        ids=["hc-120-at-tau", "kahan-80-ties"],
+    )
+    def test_near_ties_keep_the_engines_decisions(self, spec, cfg, monkeypatch):
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        m = generate(MatrixSpec(spec))
+        monkeypatch.setattr(engine, "_PREFIX_MIN_F", math.inf)
+        alone = srrqr(m, cfg, want_q=False)
+        monkeypatch.setattr(engine, "_PREFIX_MIN_F", 1.0)
+        monkeypatch.setattr(engine, "_PREFIX_AFTER", 1)
+        res = srrqr(m, cfg, want_q=False)
+        _same_decisions(res, alone)
+        assert res.factorization.perm.swaps == alone.factorization.perm.swaps
+        assert res.stop_reason == alone.stop_reason
+
     def test_waits_for_the_engines_reflectors(self, monkeypatch):
         # an upper-triangular input in natural pivot order grows without a
         # reflector, so the engine takes it whole and the prefix never starts
