@@ -1,6 +1,6 @@
 """The pinned calls of ``test_decision_pins.py``: what each decides.
 
-Twenty-four calls.  Twenty run on the smoke-size fixtures of the
+Twenty-six calls.  Twenty run on the smoke-size fixtures of the
 benchmark's workloads (stairs 2048x125, stairs and hc 1500x125, stewart
 1024x128): ``srrqr`` in both modes, ``qrcp``, and ``rand_srrqr_rank`` and
 ``rand_srrqr_tol`` with both sketch kinds.  Four run ``srrqr`` on square
@@ -8,7 +8,12 @@ inputs, the shape of a randomized call's sketch R: stairs 125x125, stewart
 128x128 (seeds 0 and 1) and Kahan(96, s=0.99), whose first interchanges
 come at no step, step 5, step 7 and step 16.  The Kahan fixture's diagonal
 perturbation is 1e5 ulps, not 25: at 25 its equal column norms are a tie
-that 1e-13 input noise breaks another way.  A call's line is its label, k, ``stop_reason``,
+that 1e-13 input noise breaks another way.  Two run ``rand_srrqr_rank``
+with the Gaussian sketch on stairs and hc 1500x300, wider than one
+``sketch._PIECE`` of 256 columns, so that the sketch's products come in
+pieces.  The stairs fixture has stairs of 60 columns, not 25: past its
+fourth stair the singular values sit below 1e-12, where 1e-13 input noise
+reorders the pivots.  A call's line is its label, k, ``stop_reason``,
 ``swap_count`` and the sha1 of its permutation and of its swap log.  A
 ``qrcp`` line has ``-`` for the two fields it lacks, and hashes only the
 leading k columns and the transpositions that placed them: past the
@@ -52,6 +57,9 @@ FIXTURES = {
     "sq-stewart0": testmat.MatrixSpec(testmat.Stewart(m=128, n=128, q=0.6), seed=0),
     "sq-stewart1": testmat.MatrixSpec(testmat.Stewart(m=128, n=128, q=0.6), seed=1),
     "sq-kahan96": testmat.MatrixSpec(testmat.Kahan(n=96, s=0.99, diag_perturb=1e5)),
+    # wider than one sketch piece
+    "stairs1500x300": testmat.MatrixSpec(testmat.DevilsStairs(m=1500, n=300, stair_len=60), seed=14),
+    "hc1500x300": testmat.MatrixSpec(testmat.HC(m=1500, n=300), seed=15),
 }
 
 
@@ -104,6 +112,8 @@ CALLS = {
     "rand-rank/stewart1/srht/5": (_rand, ("stewart1", F_SWAP, ("rank", 40), "srht", 5)),
     "rand-rank/stewart1/gaussian/5": (_rand, ("stewart1", F_SWAP, ("rank", 40), "gaussian", 5)),
     "rand-rank/stewart1/gaussian/6": (_rand, ("stewart1", F_SWAP, ("rank", 40), "gaussian", 6)),
+    "rand-rank/stairs1500x300/gaussian/7": (_rand, ("stairs1500x300", F, ("rank", 240), "gaussian", 7)),
+    "rand-rank/hc1500x300/gaussian/7": (_rand, ("hc1500x300", F, ("rank", 200), "gaussian", 7)),
 }
 
 

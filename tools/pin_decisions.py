@@ -4,7 +4,7 @@
     python3 tools/pin_decisions.py SRC_DIR > tests/decision_pins.txt
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to run; the calls
-are the twenty-four of ``tests/decision_pins.py`` next to this script (its
+are the twenty-six of ``tests/decision_pins.py`` next to this script (its
 docstring says what a line holds), so two checkouts are compared by
 running each and diffing, and a change that is meant to move decisions
 rebuilds the committed file by running this on its own ``src/``.  BLAS
