@@ -196,8 +196,8 @@ def _randomized(a, config, d, seed, kind, want_q):
         reduction = _sketch_pool(workers).submit(_geqrt, np.array(a, order="F"), True)
     try:
         if msk.shape[0] > n:
-            # one F-ordered copy, reduced in place once the C-ordered sketch
-            # is freed: the sketch is not held twice next to the copy of a.
+            # in place: a Gaussian sketch is F-ordered, an SRHT one copied
+            # once and its original freed, never held twice next to a's copy.
             # srrqr validates the R it gets, non-finite if the sketch is
             msk = np.asfortranarray(msk)
             msk = _r_factor(msk, overwrite=True)

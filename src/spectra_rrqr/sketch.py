@@ -10,14 +10,13 @@ sampler from the Philox stream of key ``seed`` and counter ``[0, 0, c,
 and blocked application reproduces the same matrix.
 
 The Gaussian operator is applied one block of whole chunks at a time, the
-block's chunks drawn into one buffer and multiplied into the result: at
-one BLAS thread in pieces of at most ``_PIECE`` input columns, one matrix
-product each, and otherwise as one product.  The block partition fixes
-the sketch's bits, and at one BLAS thread for n > ``_PIECE`` so do the
-pieces: against one product per block, one-threaded OpenBLAS gave other
-bits at n = 257, 260, 300 and 700 and the same bits at the other 18 of 22
-widths from 257 to 1024, 500 among them.  The BLAS thread count moves the
-bits in any case.  The SRHT is applied as two matrix products through the
+block's chunks drawn into one buffer and multiplied into the sketch's
+C-ordered transpose as ``a_piece.T @ blk.T``, column-major BLAS's NN
+product, at one BLAS thread in pieces of at most ``_PIECE`` input
+columns.  The blocks, the BLAS thread count and, at one BLAS thread for
+n > ``_PIECE``, the pieces fix the sketch's bits: against one product per
+block, OpenBLAS gave other bits at 21 of 22 widths from 257 to 1024, all
+but n = 260.  The SRHT is applied as two matrix products through the
 Kronecker structure ``H_m = H_p (x) H_q`` of the Sylvester Hadamard
 matrix, computing only the sampled rows; the first runs in panels of
 columns, so the only matrix-sized scratch is its result.  :func:`fwht` is
@@ -193,10 +192,10 @@ def _fill_gaussian(buf: np.ndarray, seed: int, d: int, j0: int, chunks) -> None:
         np.random.Generator(bg).standard_normal(out=flat[d * (c0 - j0) : d * (c1 - j0)])
 
 
-def _multiply_pieces(out: np.ndarray, blk: np.ndarray, a: np.ndarray, pieces) -> None:
-    """Add ``blk @ a[:, c0:c1]`` into ``out[:, c0:c1]`` for each ``(c0, c1)``."""
+def _multiply_pieces(out_t: np.ndarray, blk: np.ndarray, a: np.ndarray, pieces) -> None:
+    """Add ``a[:, c0:c1].T @ blk.T`` into ``out_t[c0:c1]`` for each ``(c0, c1)``."""
     for c0, c1 in pieces:
-        out[:, c0:c1] += blk @ a[:, c0:c1]
+        out_t[c0:c1] += a[:, c0:c1].T @ blk.T
 
 
 def _drain(queue: deque):
@@ -243,15 +242,16 @@ def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
 
     Blocks of ``_BLOCK_ENTRIES // d`` operator columns, rounded down to
     whole chunks (at least one) so that each starts on a chunk boundary,
-    are accumulated into the result in order, each in pieces of input
-    columns: the same partitions and order as ``out[:, p] +=
-    _gaussian_block(b) @ a[b, p]`` over the blocks ``b`` and, within each,
-    the pieces ``p``, then ``out / sqrt(d)``.  The caller and ``workers -
-    1`` pool tasks draw a block's chunks into the one buffer, one stream
-    each and no scratch (:func:`_share`).  With BLAS on one thread they
-    then share out its pieces of at most ``_PIECE`` columns; otherwise the
-    caller multiplies the block in as one piece.  With n <= ``_PIECE`` the
-    two are the same product.
+    are accumulated in order, each in pieces of input columns: the same
+    partitions and order as ``out_t[p] += a[b, p].T @ _gaussian_block(b).T``
+    over the blocks ``b`` and, within each, the pieces ``p``, on a C-ordered
+    n x d ``out_t``, no operand transposed for column-major BLAS; then
+    ``(out_t / sqrt(d)).T``, F-ordered.  The caller and ``workers - 1``
+    pool tasks draw a block's chunks into the one buffer, one stream each
+    and no scratch (:func:`_share`).  With BLAS on one thread they then
+    share out its pieces of at most ``_PIECE`` columns; otherwise the caller
+    multiplies the block in as one piece.  With n <= ``_PIECE`` the two are
+    the same product.
     """
     d, m = op.d, op.m
     n = a.shape[1]
@@ -264,15 +264,15 @@ def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
         # one product packs the block once, pieces in turn once per piece
         piece, piece_workers = n, 1
     buf = np.empty((d, width), order="F")
-    out = np.zeros((d, n))
+    out_t = np.zeros((n, d))
     for j0 in range(0, m, width):
         j1 = min(m, j0 + width)
         chunks = ((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
         _share(_fill_gaussian, chunks, workers, buf, op.seed, d, j0)
         pieces = ((c, min(n, c + piece)) for c in range(0, n, piece))
-        _share(_multiply_pieces, pieces, piece_workers, out, buf[:, : j1 - j0], a[j0:j1])
-    out /= math.sqrt(d)
-    return out
+        _share(_multiply_pieces, pieces, piece_workers, out_t, buf[:, : j1 - j0], a[j0:j1])
+    out_t /= math.sqrt(d)
+    return out_t.T
 
 
 @dataclass
@@ -391,11 +391,11 @@ def apply(op: SketchOperator, m) -> np.ndarray:
     :func:`pad_rows_pow2` of it; the other kinds need exactly ``op.m`` rows.
     The Gaussian path draws each block of whole chunks of operator columns,
     one Philox stream per chunk of ``_CHUNK`` columns, into one buffer and
-    multiplies it into the result, at one BLAS thread in pieces of at most
-    ``_PIECE`` input columns (see :func:`_gaussian_rows`); there, for
-    n > ``_PIECE``, the pieces fix the bits, as the blocks do.  Both paths
-    share their work out among threads; the result is bitwise the same for
-    every worker count.
+    multiplies it into the F-ordered result, at one BLAS thread in pieces
+    of at most ``_PIECE`` input columns (see :func:`_gaussian_rows`);
+    there, for n > ``_PIECE``, the pieces fix the bits, as the blocks do.
+    Both paths share their work out among threads; the result is bitwise
+    the same for every worker count.
     """
     return _apply(op, as_matrix(m))
 

@@ -186,6 +186,29 @@ class TestSketchReduction:
         res = rand_srrqr_rank(m, f=2.0, k=5, d=48, seed=7)
         assert res.sketch_result.state.r.shape == (12, 12)
 
+    @pytest.mark.parametrize("kind, in_place", [("gaussian", True), ("srht", False)])
+    def test_gaussian_sketch_is_reduced_without_a_copy(self, monkeypatch, kind, in_place):
+        # the Gaussian sketch comes back F-ordered, so its R factor is formed
+        # in place on the array the sketch returned; the SRHT's C-ordered
+        # sketch is copied once
+        made, reduced = [], []
+        real_apply, real_r = rand_srrqr.apply, rand_srrqr._r_factor
+
+        def sketch_spy(op, a):
+            made.append(real_apply(op, a))
+            return made[-1]
+
+        def r_spy(a, overwrite=False):
+            reduced.append(a)
+            return real_r(a, overwrite)
+
+        monkeypatch.setattr(rand_srrqr, "apply", sketch_spy)
+        monkeypatch.setattr(rand_srrqr, "_r_factor", r_spy)
+        m = rng(4).standard_normal((300, 20))
+        rand_srrqr_rank(m, f=2.0, k=5, d=60, seed=3, kind=kind)
+        assert len(made) == 1 and len(reduced) == 1
+        assert np.shares_memory(made[0], reduced[0]) is in_place
+
     def test_wide_sketch_passes_through(self):
         m = rng(3).standard_normal((64, 12))
         res = rand_srrqr_rank(m, f=2.0, k=5, d=8, seed=7)

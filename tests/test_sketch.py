@@ -487,24 +487,25 @@ class TestSrhtPanels:
 class TestGaussianChunks:
     """The chunked, threaded Gaussian path against the block oracle.
 
-    The oracle is ``sum_b _gaussian_block(b) @ M[b] / sqrt(d)`` over the
-    GEMM blocks of ``_BLOCK_ENTRIES // d`` columns rounded down to whole
-    chunks, accumulated in block order; the arithmetic is the same, so
-    equality is bitwise.  Most cases shrink the block and chunk sizes so
-    their boundaries fall at small m; the chunks are the operator's
-    streams, so the oracle's ``_gaussian_block`` draws on the same grid.
+    The oracle is ``(sum_b M[b].T @ _gaussian_block(b).T / sqrt(d)).T``
+    over the GEMM blocks of ``_BLOCK_ENTRIES // d`` columns rounded down to
+    whole chunks, accumulated in block order into the transposed result;
+    the arithmetic is the same, so equality is bitwise.  Most cases shrink
+    the block and chunk sizes so their boundaries fall at small m; the
+    chunks are the operator's streams, so the oracle's ``_gaussian_block``
+    draws on the same grid.
     """
 
     @staticmethod
     def _oracle(op, x):
         # column-major, as apply's input validation makes it
         x = np.asfortranarray(x, dtype=np.float64)
-        out = np.zeros((op.d, x.shape[1]))
+        out_t = np.zeros((x.shape[1], op.d))
         block = _gaussian_width(op.d)
         for j0 in range(0, op.m, block):
             j1 = min(op.m, j0 + block)
-            out += _gaussian_block(op.seed, op.d, j0, j1) @ x[j0:j1, :]
-        return out / math.sqrt(op.d)
+            out_t += x[j0:j1, :].T @ _gaussian_block(op.seed, op.d, j0, j1).T
+        return (out_t / math.sqrt(op.d)).T
 
     @pytest.fixture
     def cap(self, request, monkeypatch):
@@ -657,26 +658,26 @@ class TestGaussianChunks:
 class TestGaussianPieces:
     """Each block's product in pieces of ``_PIECE`` input columns.
 
-    The oracle accumulates ``_gaussian_block(b) @ M[b, p]`` into the
-    result's columns ``p`` over the blocks ``b`` (whole chunks) in order
-    and, within each, the pieces ``p``.  Most cases shrink the piece width
-    so that n spans several pieces, and report BLAS on one thread, where
-    the caller and the pool share the pieces out.
+    The oracle accumulates ``M[b, p].T @ _gaussian_block(b).T`` into the
+    transposed result's rows ``p`` over the blocks ``b`` (whole chunks) in
+    order and, within each, the pieces ``p``.  Most cases shrink the piece
+    width so that n spans several pieces, and report BLAS on one thread,
+    where the caller and the pool share the pieces out.
     """
 
     @staticmethod
     def _oracle(op, x, piece):
         x = np.asfortranarray(x, dtype=np.float64)
         n = x.shape[1]
-        out = np.zeros((op.d, n))
+        out_t = np.zeros((n, op.d))
         block = _gaussian_width(op.d)
         for j0 in range(0, op.m, block):
             j1 = min(op.m, j0 + block)
             blk = _gaussian_block(op.seed, op.d, j0, j1)
             for c0 in range(0, n, piece):
                 c1 = min(n, c0 + piece)
-                out[:, c0:c1] += blk @ x[j0:j1, c0:c1]
-        return out / math.sqrt(op.d)
+                out_t[c0:c1] += x[j0:j1, c0:c1].T @ blk.T
+        return (out_t / math.sqrt(op.d)).T
 
     @pytest.fixture
     def cap(self, request, monkeypatch):
@@ -717,6 +718,21 @@ class TestGaussianPieces:
             got = apply(op, x)
             assert got.tobytes() == TestGaussianChunks._oracle(op, x).tobytes()
             assert got.tobytes() == self._oracle(op, x, sk._PIECE).tobytes()
+
+    @pytest.mark.parametrize("cap", [1, 2], indirect=True)
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_sketch_is_f_ordered(self, cap, monkeypatch, threads):
+        # the transpose of the C-ordered accumulator, in pieces (one BLAS
+        # thread, 300 columns) or one product per block: the sketch QR
+        # then reduces it in place
+        monkeypatch.setattr(sk, "_lapack_threads", lambda: threads)
+        op = SketchOperator("gaussian", d=40, m=300, seed=4)
+        x = rng(4).standard_normal((300, 300))
+        got = apply(op, x)
+        assert got.shape == (40, 300)
+        assert got.flags.f_contiguous and not got.flags.c_contiguous
+        piece = sk._PIECE if threads == 1 else 300
+        assert got.tobytes() == self._oracle(op, x, piece).tobytes()
 
     @pytest.mark.parametrize("cap", [2], indirect=True)
     @pytest.mark.parametrize("threads, n, workers, pieces", [

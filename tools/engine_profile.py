@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Time the strong-RRQR engine's kernels and the Gaussian sketch on the
-benchmark's own inputs.
+"""Time the strong-RRQR engine's kernels, the Gaussian sketch and the
+stages of a Gaussian call on the benchmark's own inputs.
 
     python3 tools/engine_profile.py SRC_DIR [--seed N] [--repeat R]
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to run, so the
 parent and a change are profiled by the same script, as with
-``compare_decisions.py``.  Four inputs are run, each R times after one
+``compare_decisions.py``.  Five inputs are run, each R times after one
 untimed warm-up call:
 
 - ``swap-det``: deterministic ``srrqr`` (f=1.1, tau=1e-10, no Q) on the 6
@@ -19,7 +19,9 @@ untimed warm-up call:
   come mostly in natural order, so the engine skips most reflectors and
   the QRCP prefix below, which waits for n/8 of them, does not start;
 - ``gauss-sketch``: ``sketch.apply`` of the Gaussian operator of the first
-  ``rank-odd`` Gaussian call of benchmark seed N to its matrix.
+  ``rank-odd`` Gaussian call of benchmark seed N to its matrix;
+- ``gauss-call``: that whole ``rand_srrqr_rank`` call, as the benchmark
+  makes it (no Q).
 
 For each input it prints the whole call and its parts: the count and the
 wall time in ms, each the median over the R repeats.  The parts of
@@ -27,9 +29,13 @@ wall time in ms, each the median over the R repeats.  The parts of
 blocks (its count is the chunks), and ``product``, the shared products of
 the blocks (its count is the pieces); a checkout that multiplies its blocks
 outside ``sketch._share`` counts no piece and puts the products in
-``other``.  The parts of the three ``srrqr`` inputs are the engine kernels:
-``SrrqrState._advance`` (split by the state's shape: ``tall`` before a
-compression, ``square`` once R has no more rows than columns),
+``other``.  The parts of ``gauss-call`` are the stages of the result's
+``timings_ms``: ``sketch``, ``srrqr_sketch`` (the sketch's R factor, its
+pivoting and the copy of M for the worker), ``reduce_m``, ``distortion``
+and ``final_qr``; ``other`` is the call outside them.  The parts of the
+three ``srrqr`` inputs are the engine kernels: ``SrrqrState._advance``
+(split by the state's shape: ``tall`` before a compression, ``square``
+once R has no more rows than columns),
 ``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
 the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
 prefix that grows a square or wide state's swap-free steps: ``dgeqp3``
@@ -161,13 +167,23 @@ def _sketch_of(job, mat):
     return sketch.SketchOperator(job.kind, sketch.ose_dim(mat.shape[1], rows), rows, job.sketch_seed)
 
 
-def inputs(seed: int, srrqr):
-    """(label, parts, [call]) for the swap-det fixtures, the sketch R and
-    the Gaussian sketch."""
+def _staged(ms: Counter, calls: Counter, call) -> None:
+    """Make the randomized ``call`` and add its ``timings_ms`` stages into
+    ``ms`` and ``calls``."""
+    for stage, t in call().timings_ms.items():
+        ms[stage] += t
+        calls[stage] += 1
+
+
+def inputs(seed: int, srrqr, ms: Counter, calls: Counter):
+    """(label, parts, [call]) for the swap-det fixtures, the sketch R, the
+    Gaussian sketch and the Gaussian call; the last adds its stages into
+    ``ms`` and ``calls``."""
     import numpy as np
     import workloads
     from spectra_rrqr import sketch, testmat
     from spectra_rrqr.dense_core import _r_factor
+    from spectra_rrqr.rand_srrqr import rand_srrqr_rank
     from spectra_rrqr.srrqr import SrrqrConfig, TargetRank, Tolerance
 
     kernels = ["_advance[tall]", "_advance[square]"] + [name for _, name in KERNELS[1:]]
@@ -193,6 +209,10 @@ def inputs(seed: int, srrqr):
     job = next(job for job in wl.jobs if job.kind == "gaussian")
     mat = testmat.generate(wl.fixtures[job.fixture])
     yield "gauss-sketch", ["generate", "product"], [partial(sketch.apply, _sketch_of(job, mat), mat)]
+    call = partial(rand_srrqr_rank, mat, job.f, job.k, seed=job.sketch_seed, kind=job.kind,
+                   want_q=False)
+    stages = ["sketch", "srrqr_sketch", "reduce_m", "distortion", "final_qr"]
+    yield "gauss-call", stages, [partial(_staged, ms, calls, call)]
 
 
 def main(argv=None) -> int:
@@ -217,7 +237,7 @@ def main(argv=None) -> int:
     instrument_sketch(sk, ms, calls)
     print(f"# medians over {args.repeat} repeats, benchmark seed {args.seed}")
     print(f"{'input':<12} {'part':<20} {'count':>7} {'ms':>9}")
-    for label, parts, calls_in in inputs(args.seed, mod.srrqr):
+    for label, parts, calls_in in inputs(args.seed, mod.srrqr, ms, calls):
         for call in calls_in:
             call()
         runs = []
@@ -230,9 +250,10 @@ def main(argv=None) -> int:
                 ms["call"] += (time.perf_counter() - t0) * 1e3
                 calls["call"] += 1
             ms["state"] -= ms["dgeqp3"] + ms["replay"]
-            ms["other"] = ms["call"] - sum(v for k, v in ms.items() if k != "call")
+            # a gauss-call also times the kernels and sketch parts inside its stages
+            ms["other"] = ms["call"] - sum(ms[k] for k in parts)
             runs.append((Counter(ms), Counter(calls)))
-        counted = ["handover", "dtrtrs"] if label != "gauss-sketch" else []
+        counted = [] if label.startswith("gauss-") else ["handover", "dtrtrs"]
         for key in ["call", *parts, "other", *counted]:
             n = "-" if key == "other" else f"{statistics.median(c[key] for _, c in runs):g}"
             t = "-" if key in counted else f"{statistics.median(m[key] for m, _ in runs):.2f}"
