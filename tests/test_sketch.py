@@ -45,6 +45,19 @@ def _gaussian_width(d):
     return max(sk._CHUNK, sk._BLOCK_ENTRIES // d // sk._CHUNK * sk._CHUNK)
 
 
+@pytest.fixture
+def stuck_pool():
+    """A one-thread pool whose thread is blocked until teardown, so no task
+    submitted to it runs during the test; teardown opens it and shuts it
+    down however the test ends, so a failed test cannot hang the session."""
+    gate = threading.Event()
+    stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
+    stuck.submit(gate.wait)
+    yield stuck
+    gate.set()
+    stuck.shutdown()
+
+
 class TestFwht:
     def test_pair(self):
         assert np.allclose(fwht([1.0, 1.0]), [2.0, 0.0])
@@ -437,25 +450,20 @@ class TestSrhtPanels:
         for (_, _, ref), out in zip(cases * 4, got):
             assert out.tobytes() == ref.tobytes()
 
-    def test_caller_runs_every_piece_when_no_task_starts(self, monkeypatch):
+    def test_caller_runs_every_piece_when_no_task_starts(self, monkeypatch, stuck_pool):
         # the pool's one thread is blocked, so no task submitted to it runs
         # until the gate opens: the caller must form every panel and every
         # row block itself
         self._cap(monkeypatch, 2)
-        gate = threading.Event()
-        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
-        stuck.submit(gate.wait)
         asked = []
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: asked.append(workers) or stuck)
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: asked.append(workers) or stuck_pool)
         op = SketchOperator("srht", d=300, m=self.M, seed=8)
         a = np.asfortranarray(rng(8).standard_normal((1000, 2 * self.PANEL + 3)))
         helper = ThreadPoolExecutor(1)
         try:
             got = helper.submit(apply, op, a).result(timeout=20)
         finally:
-            gate.set()
-            helper.shutdown()
-            stuck.shutdown()
+            helper.shutdown(wait=False)
         assert asked == [2, 2]  # one task offered for each stage
         assert got.tobytes() == self._oracle(op, a).tobytes()
 
@@ -811,24 +819,20 @@ class TestGaussianPieces:
         time.sleep(0.1)
         assert written[0].tobytes() == snapshot.tobytes()
 
-    def test_caller_multiplies_every_piece_when_no_task_starts(self, small_pieces, monkeypatch):
+    def test_caller_multiplies_every_piece_when_no_task_starts(self, small_pieces, monkeypatch,
+                                                               stuck_pool):
         # the pool's one thread is blocked, so no task submitted to it runs
         # until the gate opens: the caller must form every piece itself
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
-        gate = threading.Event()
-        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
-        stuck.submit(gate.wait)
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck)
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
         op = SketchOperator("gaussian", d=7, m=97, seed=6)
         x = np.asfortranarray(rng(6).standard_normal((97, 5)))
         helper = ThreadPoolExecutor(1)
         try:
             got = helper.submit(apply, op, x).result(timeout=20)
         finally:
-            gate.set()
-            helper.shutdown()
-            stuck.shutdown()
+            helper.shutdown(wait=False)
         assert got.tobytes() == self._oracle(op, x, 2).tobytes()
 
 
@@ -893,39 +897,31 @@ class TestGaussianOneBuffer:
         width = min(m, _gaussian_width(d))
         assert peak <= 8 * d * width + 2 * out.nbytes + 2**20
 
-    def test_caller_fills_the_block_when_no_task_starts(self, monkeypatch):
+    def test_caller_fills_the_block_when_no_task_starts(self, monkeypatch, stuck_pool):
         # the pool's one thread is blocked, so no task submitted to it runs
         # until the gate opens: the caller must fill every chunk itself
         self._cap(monkeypatch, 2)
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
-        gate = threading.Event()
-        stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
-        stuck.submit(gate.wait)
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck)
+        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
         op = SketchOperator("gaussian", d=7, m=97, seed=6)
         x = np.asfortranarray(rng(6).standard_normal((97, 3)))
         helper = ThreadPoolExecutor(1)
         try:
             got = helper.submit(apply, op, x).result(timeout=20)
         finally:
-            gate.set()
-            helper.shutdown()
-            stuck.shutdown()
+            helper.shutdown(wait=False)
         assert np.array_equal(got, TestGaussianChunks._oracle(op, x))
 
 
 @pytest.mark.parametrize("kind", ["srht", "gaussian"])
-def test_cancelled_task_holds_no_array(monkeypatch, kind):
+def test_cancelled_task_holds_no_array(monkeypatch, stuck_pool, kind):
     # a task that never started stays queued behind the pool's blocked
     # thread after apply returns; it must not keep the sketch's z or block
     # buffer (8-10 MB here) alive until a thread reaches it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
-    gate = threading.Event()
-    stuck = ThreadPoolExecutor(1, thread_name_prefix="stuck")
-    stuck.submit(gate.wait)
-    monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck)
+    monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
     op = SketchOperator(kind, d=300, m=4096, seed=5)
     a = np.asfortranarray(rng(5).standard_normal((4096, 256)))
     helper = ThreadPoolExecutor(1)
@@ -936,9 +932,7 @@ def test_cancelled_task_holds_no_array(monkeypatch, kind):
         held = tracemalloc.get_traced_memory()[0] - base - out.nbytes
     finally:
         tracemalloc.stop()
-        gate.set()
-        helper.shutdown()
-        stuck.shutdown()
+        helper.shutdown(wait=False)
     assert held < 2**20
 
 
