@@ -10,7 +10,7 @@ bound checklist of ``verify`` and both runs of ``timing`` come from it;
 :func:`resolve_matrix` is the one place that maps a matrix descriptor to a
 matrix, with the kind names and defaults of :mod:`.testmat`.  Seeds fan out
 across a thread pool with one thread per available CPU, capped by the
-``SPECTRA_RRQR_THREADS`` environment variable (:func:`.sketch.worker_count`);
+``SPECTRA_RRQR_THREADS`` environment variable (:func:`._threads.worker_count`);
 records are returned in seed order regardless of completion order.
 """
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import testmat
+from ._threads import worker_count
 from .dense_core import PartialQR, _r_factor, log_volume, singular_values
 from .rand_srrqr import (
     RECORD_KEYS,  # noqa: F401  the key set of every record built here
@@ -34,7 +35,7 @@ from .rand_srrqr import (
     rand_srrqr_tol,
     ratio_report,
 )
-from .sketch import SketchOperator, _operator_rows, apply, worker_count
+from .sketch import SketchOperator, _operator_rows, apply
 from .srrqr import (
     SrrqrConfig,
     SrrqrResult,

@@ -22,6 +22,8 @@ import scipy.linalg
 from scipy.linalg import cython_lapack
 from scipy.linalg.lapack import dgemqrt
 
+from . import _threads
+
 
 class SingularMatrixError(ValueError):
     """Raised when a triangular factor has a numerically zero diagonal."""
@@ -175,20 +177,6 @@ _DGEQRT_ADDRESS = _capsule_address(cython_lapack.__pyx_capi__["dgeqrt"])
 _DGEQRT = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
 _DGEQRT_GIL = ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
 
-# the thread-count query of the OpenBLAS behind scipy's LAPACK, found
-# through the module that links it; None for any other LAPACK
-_LAPACK_LIB = ctypes.CDLL(cython_lapack.__file__)
-_LAPACK_THREADS = getattr(_LAPACK_LIB, "scipy_openblas_get_num_threads", None) or getattr(
-    _LAPACK_LIB, "openblas_get_num_threads", None
-)
-if _LAPACK_THREADS is not None:
-    _LAPACK_THREADS.argtypes, _LAPACK_THREADS.restype = [], ctypes.c_int
-
-
-def _lapack_threads() -> int | None:
-    """Threads a LAPACK call of this module may use, None if unknown."""
-    return None if _LAPACK_THREADS is None else _LAPACK_THREADS()
-
 
 def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK ``dgeqrt`` of ``a``: R and reflectors, T.
@@ -211,7 +199,7 @@ def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarr
     i, s = ints.ctypes.data, ints.itemsize
     # a threaded LAPACK already spreads one QR over the cores; holding the
     # GIL keeps threads that call it at once from oversubscribing them
-    qr = _DGEQRT if _lapack_threads() == 1 else _DGEQRT_GIL
+    qr = _DGEQRT if _threads.one_blas_thread() else _DGEQRT_GIL
     qr(
         i, i + s, i + 2 * s, f.ctypes.data, i + 3 * s,
         t.ctypes.data, i + 2 * s, work.ctypes.data, i + 4 * s,

@@ -18,7 +18,7 @@ basis is read off ``R_M`` too), is reduced to its n-by-n R factor ``R_M``
 the n-by-n QR of ``R_M P``, and Q, when asked for, is ``Q_M [Q_2; 0]``, one
 ``dgemqrt``.  Any other ``M``, square or wide too, is factored as ``M P``.
 The host picks only where ``M`` is reduced: on the worker pool of
-:mod:`.sketch`, without the GIL, while the caller pivots, if ``M`` has at
+:mod:`._threads`, without the GIL, while the caller pivots, if ``M`` has at
 least ``_OVERLAP_ASPECT`` rows per column, LAPACK runs one thread and the
 cap allows two; else in the calling thread after the pivoting.  So the cap,
 the CPU count and LAPACK's reported threads move timings, not factors.
@@ -38,12 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from . import _threads
 from .dense_core import (
     PartialQR,
     _apply_q,
     _check_rank,
     _geqrt,
-    _lapack_threads,
     _r_factor,
     _range_basis,
     _signed_r,
@@ -51,7 +51,7 @@ from .dense_core import (
     r_factor,
     singular_values,
 )
-from .sketch import SketchOperator, _sketch_pool, embedding_distortion, ose_dim, worker_count
+from .sketch import SketchOperator, embedding_distortion, ose_dim
 from .srrqr import SrrqrConfig, SrrqrResult, TargetRank, Tolerance, srrqr
 
 # A randomized call validates its input once, in the public function; the
@@ -188,12 +188,12 @@ def _randomized(a, config, d, seed, kind, want_q):
     # leaves idle (a threaded LAPACK already spreads it over the cores)
     overlap = a.shape[0] >= _OVERLAP_ASPECT * n
     reduce = overlap or (a.shape[0] > n and measured)
-    workers = worker_count(2) if overlap and _lapack_threads() == 1 else 1
+    workers = _threads.worker_count(2) if overlap and _threads.one_blas_thread() else 1
     # started after the sketch, whose scratch it would add to; the copy is
     # made here, not in the worker's own malloc arena
     reduction = None
     if workers > 1:
-        reduction = _sketch_pool(workers).submit(_geqrt, np.array(a, order="F"), True)
+        reduction = _threads.pool(workers).submit(_geqrt, np.array(a, order="F"), True)
     try:
         if msk.shape[0] > n:
             # in place: a Gaussian sketch is F-ordered, an SRHT one copied

@@ -23,8 +23,8 @@ columns, so the only matrix-sized scratch is its result.  :func:`fwht` is
 the same transform as a butterfly.
 
 The Gaussian chunks and the SRHT's panels and sampled row blocks are
-shared out among the caller and a lazily created thread pool
-(:func:`_share`), one worker per available CPU capped by the
+shared out among the caller and the package's lazily created thread pool
+(:func:`._threads.share`), one worker per available CPU capped by the
 ``SPECTRA_RRQR_THREADS`` environment variable (a cap of 1 starts no
 thread).  So are the Gaussian product's pieces, at one BLAS thread.  A
 sketch is bitwise the same for every number of workers.
@@ -33,16 +33,14 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .dense_core import _lapack_threads, as_matrix, singular_values
+from . import _threads
+from .dense_core import as_matrix, singular_values
 
 _KINDS = ("gaussian", "srht", "identity")
 
@@ -57,59 +55,6 @@ _PIECE = 256
 # SRHT stage-1 scratch columns, shared out among the workers; bounds the
 # sign-flipped scratch to _SRHT_PANEL * m doubles
 _SRHT_PANEL = 32
-
-
-def worker_count(n_jobs: int) -> int:
-    """Threads for ``n_jobs`` independent jobs.
-
-    The number of CPUs available to the process, capped by the
-    ``SPECTRA_RRQR_THREADS`` environment variable (``ValueError`` unless it
-    is an integer) and by ``n_jobs``.
-    """
-    if hasattr(os, "sched_getaffinity"):
-        cap = len(os.sched_getaffinity(0))
-    else:
-        cap = os.cpu_count() or 1
-    env = os.environ.get("SPECTRA_RRQR_THREADS", "").strip()
-    if env:
-        try:
-            cap = min(cap, max(1, int(env)))
-        except ValueError:
-            msg = f"SPECTRA_RRQR_THREADS must be an integer, got {env!r}"
-            raise ValueError(msg) from None
-    return max(1, min(n_jobs, cap))
-
-
-_pool: ThreadPoolExecutor | None = None
-_pool_workers = 0
-_pool_lock = threading.Lock()
-
-
-def _sketch_pool(workers: int) -> ThreadPoolExecutor:
-    """The shared worker pool, grown to at least ``workers`` threads.
-
-    It runs the pieces of a sketch (:func:`_share`) and reduces a tall
-    input of the randomized pipeline to its R factor; no task on it waits on it.
-
-    A replaced pool is dropped, not shut down: a caller still holding it
-    keeps it alive, and its idle threads exit once it is collected.
-    """
-    global _pool, _pool_workers
-    with _pool_lock:
-        if _pool_workers < workers:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="spectra-sketch")
-            _pool_workers = workers
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_workers, _pool_lock
-    _pool, _pool_workers, _pool_lock = None, 0, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def next_pow2(n: int) -> int:
@@ -198,45 +143,6 @@ def _multiply_pieces(out_t: np.ndarray, blk: np.ndarray, a: np.ndarray, pieces) 
         out_t[c0:c1] += a[:, c0:c1].T @ blk.T
 
 
-def _drain(queue: deque):
-    """Pop ``queue`` until it is empty; a deque pops atomically across threads."""
-    try:
-        while True:
-            yield queue.popleft()
-    except IndexError:
-        return
-
-
-def _run(job: list, queue: deque) -> None:
-    for work, args in job[:]:
-        work(*args, _drain(queue))
-
-
-def _share(work, items, workers: int, *args) -> None:
-    """Call ``work(*args, pieces)`` on the caller and ``workers - 1`` pool tasks.
-
-    Every call's ``pieces`` drain one queue of ``items``; Philox, the ufuncs
-    and numpy's matrix products release the GIL.  The caller never waits
-    for a task to start: it then cancels those that never started and
-    waits for the running ones, so a busy pool only slows the work down.
-    """
-    queue, job = deque(items), [(work, args)]
-    # a cancelled task stays queued in the pool until a thread reaches it;
-    # it finds work through job, which the caller empties, so it holds no array
-    tasks = [_sketch_pool(workers).submit(_run, job, queue) for _ in range(workers - 1)]
-    try:
-        work(*args, _drain(queue))
-    finally:
-        # on error, no task may go on writing into the caller's arrays; a
-        # cancelled task counts as done only once a pool thread reaches it
-        queue.clear()
-        job.clear()
-        running = [fut for fut in tasks if not fut.cancel()]
-        wait(running)
-    for fut in running:
-        fut.result()
-
-
 def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     """``op @ a`` for a Gaussian operator: one GEMM per block and piece.
 
@@ -248,29 +154,27 @@ def _gaussian_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     n x d ``out_t``, no operand transposed for column-major BLAS; then
     ``(out_t / sqrt(d)).T``, F-ordered.  The caller and ``workers - 1``
     pool tasks draw a block's chunks into the one buffer, one stream each
-    and no scratch (:func:`_share`).  With BLAS on one thread they then
-    share out its pieces of at most ``_PIECE`` columns; otherwise the caller
-    multiplies the block in as one piece.  With n <= ``_PIECE`` the two are
-    the same product.
+    and no scratch (:func:`._threads.share`).  With BLAS on one thread
+    they then share out its pieces of at most ``_PIECE`` columns; otherwise
+    the caller multiplies the block in as one piece.  With n <= ``_PIECE``
+    the two are the same product.
     """
     d, m = op.d, op.m
     n = a.shape[1]
     width = min(m, max(_CHUNK, _BLOCK_ENTRIES // d // _CHUNK * _CHUNK))
-    workers = worker_count(-(-width // _CHUNK))
-    if _lapack_threads() == 1:
-        piece, piece_workers = _PIECE, worker_count(-(-n // _PIECE))
-    else:
-        # a threaded BLAS already spreads each product over the cores, and
-        # one product packs the block once, pieces in turn once per piece
-        piece, piece_workers = n, 1
+    workers = _threads.worker_count(-(-width // _CHUNK))
+    # a threaded BLAS already spreads each product over the cores, and one
+    # product packs the block once, pieces in turn once per piece
+    piece = _PIECE if _threads.one_blas_thread() else n
+    piece_workers = _threads.worker_count(-(-n // piece))
     buf = np.empty((d, width), order="F")
     out_t = np.zeros((n, d))
     for j0 in range(0, m, width):
         j1 = min(m, j0 + width)
         chunks = ((c, min(j1, c + _CHUNK)) for c in range(j0, j1, _CHUNK))
-        _share(_fill_gaussian, chunks, workers, buf, op.seed, d, j0)
+        _threads.share(_fill_gaussian, chunks, workers, buf, op.seed, d, j0)
         pieces = ((c, min(n, c + piece)) for c in range(0, n, piece))
-        _share(_multiply_pieces, pieces, piece_workers, out_t, buf[:, : j1 - j0], a[j0:j1])
+        _threads.share(_multiply_pieces, pieces, piece_workers, out_t, buf[:, : j1 - j0], a[j0:j1])
     out_t /= math.sqrt(d)
     return out_t.T
 
@@ -331,18 +235,18 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     With ``m = p q`` and row index ``i = i_p q + i_q``, ``H_m = H_p (x) H_q``
     gives ``H_m[i, j] = H_p[i_p, j_p] H_q[i_q, j_q]``.  Stage 1 contracts the
     row-block index against ``H_p`` for every row, one batched product per
-    panel of columns on the row-major view ``(n, p, q)``:
-    each panel's sign-flipped columns are copied into one small scratch
-    ``x`` and the product is written into its slice of the one ``z``.
-    Each column is its own product in the batch, so the panels give the
-    bytes of a single batched product.  Stage 2 contracts the within-block
-    index only against the rows of ``H_q`` the samples need, one product
-    per sampled row block over all n columns.  Rows of ``a`` past its end
-    (it may have fewer than m) are zeros: row blocks past the last nonzero
-    one add nothing to stage 1, so it contracts only the leading ``live``
-    blocks, and the part of a partial last block past ``a``'s end stays
-    zero in ``x``.  The caller and pool tasks share out the panels, of
-    ``_SRHT_PANEL // workers`` columns each, then the row blocks (:func:`_share`).
+    panel of columns on the row-major view ``(n, p, q)``: each panel's
+    sign-flipped columns are copied into one small scratch ``x`` and the
+    product is written into its slice of the one ``z``.  Each column is its
+    own product in the batch, so the panels give the bytes of a single
+    batched product.  Stage 2 contracts the within-block index only against
+    the rows of ``H_q`` the samples need, one product per sampled row block
+    over all n columns.  Rows of ``a`` past its end (it may have fewer than
+    m) are zeros: row blocks past the last nonzero one add nothing to stage
+    1, so it contracts only the leading ``live`` blocks, and the part of a
+    partial last block past ``a``'s end stays zero in ``x``.  The caller and
+    pool tasks share out the panels, of ``_SRHT_PANEL // workers`` columns
+    each, then the row blocks (:func:`._threads.share`).
     """
     n = a.shape[1]
     # stage 1 costs 2 n m p flops and stage 2 only 2 n d q (d <= m), so the
@@ -355,7 +259,7 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
     rows = live * q
     signs = op.signs[: min(rows, a.shape[0])]
     h_p = scipy.linalg.hadamard(p, dtype=np.float64)[:, :live]
-    workers = worker_count(min(_SRHT_PANEL, -(-n // _SRHT_PANEL)))
+    workers = _threads.worker_count(min(_SRHT_PANEL, -(-n // _SRHT_PANEL)))
     width = min(n, _SRHT_PANEL // workers)
     # a slice of one scratch per worker, made here, not in a pool thread's malloc arena
     scratch = deque(np.zeros((workers, width, live, q)))
@@ -367,7 +271,7 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
             head = x[: c1 - c0].reshape(c1 - c0, rows)[:, : signs.size]
             np.multiply(a[: signs.size, c0:c1].T, signs, out=head)
             np.matmul(h_p, x[: c1 - c0], out=z[c0:c1])
-    _share(stage_1, ((c, min(n, c + width)) for c in range(0, n, width)), workers)
+    _threads.share(stage_1, ((c, min(n, c + width)) for c in range(0, n, width)), workers)
     block, within = np.divmod(op.sample_idx, q)
     # sqrt(m/d) * sample(H_normalized ...) collapses to 1/sqrt(d) on the
     # unnormalized transform
@@ -378,7 +282,7 @@ def _srht_rows(op: SketchOperator, a: np.ndarray) -> np.ndarray:
         for b in blocks:
             sel = np.flatnonzero(block == b)
             out[sel] = h_rows[sel] @ z[:, b, :].T
-    _share(stage_2, np.unique(block), workers)
+    _threads.share(stage_2, np.unique(block), workers)
     return out
 
 

@@ -32,7 +32,7 @@ from spectra_rrqr import (
     thin_qr,
     volume,
 )
-from spectra_rrqr import dense_core
+from spectra_rrqr import _threads, dense_core
 from spectra_rrqr.dense_core import _geqrt, _range_basis, r_factor
 
 
@@ -494,7 +494,7 @@ class TestGeqrtEngine:
     @pytest.mark.parametrize("threads, used", [(1, "_DGEQRT"), (2, "_DGEQRT_GIL"), (None, "_DGEQRT_GIL")])
     def test_gil_kept_unless_one_lapack_thread(self, monkeypatch, threads, used):
         # threads that call a threaded LAPACK at once take turns on the GIL
-        monkeypatch.setattr(dense_core, "_lapack_threads", lambda: threads)
+        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
         calls = []
         for name in ("_DGEQRT", "_DGEQRT_GIL"):
             real = getattr(dense_core, name)
@@ -507,17 +507,32 @@ class TestGeqrtEngine:
         ref_f, ref_t, _ = scipy.linalg.lapack.dgeqrt(10, a)
         assert np.array_equal(f, ref_f) and np.array_equal(t, ref_t)
 
-    def test_lapack_thread_count(self):
-        # the OpenBLAS behind scipy's LAPACK reports the threads it was
-        # given; another LAPACK reports None
-        code = "from spectra_rrqr import dense_core; print(dense_core._lapack_threads())"
+    @staticmethod
+    def _blas_threads(threads):
+        # the LAPACK thread query (None if there is none) and one_blas_thread()
+        # in a new interpreter under OPENBLAS_NUM_THREADS=threads
+        code = (
+            "from spectra_rrqr import _threads as t; q = t._LAPACK_THREADS; "
+            "print(q and q(), t.one_blas_thread())"
+        )
         src = Path(dense_core.__file__).resolve().parents[1]
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() in ("1", "None")
+        return tuple(out.stdout.split())
+
+    def test_lapack_thread_count(self):
+        # the OpenBLAS behind scipy's LAPACK reports the threads it was
+        # given; another LAPACK has no query
+        assert self._blas_threads("1") in (("1", "True"), ("None", "False"))
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPUs")
+    def test_threaded_lapack_is_not_one_thread(self):
+        # the predicate's False side, with no patch: given two threads,
+        # OpenBLAS reports 2
+        assert self._blas_threads("2") in (("2", "False"), ("None", "False"))
 
 
 class TestFileFormats:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from spectra_rrqr import (
     srrqr,
 )
 from spectra_rrqr import MatrixSpec, HC, Stewart, partial_qr, thin_qr
-from spectra_rrqr import dense_core, rand_srrqr, sketch
+from spectra_rrqr import _threads, dense_core, rand_srrqr, sketch
 from spectra_rrqr.bench import RECORD_KEYS, RunConfig, run_factor
 from spectra_rrqr.dense_core import _stable_partial_qr, as_matrix, r_factor
 
@@ -50,10 +51,28 @@ def _spare_core(monkeypatch, cap="2", lapack_threads=1, aspect=4):
     so that small inputs reach it: by default a 300x70 input is reduced on
     a worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(rand_srrqr, "_lapack_threads", lambda: lapack_threads)
+    monkeypatch.setattr(_threads, "one_blas_thread", lambda: lapack_threads == 1)
     if aspect is not None:
         monkeypatch.setattr(rand_srrqr, "_OVERLAP_ASPECT", aspect)
     monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
+
+
+def _reductions(monkeypatch):
+    """The worker counts the pool is asked for to reduce M, recorded from
+    here on; the sketch's pieces share the pool and are left out."""
+    asked, real = [], _threads.pool
+
+    def spy(workers):
+        pool = real(workers)
+
+        def submit(fn, *args):
+            if fn is rand_srrqr._geqrt:
+                asked.append(workers)
+            return pool.submit(fn, *args)
+        return SimpleNamespace(submit=submit)
+
+    monkeypatch.setattr(_threads, "pool", spy)
+    return asked
 
 
 # the package exports the function srrqr under the module's name
@@ -302,9 +321,7 @@ class TestValidatedOnce:
 
     def _no_worker(self, monkeypatch, call, kind, rows=ROWS):
         # the pipeline's result, and that the pool was asked for no worker
-        asked = []
-        real = rand_srrqr._sketch_pool
-        monkeypatch.setattr(rand_srrqr, "_sketch_pool", lambda w: asked.append(w) or real(w))
+        asked = _reductions(monkeypatch)
         a, res = self._pipeline(call, kind, rows)
         assert asked == []
         return a, res
@@ -439,7 +456,7 @@ class TestOverlappedReduction:
             "    for kind in ('srht', 'gaussian'):\n"
             "        s.rand_srrqr_tol(a, 2.0, 1e-8, kind=kind)\n"
             "        s.rand_srrqr_rank(a, 2.0, 5, kind=kind, want_q=False)\n"
-            "print(threading.active_count(), s.sketch._pool is None)\n"
+            "print(threading.active_count(), s._threads._pool is None)\n"
         )
         src = Path(rand_srrqr.__file__).resolve().parents[1]
         env = dict(os.environ, SPECTRA_RRQR_THREADS="1", PYTHONPATH=str(src))
@@ -515,6 +532,40 @@ class TestOverlappedReduction:
             rand_srrqr_tol(a, 2.0, 1e3 * np.linalg.norm(a), seed=0)
         # a started reduction has finished; run inline it is never started
         assert events == (["start", "end"] if cap == "2" else [])
+
+
+@pytest.mark.parametrize("one", [True, False], ids=["one-blas-thread", "threaded-blas"])
+def test_one_predicate_decides_every_site(monkeypatch, one):
+    # patching _threads.one_blas_thread alone moves all three sites: the
+    # worker that reduces M, the Gaussian product's pieces and the QR's GIL
+    _spare_core(monkeypatch, lapack_threads=1 if one else 2)
+    qrs = []
+    for name in ("_DGEQRT", "_DGEQRT_GIL"):
+        real = getattr(dense_core, name)
+        monkeypatch.setattr(
+            dense_core, name, lambda *a, real=real, name=name: qrs.append(name) or real(*a)
+        )
+    asked = _reductions(monkeypatch)
+    rand_srrqr_tol(rng(21).standard_normal((300, 70)), 2.0, 1e-8, seed=4)
+    assert asked == ([2] if one else [])
+
+    products, real_share = [], _threads.share
+
+    def spy(work, items, workers, *args):
+        items = list(items)
+        if work is sketch._multiply_pieces:
+            products.append((workers, items))
+        real_share(work, items, workers, *args)
+
+    monkeypatch.setattr(_threads, "share", spy)
+    n = sketch._PIECE + 44
+    apply(SketchOperator("gaussian", d=40, m=300, seed=4), rng(4).standard_normal((300, n)))
+    # one block of 300 operator columns: two pieces on two workers, or one product
+    assert products == ([(2, [(0, 256), (256, n)])] if one else [(1, [(0, n)])])
+
+    qrs.clear()
+    dense_core._geqrt(rng(3).standard_normal((30, 10)))
+    assert qrs == ["_DGEQRT" if one else "_DGEQRT_GIL"]
 
 
 class TestToleranceMode:

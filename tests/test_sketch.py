@@ -32,7 +32,7 @@ from spectra_rrqr import (
     singular_values,
 )
 import spectra_rrqr.sketch as sk
-from spectra_rrqr import bench
+from spectra_rrqr import _threads, bench
 from spectra_rrqr.sketch import _gaussian_block
 
 
@@ -456,7 +456,7 @@ class TestSrhtPanels:
         # row block itself
         self._cap(monkeypatch, 2)
         asked = []
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: asked.append(workers) or stuck_pool)
+        monkeypatch.setattr(_threads, "pool", lambda workers: asked.append(workers) or stuck_pool)
         op = SketchOperator("srht", d=300, m=self.M, seed=8)
         a = np.asfortranarray(rng(8).standard_normal((1000, 2 * self.PANEL + 3)))
         helper = ThreadPoolExecutor(1)
@@ -618,7 +618,7 @@ class TestGaussianChunks:
         # positive control for the thread checks below
         op = SketchOperator("gaussian", d=7, m=97, seed=1)
         apply(op, np.ones((97, 2)))
-        assert any(t.name.startswith("spectra-sketch") for t in threading.enumerate())
+        assert any(t.name.startswith("spectra-rrqr") for t in threading.enumerate())
 
     def test_import_and_cap_of_one_start_no_thread(self):
         code = (
@@ -629,7 +629,7 @@ class TestGaussianChunks:
             "op = s.SketchOperator('gaussian', 50, 3000, 1)\n"
             "s.apply(op, np.ones((3000, 2)))\n"
             "s.apply(s.SketchOperator('srht', 300, 4096, 1), np.ones((3000, 100)))\n"
-            "print(threading.active_count(), s.sketch._pool is None)\n"
+            "print(threading.active_count(), s._threads._pool is None)\n"
         )
         src = Path(sk.__file__).resolve().parents[1]
         env = dict(os.environ, SPECTRA_RRQR_THREADS="1", PYTHONPATH=str(src))
@@ -647,7 +647,7 @@ class TestGaussianChunks:
         op = SketchOperator("gaussian", d=7, m=97, seed=3)
         x = np.ones((97, 2))
         apply(op, x)  # the parent's pool now has threads
-        assert sk._pool is not None
+        assert _threads._pool is not None
         ref = self._oracle(op, x)
 
         def child():
@@ -700,11 +700,11 @@ class TestGaussianPieces:
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
         monkeypatch.setattr(sk, "_PIECE", 2)
-        monkeypatch.setattr(sk, "_lapack_threads", lambda: 1)
+        monkeypatch.setattr(_threads, "one_blas_thread", lambda: True)
 
     @staticmethod
     def _on_pool():
-        return threading.current_thread().name.startswith("spectra-sketch")
+        return threading.current_thread().name.startswith("spectra-rrqr")
 
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     @pytest.mark.parametrize("m", [7, 28, 29, 30, 31, 57, 61, 97])
@@ -718,7 +718,7 @@ class TestGaussianPieces:
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     def test_one_piece_is_the_whole_product(self, cap, monkeypatch):
         # n <= _PIECE: one product per block, the single-product oracle's
-        monkeypatch.setattr(sk, "_lapack_threads", lambda: 1)
+        monkeypatch.setattr(_threads, "one_blas_thread", lambda: True)
         g = rng(11)
         for d, m, n in [(7, 97, 1), (40, 300, 255), (40, 300, 256), (300, 700, 256)]:
             op = SketchOperator("gaussian", d=d, m=m, seed=n)
@@ -733,7 +733,7 @@ class TestGaussianPieces:
         # the transpose of the C-ordered accumulator, in pieces (one BLAS
         # thread, 300 columns) or one product per block: the sketch QR
         # then reduces it in place
-        monkeypatch.setattr(sk, "_lapack_threads", lambda: threads)
+        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
         op = SketchOperator("gaussian", d=40, m=300, seed=4)
         x = rng(4).standard_normal((300, 300))
         got = apply(op, x)
@@ -754,8 +754,8 @@ class TestGaussianPieces:
         # a threaded BLAS (or an unknown one) already spreads each product
         # over the cores, so the caller multiplies the block in as one
         # piece; one piece is never shared
-        monkeypatch.setattr(sk, "_lapack_threads", lambda: threads)
-        real, asked = sk._share, []
+        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
+        real, asked = _threads.share, []
 
         def spy(work, items, workers, *args):
             items = list(items)
@@ -763,7 +763,7 @@ class TestGaussianPieces:
                 asked.append((workers, items))
             real(work, items, workers, *args)
 
-        monkeypatch.setattr(sk, "_share", spy)
+        monkeypatch.setattr(_threads, "share", spy)
         op = SketchOperator("gaussian", d=7, m=61, seed=n)
         x = np.asfortranarray(rng(n).standard_normal((61, n)))
         got = apply(op, x)
@@ -825,7 +825,7 @@ class TestGaussianPieces:
         # until the gate opens: the caller must form every piece itself
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
+        monkeypatch.setattr(_threads, "pool", lambda workers: stuck_pool)
         op = SketchOperator("gaussian", d=7, m=97, seed=6)
         x = np.asfortranarray(rng(6).standard_normal((97, 5)))
         helper = ThreadPoolExecutor(1)
@@ -903,7 +903,7 @@ class TestGaussianOneBuffer:
         self._cap(monkeypatch, 2)
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
-        monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
+        monkeypatch.setattr(_threads, "pool", lambda workers: stuck_pool)
         op = SketchOperator("gaussian", d=7, m=97, seed=6)
         x = np.asfortranarray(rng(6).standard_normal((97, 3)))
         helper = ThreadPoolExecutor(1)
@@ -921,7 +921,7 @@ def test_cancelled_task_holds_no_array(monkeypatch, stuck_pool, kind):
     # buffer (8-10 MB here) alive until a thread reaches it
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     monkeypatch.setenv("SPECTRA_RRQR_THREADS", "2")
-    monkeypatch.setattr(sk, "_sketch_pool", lambda workers: stuck_pool)
+    monkeypatch.setattr(_threads, "pool", lambda workers: stuck_pool)
     op = SketchOperator(kind, d=300, m=4096, seed=5)
     a = np.asfortranarray(rng(5).standard_normal((4096, 256)))
     helper = ThreadPoolExecutor(1)
@@ -940,23 +940,23 @@ class TestWorkerCount:
     def test_cpus_capped_by_env(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
         monkeypatch.delenv("SPECTRA_RRQR_THREADS", raising=False)
-        assert sk.worker_count(10) == 4
-        assert sk.worker_count(3) == 3
-        assert sk.worker_count(0) == 1
+        assert _threads.worker_count(10) == 4
+        assert _threads.worker_count(3) == 3
+        assert _threads.worker_count(0) == 1
         cases = (("1", 1), ("2", 2), ("16", 4), ("0", 1), (" ", 4), ("-3", 1), (" 2 ", 2))
         for env, want in cases:
             monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
-            assert sk.worker_count(10) == want
+            assert _threads.worker_count(10) == want
 
     @pytest.mark.parametrize("env", ["two", "1.5", "+-5", "\u00b2"])
     def test_non_integer_env_names_variable(self, monkeypatch, env):
         monkeypatch.setenv("SPECTRA_RRQR_THREADS", env)
         # "+-5" and "\u00b2" pass a sign-stripped isdigit() but are not integers
         with pytest.raises(ValueError, match="SPECTRA_RRQR_THREADS.*" + re.escape(repr(env))):
-            sk.worker_count(10)
+            _threads.worker_count(10)
 
     def test_one_helper(self):
-        assert bench.worker_count is sk.worker_count
+        assert bench.worker_count is _threads.worker_count
 
 
 class TestDistortion:
