@@ -548,6 +548,7 @@ def test_one_predicate_decides_every_site(monkeypatch, one):
     asked = _reductions(monkeypatch)
     rand_srrqr_tol(rng(21).standard_normal((300, 70)), 2.0, 1e-8, seed=4)
     assert asked == ([2] if one else [])
+    assert set(qrs) == {"_DGEQRT" if one else "_DGEQRT_GIL"}
 
     products, real_share = [], _threads.share
 
