@@ -494,7 +494,8 @@ class TestGeqrtEngine:
     @pytest.mark.parametrize("threads, used", [(1, "_DGEQRT"), (2, "_DGEQRT_GIL"), (None, "_DGEQRT_GIL")])
     def test_gil_kept_unless_one_lapack_thread(self, monkeypatch, threads, used):
         # threads that call a threaded LAPACK at once take turns on the GIL
-        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
+        query = None if threads is None else (lambda: threads)
+        monkeypatch.setattr(_threads, "_LAPACK_THREADS", query)
         calls = []
         for name in ("_DGEQRT", "_DGEQRT_GIL"):
             real = getattr(dense_core, name)
@@ -528,7 +529,11 @@ class TestGeqrtEngine:
         # given; another LAPACK has no query
         assert self._blas_threads("1") in (("1", "True"), ("None", "False"))
 
-    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="OpenBLAS caps its threads at the CPUs")
+    @pytest.mark.skipif(
+        len(os.sched_getaffinity(0)) < 2 if hasattr(os, "sched_getaffinity")
+        else (os.cpu_count() or 1) < 2,
+        reason="OpenBLAS caps its threads at the CPUs the process may run on",
+    )
     def test_threaded_lapack_is_not_one_thread(self):
         # the predicate's False side, with no patch: given two threads,
         # OpenBLAS reports 2

@@ -6,9 +6,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -46,32 +46,40 @@ from oracles import exhaustive_det_ratios, swap_subspace_distortion
 
 
 def _spare_core(monkeypatch, cap="2", lapack_threads=1, aspect=4):
-    """Eight CPUs, the given cap and LAPACK thread count, and a worker for
-    inputs of at least ``aspect`` rows per column (None: the library's),
-    so that small inputs reach it: by default a 300x70 input is reduced on
-    a worker."""
+    """Eight CPUs, the given cap and LAPACK thread count (None: a LAPACK
+    with no thread query), and a worker for inputs of at least ``aspect``
+    rows per column (None: the library's), so that small inputs reach it:
+    by default a 300x70 input is reduced on a worker."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    monkeypatch.setattr(_threads, "one_blas_thread", lambda: lapack_threads == 1)
+    query = None if lapack_threads is None else (lambda: lapack_threads)
+    monkeypatch.setattr(_threads, "_LAPACK_THREADS", query)
     if aspect is not None:
         monkeypatch.setattr(rand_srrqr, "_OVERLAP_ASPECT", aspect)
     monkeypatch.setenv("SPECTRA_RRQR_THREADS", cap)
 
 
 def _reductions(monkeypatch):
-    """The worker counts the pool is asked for to reduce M, recorded from
-    here on; the sketch's pieces share the pool and are left out."""
-    asked, real = [], _threads.pool
+    """The worker counts the pool is asked for from outside
+    :func:`_threads.share`, recorded from here on: the sketch's pieces
+    share the pool and are left out; any other request, such as the
+    reduction of M, is counted."""
+    asked, sharing = [], threading.local()
+    real_pool, real_share = _threads.pool, _threads.share
 
-    def spy(workers):
-        pool = real(workers)
+    def pool(workers):
+        if not getattr(sharing, "on", False):
+            asked.append(workers)
+        return real_pool(workers)
 
-        def submit(fn, *args):
-            if fn is rand_srrqr._geqrt:
-                asked.append(workers)
-            return pool.submit(fn, *args)
-        return SimpleNamespace(submit=submit)
+    def share(*args):
+        sharing.on = True
+        try:
+            real_share(*args)
+        finally:
+            sharing.on = False
 
-    monkeypatch.setattr(_threads, "pool", spy)
+    monkeypatch.setattr(_threads, "pool", pool)
+    monkeypatch.setattr(_threads, "share", share)
     return asked
 
 
@@ -536,8 +544,9 @@ class TestOverlappedReduction:
 
 @pytest.mark.parametrize("one", [True, False], ids=["one-blas-thread", "threaded-blas"])
 def test_one_predicate_decides_every_site(monkeypatch, one):
-    # patching _threads.one_blas_thread alone moves all three sites: the
-    # worker that reduces M, the Gaussian product's pieces and the QR's GIL
+    # the one thread query behind _threads.one_blas_thread moves all three
+    # sites: the worker that reduces M, the Gaussian product's pieces and
+    # the QR's GIL
     _spare_core(monkeypatch, lapack_threads=1 if one else 2)
     qrs = []
     for name in ("_DGEQRT", "_DGEQRT_GIL"):

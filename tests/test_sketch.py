@@ -700,7 +700,7 @@ class TestGaussianPieces:
         monkeypatch.setattr(sk, "_BLOCK_ENTRIES", 7 * 30)
         monkeypatch.setattr(sk, "_CHUNK", 4)
         monkeypatch.setattr(sk, "_PIECE", 2)
-        monkeypatch.setattr(_threads, "one_blas_thread", lambda: True)
+        monkeypatch.setattr(_threads, "_LAPACK_THREADS", lambda: 1)
 
     @staticmethod
     def _on_pool():
@@ -718,7 +718,7 @@ class TestGaussianPieces:
     @pytest.mark.parametrize("cap", [1, 2, 3], indirect=True)
     def test_one_piece_is_the_whole_product(self, cap, monkeypatch):
         # n <= _PIECE: one product per block, the single-product oracle's
-        monkeypatch.setattr(_threads, "one_blas_thread", lambda: True)
+        monkeypatch.setattr(_threads, "_LAPACK_THREADS", lambda: 1)
         g = rng(11)
         for d, m, n in [(7, 97, 1), (40, 300, 255), (40, 300, 256), (300, 700, 256)]:
             op = SketchOperator("gaussian", d=d, m=m, seed=n)
@@ -733,7 +733,8 @@ class TestGaussianPieces:
         # the transpose of the C-ordered accumulator, in pieces (one BLAS
         # thread, 300 columns) or one product per block: the sketch QR
         # then reduces it in place
-        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
+        query = None if threads is None else (lambda: threads)
+        monkeypatch.setattr(_threads, "_LAPACK_THREADS", query)
         op = SketchOperator("gaussian", d=40, m=300, seed=4)
         x = rng(4).standard_normal((300, 300))
         got = apply(op, x)
@@ -754,7 +755,8 @@ class TestGaussianPieces:
         # a threaded BLAS (or an unknown one) already spreads each product
         # over the cores, so the caller multiplies the block in as one
         # piece; one piece is never shared
-        monkeypatch.setattr(_threads, "one_blas_thread", lambda: threads == 1)
+        query = None if threads is None else (lambda: threads)
+        monkeypatch.setattr(_threads, "_LAPACK_THREADS", query)
         real, asked = _threads.share, []
 
         def spy(work, items, workers, *args):

@@ -28,8 +28,8 @@ wall time in ms, each the median over the R repeats.  The parts of
 ``gauss-sketch`` are ``generate``, the shared generation of the operator's
 blocks (its count is the chunks), and ``product``, the shared products of
 the blocks (its count is the pieces); a checkout that multiplies its blocks
-outside ``_threads.share`` (``sketch._share`` in older checkouts) counts no
-piece and puts the products in ``other``.  The parts of ``gauss-call`` are the stages of the result's
+outside ``_threads.share`` counts no piece and puts the products in
+``other``.  The parts of ``gauss-call`` are the stages of the result's
 ``timings_ms``: ``sketch``, ``srrqr_sketch`` (the sketch's R factor, its
 pivoting and the copy of M for the worker), ``reduce_m``, ``distortion``
 and ``final_qr``; ``other`` is the call outside them.  The parts of the
@@ -141,15 +141,11 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
     mod.dtrtrs = counted
 
 
-def instrument_sketch(ms: Counter, calls: Counter) -> None:
+def instrument_sketch(threads, ms: Counter, calls: Counter) -> None:
     """Time the Gaussian sketch's shared generation and products, which run
-    through ``_threads.share`` (``sketch._share`` in a checkout from before
-    that module); their counts are the chunks and the pieces."""
-    try:
-        owner, name = importlib.import_module("spectra_rrqr._threads"), "share"
-    except ModuleNotFoundError:
-        owner, name = importlib.import_module("spectra_rrqr.sketch"), "_share"
-    share = getattr(owner, name)
+    through ``share`` of the ``_threads`` module ``threads``; their counts
+    are the chunks and the pieces."""
+    share = threads.share
     parts = {"_fill_gaussian": "generate", "_multiply_pieces": "product"}
 
     def timed(work, items, workers, *args):
@@ -162,7 +158,7 @@ def instrument_sketch(ms: Counter, calls: Counter) -> None:
             ms[key] += (time.perf_counter() - t0) * 1e3
             calls[key] += len(items)
 
-    setattr(owner, name, timed)
+    threads.share = timed
 
 
 def _sketch_of(job, mat):
@@ -235,10 +231,11 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(args.src_dir.resolve()), str(PERFBENCH)]
     # the package exports a function of the same name as the module
     mod = importlib.import_module("spectra_rrqr.srrqr")
+    threads = importlib.import_module("spectra_rrqr._threads")
 
     ms, calls = Counter(), Counter()
     instrument(mod, ms, calls)
-    instrument_sketch(ms, calls)
+    instrument_sketch(threads, ms, calls)
     print(f"# medians over {args.repeat} repeats, benchmark seed {args.seed}")
     print(f"{'input':<12} {'part':<20} {'count':>7} {'ms':>9}")
     for label, parts, calls_in in inputs(args.seed, mod.srrqr, ms, calls):
