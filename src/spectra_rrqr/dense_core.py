@@ -181,21 +181,28 @@ _DGEQRT_GIL = ctypes.PYFUNCTYPE(None, *[ctypes.c_void_p] * 9)(_DGEQRT_ADDRESS)
 def _geqrt(a: np.ndarray, overwrite: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK ``dgeqrt`` of ``a``: R and reflectors, T.
 
-    ``a`` is overwritten only with ``overwrite`` and only when it is
-    F-ordered float64; otherwise LAPACK works on a copy.  Runs without the
-    GIL when LAPACK runs on one thread; R and T are bitwise those of
-    scipy's ``dgeqrt`` wrapper.
+    ``a`` is overwritten only with ``overwrite`` and only when it is a
+    writable float64 array laid out column-major: row stride one element,
+    column stride a whole number of elements, at least its row count.  An
+    F-ordered array is one, and so is a block of rows and columns cut from
+    one, which LAPACK then addresses with that column stride as ``lda``.
+    Otherwise LAPACK works on an F-ordered copy.  Runs without the GIL when
+    LAPACK runs on one thread; R and T are bitwise those of scipy's
+    ``dgeqrt`` wrapper, whatever the column stride.
     """
     m, n = a.shape
     nb = min(_QRT_BLOCK, m, n)
-    if overwrite:
-        f = np.require(a, np.float64, ["F", "A", "W"])
-    else:
-        f = np.array(a, np.float64, order="F")
+    # aligned float64 strides are whole elements
+    in_place = (
+        overwrite and a.dtype == np.float64 and a.flags.aligned and a.flags.writeable
+        and (m == 1 or a.strides[0] == a.itemsize) and (n == 1 or a.strides[1] >= m * a.itemsize)
+    )
+    f = a if in_place else np.array(a, np.float64, order="F")
+    lda = f.strides[1] // f.itemsize if n > 1 else m
     t = np.zeros((nb, min(m, n)), order="F")
     work = np.empty(nb * n)
     # m, n, nb (also ldt), lda, info
-    ints = np.array([m, n, nb, m, 0], dtype=np.intc)
+    ints = np.array([m, n, nb, lda, 0], dtype=np.intc)
     i, s = ints.ctypes.data, ints.itemsize
     # a threaded LAPACK already spreads one QR over the cores; holding the
     # GIL keeps threads that call it at once from oversubscribing them

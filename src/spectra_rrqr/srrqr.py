@@ -22,7 +22,10 @@ three from scratch after every structural change.
 
 Each growth step builds its reflector with LAPACK's ``dlarfg`` and applies
 it to the trailing block at once, with one matrix-vector product and one
-rank-one update, so the state is fully updated after every step.  Once it
+rank-one update, so the state is fully updated after every step.  A tall
+state (more rows than columns) is kept column-major, the layout of the
+validated input, so the update and the recomputed trailing norms run down
+whole contiguous columns; any other state is row-major.  Once it
 has applied n/8 reflectors to a sketch R or other input with no more rows
 than columns without an interchange, at f >= sqrt(2), one ``dgeqp3`` of
 the trailing block grows the swap-free steps after (:func:`_qrcp_prefix`).
@@ -30,16 +33,18 @@ the trailing block grows the swap-free steps after (:func:`_qrcp_prefix`).
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 ``>= k``.  So on a tall input, just before its first interchange,
 :func:`srrqr` replaces those rows of the trailing block by the block's
-(n-k)-by-(n-k) R factor; every later step then works on n rows instead of
-m.  Runs without interchanges, and inputs with no more rows than columns,
-are never compressed.
+(n-k)-by-(n-k) R factor, reduced in place; every later step then works on
+a row-major R of n rows instead of m.  Runs without interchanges, and
+inputs with no more rows than columns, are never compressed.
 
 An interchange rotates leading column i to the block boundary, swaps the
 boundary pair with one ``dlarfg`` reflector and rotates the incoming column
 back; each rotation is a Givens update (``qr_delete``/``qr_insert``) of rows
 i..k-1, so omega and ``a`` only permute; no Householder code is written in
-Python.  The state owns copies of the arrays it is built from, and an
-interchange updates ``a`` in place.  The screen squares ratios;
+Python.  An interchange works on whole rows of a row-major R; a tall
+state that reaches one uncompressed, through :func:`interchange`, is made
+row-major first.  The state owns copies of the arrays it is built from,
+and an interchange updates ``a`` in place.  The screen squares ratios;
 :func:`swap_ratios` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
@@ -147,9 +152,12 @@ class SrrqrState:
     """Working state of the pivoted factorization.
 
     ``r`` is the m-by-n factor with its leading ``k`` columns triangularized
-    (nonnegative diagonal); the orthogonal transforms are not kept.  Once
-    :meth:`_compress` has run (in :func:`srrqr`, at the first interchange of
-    a tall input) ``r`` has n rows, and its trailing block n-k.
+    (nonnegative diagonal); the orthogonal transforms are not kept.  A
+    tall ``r`` is column-major and any other row-major, whatever the
+    layout of the array it is built from.  Once :meth:`_compress` has run
+    (in :func:`srrqr`, at the first interchange of a tall input) ``r`` is
+    row-major with n rows, and its trailing block n-k; an interchange
+    without it makes a tall ``r`` row-major, and a copy keeps that layout.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
     in the module docstring.  All four are current after every step, so
     reading a state never writes to it.  Interchanges retriangularize R11
@@ -168,9 +176,12 @@ class SrrqrState:
     _gamma2_floor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # own row-major copies: ``dger`` updates blocks of whole rows in place
-        for name in ("r", "omega", "gamma", "a"):
+        # own copies, row-major: ``dger`` updates blocks of whole rows in
+        # place; a tall ``r`` column-major, so growth updates whole columns
+        for name in ("omega", "gamma", "a"):
             setattr(self, name, np.array(getattr(self, name), dtype=np.float64, order="C"))
+        rows, cols = np.shape(self.r)
+        self.r = np.array(self.r, dtype=np.float64, order="F" if rows > cols else "C")
         self.perm = self.perm.copy()
         self._gamma2_floor = _DOWNDATE_TOL * self.gamma**2
 
@@ -182,6 +193,9 @@ class SrrqrState:
         # __post_init__ copies the init fields; the floor is not one of them
         out = replace(self)
         out._gamma2_floor = self._gamma2_floor.copy()
+        if self.r.flags.c_contiguous:
+            # a tall r that an interchange made row-major stays so
+            out.r = np.ascontiguousarray(out.r)
         return out
 
     def _check_pair(self, i: int, j: int) -> None:
@@ -219,17 +233,25 @@ class SrrqrState:
 
         ``omega``, ``gamma`` and ``a`` do not change under an orthogonal
         transform of rows ``>= k``, so rows ``k:`` of the trailing columns
-        can be swapped for the (n-k)-by-(n-k) R factor of that block (one
-        blocked ``dgeqrt``); ``r`` then has n rows.  A no-op when ``r`` has
-        no more rows than columns.
+        can be swapped for the (n-k)-by-(n-k) R factor of that block: one
+        blocked ``dgeqrt``, in place on the column-major ``r``.  ``r`` is
+        then the row-major n-by-n state that interchanges work on.  A no-op
+        when ``r`` has no more rows than columns.
         """
         rows, cols = self.r.shape
         if rows <= cols:
             return
         k = self.k
-        r = self.r[:cols].copy()
-        r[k:, k:] = _r_factor(self.r[k:, k:])
+        r = np.zeros((cols, cols))
+        r[:k] = self.r[:k]
+        r[k:, k:] = _r_factor(self.r[k:, k:], overwrite=True)
         self.r = r
+
+    def _row_major(self) -> None:
+        """Make a tall column-major ``r`` row-major, as interchanges need;
+        :meth:`_compress` leaves none on :func:`srrqr`'s path."""
+        if not self.r.flags.c_contiguous:
+            self.r = np.ascontiguousarray(self.r)
 
     def _flip_row(self, t: int) -> None:
         if self.r[t, t] < 0.0:
@@ -249,23 +271,31 @@ class SrrqrState:
     def _advance(self) -> bool:
         """Triangularize the column at position k and grow the leading block.
 
-        The ``dlarfg`` reflector is applied to rows k onward at once: one
-        GEMV ``w = v^T R[k:, k+1:]``, then one in-place ``dger`` of whole
-        rows, as in :meth:`_swap_boundary`, with ``w`` zero on the leading
-        k+1 columns.  An identity reflector (``tau == 0``) is skipped: False.
+        The ``dlarfg`` reflector is applied to the trailing block at once:
+        one GEMV ``w = v^T R[k:, k+1:]``, then one in-place ``dger``.  On a
+        row-major ``r`` it updates whole rows k onward, as in
+        :meth:`_swap_boundary`, with ``w`` zero on the leading k+1 columns;
+        on a column-major (tall) one, whole columns k+1 onward, with ``v``
+        zero above row k.  An identity reflector (``tau == 0``) is skipped:
+        False.
         """
         k = self.k
         r = self.r
-        n = r.shape[1]
+        rows, n = r.shape
+        by_rows = r.flags.c_contiguous
         u = self.a[:, 0].copy()
-        beta, v_tail, tau = dlarfg(r.shape[0] - k, r[k, k], r[k + 1 :, k])
+        beta, v_tail, tau = dlarfg(rows - k, r[k, k], r[k + 1 :, k])
         if tau:
-            v = np.empty(v_tail.size + 1)
-            v[0], v[1:] = 1.0, v_tail
+            v = np.zeros(rows)
+            v[k], v[k + 1 :] = 1.0, v_tail
             w = np.zeros(n)
-            np.matmul(v, r[k:, k + 1 :], out=w[k + 1 :])
-            # rows k onward, in place (their transpose is F-contiguous)
-            scipy.linalg.blas.dger(-tau, w, v, a=r[k:].T, overwrite_a=1)
+            np.matmul(v[k:], r[k:, k + 1 :], out=w[k + 1 :])
+            # in place: whole rows through their transpose, or whole
+            # columns, are F-contiguous
+            if by_rows:
+                scipy.linalg.blas.dger(-tau, w, v[k:], a=r[k:].T, overwrite_a=1)
+            elif k + 1 < n:
+                scipy.linalg.blas.dger(-tau, v, w[k + 1 :], a=r[:, k + 1 :], overwrite_a=1)
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
         if beta < 0.0:
@@ -295,8 +325,9 @@ class SrrqrState:
         bad = g2 < np.maximum(old2, floor, out=old2)
         if bad.any():
             cols = self.k + bad.nonzero()[0]
-            # row-major: the column sums below run row by row (bits rely on it)
-            fresh = r[self.k :].take(cols, axis=1)
+            # the column sums below run row by row on a row-major r and
+            # pairwise down each column of a column-major one (bits rely on it)
+            fresh = r[self.k :].take(cols, axis=1) if by_rows else r[self.k :, cols]
             fresh *= fresh
             g2[bad] = fresh.sum(axis=0)
             floor[bad] = _DOWNDATE_TOL * g2[bad]
@@ -311,6 +342,7 @@ class SrrqrState:
         update of rows i..k-1 with Q = I.  A row rotation of R11 and R12
         leaves omega and ``a`` exactly permuted with the columns.
         """
+        self._row_major()
         k, r, w = self.k, self.r, self.k - i
         if shift < 0:
             q, blk = scipy.linalg.qr_delete(
@@ -339,6 +371,7 @@ class SrrqrState:
 
     def _swap_boundary(self) -> None:
         """Interchange columns k-1 and k, then restore the triangular form."""
+        self._row_major()
         k = self.k
         km1 = k - 1
         r = self.r

@@ -79,18 +79,23 @@ def _reference_perm_swap(perm, i: int, j: int) -> None:
 class ReferenceState(SrrqrState):
     """Bitwise reference for the hot loop of :class:`SrrqrState`.
 
-    Every method here is an earlier version that makes the same
-    floating-point operations, in the same order, with more NumPy calls,
-    temporaries and data movement:
+    Every method here makes the same floating-point operations as the
+    library's, in the same order, with more NumPy calls, temporaries and
+    data movement; all but the column-major growth step are earlier
+    versions of the library's:
 
     - ``_advance`` builds ``v``, ``w`` and omega with ``np.concatenate`` and
       ``np.zeros``, copies the new row of R, squares the old trailing norms
-      twice and flips the row through ``_flip_row``;
+      twice and flips the row through ``_flip_row``.  On a column-major
+      (tall) R it applies the reflector to whole columns through a copy
+      that it assigns back, and recomputes each trailing norm from its own
+      column;
     - ``_cycle`` rebuilds the block around ``qr_delete``/``qr_insert`` with
       ``np.insert`` and ``np.delete``, gathers ``r``, omega and ``a``
       through an index array and always runs the sign fix;
     - ``_swap_boundary`` squares omega and the trailing norms twice and
       copies omega and gamma before overwriting them;
+    - both first make a column-major R row-major, as the library does;
     - ``_interchange_core`` swaps the permutation with fancy indexing.
 
     :func:`reference_drive` drives it with the earlier screens.  A state
@@ -106,8 +111,13 @@ class ReferenceState(SrrqrState):
             v = np.concatenate(([1.0], v_tail))
             w = np.zeros(r.shape[1])
             w[k + 1 :] = v @ r[k:, k + 1 :]
-            tail = r[k:]
-            scipy.linalg.blas.dger(-tau, w, v, a=tail.T, overwrite_a=1)
+            if r.flags.c_contiguous:
+                tail = r[k:]
+                scipy.linalg.blas.dger(-tau, w, v, a=tail.T, overwrite_a=1)
+            elif w.size > k + 1:
+                # whole columns, v zero above row k
+                v_full = np.concatenate((np.zeros(k), v))
+                r[:, k + 1 :] = scipy.linalg.blas.dger(-tau, v_full, w[k + 1 :], a=r[:, k + 1 :].copy())
         r[k, k] = beta
         r[k + 1 :, k] = 0.0
         self._flip_row(k)
@@ -131,12 +141,16 @@ class ReferenceState(SrrqrState):
         bad = g2 < np.maximum(0.5 * old_tail**2, floor)
         if np.any(bad):
             cols = self.k + np.nonzero(bad)[0]
-            fresh = np.take(r[self.k :], cols, axis=1)
-            g2[bad] = np.sum(fresh**2, axis=0)
+            if r.flags.c_contiguous:
+                fresh = np.take(r[self.k :], cols, axis=1)
+                g2[bad] = np.sum(fresh**2, axis=0)
+            else:
+                g2[bad] = [np.sum(r[self.k :, c] ** 2) for c in cols]
             floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
 
     def _cycle(self, i: int, shift: int) -> None:
+        self._row_major()
         k, r, w = self.k, self.r, self.k - i
         order = i + (np.arange(w) - shift) % w
         if shift < 0:
@@ -157,6 +171,7 @@ class ReferenceState(SrrqrState):
         self.a[i:k] = self.a[order]
 
     def _swap_boundary(self) -> None:
+        self._row_major()
         k = self.k
         km1 = k - 1
         r = self.r

@@ -472,13 +472,25 @@ class TestGeqrtEngine:
 
     def test_overwrite_only_f_ordered_float64(self):
         base = rng(30).standard_normal((20, 6))
-        ref_f, _ = _geqrt(base)
+        ref_f, ref_t = _geqrt(base)
         f_in = np.asfortranarray(base)
         f, _ = _geqrt(f_in, overwrite=True)
         assert f is f_in and np.array_equal(f_in, ref_f)
+        # a block of an F-ordered array: LAPACK's lda is its column stride,
+        # and nothing outside the block is written
+        outer = np.asfortranarray(rng(31).standard_normal((27, 9)))
+        block = outer[3:23, 2:8]
+        block[:] = base
+        around = outer.copy()
+        f, t = _geqrt(block, overwrite=True)
+        assert f is block and f.tobytes() == ref_f.tobytes() and t.tobytes() == ref_t.tobytes()
+        around[3:23, 2:8] = ref_f
+        assert np.array_equal(outer, around)
         read_only = np.asfortranarray(base)
         read_only.flags.writeable = False
-        for a in (np.ascontiguousarray(base), np.asfortranarray(base, np.float32), read_only):
+        c_block = np.zeros((27, 9))[3:23, 2:8]
+        c_block[:] = base
+        for a in (np.ascontiguousarray(base), c_block, np.asfortranarray(base, np.float32), read_only):
             before = a.copy()
             f, _ = _geqrt(a, overwrite=True)
             assert not np.shares_memory(f, a) and np.array_equal(a, before)

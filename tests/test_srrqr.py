@@ -1231,23 +1231,44 @@ class TestOwnership:
         assert st.swap_count == 2
 
     def test_any_layout_gives_the_same_bits(self):
-        src = srrqr_state(rng(5).standard_normal((12, 8)), 3)
-        states = [
-            SrrqrState(perm=src.perm, k=3, **{
-                name: order(getattr(src, name)) for name in ("r", "omega", "gamma", "a")
-            })
-            for order in (np.ascontiguousarray, np.asfortranarray)
-        ]
-        for st in states:
-            assert st.r.flags.c_contiguous and st.a.flags.c_contiguous
-        # an ``a`` assigned later in column-major order is updated correctly too
-        states.append(states[0].copy())
-        states[-1].a = np.asfortranarray(states[-1].a)
-        for st in states:
-            st._interchange_core(2, 1)
-            st._interchange_core(0, 4)
-        _assert_same_bits(states[0], states[1])
-        _assert_same_bits(states[0], states[2])
+        for shape in [(12, 8), (8, 8), (6, 8)]:
+            src = srrqr_state(rng(5).standard_normal(shape), 2)
+            states = [
+                SrrqrState(perm=src.perm, k=2, **{
+                    name: order(getattr(src, name)) for name in ("r", "omega", "gamma", "a")
+                })
+                for order in (np.ascontiguousarray, np.asfortranarray)
+            ]
+            tall = shape[0] > shape[1]
+            for st in states:
+                # a tall r is column-major, any other row-major, whatever the caller's
+                assert st.r.flags.f_contiguous if tall else st.r.flags.c_contiguous
+                assert st.r.flags.c_contiguous is not tall
+                assert st.a.flags.c_contiguous
+            # an ``a`` assigned later in column-major order is updated correctly too
+            states.append(states[0].copy())
+            states[-1].a = np.asfortranarray(states[-1].a)
+            for st in states:
+                # one growth step in the state's own layout, then interchanges
+                st._advance()
+                st._interchange_core(2, 1)
+                # an interchange makes a tall r row-major, and a copy keeps it so
+                assert st.r.flags.c_contiguous and st.copy().r.flags.c_contiguous
+                st._interchange_core(0, 4)
+            _assert_same_bits(states[0], states[1])
+            _assert_same_bits(states[0], states[2])
+
+    def test_compress_leaves_a_row_major_square_state(self, traced_peak):
+        m = np.asfortranarray(rng(6).standard_normal((2048, 256)))
+        st = srrqr_state(m, 20)
+        assert st.r.flags.f_contiguous
+        leading = st.r[:20].copy()
+        _, peak = traced_peak(st._compress)
+        assert st.r.shape == (256, 256) and st.r.flags.c_contiguous
+        # the trailing block is reduced in place: no copy of its 2028 rows
+        assert peak < 0.5 * m.nbytes
+        assert np.array_equal(st.r[:20], leading)
+        assert max(st.consistency_errors().values()) < 1e-12
 
     def test_state_copies_m_once(self, traced_peak):
         m = np.asfortranarray(rng(6).standard_normal((2048, 256)))

@@ -6,11 +6,15 @@ stages of a Gaussian call on the benchmark's own inputs.
 
 ``SRC_DIR`` is the ``src/`` directory of the checkout to run, so the
 parent and a change are profiled by the same script, as with
-``compare_decisions.py``.  Five inputs are run, each R times after one
+``compare_decisions.py``.  Six inputs are run, each R times after one
 untimed warm-up call:
 
 - ``swap-det``: deterministic ``srrqr`` (f=1.1, tau=1e-10, no Q) on the 6
   ``swap-det`` fixtures of benchmark seed N, summed over the 6 calls;
+- ``tall-det``: deterministic ``srrqr`` (f=2, tau=1e-10, no Q) on
+  ``stairs:8192x500`` of matrix seed 0, the input of acceptance test A12
+  and of no benchmark workload: a tall state that grows to k = 400
+  without an interchange, so it is never compressed;
 - ``sketch-R``: ``srrqr`` (f=2, tau=1e-10, no Q) on the n-by-n R factor of
   the SRHT sketch of the first ``paper-tau`` call of benchmark seed N, the
   pivoting that ``rand_srrqr_tol`` does on the sketch;
@@ -33,7 +37,7 @@ outside ``_threads.share`` counts no piece and puts the products in
 ``timings_ms``: ``sketch``, ``srrqr_sketch`` (the sketch's R factor, its
 pivoting and the copy of M for the worker), ``reduce_m``, ``distortion``
 and ``final_qr``; ``other`` is the call outside them.  The parts of the
-three ``srrqr`` inputs are the engine kernels: ``SrrqrState._advance``
+four ``srrqr`` inputs are the engine kernels: ``SrrqrState._advance``
 (split by the state's shape: ``tall`` before a compression, ``square``
 once R has no more rows than columns),
 ``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
@@ -177,12 +181,13 @@ def _staged(ms: Counter, calls: Counter, call) -> None:
 
 
 def inputs(seed: int, srrqr, ms: Counter, calls: Counter):
-    """(label, parts, [call]) for the swap-det fixtures, the sketch R, the
-    Gaussian sketch and the Gaussian call; the last adds its stages into
-    ``ms`` and ``calls``."""
+    """(label, parts, [call]) for the swap-det fixtures, the tall stairs,
+    the sketch R, the Gaussian sketch and the Gaussian call; the last adds
+    its stages into ``ms`` and ``calls``."""
     import numpy as np
     import workloads
     from spectra_rrqr import sketch, testmat
+    from spectra_rrqr.bench import resolve_matrix
     from spectra_rrqr.dense_core import _r_factor
     from spectra_rrqr.rand_srrqr import rand_srrqr_rank
     from spectra_rrqr.srrqr import SrrqrConfig, TargetRank, Tolerance
@@ -195,6 +200,8 @@ def inputs(seed: int, srrqr, ms: Counter, calls: Counter):
         for job in wl.jobs
     ]
     yield "swap-det", kernels, [partial(srrqr, mat, cfg, want_q=False) for mat, cfg in det]
+    mat = resolve_matrix("stairs:8192x500", 0)
+    yield "tall-det", kernels, [partial(srrqr, mat, SrrqrConfig(2.0, Tolerance(1e-10)), want_q=False)]
     wl = workloads.build("paper-tau", seed)
     job = wl.jobs[0]
     mat = testmat.generate(wl.fixtures[job.fixture])
