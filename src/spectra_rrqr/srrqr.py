@@ -37,11 +37,16 @@ Omega, gamma and ``a`` do not change under an orthogonal transform of rows
 a row-major R of n rows instead of m.  Runs without interchanges, and
 inputs with no more rows than columns, are never compressed.
 
-An interchange rotates leading column i to the block boundary, swaps the
-boundary pair with one ``dlarfg`` reflector and rotates the incoming column
-back; each rotation is a Givens update (``qr_delete``/``qr_insert``) of rows
-i..k-1, so omega and ``a`` only permute; no Householder code is written in
-Python.  An interchange works on whole rows of a row-major R; a tall
+An interchange rotates the outgoing leading column to the block boundary,
+one Givens update (``qr_delete``) of its rows onward, so omega and ``a``
+only permute; it then swaps that column with the trailing one in place and
+retriangularizes with one ``dlarfg`` reflector.  No Householder code is
+written in Python.  The incoming column stays at the boundary, so the
+leading columns leave their logical order: the state records where each
+sits, the screen reads its rows in logical order and so picks the same
+first hit, and before :func:`_drive` returns one signed QR of the leading
+rows puts the columns back, omega and ``a`` gathered by the same
+permutation.  An interchange works on whole rows of a row-major R; a tall
 state that reaches one uncompressed, through :func:`interchange`, is made
 row-major first.  The state owns copies of the arrays it is built from,
 and an interchange updates ``a`` in place.  The screen squares ratios;
@@ -125,12 +130,9 @@ def _swap_columns(x: np.ndarray, i: int, j: int) -> None:
     x[:, j] = t
 
 
-def _roll_one(x: np.ndarray, shift: int) -> None:
-    """``x[:] = np.roll(x, shift, axis=0)`` in place, for ``shift`` of -1 or 1."""
-    if shift < 0:
-        x[:-1], x[-1:] = x[1:], x[:1].copy()
-    else:
-        x[1:], x[:1] = x[:-1], x[-1:].copy()
+def _roll_one(x: np.ndarray) -> None:
+    """``x[:] = np.roll(x, -1, axis=0)`` in place."""
+    x[:-1], x[-1:] = x[1:], x[:1].copy()
 
 
 def recompute(r: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +163,13 @@ class SrrqrState:
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
     in the module docstring.  All four are current after every step, so
     reading a state never writes to it.  Interchanges retriangularize R11
-    with Givens updates of rows i..k-1 (:meth:`_cycle`).
+    with a Givens update of the outgoing column's rows onward
+    (:meth:`_cycle`) and leave the incoming column at position k-1;
+    ``_lead`` then maps internal leading positions to logical ones, and
+    rows of omega and ``a`` follow the internal order.  :meth:`_settle`
+    restores the order, which every state that :func:`srrqr`,
+    :func:`_drive` or :func:`interchange` returns is in; the readers
+    (:func:`det_ratio`, :func:`det_ratio_matrix`) take logical indices.
     """
 
     r: np.ndarray
@@ -174,6 +182,9 @@ class SrrqrState:
     # _DOWNDATE_TOL times gamma**2 at its last exact computation (LAPACK
     # xLAQP2 keeps that norm as vn2); a downdated square below it is redone
     _gamma2_floor: np.ndarray = field(init=False, repr=False)
+    # the logical position of the leading column at each internal position,
+    # n entries, those from k on their own; None: in order
+    _lead: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # own copies, row-major: ``dger`` updates blocks of whole rows in
@@ -190,9 +201,11 @@ class SrrqrState:
         return self.r.shape
 
     def copy(self) -> "SrrqrState":
-        # __post_init__ copies the init fields; the floor is not one of them
+        # __post_init__ copies the init fields; the floor and index are not
         out = replace(self)
         out._gamma2_floor = self._gamma2_floor.copy()
+        if self._lead is not None:
+            out._lead = self._lead.copy()
         if self.r.flags.c_contiguous:
             # a tall r that an interchange made row-major stays so
             out.r = np.ascontiguousarray(out.r)
@@ -205,6 +218,10 @@ class SrrqrState:
             raise IndexError(f"leading index i={i} out of range for k={k}")
         if not (0 <= j < n - k):
             raise IndexError(f"trailing index j={j} out of range for n-k={n - k}")
+
+    def _position(self, i: int) -> int:
+        """Internal position of logical leading column i."""
+        return i if self._lead is None else int((self._lead[: self.k] == i).argmax())
 
     # -- consistency -----------------------------------------------------
 
@@ -334,43 +351,35 @@ class SrrqrState:
         self.gamma = np.sqrt(np.maximum(g2, 0.0, out=g2), out=g2)
         return bool(tau)
 
-    def _cycle(self, i: int, shift: int) -> None:
-        """Roll leading columns i..k-1 by ``shift`` and retriangularize.
+    def _cycle(self, i: int) -> None:
+        """Move leading column i to position k-1 and retriangularize.
 
-        ``shift=-1`` moves column i to position k-1 (``qr_delete`` of it),
-        ``shift=1`` moves column k-1 back to i (``qr_insert``): one Givens
-        update of rows i..k-1 with Q = I.  A row rotation of R11 and R12
-        leaves omega and ``a`` exactly permuted with the columns.
+        Columns i+1..k-1 shift left by one, and one Givens update of rows
+        i..k-1 with Q = I (``qr_delete`` of column i) restores the triangle.
+        A row rotation of R11 and R12 leaves omega and ``a`` exactly
+        permuted with the columns.
         """
         self._row_major()
         k, r, w = self.k, self.r, self.k - i
-        if shift < 0:
-            q, blk = scipy.linalg.qr_delete(
-                np.eye(w), np.array(r[i:k, i:], order="F"), 0,
-                which="col", overwrite_qr=True, check_finite=False,
-            )
-            # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
-            r[i:k, k - 1] = r[i, i] * q[0]
-            r[i:k, i : k - 1] = blk[:, : w - 1]
-            r[i:k, k:] = blk[:, w - 1 :]
-        else:
-            blk = np.empty((w, r.shape[1] - i - 1), order="F")
-            blk[:, : w - 1] = r[i:k, i : k - 1]
-            blk[:, w - 1 :] = r[i:k, k:]
-            r[i:k, i:] = scipy.linalg.qr_insert(
-                np.eye(w), blk, r[i:k, k - 1], 0,
-                which="col", overwrite_qru=True, check_finite=False,
-            )[1]
+        q, blk = scipy.linalg.qr_delete(
+            np.eye(w), np.array(r[i:k, i:], order="F"), 0,
+            which="col", overwrite_qr=True, check_finite=False,
+        )
+        # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
+        r[i:k, k - 1] = r[i, i] * q[0]
+        r[i:k, i : k - 1] = blk[:, : w - 1]
+        r[i:k, k:] = blk[:, w - 1 :]
         # rows >= k of the leading columns are zero, so they need no permuting;
-        # the updates write exact zeros below the diagonal, so no triu either
+        # the update writes exact zeros below the diagonal, so no triu either
         for x in (r[:i, i:k].T, self.omega[i:k], self.a[i:k]):
-            _roll_one(x, shift)
+            _roll_one(x)
         neg = r.diagonal()[i:k] < 0.0
         if neg.any():
             r[i + neg.nonzero()[0], i:] *= -1.0
 
-    def _swap_boundary(self) -> None:
-        """Interchange columns k-1 and k, then restore the triangular form."""
+    def _swap_boundary(self, j: int) -> None:
+        """Interchange column k-1 with trailing column j (position k+j) in
+        place, then restore the triangular form."""
         self._row_major()
         k = self.k
         km1 = k - 1
@@ -379,8 +388,8 @@ class SrrqrState:
         if beta <= 0.0:
             raise SingularMatrixError(f"zero diagonal at index {km1}")
         old_rowk = r[km1, k:].copy()
-        nu = self.gamma[0]
-        a1 = self.a[:, 0].copy()
+        nu = self.gamma[j]
+        a1 = self.a[:, j].copy()
         if km1:
             # solve_triangular's own LAPACK call, without its wrapper
             w, info = dtrtrs(r[:km1, :km1].T, r[:km1, km1], lower=1, trans=1)
@@ -389,7 +398,7 @@ class SrrqrState:
         else:
             w = np.zeros(0)
         w_bar = a1[:km1] + w * a1[km1]
-        _swap_columns(r, km1, k)
+        _swap_columns(r, km1, k + j)
         beta_bar, v_tail, tau = dlarfg(r.shape[0] - km1, r[km1, km1], r[k:, km1])
         if tau:
             v = np.empty(v_tail.size + 1)
@@ -431,47 +440,69 @@ class SrrqrState:
         a[km1] = new_rowk / beta_bar
         if km1:
             # a[:km1].T is F-contiguous, so dger updates it in place;
-            # column 0 is then set from its own closed form
+            # column j is then set from its own closed form
             lead = a[:km1]
             scipy.linalg.blas.dger(1.0, old_row, w, a=lead.T, overwrite_a=1)
             scipy.linalg.blas.dger(-1.0, a[km1], w_bar, a=lead.T, overwrite_a=1)
-            lead[:, 0] = w - w_bar * a[km1, 0]
-        # trailing norms: the reflector moved mass between row k-1 and R22
-        gamma_new = np.empty_like(self.gamma)
-        gamma_new[0] = beta * nu / beta_bar
+            lead[:, j] = w - w_bar * a[km1, j]
+        # trailing norms: the reflector moved mass between row k-1 and R22;
+        # the outgoing column j has a closed form
+        old2 = np.square(self.gamma)
+        g2 = old2 + old_rowk**2 - new_rowk**2
         floor = self._gamma2_floor
-        floor[0] = _DOWNDATE_TOL * gamma_new[0] ** 2
-        if gamma_new.size > 1:
-            old2 = np.square(self.gamma[1:])
-            g2 = old2 + old_rowk[1:] ** 2 - new_rowk[1:] ** 2
-            old2 *= 0.5
-            bad = g2 < np.maximum(old2, floor[1:], out=old2)
-            if bad.any():
-                cols = k + 1 + bad.nonzero()[0]
-                # column-major, unlike np.take's: each column sums pairwise (bits rely on it)
-                fresh = r[k:, cols]
-                fresh *= fresh
-                g2[bad] = fresh.sum(axis=0)
-                floor[1:][bad] = _DOWNDATE_TOL * g2[bad]
-            np.sqrt(np.maximum(g2, 0.0, out=g2), out=gamma_new[1:])
+        old2 *= 0.5
+        bad = g2 < np.maximum(old2, floor, out=old2)
+        bad[j] = False
+        if bad.any():
+            cols = k + bad.nonzero()[0]
+            # column-major, unlike np.take's: each column sums pairwise (bits rely on it)
+            fresh = r[k:, cols]
+            fresh *= fresh
+            g2[bad] = fresh.sum(axis=0)
+            floor[bad] = _DOWNDATE_TOL * g2[bad]
+        gamma_new = np.sqrt(np.maximum(g2, 0.0, out=g2), out=g2)
+        gamma_new[j] = beta * nu / beta_bar
+        floor[j] = _DOWNDATE_TOL * gamma_new[j] ** 2
         self.gamma = gamma_new
 
     def _interchange_core(self, i: int, j: int) -> None:
-        """Exchange leading column i with trailing column j (one transposition).
+        """Exchange logical leading column i with trailing column j (one
+        transposition of ``perm``).
 
-        Internally the leading column rotates to the block boundary, the
-        boundary pair is swapped and retriangularized, and the incoming
-        column rotates back to position i, so the net column permutation is
-        exactly the transposition (i, k+j).  Each rotation is one Givens
-        update (``qr_delete``/``qr_insert``) of rows i..k-1 (:meth:`_cycle`).
+        The outgoing column rotates from its internal position p to the
+        block boundary (:meth:`_cycle`, one Givens update of rows p..k-1),
+        and the boundary swap exchanges it with trailing column j in place.
+        The incoming column stays at position k-1, which ``_lead`` records
+        as logical position i; :meth:`_settle` restores the order.
         """
         self._check_pair(i, j)
-        self._cycle(i, -1)
-        self._swap_trailing(j)
-        self._swap_boundary()
-        self._swap_trailing(j)
-        self._cycle(i, 1)
-        self.perm.swap(i, self.k + j)
+        k = self.k
+        if self._lead is None:
+            self._lead = np.arange(self.r.shape[1])
+        p = self._position(i)
+        self._cycle(p)
+        _roll_one(self._lead[p:k])
+        self._swap_boundary(j)
+        self.perm.swap(i, k + j)
+
+    def _settle(self) -> None:
+        """Put the leading columns back in logical order.
+
+        R11's columns are permuted and rows :k retriangularized by one
+        signed QR; R11 becomes Q^T R11 P, whose inverse is P^T inv(R11) Q,
+        so omega and ``a`` gather their rows by P exactly, and gamma and
+        the trailing rows do not change.  A no-op on a state in order.
+        """
+        lead, self._lead = self._lead, None
+        k = self.k
+        if lead is None or np.array_equal(lead[:k], np.arange(k)):
+            return
+        order = np.argsort(lead[:k])  # internal position of each logical one
+        r = self.r
+        r[:k, :k] = r[:k, order]
+        r[:k] = _r_factor(r[:k])
+        self.omega = self.omega[order]
+        self.a = self.a[order]
 
 
 def _fresh_state(a: np.ndarray) -> SrrqrState:
@@ -509,16 +540,20 @@ def swap_ratios(omega, gamma, a) -> np.ndarray:
 
 
 def det_ratio_matrix(state: SrrqrState) -> np.ndarray:
-    """:func:`swap_ratios` of the maintained omega, gamma and ``a``."""
-    return swap_ratios(state.omega, state.gamma, state.a)
+    """:func:`swap_ratios` of the maintained omega, gamma and ``a``, its
+    rows in logical order."""
+    ratios = swap_ratios(state.omega, state.gamma, state.a)
+    return ratios if state._lead is None else ratios[np.argsort(state._lead[: state.k])]
 
 
-def _first_swap(omega, gamma, a, f_swap: float) -> tuple[int, int] | None:
-    """First (i, j), row-major, whose :func:`swap_ratios` entry exceeds
-    ``f_swap``; None if none.
+def _first_swap(omega, gamma, a, f_swap: float, lead=None) -> tuple[int, int] | None:
+    """First (i, j), row-major in logical order, whose :func:`swap_ratios`
+    entry exceeds ``f_swap``; None if none.
 
-    Compares squares; only ratios above 1e154 overflow, and inf is a hit.
-    Raises ``ValueError`` when a NaN ratio comes before the first hit.
+    Row p of ``omega`` and ``a`` is logical row ``lead[p]`` (p itself when
+    ``lead`` is None, as :attr:`SrrqrState._lead`).  Compares squares; only
+    ratios above 1e154 overflow, and inf is a hit.  Raises ``ValueError``
+    when a NaN ratio comes before the first hit.
     """
     with np.errstate(over="ignore"):
         sq = np.multiply.outer(omega, gamma)
@@ -530,14 +565,22 @@ def _first_swap(omega, gamma, a, f_swap: float) -> tuple[int, int] | None:
     if ok.flat[first]:
         return None
     i, j = divmod(first, ok.shape[1])
-    if math.isnan(sq.flat[first]):
+    p = i  # the row of the arrays that holds logical row i
+    if lead is not None:
+        # a hit exists: scan again with the rows in logical order
+        rows = np.argsort(lead[: omega.size])
+        i, j = divmod(int(ok[rows].argmin()), ok.shape[1])
+        p = rows[i]
+    if math.isnan(sq[p, j]):
         raise ValueError(f"swap ratio ({i}, {j}) is NaN at step {omega.size}")
     return i, j
 
 
 def det_ratio(state: SrrqrState, i: int, j: int) -> float:
-    """Volume-growth factor of the single interchange (i, j); 0-based indices."""
+    """Volume-growth factor of the single interchange (i, j); 0-based
+    indices, i logical."""
     state._check_pair(i, j)
+    i = state._position(i)
     row, col = slice(i, i + 1), slice(j, j + 1)
     return swap_ratios(state.omega[row], state.gamma[col], state.a[row, col]).item()
 
@@ -567,9 +610,11 @@ def _rho_hat_at_most(omega, gamma, a, bound: float) -> bool:
 
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:
-    """Swap leading column i with trailing column j; returns a new state."""
+    """Swap leading column i with trailing column j; returns a new state,
+    in order."""
     out = state.copy()
     out._interchange_core(i, j)
+    out._settle()
     return out
 
 
@@ -587,7 +632,9 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
     volume by at least ``f`` and at termination no swap can beat ``f``.
     A cheap early exit fires when ``rho_hat <= f/sqrt(2)``, which already
     certifies ``rho <= f``.  ``on_swap(k, i, j, ratio)`` is invoked after
-    every interchange; ``state`` is screened first.
+    every interchange; ``state`` is screened first.  Interchanges leave
+    leading columns out of order (:meth:`SrrqrState._interchange_core`);
+    one :meth:`SrrqrState._settle` restores it before the return.
 
     Returns ``"tolerance"`` (every trailing norm below tau),
     ``"target_rank"``, ``"full_rank"`` (a tolerance run that took every
@@ -601,10 +648,12 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
     """
     rank_mode = isinstance(config.mode, TargetRank)
     stop = config.mode.k if rank_mode else min(state.r.shape)
+    reason = "target_rank" if rank_mode else "full_rank"
     _interchanges(state, config.f, on_swap)
     while state.k < stop:
         if steps <= 0:
-            return None
+            reason = None
+            break
         jmax = int(state.gamma.argmax())
         top = state.gamma[jmax]
         if not math.isfinite(top):
@@ -616,21 +665,23 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
                     f"target rank {stop} exceeds the numerical rank"
                 )
         elif top < config.mode.tau:
-            return "tolerance"
+            reason = "tolerance"
+            break
         if jmax > 0:
             state._swap_trailing(jmax)
             state.perm.swap(state.k, state.k + jmax)
         # a pivot column already zero below the diagonal needs no reflector
         steps -= bool(state._advance())
         _interchanges(state, config.f, on_swap)
-    return "target_rank" if rank_mode else "full_rank"
+    state._settle()
+    return reason
 
 
 def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
     """:func:`_drive`'s inner loop: interchange while the screen finds a pair."""
     early_exit, f_swap = f / math.sqrt(2.0), f * _F_SLACK
     while state.gamma.size and not _rho_hat_at_most(state.omega, state.gamma, state.a, early_exit):
-        if (hit := _first_swap(state.omega, state.gamma, state.a, f_swap)) is None:
+        if (hit := _first_swap(state.omega, state.gamma, state.a, f_swap, state._lead)) is None:
             break
         if state.swap_count >= 20 * swap_budget(max(state.k, 1), state.r.shape[1], f):
             raise RuntimeError(

@@ -90,13 +90,18 @@ class ReferenceState(SrrqrState):
       (tall) R it applies the reflector to whole columns through a copy
       that it assigns back, and recomputes each trailing norm from its own
       column;
-    - ``_cycle`` rebuilds the block around ``qr_delete``/``qr_insert`` with
-      ``np.insert`` and ``np.delete``, gathers ``r``, omega and ``a``
-      through an index array and always runs the sign fix;
-    - ``_swap_boundary`` squares omega and the trailing norms twice and
-      copies omega and gamma before overwriting them;
+    - ``_cycle`` rebuilds the block around ``qr_delete`` with
+      ``np.insert``, gathers ``r``, omega and ``a`` through an index array
+      and always runs the sign fix;
+    - ``_swap_boundary`` is the earlier swap of columns k-1 and k between
+      two ``_swap_trailing(j)`` calls; it squares omega and the trailing
+      norms twice and copies omega and gamma before overwriting them;
     - both first make a column-major R row-major, as the library does;
-    - ``_interchange_core`` swaps the permutation with fancy indexing.
+    - ``_interchange_core`` finds the outgoing column with ``list.index``,
+      rolls ``_lead`` with ``np.roll`` and swaps the permutation with fancy
+      indexing;
+    - ``_settle`` builds the permuted rows with ``np.concatenate`` and
+      gathers omega and ``a`` with ``np.take``.
 
     :func:`reference_drive` drives it with the earlier screens.  A state
     driven by the library must end with the same bits as this one.
@@ -149,28 +154,23 @@ class ReferenceState(SrrqrState):
             floor[bad] = _DOWNDATE_TOL * g2[bad]
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
 
-    def _cycle(self, i: int, shift: int) -> None:
+    def _cycle(self, i: int) -> None:
         self._row_major()
         k, r, w = self.k, self.r, self.k - i
-        order = i + (np.arange(w) - shift) % w
-        if shift < 0:
-            q, blk = scipy.linalg.qr_delete(
-                np.eye(w), np.array(r[i:k, i:], order="F"), 0,
-                which="col", overwrite_qr=True, check_finite=False,
-            )
-            # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
-            r[i:k, i:] = np.insert(blk, w - 1, r[i, i] * q[0], axis=1)
-        else:
-            r[i:k, i:] = scipy.linalg.qr_insert(
-                np.eye(w), np.delete(r[i:k, i:], w - 1, axis=1), r[i:k, k - 1], 0,
-                which="col", overwrite_qru=True, check_finite=False,
-            )[1]
+        order = i + (np.arange(w) + 1) % w
+        q, blk = scipy.linalg.qr_delete(
+            np.eye(w), np.array(r[i:k, i:], order="F"), 0,
+            which="col", overwrite_qr=True, check_finite=False,
+        )
+        # the deleted column is r_ii e_1, which Q^T maps to r_ii Q[0]
+        r[i:k, i:] = np.insert(blk, w - 1, r[i, i] * q[0], axis=1)
         r[:i, i:k] = r[:i, order]
         r[i + np.flatnonzero(np.diagonal(r)[i:k] < 0.0), i:] *= -1.0
         self.omega[i:k] = self.omega[order]
         self.a[i:k] = self.a[order]
 
-    def _swap_boundary(self) -> None:
+    def _swap_boundary(self, j: int) -> None:
+        self._swap_trailing(j)
         self._row_major()
         k = self.k
         km1 = k - 1
@@ -236,24 +236,73 @@ class ReferenceState(SrrqrState):
                 floor[1:][bad] = _DOWNDATE_TOL * g2[bad]
             gamma_new[1:] = np.sqrt(np.maximum(g2, 0.0))
         self.gamma = gamma_new
+        self._swap_trailing(j)
 
     def _interchange_core(self, i: int, j: int) -> None:
         self._check_pair(i, j)
-        self._cycle(i, -1)
-        self._swap_trailing(j)
-        self._swap_boundary()
-        self._swap_trailing(j)
-        self._cycle(i, 1)
+        k = self.k
+        if self._lead is None:
+            self._lead = np.arange(self.r.shape[1])
+        p = self._lead[:k].tolist().index(i)
+        self._cycle(p)
+        self._lead[p:k] = np.roll(self._lead[p:k], -1)
+        self._swap_boundary(j)
+        _reference_perm_swap(self.perm, i, k + j)
+
+    def _settle(self) -> None:
+        if self._lead is None:
+            return
+        k = self.k
+        order = np.argsort(self._lead[:k])
+        self._lead = None
+        if order.tolist() == list(range(k)):
+            return
+        r = self.r
+        r[:k] = _r_factor(np.concatenate([np.take(r[:k, :k], order, axis=1), r[:k, k:]], axis=1))
+        self.omega = np.take(self.omega, order)
+        self.a = np.take(self.a, order, axis=0)
+
+
+class TwoSweepState(ReferenceState):
+    """:class:`ReferenceState` with the earlier two-sweep interchange.
+
+    The leading column rotates to the block boundary, the boundary pair is
+    swapped, and the incoming column rotates back to position i with a
+    ``qr_insert`` of rows i..k-1, so the state never leaves logical order.
+    Omega, gamma, ``a``, the norm floors and the permutation of one
+    interchange are those of the library's one-sweep interchange and
+    settle, bit for bit; R agrees to roundoff.
+    """
+
+    def _cycle_back(self, i: int) -> None:
+        k, r, w = self.k, self.r, self.k - i
+        order = i + (np.arange(w) - 1) % w
+        r[i:k, i:] = scipy.linalg.qr_insert(
+            np.eye(w), np.delete(r[i:k, i:], w - 1, axis=1), r[i:k, k - 1], 0,
+            which="col", overwrite_qru=True, check_finite=False,
+        )[1]
+        r[:i, i:k] = r[:i, order]
+        r[i + np.flatnonzero(np.diagonal(r)[i:k] < 0.0), i:] *= -1.0
+        self.omega[i:k] = self.omega[order]
+        self.a[i:k] = self.a[order]
+
+    def _interchange_core(self, i: int, j: int) -> None:
+        self._check_pair(i, j)
+        self._cycle(i)
+        self._swap_boundary(j)
+        self._cycle_back(i)
         _reference_perm_swap(self.perm, i, self.k + j)
 
 
 def reference_first_swap(state: SrrqrState, f_swap: float) -> tuple[int, int] | None:
     """The earlier ``srrqr._first_swap``: ``np.outer``, ``np.multiply`` and
-    ``np.argmin``."""
+    ``np.argmin``, on the squares with their rows put in logical order."""
     with np.errstate(over="ignore"):
         sq = np.outer(state.omega, state.gamma)
         sq *= sq
         sq += np.multiply(state.a, state.a)
+    if state._lead is not None:
+        sq = sq[np.argsort(state._lead[: state.k])]
     ok = sq <= f_swap * f_swap
     first = int(np.argmin(ok))
     if ok.flat[first]:
@@ -274,7 +323,8 @@ def reference_rho_hat_at_most(state: SrrqrState, bound: float) -> bool:
 
 
 def reference_drive(state: ReferenceState, config: SrrqrConfig) -> str:
-    """The earlier ``srrqr._drive`` with the earlier screens, no monitor."""
+    """The earlier ``srrqr._drive`` with the earlier screens, no monitor,
+    settled at the end as the library's."""
     cols = state.r.shape[1]
     f = config.f
     rank_mode = isinstance(config.mode, TargetRank)
@@ -305,4 +355,5 @@ def reference_drive(state: ReferenceState, config: SrrqrConfig) -> str:
                 raise RuntimeError(f"interchange budget exhausted at k={state.k}")
             state._compress()
             state._interchange_core(*hit)
+    state._settle()
     return reason

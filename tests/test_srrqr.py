@@ -51,6 +51,7 @@ from spectra_rrqr.srrqr import (
 
 from oracles import (
     ReferenceState,
+    TwoSweepState,
     exhaustive_det_ratios,
     reference_drive,
     reference_first_swap,
@@ -565,9 +566,9 @@ class TestNormDowndate:
         st._advance()
         assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
         st._gamma2_floor *= 1e20
-        st._swap_boundary()
-        # the closed form of the incoming column's norm is exact too
-        assert st._gamma2_floor[0] == _DOWNDATE_TOL * st.gamma[0] ** 2
+        st._swap_boundary(3)
+        # the closed form of the outgoing column's norm is exact too
+        assert st._gamma2_floor[3] == _DOWNDATE_TOL * st.gamma[3] ** 2
         assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
         exact = np.linalg.norm(st.r[st.k :, st.k :], axis=0)
         assert np.allclose(st.gamma, exact, rtol=1e-12)
@@ -962,7 +963,9 @@ def _state_kinds():
 
 
 class TestCycle:
-    """``_cycle`` against a reference rotation: roll, then a fresh QR."""
+    """Rotations of leading columns i..k-1 against a reference: roll, then a
+    fresh QR.  ``_cycle`` rolls them left (shift -1); ``_settle`` rolls
+    them right (shift 1) when ``_lead`` says that column k-1 belongs at i."""
 
     @pytest.mark.parametrize("shift", [-1, 1])
     @pytest.mark.parametrize("kind", ["tall", "compressed", "square"])
@@ -974,7 +977,14 @@ class TestCycle:
             ref = st.r.copy()
             ref[:k, i:k] = np.roll(ref[:k, i:k], shift, axis=1)
             ref[i:k, i:] = _r_factor(ref[i:k, i:])
-            st._cycle(i, shift)
+            if shift < 0:
+                st._cycle(i)
+            else:
+                st._row_major()
+                st._lead = np.arange(st.shape[1])
+                st._lead[i:k] = np.roll(st._lead[i:k], -1)
+                st._settle()
+                assert st._lead is None
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(st.r - ref)) <= 1e-12 * scale
             omega, a = base.omega.copy(), base.a.copy()
@@ -1001,8 +1011,14 @@ def _reference_copy(st: SrrqrState, cls=ReferenceState) -> ReferenceState:
 _STATE_ARRAYS = ("r", "omega", "gamma", "a", "_gamma2_floor")
 
 
+def _lead_bits(st: SrrqrState):
+    """The state's internal order: None when in order, else its bytes."""
+    return None if st._lead is None else st._lead.tobytes()
+
+
 def _assert_same_bits(st: SrrqrState, ref: SrrqrState) -> None:
     assert st.k == ref.k and st.perm.swaps == ref.perm.swaps
+    assert _lead_bits(st) == _lead_bits(ref)
     for name in _STATE_ARRAYS:
         x, y = getattr(st, name), getattr(ref, name)
         assert x.shape == y.shape and x.tobytes() == y.tobytes(), name
@@ -1091,11 +1107,13 @@ _DRIVE_CASES = {
 
 
 class _Logged:
-    """Logs the bytes of the whole state after every growth step and interchange."""
+    """Logs the bytes of the whole state after every growth step,
+    interchange and settle."""
 
     def _log(self) -> None:
         parts = [getattr(self, name).tobytes() for name in _STATE_ARRAYS]
         parts += [self.perm.forward.tobytes(), repr((self.k, self.swap_count, self.perm.swaps))]
+        parts.append(_lead_bits(self))
         self.__dict__.setdefault("log", []).append(parts)
 
     def _advance(self) -> None:
@@ -1104,6 +1122,10 @@ class _Logged:
 
     def _interchange_core(self, i: int, j: int) -> None:
         super()._interchange_core(i, j)
+        self._log()
+
+    def _settle(self) -> None:
+        super()._settle()
         self._log()
 
 
@@ -1155,11 +1177,17 @@ class TestHotLoopReference:
             return dtrtrs(*args, **kwargs)
 
         def watch(name, method):
-            def watched(self):
-                old = self._gamma2_floor[1:].copy()
-                method(self)
-                # growth drops the leading floor, an interchange resets it
-                new = self._gamma2_floor[1:] if name == "_swap_boundary" else self._gamma2_floor
+            def watched(self, *args):
+                old = self._gamma2_floor.copy()
+                method(self, *args)
+                new = self._gamma2_floor
+                if name == "_swap_boundary":
+                    # the outgoing column j's floor is set from its closed form
+                    keep = np.arange(old.size) != args[0]
+                    new, old = new[keep], old[keep]
+                else:
+                    # growth drops the leading floor
+                    old = old[1:]
                 seen[name] += bool(np.any(new != old))
 
             return watched
@@ -1209,6 +1237,109 @@ class TestHotLoopReference:
         assert outcome(lambda s, f: _first_swap(s.omega, s.gamma, s.a, f)) == outcome(
             reference_first_swap
         )
+
+
+def _in_order_cases():
+    """(input, config) of runs that interchange and stop with a trailing block."""
+    return {
+        # compressed at its first interchange
+        "tall": (_tall_stewart(0), SrrqrConfig(f=1.1, mode=TargetRank(40))),
+        "square": (
+            generate(MatrixSpec(Stewart(m=80, n=80, q=0.8), seed=1)),
+            SrrqrConfig(f=1.1, mode=TargetRank(50)),
+        ),
+        "wide": (rng(30).standard_normal((30, 90)), SrrqrConfig(f=1.05, mode=Tolerance(1e-10))),
+    }
+
+
+def _assert_in_order(st: SrrqrState, m=None) -> None:
+    """R11 upper triangular with a nonnegative diagonal, no internal order,
+    and maintained quantities that match a recomputation; given ``m``, R11
+    and R12 are those of a fresh QR of ``M P``."""
+    k = st.k
+    r11 = st.r[:k, :k]
+    assert st._lead is None
+    assert np.all(np.tril(r11, -1) == 0.0) and np.all(np.diag(r11) >= 0.0)
+    assert max(st.consistency_errors().values()) < 1e-10
+    if m is not None:
+        fresh = partial_qr(st.perm.apply_cols(m), k, want_q=False)
+        scale = np.max(np.abs(fresh.r11))
+        assert np.max(np.abs(r11 - fresh.r11)) <= 1e-10 * scale
+        assert np.max(np.abs(st.r[:k, k:] - fresh.r12)) <= 1e-10 * scale
+
+
+class TestInternalOrder:
+    """Interchanges leave the incoming column at the block boundary; every
+    state seen outside ``_drive`` is back in logical order."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(data=hst.data(), k=hst.integers(1, 6), t=hst.integers(1, 5), f=hst.floats(1.0001, 4.0))
+    def test_first_swap_reads_rows_in_logical_order(self, data, k, t, f):
+        f_swap = f * (1.0 + 1e-12)
+        # ties at f, NaN and inf ratios, and ratios whose squares overflow
+        special = hst.sampled_from([f_swap, -f_swap, np.nan, np.inf, 1e155, -1e200, 0.0])
+        norms = hst.one_of(hst.floats(0.0, 3.0), hst.sampled_from([0.0, np.nan, np.inf, 1e160]))
+        omega = data.draw(hnp.arrays(np.float64, k, elements=norms))
+        gamma = data.draw(hnp.arrays(np.float64, t, elements=norms))
+        a = data.draw(hnp.arrays(
+            np.float64, (k, t), elements=hst.one_of(hst.floats(-3.0, 3.0), special)
+        ))
+        # internal row p holds logical row lead[p]; entries from k on are their own
+        lead = np.r_[data.draw(hst.permutations(range(k))), k : k + t]
+
+        def outcome(screen):
+            try:
+                return screen()
+            except ValueError as err:
+                return str(err)
+
+        with np.errstate(invalid="ignore"):  # inf times a zero norm is NaN
+            got = outcome(lambda: _first_swap(omega[lead[:k]], gamma, a[lead[:k]], f_swap, lead))
+            want = outcome(lambda: _first_swap(omega, gamma, a, f_swap))
+        assert got == want
+
+    @pytest.mark.parametrize("kind", ["tall", "square", "wide"])
+    def test_states_leave_in_order(self, kind):
+        m, cfg = _in_order_cases()[kind]
+        res = srrqr(m, cfg, want_q=False)
+        assert res.swap_count > 0
+        _assert_in_order(res.state, m)
+        # a _drive cut short by its reflector budget settles too
+        st = _fresh_state(as_matrix(m))
+        assert _drive(st, cfg, steps=res.k - 1) is None
+        assert st.swap_count > 0
+        _assert_in_order(st, m)
+
+    def test_one_sweep_per_interchange(self, monkeypatch):
+        m, cfg = _in_order_cases()["square"]
+        sweeps = []
+        cycle = SrrqrState._cycle
+
+        def spy(state, i):
+            sweeps.append(state._lead.copy())
+            cycle(state, i)
+
+        monkeypatch.setattr(SrrqrState, "_cycle", spy)
+        res = srrqr(m, cfg, want_q=False)
+        assert len(sweeps) == res.swap_count > 0
+        # the state did run out of order between interchanges
+        k = res.k
+        assert any(not np.array_equal(lead[:k], np.arange(k)) for lead in sweeps)
+
+    @pytest.mark.parametrize("kind", ["tall", "compressed", "square"])
+    def test_one_interchange_keeps_the_two_sweep_bits(self, kind):
+        st = _state_kinds()[kind]
+        k, n = st.k, st.shape[1]
+        for i, j in [(0, 0), (k // 2, n - k - 1), (k - 2, 3), (k - 1, 1)]:
+            out = interchange(st, i, j)
+            want = interchange(_reference_copy(st, TwoSweepState), i, j)
+            assert out.perm.swaps == want.perm.swaps
+            assert np.array_equal(out.perm.forward, want.perm.forward)
+            for name in ("omega", "gamma", "a", "_gamma2_floor"):
+                assert getattr(out, name).tobytes() == getattr(want, name).tobytes(), name
+            # only R moves, by roundoff, and stays triangular
+            assert np.max(np.abs(out.r - want.r)) <= 1e-12 * np.max(np.abs(want.r))
+            _assert_in_order(out)
 
 
 class TestOwnership:
@@ -1280,7 +1411,8 @@ class TestOwnership:
 
 
 class TestCopy:
-    """``copy`` is ``dataclasses.replace`` plus the gamma floor, carried by hand."""
+    """``copy`` is ``dataclasses.replace`` plus the gamma floor and the
+    internal order, carried by hand."""
 
     @staticmethod
     def _state():
@@ -1323,6 +1455,14 @@ class TestCopy:
         assert np.array_equal(dup._gamma2_floor, np.arange(1.0, st.gamma.size + 1))
         dup._gamma2_floor[0] = -1.0
         assert st._gamma2_floor[0] == 1.0
+
+    def test_internal_order_is_equal_but_independent(self):
+        st = self._state()
+        # the interchange left its incoming column at the block boundary
+        assert not np.array_equal(st._lead[: st.k], np.arange(st.k))
+        dup = st.copy()
+        assert np.array_equal(dup._lead, st._lead)
+        assert not np.shares_memory(dup._lead, st._lead)
 
 
 class TestReaders:

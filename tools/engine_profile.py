@@ -40,8 +40,10 @@ and ``final_qr``; ``other`` is the call outside them.  The parts of the
 four ``srrqr`` inputs are the engine kernels: ``SrrqrState._advance``
 (split by the state's shape: ``tall`` before a compression, ``square``
 once R has no more rows than columns),
-``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``, and
-the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
+``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``,
+``_settle`` (the one signed QR that puts the leading columns back in
+logical order when ``_drive`` returns; a checkout without it counts
+none), and the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
 prefix that grows a square or wide state's swap-free steps: ``dgeqp3``
 (``_geqp3``), ``replay`` (``_replay``, its own screens included) and
 ``state``, the rest of ``_qrcp_prefix``: building the state where the
@@ -75,6 +77,7 @@ KERNELS = [
     ("SrrqrState", "_swap_boundary"),
     ("SrrqrState", "_compress"),
     ("SrrqrState", "_swap_trailing"),
+    ("SrrqrState", "_settle"),
     ("module", "_first_swap"),
     ("module", "_rho_hat_at_most"),
 ]
@@ -114,7 +117,8 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
 
     for owner, name in KERNELS:
         target = mod.SrrqrState if owner == "SrrqrState" else mod
-        setattr(target, name, timed(getattr(target, name), name))
+        if hasattr(target, name):
+            setattr(target, name, timed(getattr(target, name), name))
     for name, key in PREFIX:
         if hasattr(mod, name):
             setattr(mod, name, timed(getattr(mod, name), key))
