@@ -31,11 +31,12 @@ than columns without an interchange, at f >= sqrt(2), one ``dgeqp3`` of
 the trailing block grows the swap-free steps after (:func:`_qrcp_prefix`).
 
 Omega, gamma and ``a`` do not change under an orthogonal transform of rows
-``>= k``.  So on a tall input, just before its first interchange,
-:func:`srrqr` replaces those rows of the trailing block by the block's
-(n-k)-by-(n-k) R factor, reduced in place; every later step then works on
-a row-major R of n rows instead of m.  Runs without interchanges, and
-inputs with no more rows than columns, are never compressed.
+``>= k``.  So a tall state is compressed once, at its first exact screen
+(the first step whose early exit fails) or, if it has none, before
+:func:`_drive` returns: rows ``k:`` of the trailing block are replaced by
+the block's (n-k)-by-(n-k) R factor, reduced in place.  Every later step
+works on a row-major R of n rows instead of m, and every state that
+:func:`_drive` returns has no more rows than columns.
 
 An interchange rotates the outgoing leading column to the block boundary,
 one Givens update (``qr_delete``) of its rows onward, so omega and ``a``
@@ -46,11 +47,10 @@ leading columns leave their logical order: the state records where each
 sits, the screen reads its rows in logical order and so picks the same
 first hit, and before :func:`_drive` returns one signed QR of the leading
 rows puts the columns back, omega and ``a`` gathered by the same
-permutation.  An interchange works on whole rows of a row-major R; a tall
-state that reaches one uncompressed, through :func:`interchange`, is made
-row-major first.  The state owns copies of the arrays it is built from,
-and an interchange updates ``a`` in place.  The screen squares ratios;
-:func:`swap_ratios` uses hypot.
+permutation.  An interchange works on whole rows of a row-major R, so it
+compresses a tall state first.  The state owns copies of the arrays it is
+built from, and an interchange updates ``a`` in place.  The screen squares
+ratios; :func:`swap_ratios` uses hypot.
 
 The state holds R only; when Q is asked for, :func:`srrqr` forms it once,
 after the last decision, from one LAPACK QR of ``M P`` (``dgeqrt``, then
@@ -156,10 +156,10 @@ class SrrqrState:
     ``r`` is the m-by-n factor with its leading ``k`` columns triangularized
     (nonnegative diagonal); the orthogonal transforms are not kept.  A
     tall ``r`` is column-major and any other row-major, whatever the
-    layout of the array it is built from.  Once :meth:`_compress` has run
-    (in :func:`srrqr`, at the first interchange of a tall input) ``r`` is
-    row-major with n rows, and its trailing block n-k; an interchange
-    without it makes a tall ``r`` row-major, and a copy keeps that layout.
+    layout of the array it is built from.  :meth:`_compress` turns a tall
+    ``r`` into a row-major one of n rows, its trailing block n-k; a tall
+    state is compressed at its first exact screen in :func:`_drive`, or
+    before it returns, and by any interchange.
     ``omega``, ``gamma`` and ``a`` are the maintained quantities described
     in the module docstring.  All four are current after every step, so
     reading a state never writes to it.  Interchanges retriangularize R11
@@ -206,9 +206,6 @@ class SrrqrState:
         out._gamma2_floor = self._gamma2_floor.copy()
         if self._lead is not None:
             out._lead = self._lead.copy()
-        if self.r.flags.c_contiguous:
-            # a tall r that an interchange made row-major stays so
-            out.r = np.ascontiguousarray(out.r)
         return out
 
     def _check_pair(self, i: int, j: int) -> None:
@@ -251,9 +248,9 @@ class SrrqrState:
         ``omega``, ``gamma`` and ``a`` do not change under an orthogonal
         transform of rows ``>= k``, so rows ``k:`` of the trailing columns
         can be swapped for the (n-k)-by-(n-k) R factor of that block: one
-        blocked ``dgeqrt``, in place on the column-major ``r``.  ``r`` is
-        then the row-major n-by-n state that interchanges work on.  A no-op
-        when ``r`` has no more rows than columns.
+        blocked ``dgeqrt``, in place on the column-major ``r``, and none at
+        k = n.  ``r`` is then the row-major n-by-n state that interchanges
+        work on.  A no-op when ``r`` has no more rows than columns.
         """
         rows, cols = self.r.shape
         if rows <= cols:
@@ -261,14 +258,9 @@ class SrrqrState:
         k = self.k
         r = np.zeros((cols, cols))
         r[:k] = self.r[:k]
-        r[k:, k:] = _r_factor(self.r[k:, k:], overwrite=True)
+        if k < cols:
+            r[k:, k:] = _r_factor(self.r[k:, k:], overwrite=True)
         self.r = r
-
-    def _row_major(self) -> None:
-        """Make a tall column-major ``r`` row-major, as interchanges need;
-        :meth:`_compress` leaves none on :func:`srrqr`'s path."""
-        if not self.r.flags.c_contiguous:
-            self.r = np.ascontiguousarray(self.r)
 
     def _flip_row(self, t: int) -> None:
         if self.r[t, t] < 0.0:
@@ -359,7 +351,6 @@ class SrrqrState:
         A row rotation of R11 and R12 leaves omega and ``a`` exactly
         permuted with the columns.
         """
-        self._row_major()
         k, r, w = self.k, self.r, self.k - i
         q, blk = scipy.linalg.qr_delete(
             np.eye(w), np.array(r[i:k, i:], order="F"), 0,
@@ -379,8 +370,7 @@ class SrrqrState:
 
     def _swap_boundary(self, j: int) -> None:
         """Interchange column k-1 with trailing column j (position k+j) in
-        place, then restore the triangular form."""
-        self._row_major()
+        place, then restore the triangular form; ``r`` is row-major."""
         k = self.k
         km1 = k - 1
         r = self.r
@@ -473,9 +463,11 @@ class SrrqrState:
         block boundary (:meth:`_cycle`, one Givens update of rows p..k-1),
         and the boundary swap exchanges it with trailing column j in place.
         The incoming column stays at position k-1, which ``_lead`` records
-        as logical position i; :meth:`_settle` restores the order.
+        as logical position i; :meth:`_settle` restores the order.  A tall
+        state is compressed first, which :func:`_drive` has already done.
         """
         self._check_pair(i, j)
+        self._compress()
         k = self.k
         if self._lead is None:
             self._lead = np.arange(self.r.shape[1])
@@ -556,7 +548,8 @@ def _first_swap(omega, gamma, a, f_swap: float, lead=None) -> tuple[int, int] | 
     when a NaN ratio comes before the first hit.
     """
     with np.errstate(over="ignore"):
-        sq = np.multiply.outer(omega, gamma)
+        # einsum's outer product: the same products, with less call overhead
+        sq = np.einsum("i,j->ij", omega, gamma)
         sq *= sq
         sq += a * a
     # a NaN is not <= the bound, so the scan stops at it as at a hit
@@ -611,7 +604,7 @@ def _rho_hat_at_most(omega, gamma, a, bound: float) -> bool:
 
 def interchange(state: SrrqrState, i: int, j: int) -> SrrqrState:
     """Swap leading column i with trailing column j; returns a new state,
-    in order."""
+    in order, with n rows if ``state`` is tall."""
     out = state.copy()
     out._interchange_core(i, j)
     out._settle()
@@ -632,9 +625,11 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
     volume by at least ``f`` and at termination no swap can beat ``f``.
     A cheap early exit fires when ``rho_hat <= f/sqrt(2)``, which already
     certifies ``rho <= f``.  ``on_swap(k, i, j, ratio)`` is invoked after
-    every interchange; ``state`` is screened first.  Interchanges leave
-    leading columns out of order (:meth:`SrrqrState._interchange_core`);
-    one :meth:`SrrqrState._settle` restores it before the return.
+    every interchange; ``state`` is screened first.  A tall ``state`` is
+    compressed (:meth:`SrrqrState._compress`) at its first exact screen,
+    or before the return if it meets none.  Interchanges leave leading
+    columns out of order (:meth:`SrrqrState._interchange_core`); one
+    :meth:`SrrqrState._settle` restores it before the return.
 
     Returns ``"tolerance"`` (every trailing norm below tau),
     ``"target_rank"``, ``"full_rank"`` (a tolerance run that took every
@@ -673,6 +668,7 @@ def _drive(state: SrrqrState, config: SrrqrConfig, on_swap=None, steps=math.inf)
         # a pivot column already zero below the diagonal needs no reflector
         steps -= bool(state._advance())
         _interchanges(state, config.f, on_swap)
+    state._compress()
     state._settle()
     return reason
 
@@ -681,6 +677,8 @@ def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
     """:func:`_drive`'s inner loop: interchange while the screen finds a pair."""
     early_exit, f_swap = f / math.sqrt(2.0), f * _F_SLACK
     while state.gamma.size and not _rho_hat_at_most(state.omega, state.gamma, state.a, early_exit):
+        # a tall state drops to n rows here, at its first exact screen
+        state._compress()
         if (hit := _first_swap(state.omega, state.gamma, state.a, f_swap, state._lead)) is None:
             break
         if state.swap_count >= 20 * swap_budget(max(state.k, 1), state.r.shape[1], f):
@@ -692,8 +690,6 @@ def _interchanges(state: SrrqrState, f: float, on_swap=None) -> None:
         i, j = hit
         # the growth factor is only reported, to a monitor
         ratio = det_ratio(state, i, j) if on_swap is not None else None
-        # a tall state drops to n rows here, at its first interchange
-        state._compress()
         state._interchange_core(i, j)
         if on_swap is not None:
             on_swap(state.k, i, j, ratio)
@@ -838,10 +834,10 @@ def srrqr(m, config: SrrqrConfig, *, want_q: bool = True, on_swap=None) -> Srrqr
 
     With ``want_q`` the factorization, its thin m-by-min(m, n) Q included,
     is one LAPACK QR of ``M P``: R11 and R12 match the state's to roundoff,
-    and ``r22`` has min(m, n)-k rows.  Without it ``q`` is None and the
-    blocks are the state's own: ``r22`` has n-k rows after an interchange
-    on a tall input (the state was compressed), m-k otherwise; ``shape`` is
-    (m, n) either way.
+    and ``r22`` has min(m, n)-k rows.  Without it ``q`` is None, the blocks
+    are the state's own, and ``r22`` has min(m, n)-k rows too: the state
+    of every tall input is compressed to n rows, so its ``r22`` has n-k.
+    ``shape`` is (m, n) either way.
 
     Raises what :func:`_drive` raises, ``ValueError`` among it when a
     pivoting quantity is not finite: a column norm that overflows (entries

@@ -96,16 +96,26 @@ class ReferenceState(SrrqrState):
     - ``_swap_boundary`` is the earlier swap of columns k-1 and k between
       two ``_swap_trailing(j)`` calls; it squares omega and the trailing
       norms twice and copies omega and gamma before overwriting them;
-    - both first make a column-major R row-major, as the library does;
-    - ``_interchange_core`` finds the outgoing column with ``list.index``,
-      rolls ``_lead`` with ``np.roll`` and swaps the permutation with fancy
-      indexing;
+    - ``_compress`` stacks the leading rows over the R factor of a copy of
+      the trailing block, with ``np.vstack``;
+    - ``_interchange_core`` compresses a tall state first, finds the
+      outgoing column with ``list.index``, rolls ``_lead`` with ``np.roll``
+      and swaps the permutation with fancy indexing;
     - ``_settle`` builds the permuted rows with ``np.concatenate`` and
       gathers omega and ``a`` with ``np.take``.
 
     :func:`reference_drive` drives it with the earlier screens.  A state
     driven by the library must end with the same bits as this one.
     """
+
+    def _compress(self) -> None:
+        rows, cols = self.r.shape
+        if rows > cols:
+            k = self.k
+            tail = np.zeros((cols - k, cols))
+            if k < cols:
+                tail[:, k:] = _r_factor(self.r[k:, k:].copy())
+            self.r = np.ascontiguousarray(np.vstack([self.r[:k], tail]))
 
     def _advance(self) -> None:
         k = self.k
@@ -155,7 +165,6 @@ class ReferenceState(SrrqrState):
         self.gamma = np.sqrt(np.maximum(g2, 0.0))
 
     def _cycle(self, i: int) -> None:
-        self._row_major()
         k, r, w = self.k, self.r, self.k - i
         order = i + (np.arange(w) + 1) % w
         q, blk = scipy.linalg.qr_delete(
@@ -171,7 +180,6 @@ class ReferenceState(SrrqrState):
 
     def _swap_boundary(self, j: int) -> None:
         self._swap_trailing(j)
-        self._row_major()
         k = self.k
         km1 = k - 1
         r = self.r
@@ -240,6 +248,7 @@ class ReferenceState(SrrqrState):
 
     def _interchange_core(self, i: int, j: int) -> None:
         self._check_pair(i, j)
+        self._compress()
         k = self.k
         if self._lead is None:
             self._lead = np.arange(self.r.shape[1])
@@ -288,6 +297,7 @@ class TwoSweepState(ReferenceState):
 
     def _interchange_core(self, i: int, j: int) -> None:
         self._check_pair(i, j)
+        self._compress()
         self._cycle(i)
         self._swap_boundary(j)
         self._cycle_back(i)
@@ -324,7 +334,8 @@ def reference_rho_hat_at_most(state: SrrqrState, bound: float) -> bool:
 
 def reference_drive(state: ReferenceState, config: SrrqrConfig) -> str:
     """The earlier ``srrqr._drive`` with the earlier screens, no monitor,
-    settled at the end as the library's."""
+    compressed at the first exact screen and at the end, and settled at the
+    end, as the library's."""
     cols = state.r.shape[1]
     f = config.f
     rank_mode = isinstance(config.mode, TargetRank)
@@ -349,11 +360,12 @@ def reference_drive(state: ReferenceState, config: SrrqrConfig) -> str:
         while state.gamma.size:
             if reference_rho_hat_at_most(state, early_exit):
                 break
+            state._compress()
             if (hit := reference_first_swap(state, f_swap)) is None:
                 break
             if state.swap_count >= 20 * swap_budget(max(state.k, 1), cols, f):
                 raise RuntimeError(f"interchange budget exhausted at k={state.k}")
-            state._compress()
             state._interchange_core(*hit)
+    state._compress()
     state._settle()
     return reason

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -295,7 +296,12 @@ class TestInterchange:
         st = srrqr_state(m, 3)
         twice = interchange(interchange(st, 1, 2), 1, 2)
         assert np.array_equal(twice.perm.forward, st.perm.forward)
-        assert np.allclose(twice.r, st.r, atol=1e-12)
+        # the tall state comes back with its n rows: the leading rows as
+        # before, the trailing block an orthogonal transform of the old one
+        assert twice.r.shape == (6, 6)
+        assert np.allclose(twice.r[:3], st.r[:3], atol=1e-12)
+        t, t0 = twice.r[3:, 3:], st.r[3:, 3:]
+        assert np.allclose(t.T @ t, t0.T @ t0, atol=1e-12)
 
     def test_matches_fresh_factorization(self):
         m = rng(6).standard_normal((8, 6))
@@ -566,6 +572,8 @@ class TestNormDowndate:
         st._advance()
         assert np.allclose(st._gamma2_floor, _DOWNDATE_TOL * st.gamma**2, rtol=1e-12)
         st._gamma2_floor *= 1e20
+        # the boundary swap works on the n rows of a compressed state
+        st._compress()
         st._swap_boundary(3)
         # the closed form of the outgoing column's norm is exact too
         assert st._gamma2_floor[3] == _DOWNDATE_TOL * st.gamma[3] ** 2
@@ -822,7 +830,8 @@ def _tall_stewart(seed):
 
 
 class TestCompression:
-    """At its first interchange ``srrqr`` cuts a tall state down to n rows."""
+    """At its first exact screen, or at the end, ``srrqr`` cuts a tall state
+    down to n rows."""
 
     @pytest.mark.parametrize("mode", [TargetRank(40), Tolerance(1e-10)])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -845,19 +854,22 @@ class TestCompression:
         g = np.linalg.norm(fact.r22, axis=0)
         assert np.max(np.abs(g - gw), initial=0.0) <= 1e-12 * np.max(gw, initial=0.0)
 
-    def test_no_swap_keeps_all_rows(self):
+    def test_no_swap_returns_n_rows(self):
         m = generate(MatrixSpec(HC(m=200, n=40), seed=0))
         res = srrqr(m, SrrqrConfig(f=1.1, mode=Tolerance(1e-10)), want_q=False)
         assert res.swap_count == 0
-        assert res.state.r.shape == m.shape
-        assert res.factorization.r22.shape == (m.shape[0] - res.k, m.shape[1] - res.k)
+        n = m.shape[1]
+        assert res.state.r.shape == (n, n)
+        assert res.factorization.r22.shape == (n - res.k, n - res.k)
+        assert res.factorization.shape == m.shape
 
-    def test_public_interchange_keeps_all_rows(self):
+    def test_public_interchange_compresses_its_copy(self):
         m = _tall_stewart(0)
         st = srrqr_state(m, 20)
         out = interchange(st, 3, 5)
-        assert out.r.shape == m.shape
-        assert st.r.shape == m.shape
+        assert out.r.shape == (64, 64) and out.r.flags.c_contiguous
+        assert st.r.shape == m.shape and st.r.flags.f_contiguous
+        assert max(out.consistency_errors().values()) <= 1e-10
 
     def test_compress_preserves_state(self):
         m = _tall_stewart(1)
@@ -870,14 +882,19 @@ class TestCompression:
             np.linalg.norm(st.r[20:, 20:], axis=0), before.gamma, rtol=1e-12
         )
         assert max(st.consistency_errors().values()) <= 1e-10
-        # decisions after compressing match those on the full-height state
+        # decisions after compressing match those of a full-height state of
+        # the same columns, grown afresh from M P
+        assert np.allclose(det_ratio_matrix(st), det_ratio_matrix(before), rtol=1e-12)
         for i, j in [(3, 5), (19, 0), (0, 43)]:
-            assert np.isclose(det_ratio(st, i, j), det_ratio(before, i, j), rtol=1e-12)
+            full = srrqr_state(st.perm.apply_cols(m), 20)
+            assert full.r.shape == m.shape
+            assert np.isclose(det_ratio(st, i, j), det_ratio(full, i, j), rtol=1e-10)
             st._interchange_core(i, j)
-            before._interchange_core(i, j)
-        assert np.allclose(st.r[:20], before.r[:20], atol=1e-12)
-        assert np.allclose(st.gamma, before.gamma, rtol=1e-10)
-        assert np.allclose(st.a, before.a, rtol=1e-10, atol=1e-12)
+        st._settle()
+        full = srrqr_state(st.perm.apply_cols(m), 20)
+        assert np.allclose(st.r[:20], full.r[:20], atol=1e-12)
+        assert np.allclose(st.gamma, full.gamma, rtol=1e-10)
+        assert np.allclose(st.a, full.a, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("key, m_rows, n, q, seed", list(_swap_det_pool()))
     def test_benchmark_scale_interchanges(self, key, m_rows, n, q, seed):
@@ -892,6 +909,80 @@ class TestCompression:
         assert res.state.r.shape[0] == n
         assert res.rho <= rec["f"]
         assert max(res.state.consistency_errors().values()) <= 1e-8
+
+    def test_compressed_at_the_first_exact_screen(self, monkeypatch):
+        m, cfg = _DRIVE_CASES["stewart-400x64"]
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        st = _fresh_state(as_matrix(m()))
+        exits, screened = [], []
+        early_exit, first_swap = engine._rho_hat_at_most, engine._first_swap
+
+        def early_exit_spy(*args):
+            passed = early_exit(*args)
+            exits.append((st.r.shape[0], passed))
+            return passed
+
+        def first_swap_spy(*args):
+            screened.append(st.r.shape)
+            return first_swap(*args)
+
+        monkeypatch.setattr(engine, "_rho_hat_at_most", early_exit_spy)
+        monkeypatch.setattr(engine, "_first_swap", first_swap_spy)
+        _drive(st, cfg)
+        assert st.swap_count > 0 and screened
+        # every exact screen reads an n-row state
+        assert set(screened) == {(64, 64)}
+        # the state stayed tall up to the first early exit that failed
+        first = [passed for _, passed in exits].index(False)
+        assert first > 0 and {rows for rows, _ in exits[: first + 1]} == {400}
+
+    def test_no_screen_returns_n_rows_without_m(self, monkeypatch):
+        # f = 10: the early exit f/sqrt(2) never fails, so the state is
+        # compressed only before _drive returns
+        m = np.asfortranarray(rng(34).standard_normal((2048, 64)))
+        engine = importlib.import_module("spectra_rrqr.srrqr")
+        screens = []
+        first_swap = engine._first_swap
+        monkeypatch.setattr(engine, "_first_swap", lambda *a: screens.append(a) or first_swap(*a))
+        cfg = SrrqrConfig(f=10.0, mode=TargetRank(40))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = srrqr(m, cfg, want_q=False)
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert not screens and res.swap_count == 0
+        assert res.state.r.shape == (64, 64)
+        assert res.factorization.r22.shape == (24, 24)
+        # the result holds no m x n array
+        assert retained < 0.5 * m.nbytes
+        assert max(res.state.consistency_errors().values()) <= 1e-10
+        with_q = srrqr(m, cfg)
+        assert with_q.state.r.shape == (64, 64)
+        _same_decisions(res, with_q)
+
+    @pytest.mark.parametrize("want_q", [False, True])
+    def test_full_rank_tall_input(self, want_q):
+        # k = n: the compression has no trailing block to reduce
+        m = rng(35).standard_normal((60, 8))
+        st = srrqr_state(m, 8)
+        leading = st.r[:8].copy()
+        st._compress()
+        assert st.r.shape == (8, 8) and np.array_equal(st.r, leading)
+        for mode in (Tolerance(1e-10), TargetRank(8)):
+            res = srrqr(m, SrrqrConfig(f=10.0, mode=mode), want_q=want_q)
+            assert res.k == 8 and res.state.k == 8
+            assert res.state.r.shape == (8, 8)
+            fact = res.factorization
+            assert fact.shape == m.shape and fact.r22.shape == (0, 0)
+            if want_q:
+                assert fact.reconstruction_error(m) <= 1e-12
+            else:
+                assert np.array_equal(fact.r11, res.state.r)
 
     def test_compress_is_a_noop_without_extra_rows(self):
         m = rng(31).standard_normal((30, 30))
@@ -980,7 +1071,6 @@ class TestCycle:
             if shift < 0:
                 st._cycle(i)
             else:
-                st._row_major()
                 st._lead = np.arange(st.shape[1])
                 st._lead[i:k] = np.roll(st._lead[i:k], -1)
                 st._settle()
@@ -1050,7 +1140,7 @@ class TestInterchangeReference:
     def test_trailing_norm_recompute(self):
         # the trailing columns nearly parallel the first one, so swapping that
         # one in takes most of their norms and they are recomputed, over the
-        # 56 rows of a tall state
+        # trailing rows of the compressed tall state
         g = rng(13)
         m = g.standard_normal((60, 10))
         m[:, 4:] = m[:, 4:5] + 1e-3 * g.standard_normal((60, 6))
@@ -1157,9 +1247,11 @@ class TestHotLoopReference:
         for step, (got, want) in enumerate(zip(st.log, ref.log)):
             assert got == want, f"step {step}"
         if case == "triangular-60x40":
-            # no reflector touched R: its rows only took the diagonal's sign
+            # no reflector touched R: its rows only took the diagonal's sign,
+            # and compressing the zero rows below the triangle dropped them
             assert st.swap_count == 0 and st.perm.swaps == []
-            assert np.array_equal(np.abs(st.r), np.abs(m))
+            assert st.r.shape == (40, 40) and not m[40:].any()
+            assert np.array_equal(np.abs(st.r), np.abs(m[:40]))
         else:
             assert st.swap_count > 0
         if case == "stewart-400x64":
@@ -1383,8 +1475,9 @@ class TestOwnership:
                 # one growth step in the state's own layout, then interchanges
                 st._advance()
                 st._interchange_core(2, 1)
-                # an interchange makes a tall r row-major, and a copy keeps it so
-                assert st.r.flags.c_contiguous and st.copy().r.flags.c_contiguous
+                # an interchange compresses a tall r to n rows, row-major
+                assert st.r.shape[0] == min(shape) and st.r.flags.c_contiguous
+                assert st.copy().r.flags.c_contiguous
                 st._interchange_core(0, 4)
             _assert_same_bits(states[0], states[1])
             _assert_same_bits(states[0], states[2])

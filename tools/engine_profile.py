@@ -14,7 +14,7 @@ untimed warm-up call:
 - ``tall-det``: deterministic ``srrqr`` (f=2, tau=1e-10, no Q) on
   ``stairs:8192x500`` of matrix seed 0, the input of acceptance test A12
   and of no benchmark workload: a tall state that grows to k = 400
-  without an interchange, so it is never compressed;
+  without an interchange, compressed at its first exact screen, half way;
 - ``sketch-R``: ``srrqr`` (f=2, tau=1e-10, no Q) on the n-by-n R factor of
   the SRHT sketch of the first ``paper-tau`` call of benchmark seed N, the
   pivoting that ``rand_srrqr_tol`` does on the sketch;
@@ -28,19 +28,23 @@ untimed warm-up call:
   makes it (no Q).
 
 For each input it prints the whole call and its parts: the count and the
-wall time in ms, each the median over the R repeats.  The parts of
-``gauss-sketch`` are ``generate``, the shared generation of the operator's
-blocks (its count is the chunks), and ``product``, the shared products of
-the blocks (its count is the pieces); a checkout that multiplies its blocks
-outside ``_threads.share`` counts no piece and puts the products in
-``other``.  The parts of ``gauss-call`` are the stages of the result's
+wall time in ms, each the median over the R repeats, then ``minflt``, the
+minor page faults per call (``ru_minflt`` of the process).  Back-to-back
+calls reuse heap that is already faulted in, so faults that the benchmark
+takes only after its reference kernel runs between calls read 0 here.
+The parts of ``gauss-sketch`` are ``generate``, the shared generation of
+the operator's blocks (its count is the chunks), and ``product``, the
+shared products of the blocks (its count is the pieces); a checkout that
+multiplies its blocks outside ``_threads.share`` counts no piece and puts
+the products in ``other``.  The parts of ``gauss-call`` are the stages of the result's
 ``timings_ms``: ``sketch``, ``srrqr_sketch`` (the sketch's R factor, its
 pivoting and the copy of M for the worker), ``reduce_m``, ``distortion``
 and ``final_qr``; ``other`` is the call outside them.  The parts of the
 four ``srrqr`` inputs are the engine kernels: ``SrrqrState._advance``
 (split by the state's shape: ``tall`` before a compression, ``square``
 once R has no more rows than columns),
-``_cycle``, ``_swap_boundary``, ``_compress`` and ``_swap_trailing``,
+``_cycle``, ``_swap_boundary``, ``_compress`` (only the calls that reduce
+a tall state; the others return at once) and ``_swap_trailing``,
 ``_settle`` (the one signed QR that puts the leading columns back in
 logical order when ``_drive`` returns; a checkout without it counts
 none), and the screens ``_first_swap`` and ``_rho_hat_at_most``; then the QRCP
@@ -62,6 +66,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import resource
 import statistics
 import sys
 import time
@@ -98,6 +103,8 @@ def instrument(mod, ms: Counter, calls: Counter) -> None:
         def wrapper(*args, **kwargs):
             if replaying and name in ("_first_swap", "_rho_hat_at_most"):
                 return fn(*args, **kwargs)
+            if name == "_compress" and args[0].r.shape[0] <= args[0].r.shape[1]:
+                return fn(*args, **kwargs)  # a no-op at every later screen
             if grown and name in ("_advance", "_cycle"):
                 # an interchange before any growth: the prefix stopped at a swap
                 calls["handover"] += name == "_cycle"
@@ -256,16 +263,19 @@ def main(argv=None) -> int:
         for _ in range(args.repeat):
             ms.clear()
             calls.clear()
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             for call in calls_in:
                 t0 = time.perf_counter()
                 call()
                 ms["call"] += (time.perf_counter() - t0) * 1e3
                 calls["call"] += 1
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+            calls["minflt"] = round(faults / len(calls_in))
             ms["state"] -= ms["dgeqp3"] + ms["replay"]
             # a gauss-call also times the kernels and sketch parts inside its stages
             ms["other"] = ms["call"] - sum(ms[k] for k in parts)
             runs.append((Counter(ms), Counter(calls)))
-        counted = [] if label.startswith("gauss-") else ["handover", "dtrtrs"]
+        counted = ["minflt"] + ([] if label.startswith("gauss-") else ["handover", "dtrtrs"])
         for key in ["call", *parts, "other", *counted]:
             n = "-" if key == "other" else f"{statistics.median(c[key] for _, c in runs):g}"
             t = "-" if key in counted else f"{statistics.median(m[key] for m, _ in runs):.2f}"
